@@ -56,7 +56,7 @@ import (
 func main() {
 	n := flag.Int("n", 250, "number of injections per campaign (paper: 2500)")
 	seed := flag.Int64("seed", 1, "campaign seed")
-	mode := flag.String("mode", "haft", "hardening mode: native, ilr, haft, tmr (or a comma list)")
+	mode := flag.String("mode", "haft", "hardening mode: native, ilr, tx, haft, tmr (or a comma list)")
 	scale := flag.Int("scale", 0, "input scale (0 = smallest, as in the paper's FI runs)")
 	models := flag.String("models", "", `fault models ("reg,mem,branch,addr,skip,double", "all"; empty = classic register campaign)`)
 	flow := flag.String("flow", "any", "fault flow for register models: any, master, shadow, shadow2 (must exist under every selected mode)")
@@ -227,17 +227,8 @@ func hardened(name, mode string, scale int) (*haft.Program, error) {
 		return nil, err
 	}
 	cfg := haft.DefaultConfig()
-	switch mode {
-	case "native":
-		cfg.Mode = haft.ModeNative
-	case "ilr":
-		cfg.Mode = haft.ModeILR
-	case "haft":
-		cfg.Mode = haft.ModeHAFT
-	case "tmr":
-		cfg.Mode = haft.ModeTMR
-	default:
-		return nil, fmt.Errorf("unknown mode %q", mode)
+	if cfg.Mode, err = haft.ParseMode(mode); err != nil {
+		return nil, err
 	}
 	return haft.Harden(prog, cfg)
 }

@@ -64,19 +64,8 @@ func main() {
 	}
 	cfg := haft.DefaultConfig()
 	cfg.TxThreshold = *threshold
-	switch *mode {
-	case "native":
-		cfg.Mode = haft.ModeNative
-	case "ilr":
-		cfg.Mode = haft.ModeILR
-	case "tx":
-		cfg.Mode = haft.ModeTX
-	case "haft":
-		cfg.Mode = haft.ModeHAFT
-	case "tmr":
-		cfg.Mode = haft.ModeTMR
-	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+	if cfg.Mode, err = haft.ParseMode(*mode); err != nil {
+		fatal(err)
 	}
 	switch *opt {
 	case "N":

@@ -47,6 +47,7 @@ import (
 	"time"
 
 	haft "repro"
+	"repro/internal/obs"
 	"repro/internal/ycsb"
 )
 
@@ -93,13 +94,8 @@ type sample struct {
 func mintTrace(seed int64, conn int, n uint64) uint64 {
 	x := uint64(seed)*0x9e3779b97f4a7c15 + uint64(conn)<<32 + n + 1
 	for {
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		if x != 0 {
-			return x
+		if tid := obs.SplitMix64(x); tid != 0 {
+			return tid
 		}
 		x++
 	}

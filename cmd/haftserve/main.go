@@ -48,7 +48,7 @@ func main() {
 	seu := flag.Float64("seu", 0, "injected SEUs per request (0 = no campaign)")
 	records := flag.Int("records", 1024, "key range")
 	valueWork := flag.Int("valuework", 4, "value (de)serialization rounds per request")
-	mode := flag.String("mode", "haft", "hardening mode: native, ilr, tx, haft")
+	mode := flag.String("mode", "haft", "hardening mode: native, ilr, tx, haft, tmr")
 	retries := flag.Int("retries", 3, "max retries per request after faulted runs")
 	quarantine := flag.Int("quarantine", 3, "consecutive faulted runs before instance rebuild")
 	seed := flag.Int64("seed", 1, "injection campaign seed")
@@ -79,17 +79,9 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	switch *mode {
-	case "native":
-		cfg.Harden.Mode = haft.ModeNative
-	case "ilr":
-		cfg.Harden.Mode = haft.ModeILR
-	case "tx":
-		cfg.Harden.Mode = haft.ModeTX
-	case "haft":
-		cfg.Harden.Mode = haft.ModeHAFT
-	default:
-		fmt.Fprintf(os.Stderr, "haftserve: unknown mode %q\n", *mode)
+	var err error
+	if cfg.Harden.Mode, err = haft.ParseMode(*mode); err != nil {
+		fmt.Fprintf(os.Stderr, "haftserve: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -61,6 +61,10 @@ const (
 	ModeTMR = core.ModeTMR
 )
 
+// ParseMode resolves a mode name ("native", "ilr", "tx", "haft",
+// "tmr"), the inverse of Mode.String.
+func ParseMode(name string) (Mode, error) { return core.ParseMode(name) }
+
 // OptLevel is the cumulative §3.3 optimization ladder (N/S/C/L/F).
 type OptLevel = core.OptLevel
 

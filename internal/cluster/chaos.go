@@ -136,8 +136,7 @@ func (d *chaosDriver) killOne() {
 	n.mu.Unlock()
 
 	n.be.(Killable).Kill()
-	c.metrics.nodeKill()
-	c.metrics.nodeState(n.be.ID(), nodeDead.String())
+	c.metrics.nodeKills.Inc()
 	c.event(obs.Event{Kind: obs.KindChaos, Actor: int32(ni), Label: "node-kill"})
 	c.event(obs.Event{Kind: obs.KindNodeState, Actor: int32(ni),
 		A: uint64(gen), Label: "dead"})

@@ -149,6 +149,15 @@ func (n *node) getState() nodeStateKind {
 	return n.state
 }
 
+// nodeStates returns every node's current state name by node id.
+func (c *Cluster) nodeStates() map[string]string {
+	states := make(map[string]string, len(c.nodes))
+	for _, n := range c.nodes {
+		states[n.be.ID()] = n.getState().String()
+	}
+	return states
+}
+
 // readable nodes participate in the voting read path.
 func (n *node) readable() bool { return n.getState() == nodeHealthy }
 
@@ -248,12 +257,12 @@ func New(backends []Backend, cfg Config) (*Cluster, error) {
 		cfg:       cfg,
 		quorum:    cfg.Replicas/2 + 1,
 		ring:      ring,
-		metrics:   newMetrics(ids),
 		obsRing:   obs.NewRing(cfg.TraceDepth),
 		flight:    obs.NewFlightRecorder(cfg.Node, cfg.FlightDir, cfg.FlightMax),
 		primaries: make([]int, cfg.Shards),
 		closed:    make(chan struct{}),
 	}
+	c.metrics = newMetrics(c.nodeStates)
 	c.tidCounter.Store(uint64(cfg.Seed) << 20)
 	c.nodes = make([]*node, len(backends))
 	for i, b := range backends {
@@ -285,14 +294,8 @@ func (c *Cluster) event(ev obs.Event) {
 // key flow arrows and merge joins) yet deterministic per run.
 func (c *Cluster) mintTrace() uint64 {
 	for {
-		x := c.tidCounter.Add(1)
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-		x ^= x >> 27
-		x *= 0x94d049bb133111eb
-		x ^= x >> 31
-		if x != 0 {
-			return x
+		if tid := obs.SplitMix64(c.tidCounter.Add(1)); tid != 0 {
+			return tid
 		}
 	}
 }
@@ -360,11 +363,11 @@ func (c *Cluster) fanout(targets []*node, req serve.Request) []callResult {
 func (c *Cluster) account(r callResult) {
 	n := r.node
 	if r.err != nil {
-		c.metrics.nodeFailure(n.be.ID())
+		c.metrics.nodeFails.With(n.be.ID()).Inc()
 		c.recordFailure(n)
 		return
 	}
-	c.metrics.nodeServe(n.be.ID())
+	c.metrics.nodeServed.With(n.be.ID()).Inc()
 	n.mu.Lock()
 	n.consecFails = 0
 	n.mu.Unlock()
@@ -404,7 +407,7 @@ func tally(results []callResult) (best uint64, bestN int, losers []callResult, o
 func (c *Cluster) maskLosers(req serve.Request, shard int, best uint64, losers []callResult) {
 	for _, r := range losers {
 		id := r.node.be.ID()
-		c.metrics.mask(id, 1)
+		c.metrics.mask(id)
 		c.event(obs.Event{Kind: obs.KindVoteMask, Actor: int32(r.node.idx),
 			A: uint64(shard), B: r.val, Label: id, TraceID: req.TraceID})
 		c.recordMask(req, shard, best, id, r.val)
@@ -461,7 +464,7 @@ func (c *Cluster) doRead(req serve.Request) (uint64, error) {
 				c.account(r)
 			}
 			best, bestN, losers, ok := tally(results)
-			c.metrics.vote(ok)
+			c.metrics.votes.Add(uint64(ok))
 			if bestN >= c.quorum {
 				c.event(obs.Event{Kind: obs.KindVote, A: uint64(shard),
 					B: best, TraceID: req.TraceID})
@@ -474,11 +477,11 @@ func (c *Cluster) doRead(req serve.Request) (uint64, error) {
 			lastErr = fmt.Errorf("%w: shard %d: only %d/%d replicas readable",
 				ErrNoQuorum, shard, len(targets), c.quorum)
 		}
-		c.metrics.quorumMiss()
+		c.metrics.noQuorum.Inc()
 		if attempt >= c.cfg.MaxRetries {
 			return 0, lastErr
 		}
-		c.metrics.retry()
+		c.metrics.retries.Inc()
 		select {
 		case <-c.closed:
 			return 0, ErrClusterClosed
@@ -519,13 +522,13 @@ func (c *Cluster) doWrite(req serve.Request) (uint64, error) {
 				}
 			}
 			best, bestN, losers, ok := tally(results)
-			c.metrics.vote(ok)
+			c.metrics.votes.Add(uint64(ok))
 			if bestN >= c.quorum && applied >= c.quorum {
 				c.event(obs.Event{Kind: obs.KindVote, A: uint64(shard),
 					B: best, TraceID: req.TraceID})
 				c.maskLosers(req, shard, best, losers)
 				lg.ack(entry)
-				c.metrics.ackedWrite()
+				c.metrics.ackedWrites.Inc()
 				return best, nil
 			}
 			lastErr = fmt.Errorf("%w: shard %d write seq %d: vote %d/%d, applied %d/%d",
@@ -534,11 +537,11 @@ func (c *Cluster) doWrite(req serve.Request) (uint64, error) {
 			lastErr = fmt.Errorf("%w: shard %d: only %d/%d replicas writable",
 				ErrNoQuorum, shard, len(targets), c.quorum)
 		}
-		c.metrics.quorumMiss()
+		c.metrics.noQuorum.Inc()
 		if attempt >= c.cfg.MaxRetries {
 			return 0, lastErr
 		}
-		c.metrics.retry()
+		c.metrics.retries.Inc()
 		select {
 		case <-c.closed:
 			return 0, ErrClusterClosed
@@ -570,7 +573,7 @@ func (c *Cluster) Do(req serve.Request) (uint64, error) {
 		v, err = c.doRead(req)
 	}
 	if err != nil {
-		c.metrics.failure()
+		c.metrics.failed.Inc()
 		return 0, err
 	}
 	c.metrics.response(time.Since(t0))
@@ -624,8 +627,7 @@ func (c *Cluster) quarantineNode(n *node, restart bool, cause string) {
 	n.needsRestart = n.needsRestart || restart
 	gen := n.generation
 	n.mu.Unlock()
-	c.metrics.quarantine()
-	c.metrics.nodeState(n.be.ID(), nodeQuarantined.String())
+	c.metrics.quarantines.Inc()
 	c.event(obs.Event{Kind: obs.KindNodeState, Actor: int32(n.idx),
 		A: uint64(gen), Label: "quarantined/" + cause})
 	c.recomputePrimaries()
@@ -644,7 +646,6 @@ func (c *Cluster) readmit(n *node) {
 	gen := n.generation
 	n.state = nodeRebuilding
 	n.mu.Unlock()
-	c.metrics.nodeState(n.be.ID(), nodeRebuilding.String())
 	c.event(obs.Event{Kind: obs.KindNodeState, Actor: int32(n.idx),
 		A: uint64(gen), Label: "rebuilding"})
 
@@ -654,7 +655,6 @@ func (c *Cluster) readmit(n *node) {
 		n.openedAt = time.Now()
 		n.needsRestart = n.needsRestart || restartAgain
 		n.mu.Unlock()
-		c.metrics.nodeState(n.be.ID(), nodeQuarantined.String())
 	}
 	if restart {
 		if k, ok := n.be.(Killable); ok {
@@ -674,16 +674,13 @@ func (c *Cluster) readmit(n *node) {
 		lg.clearApplied(n.idx)
 	}
 	replayed := c.replayNode(n)
-	c.metrics.rebuild()
-	if replayed > 0 {
-		c.metrics.replayed(replayed)
-	}
+	c.metrics.rebuilds.Inc()
+	c.metrics.replayedWrites.Add(uint64(replayed))
 	n.mu.Lock()
 	n.state = nodeHealthy
 	n.consecFails = 0
 	n.suspicion = 0
 	n.mu.Unlock()
-	c.metrics.nodeState(n.be.ID(), nodeHealthy.String())
 	c.event(obs.Event{Kind: obs.KindNodeState, Actor: int32(n.idx),
 		A: uint64(gen), Label: "healthy"})
 	c.recomputePrimaries()
@@ -738,7 +735,7 @@ func (c *Cluster) recomputePrimaries() {
 		}
 		if next != cur {
 			c.primaries[s] = next
-			c.metrics.failover()
+			c.metrics.failovers.Inc()
 			c.event(obs.Event{Kind: obs.KindFailover, Actor: int32(lg.replicas[next]),
 				A: uint64(s), Label: c.nodes[lg.replicas[next]].be.ID()})
 		}
@@ -761,7 +758,7 @@ func (c *Cluster) healthLoop() {
 			switch n.getState() {
 			case nodeHealthy:
 				if err := n.be.Ping(); err != nil {
-					c.metrics.nodeFailure(n.be.ID())
+					c.metrics.nodeFails.With(n.be.ID()).Inc()
 					c.recordFailure(n)
 				}
 			case nodeQuarantined:
@@ -810,12 +807,11 @@ func (c *Cluster) CheckInvariants() InvariantReport {
 		lost += lg.lost(live)
 		unapplied += lg.unapplied()
 	}
-	c.metrics.setLost(uint64(lost))
-	snap := c.metrics.Snapshot()
+	c.metrics.lostAcked.Store(uint64(lost))
 	return InvariantReport{
 		LostAckedWrites:      lost,
 		UnappliedPairs:       unapplied,
-		DeliveredCorruptions: snap.DeliveredCorruptions,
+		DeliveredCorruptions: c.metrics.corrupted.Load(),
 	}
 }
 
@@ -829,9 +825,7 @@ func (c *Cluster) SyncReplicas() int {
 			total += c.replayNode(n)
 		}
 	}
-	if total > 0 {
-		c.metrics.replayed(total)
-	}
+	c.metrics.replayedWrites.Add(uint64(total))
 	return total
 }
 
@@ -839,6 +833,7 @@ func (c *Cluster) SyncReplicas() int {
 // cluster shape.
 func (c *Cluster) Metrics() Snapshot {
 	s := c.metrics.Snapshot()
+	s.NodeStates = c.nodeStates()
 	s.Nodes = len(c.nodes)
 	s.Replicas = c.cfg.Replicas
 	s.Shards = c.cfg.Shards
@@ -846,7 +841,7 @@ func (c *Cluster) Metrics() Snapshot {
 }
 
 // WriteProm renders the router metrics in Prometheus text format.
-func (c *Cluster) WriteProm(w io.Writer) { c.metrics.WriteProm(w) }
+func (c *Cluster) WriteProm(w io.Writer) { c.metrics.reg.WriteProm(w) }
 
 // Health reports router liveness for /healthz: healthy while the
 // cluster is open and every shard retains a read quorum.
@@ -893,7 +888,7 @@ func (c *Cluster) Health() obs.Health {
 func (c *Cluster) DebugHandler(extra ...func(io.Writer)) http.Handler {
 	prom := func(w io.Writer) {
 		c.CheckInvariants()
-		c.metrics.WriteProm(w)
+		c.WriteProm(w)
 	}
 	return obs.NewHandler(obs.HandlerConfig{
 		Metrics: append([]func(io.Writer){prom}, extra...),

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -339,5 +340,64 @@ func TestClusterTCP(t *testing.T) {
 	}
 	if snap.Nodes != 3 || snap.Replicas != 3 || snap.Responses < 6 {
 		t.Fatalf("cluster snapshot looks wrong: %+v", snap)
+	}
+}
+
+// deafBackend answers reads below failFrom from a pure function and
+// fails every other read, so a scan crossing failFrom fails mid-range.
+type deafBackend struct {
+	id       string
+	failFrom uint64
+}
+
+func (b *deafBackend) ID() string  { return b.id }
+func (b *deafBackend) Ping() error { return nil }
+func (b *deafBackend) Close()      {}
+func (b *deafBackend) Do(req serve.Request) (uint64, error) {
+	if req.Key >= b.failFrom {
+		return 0, fmt.Errorf("key %d unreachable", req.Key)
+	}
+	return req.Key + 1, nil
+}
+
+// TestClusterScanFailureIsOneReply: a router scan that fails on a later
+// key answers one whole ERR line — the client sees the server's error,
+// not a parse failure on a half-written RANGE line, and the connection
+// stays usable.
+func TestClusterScanFailureIsOneReply(t *testing.T) {
+	backends := make([]Backend, 3)
+	for i := range backends {
+		backends[i] = &deafBackend{id: fmt.Sprintf("node-%d", i), failFrom: 12}
+	}
+	cfg := DefaultConfig()
+	cfg.MaxRetries = 1
+	cfg.RetryBackoff = time.Microsecond
+	cfg.BreakerThreshold = 1 << 20 // failures stay per-key: no node is quarantined
+	cfg.HealthInterval = time.Hour
+	c, err := New(backends, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go c.ServeListener(l)
+	cl, err := serve.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	if vs, err := cl.Scan(8, 4); err != nil || len(vs) != 4 || vs[3] != 12 {
+		t.Fatalf("scan below the failing key: %v, %v", vs, err)
+	}
+	_, err = cl.Scan(10, 4)
+	if err == nil || !strings.Contains(err.Error(), "server error") || !strings.Contains(err.Error(), ErrNoQuorum.Error()) {
+		t.Fatalf("failing scan reported %v, want the server's no-quorum error", err)
+	}
+	if v, err := cl.Get(3); err != nil || v != 4 {
+		t.Fatalf("connection unusable after a failed scan: %v, %v", v, err)
 	}
 }

@@ -3,170 +3,123 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
-	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/report"
 )
-
-// reservoirSize bounds the sliding window of raw latency samples the
-// router keeps for exact percentile reporting.
-const reservoirSize = 2048
 
 // Metrics is the router's live accounting. Node-level counters (VM
 // runs, HTM aborts, instance quarantines) stay in each backend's own
 // serve registry; this layer counts what only the router can see:
 // votes, masked replicas, failovers, replays, and the cluster-wide
-// corruption/loss invariants.
+// corruption/loss invariants. Like serve.Metrics it is a plain struct
+// of metrics declared once in an obs.Registry.
 type Metrics struct {
-	mu    sync.Mutex
+	reg   *obs.Registry
 	start time.Time
 
-	requests  uint64
-	responses uint64
-	failed    uint64
-	retries   uint64
-	reads     uint64
-	writes    uint64
+	requests  *obs.Counter
+	responses *obs.Counter
+	failed    *obs.Counter
+	retries   *obs.Counter
+	reads     *obs.Counter
+	writes    *obs.Counter
 
 	// votes is the number of replica replies collected across all
 	// voted requests; masked is the subset discarded for disagreeing
 	// with the majority — each one a detected corruption that was
 	// never delivered.
-	votes    uint64
-	masked   uint64
-	noQuorum uint64
+	votes    *obs.Counter
+	masked   *obs.Counter
+	noQuorum *obs.Counter
 	// delivered corruptions the router itself observed (always zero by
 	// construction — the voter cannot deliver a minority value; kept
 	// as an explicit invariant counter like serve's corrupted_replies).
-	corrupted uint64
+	corrupted *obs.Counter
 
-	ackedWrites    uint64
-	replayedWrites uint64
-	lostAcked      uint64 // updated by CheckInvariants
+	ackedWrites    *obs.Counter
+	replayedWrites *obs.Counter
+	lostAcked      *obs.Counter // stored by CheckInvariants
 
-	failovers   uint64
-	nodeKills   uint64
-	quarantines uint64
-	rebuilds    uint64
+	failovers   *obs.Counter
+	nodeKills   *obs.Counter
+	quarantines *obs.Counter
+	rebuilds    *obs.Counter
 
-	nodeStates map[string]string
-	nodeFails  map[string]uint64
-	nodeMasked map[string]uint64
-	nodeServed map[string]uint64
+	nodeFails  *obs.CounterVec
+	nodeMasked *obs.CounterVec
+	nodeServed *obs.CounterVec
 
-	// latency reservoir: sliding window of the last reservoirSize
-	// samples in nanoseconds; percentile sorts a snapshot (the ring is
-	// unordered once wrapped).
-	samples []int64
-	nseen   uint64
-	latSum  time.Duration
-	latMax  time.Duration
+	latency *obs.Latency
 }
 
-func newMetrics(nodeIDs []string) *Metrics {
+// newMetrics declares the router's metrics. nodeStates reads the
+// cluster's node state table (the router's nodes own their state; the
+// registry only renders it).
+func newMetrics(nodeStates func() map[string]string) *Metrics {
+	reg := obs.NewRegistry()
+	c := func(name, help string) *obs.Counter { return reg.Counter("haft_cluster_"+name, help) }
+	byNode := func(name, help string) *obs.CounterVec {
+		return reg.CounterVec("haft_cluster_"+name, help, "node")
+	}
 	m := &Metrics{
-		start:      time.Now(),
-		nodeStates: map[string]string{},
-		nodeFails:  map[string]uint64{},
-		nodeMasked: map[string]uint64{},
-		nodeServed: map[string]uint64{},
+		reg:            reg,
+		start:          time.Now(),
+		requests:       c("requests_total", "requests routed"),
+		responses:      c("responses_total", "responses delivered"),
+		failed:         c("failed_total", "requests failed after retries"),
+		retries:        c("retries_total", "request retries"),
+		reads:          c("reads_total", "read requests"),
+		writes:         c("writes_total", "write requests"),
+		votes:          c("vote_replies_total", "replica replies collected by the voter"),
+		masked:         c("detected_corruptions_total", "replica replies masked for disagreeing with the majority"),
+		corrupted:      c("delivered_corruptions_total", "corrupted replies delivered (invariant: zero)"),
+		noQuorum:       c("no_quorum_total", "voted requests that could not reach quorum"),
+		ackedWrites:    c("acked_writes_total", "writes acknowledged at quorum"),
+		replayedWrites: c("replayed_writes_total", "writes replayed into rebuilt replicas"),
+		lostAcked:      c("lost_acked_writes_total", "acknowledged writes lost (invariant: zero)"),
+		failovers:      c("failovers_total", "shard primary failovers"),
+		nodeKills:      c("node_kills_total", "chaos node kills"),
+		quarantines:    c("node_quarantines_total", "node quarantines"),
+		rebuilds:       c("node_rebuilds_total", "node rebuilds (replay + readmission)"),
+		nodeFails:      byNode("node_failures_total", "backend call failures by node"),
+		nodeMasked:     byNode("node_masked_replies_total", "masked replies by node"),
+		nodeServed:     byNode("node_served_total", "replica replies served by node"),
+		latency:        reg.Latency("haft_cluster_latency", "request latency", ""),
 	}
-	for _, id := range nodeIDs {
-		m.nodeStates[id] = "healthy"
-	}
+	// Node states as a 0/1 gauge per (node, state) pair.
+	reg.GaugeFunc("haft_cluster_node_up", "node currently healthy (1) or not (0)",
+		func(emit func(string, float64)) {
+			for id, state := range nodeStates() {
+				up := 0.0
+				if state == "healthy" {
+					up = 1
+				}
+				emit(fmt.Sprintf("node=%q,state=%q", id, state), up)
+			}
+		})
 	return m
 }
 
 func (m *Metrics) request(write bool) {
-	m.mu.Lock()
-	m.requests++
+	m.requests.Inc()
 	if write {
-		m.writes++
+		m.writes.Inc()
 	} else {
-		m.reads++
+		m.reads.Inc()
 	}
-	m.mu.Unlock()
 }
 
 func (m *Metrics) response(lat time.Duration) {
-	m.mu.Lock()
-	m.responses++
-	if lat < 0 {
-		lat = 0
-	}
-	if len(m.samples) < reservoirSize {
-		m.samples = append(m.samples, int64(lat))
-	} else {
-		m.samples[m.nseen%reservoirSize] = int64(lat)
-	}
-	m.nseen++
-	m.latSum += lat
-	if lat > m.latMax {
-		m.latMax = lat
-	}
-	m.mu.Unlock()
+	m.responses.Inc()
+	m.latency.Observe(lat)
 }
 
-func (m *Metrics) failure() { m.mu.Lock(); m.failed++; m.mu.Unlock() }
-func (m *Metrics) retry()   { m.mu.Lock(); m.retries++; m.mu.Unlock() }
-
-func (m *Metrics) vote(replies int) {
-	m.mu.Lock()
-	m.votes += uint64(replies)
-	m.mu.Unlock()
-}
-
-func (m *Metrics) mask(nodeID string, n int) {
-	m.mu.Lock()
-	m.masked += uint64(n)
-	m.nodeMasked[nodeID] += uint64(n)
-	m.mu.Unlock()
-}
-
-func (m *Metrics) quorumMiss() { m.mu.Lock(); m.noQuorum++; m.mu.Unlock() }
-
-func (m *Metrics) ackedWrite()      { m.mu.Lock(); m.ackedWrites++; m.mu.Unlock() }
-func (m *Metrics) replayed(n int)   { m.mu.Lock(); m.replayedWrites += uint64(n); m.mu.Unlock() }
-func (m *Metrics) setLost(n uint64) { m.mu.Lock(); m.lostAcked = n; m.mu.Unlock() }
-
-func (m *Metrics) failover()  { m.mu.Lock(); m.failovers++; m.mu.Unlock() }
-func (m *Metrics) nodeKill()  { m.mu.Lock(); m.nodeKills++; m.mu.Unlock() }
-func (m *Metrics) quarantine() { m.mu.Lock(); m.quarantines++; m.mu.Unlock() }
-func (m *Metrics) rebuild()   { m.mu.Lock(); m.rebuilds++; m.mu.Unlock() }
-
-func (m *Metrics) nodeState(id, state string) {
-	m.mu.Lock()
-	m.nodeStates[id] = state
-	m.mu.Unlock()
-}
-
-func (m *Metrics) nodeFailure(id string) {
-	m.mu.Lock()
-	m.nodeFails[id]++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) nodeServe(id string) {
-	m.mu.Lock()
-	m.nodeServed[id]++
-	m.mu.Unlock()
-}
-
-func (m *Metrics) percentileLocked(q float64) float64 {
-	if len(m.samples) == 0 {
-		return 0
-	}
-	snap := append([]int64(nil), m.samples...)
-	sort.Slice(snap, func(i, j int) bool { return snap[i] < snap[j] })
-	idx := int(q * float64(len(snap)))
-	if idx >= len(snap) {
-		idx = len(snap) - 1
-	}
-	return float64(snap[idx]) / 1e9
+func (m *Metrics) mask(nodeID string) {
+	m.masked.Inc()
+	m.nodeMasked.With(nodeID).Inc()
 }
 
 // Snapshot is a point-in-time export of the router registry.
@@ -217,56 +170,40 @@ type Snapshot struct {
 	LatencyMax    float64 `json:"latency_max_s"`
 }
 
-// Snapshot captures the registry (cluster shape fields are filled by
-// Cluster.Metrics).
+// Snapshot captures the registry (cluster shape fields and node states
+// are filled by Cluster.Metrics).
 func (m *Metrics) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	lat := m.latency.Snapshot()
 	s := Snapshot{
 		ElapsedSeconds:       time.Since(m.start).Seconds(),
-		Requests:             m.requests,
-		Responses:            m.responses,
-		Failed:               m.failed,
-		Retries:              m.retries,
-		Reads:                m.reads,
-		Writes:               m.writes,
-		Votes:                m.votes,
-		DetectedCorruptions:  m.masked,
-		NoQuorum:             m.noQuorum,
-		DeliveredCorruptions: m.corrupted,
-		AckedWrites:          m.ackedWrites,
-		ReplayedWrites:       m.replayedWrites,
-		LostAckedWrites:      m.lostAcked,
-		Failovers:            m.failovers,
-		NodeKills:            m.nodeKills,
-		Quarantines:          m.quarantines,
-		Rebuilds:             m.rebuilds,
-		NodeStates:           map[string]string{},
-		NodeFails:            map[string]uint64{},
-		NodeMasked:           map[string]uint64{},
-		NodeServed:           map[string]uint64{},
-		LatencyP50:           m.percentileLocked(0.50),
-		LatencyP95:           m.percentileLocked(0.95),
-		LatencyP99:           m.percentileLocked(0.99),
-		LatencyMax:           float64(m.latMax) / 1e9,
-	}
-	for k, v := range m.nodeStates {
-		s.NodeStates[k] = v
-	}
-	for k, v := range m.nodeFails {
-		s.NodeFails[k] = v
-	}
-	for k, v := range m.nodeMasked {
-		s.NodeMasked[k] = v
-	}
-	for k, v := range m.nodeServed {
-		s.NodeServed[k] = v
-	}
-	if m.responses > 0 {
-		s.LatencyMean = m.latSum.Seconds() / float64(m.responses)
+		Requests:             m.requests.Load(),
+		Responses:            m.responses.Load(),
+		Failed:               m.failed.Load(),
+		Retries:              m.retries.Load(),
+		Reads:                m.reads.Load(),
+		Writes:               m.writes.Load(),
+		Votes:                m.votes.Load(),
+		DetectedCorruptions:  m.masked.Load(),
+		NoQuorum:             m.noQuorum.Load(),
+		DeliveredCorruptions: m.corrupted.Load(),
+		AckedWrites:          m.ackedWrites.Load(),
+		ReplayedWrites:       m.replayedWrites.Load(),
+		LostAckedWrites:      m.lostAcked.Load(),
+		Failovers:            m.failovers.Load(),
+		NodeKills:            m.nodeKills.Load(),
+		Quarantines:          m.quarantines.Load(),
+		Rebuilds:             m.rebuilds.Load(),
+		NodeFails:            m.nodeFails.Values(),
+		NodeMasked:           m.nodeMasked.Values(),
+		NodeServed:           m.nodeServed.Values(),
+		LatencyP50:           lat.Percentile(0.50),
+		LatencyP95:           lat.Percentile(0.95),
+		LatencyP99:           lat.Percentile(0.99),
+		LatencyMean:          lat.Mean(),
+		LatencyMax:           lat.Max.Seconds(),
 	}
 	if s.ElapsedSeconds > 0 {
-		s.ThroughputRPS = float64(m.responses) / s.ElapsedSeconds
+		s.ThroughputRPS = float64(s.Responses) / s.ElapsedSeconds
 	}
 	return s
 }
@@ -325,69 +262,4 @@ func stateLine(m map[string]string) string {
 		out += fmt.Sprintf("%s=%s", k, m[k])
 	}
 	return out
-}
-
-// WriteProm renders the registry in Prometheus text exposition format
-// under the haft_cluster_ prefix (the router half of the -debug-addr
-// /metrics endpoint).
-func (m *Metrics) WriteProm(w io.Writer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP haft_cluster_%s %s\n# TYPE haft_cluster_%s counter\nhaft_cluster_%s %d\n",
-			name, help, name, name, v)
-	}
-	g := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP haft_cluster_%s %s\n# TYPE haft_cluster_%s gauge\nhaft_cluster_%s %s\n",
-			name, help, name, name, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	labeled := func(name, help, label string, vals map[string]uint64) {
-		fmt.Fprintf(w, "# HELP haft_cluster_%s %s\n# TYPE haft_cluster_%s counter\n", name, help, name)
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(w, "haft_cluster_%s{%s=%q} %d\n", name, label, k, vals[k])
-		}
-	}
-	c("requests_total", "requests routed", m.requests)
-	c("responses_total", "responses delivered", m.responses)
-	c("failed_total", "requests failed after retries", m.failed)
-	c("retries_total", "request retries", m.retries)
-	c("reads_total", "read requests", m.reads)
-	c("writes_total", "write requests", m.writes)
-	c("vote_replies_total", "replica replies collected by the voter", m.votes)
-	c("detected_corruptions_total", "replica replies masked for disagreeing with the majority", m.masked)
-	c("delivered_corruptions_total", "corrupted replies delivered (invariant: zero)", m.corrupted)
-	c("no_quorum_total", "voted requests that could not reach quorum", m.noQuorum)
-	c("acked_writes_total", "writes acknowledged at quorum", m.ackedWrites)
-	c("replayed_writes_total", "writes replayed into rebuilt replicas", m.replayedWrites)
-	c("lost_acked_writes_total", "acknowledged writes lost (invariant: zero)", m.lostAcked)
-	c("failovers_total", "shard primary failovers", m.failovers)
-	c("node_kills_total", "chaos node kills", m.nodeKills)
-	c("node_quarantines_total", "node quarantines", m.quarantines)
-	c("node_rebuilds_total", "node rebuilds (replay + readmission)", m.rebuilds)
-	labeled("node_failures_total", "backend call failures by node", "node", m.nodeFails)
-	labeled("node_masked_replies_total", "masked replies by node", "node", m.nodeMasked)
-	labeled("node_served_total", "replica replies served by node", "node", m.nodeServed)
-	// Node states as a 0/1 gauge per (node, state) pair.
-	fmt.Fprintf(w, "# HELP haft_cluster_node_up node currently healthy (1) or not (0)\n# TYPE haft_cluster_node_up gauge\n")
-	ids := make([]string, 0, len(m.nodeStates))
-	for id := range m.nodeStates {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		up := 0
-		if m.nodeStates[id] == "healthy" {
-			up = 1
-		}
-		fmt.Fprintf(w, "haft_cluster_node_up{node=%q,state=%q} %d\n", id, m.nodeStates[id], up)
-	}
-	g("latency_p50_seconds", "median request latency", m.percentileLocked(0.50))
-	g("latency_p95_seconds", "95th percentile request latency", m.percentileLocked(0.95))
-	g("latency_p99_seconds", "99th percentile request latency", m.percentileLocked(0.99))
-	g("latency_max_seconds", "maximum request latency", float64(m.latMax)/1e9)
 }

@@ -1,41 +1,23 @@
 package cluster
 
 import (
-	"bufio"
-	"fmt"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/serve"
 )
 
-// The router speaks the exact same line-oriented text protocol as a
-// single haftserve node (see internal/serve/proto.go), so any client
-// of one hardened server — cmd/haftload included — can point at the
-// router unchanged and transparently get sharding, replication, and
-// reply voting:
-//
-//	get <key>            -> VALUE <hex-reply>
-//	put <key> <value>    -> STORED <hex-reply>
-//	scan <key> <n>       -> RANGE <hex> <hex> ...
-//	stats                -> STATS <json cluster snapshot>
-//	ping                 -> PONG
-//	quit                 -> (connection closed)
-//
-// The one divergence is "stats": it returns the *cluster* snapshot
-// (votes, masked corruptions, failovers, replays) rather than a
-// single node's serve snapshot.
-//
-// Like a single node, get and put accept an optional trailing
-// "tid=<hex>" trace-id token; the router threads it through its
-// dispatch/vote spans and forwards it to every replica so the whole
-// fan-out shares one trace id. Untagged requests get a router-minted
+// The router speaks the text protocol of a single haftserve node by
+// running the same server: serve.ServeConn with the Cluster as its
+// Handler (the protocol is described in internal/serve/proto.go). Any
+// client of one hardened server — cmd/haftload included — can point at
+// the router unchanged and transparently get sharding, replication and
+// reply voting. The one divergence is "stats", which answers with the
+// *cluster* snapshot (votes, masked corruptions, failovers, replays).
+// A "tid=<hex>" token on get/put is threaded through the router's
+// dispatch/vote spans and forwarded to every replica, so the whole
+// fan-out shares one trace id; untagged requests get a router-minted
 // id.
-
-// maxScan bounds one scan command (matches the serve protocol bound).
-const maxScan = 1024
 
 // ServeListener accepts connections on l and serves the router text
 // protocol until the cluster is closed (which also closes the
@@ -60,115 +42,24 @@ func (c *Cluster) ServeListener(l net.Listener) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.serveConn(conn)
+			serve.ServeConn(conn, c)
 		}()
 	}
 }
 
-func (c *Cluster) serveConn(conn net.Conn) {
-	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), 1<<16)
-	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+// Scan implements serve.Handler: n consecutive keys from key, each
+// read through the voting path; the first failure fails the scan.
+func (c *Cluster) Scan(key uint64, n int) ([]uint64, error) {
+	out := make([]uint64, n)
+	for i := range out {
+		v, err := c.Get(key + uint64(i))
+		if err != nil {
+			return nil, err
 		}
-		if !c.dispatch(w, line) {
-			return
-		}
-		if w.Flush() != nil {
-			return
-		}
+		out[i] = v
 	}
+	return out, nil
 }
 
-// dispatch handles one command line; false closes the connection.
-func (c *Cluster) dispatch(w *bufio.Writer, line string) bool {
-	f := strings.Fields(line)
-	cmd := strings.ToLower(f[0])
-	args := f[1:]
-	fail := func(format string, a ...any) bool {
-		fmt.Fprintf(w, "ERR "+format+"\n", a...)
-		return true
-	}
-	// The optional trailing "tid=<hex>" token on get/put carries the
-	// client's trace id (mirrors the serve protocol).
-	var tid uint64
-	if cmd == "get" || cmd == "put" {
-		if n := len(args); n > 0 && strings.HasPrefix(args[n-1], "tid=") {
-			v, err := parseNum(strings.TrimPrefix(args[n-1], "tid="))
-			if err != nil {
-				return fail("bad tid: %v", err)
-			}
-			tid, args = v, args[:n-1]
-		}
-	}
-	switch cmd {
-	case "get":
-		if len(args) != 1 {
-			return fail("usage: get <key> [tid=<hex>]")
-		}
-		key, err := parseNum(args[0])
-		if err != nil {
-			return fail("bad key: %v", err)
-		}
-		v, err := c.Do(serve.Request{Key: key, TraceID: tid})
-		if err != nil {
-			return fail("%v", err)
-		}
-		fmt.Fprintf(w, "VALUE %#x\n", v)
-	case "put":
-		if len(args) != 2 {
-			return fail("usage: put <key> <value> [tid=<hex>]")
-		}
-		key, err := parseNum(args[0])
-		if err != nil {
-			return fail("bad key: %v", err)
-		}
-		val, err := parseNum(args[1])
-		if err != nil {
-			return fail("bad value: %v", err)
-		}
-		v, err := c.Do(serve.Request{Write: true, Key: key, Value: val, TraceID: tid})
-		if err != nil {
-			return fail("%v", err)
-		}
-		fmt.Fprintf(w, "STORED %#x\n", v)
-	case "scan":
-		if len(args) != 2 {
-			return fail("usage: scan <key> <n>")
-		}
-		key, err := parseNum(args[0])
-		if err != nil {
-			return fail("bad key: %v", err)
-		}
-		n, err := parseNum(args[1])
-		if err != nil || n == 0 || n > maxScan {
-			return fail("bad count (1..%d)", maxScan)
-		}
-		w.WriteString("RANGE")
-		for i := uint64(0); i < n; i++ {
-			v, err := c.Get(key + i)
-			if err != nil {
-				return fail("%v", err)
-			}
-			fmt.Fprintf(w, " %#x", v)
-		}
-		w.WriteByte('\n')
-	case "stats":
-		fmt.Fprintf(w, "STATS %s\n", c.Metrics().JSON())
-	case "ping":
-		w.WriteString("PONG\n")
-	case "quit":
-		return false
-	default:
-		return fail("unknown command %q", cmd)
-	}
-	return true
-}
-
-func parseNum(tok string) (uint64, error) {
-	return strconv.ParseUint(tok, 0, 64)
-}
+// StatsJSON implements serve.Handler: the cluster snapshot.
+func (c *Cluster) StatsJSON() []byte { return c.Metrics().JSON() }

@@ -26,16 +26,9 @@ package cluster
 import (
 	"fmt"
 	"sort"
-)
 
-// splitmix64 is the keyspace hash (the same mixer the fault package
-// uses for seed derivation): cheap, well-distributed, deterministic.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
+	"repro/internal/obs"
+)
 
 // fnv64a hashes a vnode label onto the ring.
 func fnv64a(s string) uint64 {
@@ -114,7 +107,7 @@ func NewRing(nodeIDs []string, vnodes, shards int) (*Ring, error) {
 	})
 	r.replicaSets = make([][]int, shards)
 	for s := 0; s < shards; s++ {
-		r.replicaSets[s] = r.walk(splitmix64(uint64(s) ^ 0x5ead5ead5ead5ead))
+		r.replicaSets[s] = r.walk(obs.SplitMix64(uint64(s) ^ 0x5ead5ead5ead5ead))
 	}
 	return r, nil
 }
@@ -145,7 +138,7 @@ func (r *Ring) NodeID(n int) string { return r.nodeIDs[n] }
 
 // ShardOf maps a key to its shard.
 func (r *Ring) ShardOf(key uint64) int {
-	return int(splitmix64(key) % uint64(r.shards))
+	return int(obs.SplitMix64(key) % uint64(r.shards))
 }
 
 // Replicas returns the shard's replica set: the first n distinct nodes

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/ilr"
 	"repro/internal/ir"
@@ -38,6 +39,7 @@ const (
 	// correct a diverging replica in place — no transactions, no
 	// aborts, no re-execution.
 	ModeTMR
+	numModes
 )
 
 // String returns the mode name.
@@ -55,6 +57,19 @@ func (m Mode) String() string {
 		return "tmr"
 	}
 	return "mode?"
+}
+
+// ParseMode is the inverse of Mode.String; an unknown name lists the
+// valid ones.
+func ParseMode(name string) (Mode, error) {
+	var names []string
+	for m := Mode(0); m < numModes; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+		names = append(names, m.String())
+	}
+	return 0, fmt.Errorf("unknown hardening mode %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // OptLevel is the cumulative optimization ladder of Figure 7 and

@@ -282,3 +282,22 @@ func TestCollectStats(t *testing.T) {
 		t.Fatalf("native module reports instrumentation: %+v", nst)
 	}
 }
+
+// TestParseModeRoundTrip: every mode parses back from its own name (so
+// a CLI can never reject a mode the pipeline implements), and an
+// unknown name is refused with the valid ones listed.
+func TestParseModeRoundTrip(t *testing.T) {
+	for m := Mode(0); m < numModes; m++ {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m || m.String() == "mode?" {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if m, err := ParseMode("tmr"); err != nil || m != ModeTMR {
+		t.Errorf("ParseMode(tmr) = %v, %v", m, err)
+	}
+	_, err := ParseMode("mode?")
+	if err == nil || !strings.Contains(err.Error(), "native, ilr, tx, haft, tmr") {
+		t.Errorf("unknown mode error = %v, want the valid names listed", err)
+	}
+}

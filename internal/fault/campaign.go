@@ -408,18 +408,10 @@ func LoadCheckpoint(b []byte) (*CampaignResult, error) {
 	return &r, nil
 }
 
-// splitmix64 is the standard 64-bit finalizer used to derive
-// independent per-run seeds from (campaign seed, run index).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// runRNG returns run i's private RNG.
+// runRNG returns run i's private RNG: independent per-run seeds derived
+// from (campaign seed, run index).
 func runRNG(seed int64, i int) *rand.Rand {
-	s := splitmix64(splitmix64(uint64(seed)) + uint64(i))
+	s := obs.SplitMix64(obs.SplitMix64(uint64(seed)) + uint64(i))
 	return rand.New(rand.NewSource(int64(s & math.MaxInt64)))
 }
 

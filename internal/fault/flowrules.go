@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/vm"
 )
 
@@ -46,15 +47,17 @@ func FlowName(f vm.FaultFlow) string {
 // instruction under the named hardening mode (native, ilr, tx, haft,
 // tmr).
 func FlowsForMode(mode string) ([]vm.FaultFlow, error) {
-	switch mode {
-	case "native", "tx":
-		return []vm.FaultFlow{vm.FlowAny, vm.FlowMaster}, nil
-	case "ilr", "haft":
+	m, err := core.ParseMode(mode)
+	if err != nil {
+		return nil, fmt.Errorf("fault: %w", err)
+	}
+	switch m {
+	case core.ModeILR, core.ModeHAFT:
 		return []vm.FaultFlow{vm.FlowAny, vm.FlowMaster, vm.FlowShadow}, nil
-	case "tmr":
+	case core.ModeTMR:
 		return AllFlows(), nil
 	}
-	return nil, fmt.Errorf("fault: unknown hardening mode %q (have native ilr tx haft tmr)", mode)
+	return []vm.FaultFlow{vm.FlowAny, vm.FlowMaster}, nil
 }
 
 // ValidateFlowForMode rejects flow restrictions that cannot select any

@@ -282,7 +282,7 @@ func (s *System) Reset() {
 	for i := range s.cores {
 		s.cores[i] = tx{}
 	}
-	s.rng = rand.New(rand.NewSource(s.cfg.Seed))
+	s.rng.Seed(s.cfg.Seed) // same stream as a fresh source, without its 5 KB
 	s.Stats = Stats{Aborted: make(map[Cause]uint64)}
 }
 

@@ -1,7 +1,6 @@
-package serve
+package obs
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -12,12 +11,12 @@ import (
 // percentiles computed from an unsorted snapshot were garbage. The
 // percentile must always sort its snapshot.
 func TestPercentileAfterReservoirWrap(t *testing.T) {
-	var h latencyHist
+	var l Latency
 	// 1500 monotonically increasing latencies: after the wrap the ring
 	// holds ms 1025..1500 in slots 0..475 followed by ms 477..1024 in
 	// slots 476..1023 — maximally out of order for an ascending stream.
 	for ms := 1; ms <= 1500; ms++ {
-		h.observe(time.Duration(ms) * time.Millisecond)
+		l.Observe(time.Duration(ms) * time.Millisecond)
 	}
 	// The window is exactly ms 477..1500; with a sorted snapshot the
 	// percentiles are exact.
@@ -28,12 +27,13 @@ func TestPercentileAfterReservoirWrap(t *testing.T) {
 		}
 		return float64(int64(477+idx)*int64(time.Millisecond)) / 1e9
 	}
+	h := l.Snapshot()
 	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if got, want := h.percentile(q), wantMs(q); got != want {
+		if got, want := h.Percentile(q), wantMs(q); got != want {
 			t.Fatalf("p%g = %gs, want %gs (unsorted reservoir?)", 100*q, got, want)
 		}
 	}
-	if p50, p99 := h.percentile(0.5), h.percentile(0.99); p50 > p99 {
+	if p50, p99 := h.Percentile(0.5), h.Percentile(0.99); p50 > p99 {
 		t.Fatalf("p50 %g > p99 %g: percentiles not monotonic", p50, p99)
 	}
 }
@@ -41,14 +41,15 @@ func TestPercentileAfterReservoirWrap(t *testing.T) {
 // TestPercentileBeforeWrap: a partially filled reservoir still sorts
 // (samples arrive unsorted even before wrapping).
 func TestPercentileBeforeWrap(t *testing.T) {
-	var h latencyHist
+	var l Latency
 	for _, ms := range []int{900, 100, 500, 300, 700} {
-		h.observe(time.Duration(ms) * time.Millisecond)
+		l.Observe(time.Duration(ms) * time.Millisecond)
 	}
-	if got := h.percentile(0.5); got != 0.5 {
+	h := l.Snapshot()
+	if got := h.Percentile(0.5); got != 0.5 {
 		t.Fatalf("p50 = %gs, want 0.5s", got)
 	}
-	if got := h.percentile(0); got != 0.1 {
+	if got := h.Percentile(0); got != 0.1 {
 		t.Fatalf("p0 = %gs, want 0.1s", got)
 	}
 }
@@ -56,34 +57,25 @@ func TestPercentileBeforeWrap(t *testing.T) {
 // TestHistogramFallback: with no raw samples the bucket approximation
 // still answers (upper bound of the bucket holding the quantile).
 func TestHistogramFallback(t *testing.T) {
-	var h latencyHist
+	h := &LatencySnapshot{Count: 10}
 	h.counts[histBucket(time.Millisecond)] = 10
-	h.total = 10
-	if got := h.percentile(0.5); got <= 0 {
+	if got := h.Percentile(0.5); got <= 0 {
 		t.Fatalf("fallback percentile = %g, want > 0", got)
 	}
 }
 
-// TestWritePromExposition: the Prometheus rendering is parseable and
-// carries the histogram invariants (cumulative buckets, +Inf == count).
-func TestWritePromExposition(t *testing.T) {
-	m := newMetrics(4, func() int { return 2 })
-	m.hist.observe(3 * time.Millisecond)
-	m.hist.observe(5 * time.Millisecond)
-	m.requests = 2
-	m.responses = 2
-	var b strings.Builder
-	m.WriteProm(&b)
-	out := b.String()
-	for _, want := range []string{
-		"haft_serve_requests_total 2",
-		"haft_serve_latency_seconds_count 2",
-		`haft_serve_latency_seconds_bucket{le="+Inf"} 2`,
-		"haft_serve_pool_size 4",
-		"haft_serve_queue_depth 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
+// TestLatencyHistogram: bucket math sanity.
+func TestLatencyHistogram(t *testing.T) {
+	var l Latency
+	for i := 1; i <= 1000; i++ {
+		l.Observe(1000 * 1000) // 1ms
+	}
+	h := l.Snapshot()
+	p50 := h.Percentile(0.50)
+	if p50 < 0.0009 || p50 > 0.0014 {
+		t.Fatalf("p50 of constant 1ms stream = %v s", p50)
+	}
+	if h.Percentile(0.99) < p50 {
+		t.Fatalf("p99 < p50")
 	}
 }

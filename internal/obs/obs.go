@@ -164,3 +164,15 @@ type Event struct {
 	// Label is empty.
 	LabelID uint64
 }
+
+// SplitMix64 is the standard splitmix64 step: a cheap, well-spread
+// bijection on 64-bit words. It is the repo's one seed/id mixer —
+// trace ids are minted with it, campaign and scenario run seeds are
+// derived with it, and the cluster ring hashes keys to shards with it
+// (so its constants are pinned by those goldens).
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

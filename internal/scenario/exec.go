@@ -56,16 +56,6 @@ func execute(run Run, injections int, attempt int) (*body, error) {
 	return nil, fmt.Errorf("scenario: no executor for kind %v", run.Scenario.Kind)
 }
 
-// parseMode resolves a mode axis value.
-func parseMode(s string) (core.Mode, error) {
-	for _, m := range []core.Mode{core.ModeNative, core.ModeILR, core.ModeTX, core.ModeHAFT, core.ModeTMR} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown hardening mode %q", s)
-}
-
 // buildTarget hardens the run's workload at its mode and wraps it as a
 // fault target on the axes' engine (fault injection always uses the
 // smallest inputs, as in §5.1).
@@ -74,7 +64,7 @@ func buildTarget(run Run) (*fault.Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode, err := parseMode(run.Axes.Mode)
+	mode, err := core.ParseMode(run.Axes.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +180,7 @@ func executeServe(run Run) (*body, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode, err := parseMode(run.Axes.Mode)
+	mode, err := core.ParseMode(run.Axes.Mode)
 	if err != nil {
 		return nil, err
 	}

@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/workloads"
 )
@@ -448,16 +449,7 @@ func (r *Registry) Expand(seed int64) ([]Run, error) {
 func runSeed(seed int64, key string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(key))
-	return splitmix64(h.Sum64() ^ splitmix64(uint64(seed)))
-}
-
-// splitmix64 is the standard 64-bit finalizer (same construction the
-// campaign engine uses for per-run seeds).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return obs.SplitMix64(h.Sum64() ^ obs.SplitMix64(uint64(seed)))
 }
 
 // Filter selects runs for one runner invocation.

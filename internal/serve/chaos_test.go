@@ -143,8 +143,9 @@ func TestServeChaosTMRZeroCorrupted(t *testing.T) {
 	m := s.Metrics()
 	t.Logf("tmr: injected=%d voteCorrections=%d faultedRuns=%d retries=%d failed=%d",
 		m.InjectedFaults, m.VoteCorrections, m.FaultedRuns, m.Retries, failed.Load())
-	if bad.Load() != 0 {
-		t.Fatalf("%d delivered replies were wrong with verification off", bad.Load())
+	if bad.Load() != 0 || m.CorruptedReplies != 0 {
+		t.Fatalf("%d delivered replies were wrong with verification off (audit counted %d)",
+			bad.Load(), m.CorruptedReplies)
 	}
 	if m.InjectedFaults == 0 {
 		t.Fatal("SEU campaign armed nothing — the test exercised no faults")
@@ -298,4 +299,62 @@ func TestServeDeadline(t *testing.T) {
 			cfg.Deadline, m)
 	}
 	t.Logf("deadline errors observed=%d metric=%d", deadline.Load(), m.DeadlineFailures)
+}
+
+// TestServeCorruptedRepliesCounted: corrupted_replies is a live counter,
+// not an invariant that cannot fail. An unhardened, unverified pool
+// under an SEU campaign (the bad node of the cluster forensics test)
+// does deliver wrong replies; the counter must equal the mismatches
+// the sdc-audit flight bundles recorded, and can never exceed what the
+// client itself saw go wrong.
+func TestServeCorruptedRepliesCounted(t *testing.T) {
+	cfg := testConfig()
+	cfg.Pool = 1
+	cfg.Batch = 1
+	cfg.Seed = 61
+	cfg.SEURate = 1.5
+	cfg.MaxRetries = 6
+	cfg.Verify = false
+	cfg.Harden = core.DefaultConfig()
+	cfg.Harden.Mode = core.ModeNative
+	cfg.FlightMax = 4096 // keep every bundle: the test counts them
+	s, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	wrong := uint64(0)
+	for i := 0; i < 200; i++ {
+		req := Request{Write: i%4 == 0, Key: uint64(i % s.Records()), Value: uint64(i)}
+		v, err := s.Do(req)
+		if err != nil {
+			continue // loud failure, not a corruption
+		}
+		if v != workloads.KVReference(workloads.KVRequestWord(req.Write, req.Key, req.Value), s.ValueWork()) {
+			wrong++
+		}
+	}
+	audited := uint64(0)
+	for _, b := range s.Flight().Bundles() {
+		if b.Kind != "sdc-audit" {
+			continue
+		}
+		for i := range b.Replies {
+			if b.Replies[i] != b.Expected[i] {
+				audited++
+			}
+		}
+	}
+	m := s.Metrics()
+	t.Logf("injected=%d wrong=%d audited=%d corrupted_replies=%d", m.InjectedFaults, wrong, audited, m.CorruptedReplies)
+	if audited == 0 {
+		t.Fatal("no sdc-audit bundle recorded — the test exercised no delivered corruption")
+	}
+	if m.CorruptedReplies != audited {
+		t.Fatalf("corrupted_replies = %d, sdc-audit bundles hold %d mismatches", m.CorruptedReplies, audited)
+	}
+	if m.CorruptedReplies > wrong {
+		t.Fatalf("corrupted_replies = %d exceeds the %d wrong replies the client saw", m.CorruptedReplies, wrong)
+	}
 }

@@ -3,268 +3,141 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"math/bits"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/htm"
+	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/vm"
 )
 
-// histBucketsPerOctave gives the latency histogram ~25% relative
-// resolution: each power-of-two nanosecond octave is split in four.
-const histBucketsPerOctave = 4
-
-// maxHistBuckets covers latencies up to 2^63 ns.
-const maxHistBuckets = 64 * histBucketsPerOctave
-
-// reservoirSize bounds the sliding window of raw latency samples kept
-// for exact percentiles (the histogram's ~25% bucket resolution is too
-// coarse for tail reporting).
-const reservoirSize = 1024
-
-// latencyHist is a log-scaled histogram of request latencies plus a
-// bounded reservoir of the most recent raw samples.
-type latencyHist struct {
-	counts [maxHistBuckets]uint64
-	total  uint64
-	sum    time.Duration
-	max    time.Duration
-	// samples is a sliding-window ring of the last reservoirSize
-	// latencies in nanoseconds. Once nseen wraps past the capacity the
-	// ring is NOT in insertion order, and even before that samples
-	// arrive unsorted — percentile() must always sort its snapshot.
-	samples []int64
-	nseen   uint64
-}
-
-func histBucket(d time.Duration) int {
-	ns := uint64(d)
-	if ns < 2 {
-		return 0
-	}
-	oct := bits.Len64(ns) - 1
-	frac := 0
-	if oct >= 2 {
-		frac = int((ns >> (oct - 2)) & 3)
-	}
-	return oct*histBucketsPerOctave + frac
-}
-
-// bucketUpper is the inclusive upper bound of a bucket in nanoseconds.
-func bucketUpper(b int) float64 {
-	oct := b / histBucketsPerOctave
-	frac := b % histBucketsPerOctave
-	return float64(uint64(1)<<oct) * (1 + float64(frac+1)/4)
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.counts[histBucket(d)]++
-	h.total++
-	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
-	if len(h.samples) < reservoirSize {
-		h.samples = append(h.samples, int64(d))
-	} else {
-		h.samples[h.nseen%reservoirSize] = int64(d)
-	}
-	h.nseen++
-}
-
-// percentile returns the q-th (0..1) latency percentile in seconds,
-// computed from the sample reservoir. The reservoir is a wrapping
-// ring, so the snapshot is unsorted whenever it has wrapped (and
-// usually before): sort defensively every time rather than assuming
-// insertion order survived.
-func (h *latencyHist) percentile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if len(h.samples) == 0 {
-		return h.bucketPercentile(q)
-	}
-	snap := append([]int64(nil), h.samples...)
-	sort.Slice(snap, func(i, j int) bool { return snap[i] < snap[j] })
-	idx := int(q * float64(len(snap)))
-	if idx >= len(snap) {
-		idx = len(snap) - 1
-	}
-	return float64(snap[idx]) / 1e9
-}
-
-// bucketPercentile is the histogram-resolution fallback (exact to
-// ~25%), used only when no raw samples exist.
-func (h *latencyHist) bucketPercentile(q float64) float64 {
-	want := uint64(q * float64(h.total))
-	if want >= h.total {
-		want = h.total - 1
-	}
-	var cum uint64
-	for b, c := range h.counts {
-		cum += c
-		if cum > want {
-			return bucketUpper(b) / 1e9
-		}
-	}
-	return float64(h.max) / 1e9
-}
-
 // Metrics is the serving layer's live accounting: every request,
 // retry, quarantine, VM run, HTM abort and fault event lands here.
+// It is a plain struct of metrics declared once, with name and help,
+// in an obs.Registry; call sites update the handles directly.
 type Metrics struct {
-	mu    sync.Mutex
+	reg   *obs.Registry
 	start time.Time
 
-	requests  uint64
-	responses uint64
-	failed    uint64
-	rejected  uint64
-	retries   uint64
+	requests  *obs.Counter
+	responses *obs.Counter
+	failed    *obs.Counter
+	rejected  *obs.Counter
+	retries   *obs.Counter
 
-	runs        uint64
-	faultedRuns uint64
-	runStatus   map[string]uint64
-	quarantines uint64
-	rebuilds    uint64
+	runs        *obs.Counter
+	faultedRuns *obs.Counter
+	runStatus   *obs.CounterVec
+	quarantines *obs.Counter
+	rebuilds    *obs.Counter
 	// quarantinedNow is the number of instances currently in the
 	// quarantine/rebuild cycle (entered on a faulted batch, exited on
 	// the first clean batch after rebuild).
-	quarantinedNow int
-	chaos          map[string]uint64
-	deadlines      uint64
+	quarantinedNow *obs.Gauge
+	chaos          *obs.CounterVec
+	deadlines      *obs.Counter
 
-	injected uint64
+	injected *obs.Counter
 	// corrected counts faults absorbed without failing the run: HAFT
 	// transaction rollbacks plus TMR majority-vote corrections.
 	// voteCorrections is the TMR share of that total.
-	corrected       uint64
-	voteCorrections uint64
+	corrected       *obs.Counter
+	voteCorrections *obs.Counter
 	// corrupted counts corrupted replies DELIVERED to clients; with
 	// verification on, the serving layer's invariant is that this
-	// stays zero (detections become verifyRejects and retries).
-	corrupted     uint64
-	verifyRejects uint64
+	// stays zero (detections become verifyRejects and retries). With
+	// verification off it is fed by the post-injection reply audit.
+	corrupted     *obs.Counter
+	verifyRejects *obs.Counter
 
-	txStarted   uint64
-	txCommitted uint64
-	fallbacks   uint64
-	aborts      map[string]uint64
+	txStarted   *obs.Counter
+	txCommitted *obs.Counter
+	fallbacks   *obs.Counter
+	aborts      *obs.CounterVec
 
-	hist latencyHist
-	// queueHist and execHist split each response's latency at the
-	// instant its batch run started: queue wait (queueing + retry
-	// backoffs) and execution (VM run + verification). Each keeps its
-	// own reservoir so the split has the same percentile fidelity as
-	// the end-to-end histogram.
-	queueHist latencyHist
-	execHist  latencyHist
+	// queueWait and exec split each response's latency at the instant
+	// its batch run started: queue wait (queueing + retry backoffs) and
+	// execution (VM run + verification). splitMu makes the three
+	// observations of one response, and a Snapshot's three copies,
+	// atomic with respect to each other, so the components' means sum
+	// exactly to the end-to-end mean.
+	splitMu   sync.Mutex
+	latency   *obs.Latency
+	queueWait *obs.Latency
+	exec      *obs.Latency
 
-	poolSize   int
-	poolBusy   int
+	poolSize   *obs.Gauge
+	poolBusy   *obs.Gauge
 	queueDepth func() int
 }
 
 func newMetrics(poolSize int, queueDepth func() int) *Metrics {
-	return &Metrics{
-		start:      time.Now(),
-		runStatus:  make(map[string]uint64),
-		aborts:     make(map[string]uint64),
-		chaos:      make(map[string]uint64),
-		poolSize:   poolSize,
-		queueDepth: queueDepth,
+	reg := obs.NewRegistry()
+	c := func(name, help string) *obs.Counter { return reg.Counter("haft_serve_"+name, help) }
+	m := &Metrics{
+		reg:             reg,
+		start:           time.Now(),
+		requests:        c("requests_total", "requests submitted"),
+		responses:       c("responses_total", "responses delivered"),
+		failed:          c("failed_total", "requests failed after retries"),
+		rejected:        c("rejected_total", "requests rejected by backpressure"),
+		retries:         c("retries_total", "request retries"),
+		runs:            c("runs_total", "VM batch runs"),
+		faultedRuns:     c("faulted_runs_total", "VM runs ending in a non-ok status"),
+		runStatus:       reg.CounterVec("haft_serve_run_status_total", "VM runs by final status", "status"),
+		quarantines:     c("quarantines_total", "instance quarantines"),
+		rebuilds:        c("rebuilds_total", "instance machine rebuilds"),
+		quarantinedNow:  reg.Gauge("haft_serve_quarantined_instances", "instances currently quarantined"),
+		chaos:           reg.CounterVec("haft_serve_chaos_events_total", "chaos-layer events", "kind"),
+		deadlines:       c("deadline_failures_total", "requests failed on deadline"),
+		injected:        c("injected_faults_total", "SEU campaign injections"),
+		corrected:       c("corrected_faults_total", "faults absorbed by tx rollback or TMR majority votes"),
+		voteCorrections: c("vote_corrections_total", "faults corrected in place by TMR majority votes"),
+		verifyRejects:   c("verify_rejects_total", "corrupted replies caught by verification"),
+		corrupted:       c("corrupted_replies_total", "corrupted replies delivered"),
+		txStarted:       c("tx_started_total", "hardware transactions started"),
+		txCommitted:     c("tx_committed_total", "hardware transactions committed"),
+		fallbacks:       c("fallback_runs_total", "non-transactional fallback runs"),
+		aborts:          reg.CounterVec("haft_serve_tx_aborts_total", "transaction aborts by cause", "cause"),
+		latency:         reg.Latency("haft_serve_latency", "request latency", ""),
+		queueWait:       reg.Latency("haft_serve_queue_wait", "queue wait", " (queueing + retry backoffs)"),
+		exec:            reg.Latency("haft_serve_exec", "execution time", " (VM run + verification)"),
+		poolSize:        reg.Gauge("haft_serve_pool_size", "warm pool size"),
+		poolBusy:        reg.Gauge("haft_serve_pool_busy", "pool instances currently running a batch"),
+		queueDepth:      queueDepth,
 	}
+	reg.Histogram("haft_serve_latency_seconds", "request latency distribution", m.latency)
+	m.poolSize.Store(int64(poolSize))
+	reg.GaugeFunc("haft_serve_queue_depth", "requests waiting in the queue",
+		func(emit func(string, float64)) { emit("", float64(queueDepth())) })
+	return m
 }
-
-func (m *Metrics) request() { m.mu.Lock(); m.requests++; m.mu.Unlock() }
-func (m *Metrics) rejectedN(n int) {
-	m.mu.Lock()
-	m.rejected += uint64(n)
-	m.mu.Unlock()
-}
-func (m *Metrics) retry() { m.mu.Lock(); m.retries++; m.mu.Unlock() }
-func (m *Metrics) failure() {
-	m.mu.Lock()
-	m.failed++
-	m.mu.Unlock()
-}
-func (m *Metrics) quarantine() {
-	m.mu.Lock()
-	m.quarantines++
-	m.rebuilds++
-	m.mu.Unlock()
-}
-
-// quarantineEnter/quarantineExit track the live count of instances in
-// the quarantine/rebuild cycle (exported as the
-// serve_quarantined_instances gauge).
-func (m *Metrics) quarantineEnter() { m.mu.Lock(); m.quarantinedNow++; m.mu.Unlock() }
-func (m *Metrics) quarantineExit() {
-	m.mu.Lock()
-	if m.quarantinedNow > 0 {
-		m.quarantinedNow--
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) injectedFault() { m.mu.Lock(); m.injected++; m.mu.Unlock() }
-
-// verifyReject counts replies the host-side verifier caught as
-// corrupted and routed back into the retry path (never delivered).
-func (m *Metrics) verifyReject(n int) { m.mu.Lock(); m.verifyRejects += uint64(n); m.mu.Unlock() }
-
-// chaosEvent accounts one chaos-layer failure ("kill", "hang",
-// "storm"); kills also count as instance rebuilds.
-func (m *Metrics) chaosEvent(kind string) {
-	m.mu.Lock()
-	m.chaos[kind]++
-	if kind == "kill" {
-		m.rebuilds++
-	}
-	m.mu.Unlock()
-}
-
-func (m *Metrics) deadlineExceeded() { m.mu.Lock(); m.deadlines++; m.mu.Unlock() }
 
 func (m *Metrics) response(latency, queueWait, exec time.Duration) {
-	m.mu.Lock()
-	m.responses++
-	m.hist.observe(latency)
-	m.queueHist.observe(queueWait)
-	m.execHist.observe(exec)
-	m.mu.Unlock()
-}
-
-func (m *Metrics) busy(delta int) {
-	m.mu.Lock()
-	m.poolBusy += delta
-	m.mu.Unlock()
+	m.responses.Inc()
+	m.splitMu.Lock()
+	m.latency.Observe(latency)
+	m.queueWait.Observe(queueWait)
+	m.exec.Observe(exec)
+	m.splitMu.Unlock()
 }
 
 // run folds one finished VM run's statistics into the registry.
 func (m *Metrics) run(status vm.Status, st vm.RunStats, hs htm.Stats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.runs++
-	m.runStatus[status.String()]++
+	m.runs.Inc()
+	m.runStatus.With(status.String()).Inc()
 	if status != vm.StatusOK {
-		m.faultedRuns++
+		m.faultedRuns.Inc()
 	}
-	m.corrected += st.Recovered + st.CorrectedFaults
-	m.voteCorrections += st.CorrectedFaults
-	m.txStarted += hs.Started
-	m.txCommitted += hs.Committed
-	m.fallbacks += hs.FallbackRuns
+	m.corrected.Add(st.Recovered + st.CorrectedFaults)
+	m.voteCorrections.Add(st.CorrectedFaults)
+	m.txStarted.Add(hs.Started)
+	m.txCommitted.Add(hs.Committed)
+	m.fallbacks.Add(hs.FallbackRuns)
 	for cause, n := range hs.Aborted {
-		m.aborts[cause.String()] += n
+		m.aborts.With(cause.String()).Add(n)
 	}
 }
 
@@ -332,68 +205,52 @@ type Snapshot struct {
 
 // Snapshot captures the current state of the registry.
 func (m *Metrics) Snapshot() Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.splitMu.Lock()
+	lat, wait, exec := m.latency.Snapshot(), m.queueWait.Snapshot(), m.exec.Snapshot()
+	m.splitMu.Unlock()
 	s := Snapshot{
 		ElapsedSeconds:       time.Since(m.start).Seconds(),
-		Requests:             m.requests,
-		Responses:            m.responses,
-		Failed:               m.failed,
-		Rejected:             m.rejected,
-		Retries:              m.retries,
-		Runs:                 m.runs,
-		FaultedRuns:          m.faultedRuns,
-		RunStatus:            map[string]uint64{},
-		Quarantines:          m.quarantines,
-		Rebuilds:             m.rebuilds,
-		QuarantinedInstances: m.quarantinedNow,
-		ChaosEvents:          map[string]uint64{},
-		DeadlineFailures:     m.deadlines,
-		InjectedFaults:       m.injected,
-		CorrectedFaults:      m.corrected,
-		VoteCorrections:      m.voteCorrections,
-		VerifyRejects:        m.verifyRejects,
-		CorruptedReplies:     m.corrupted,
-		TxStarted:            m.txStarted,
-		TxCommitted:          m.txCommitted,
-		FallbackRuns:         m.fallbacks,
-		AbortCauses:          map[string]uint64{},
-		LatencyP50:           m.hist.percentile(0.50),
-		LatencyP95:           m.hist.percentile(0.95),
-		LatencyP99:           m.hist.percentile(0.99),
-		LatencyMax:           float64(m.hist.max) / 1e9,
-		QueueWaitP50:         m.queueHist.percentile(0.50),
-		QueueWaitP95:         m.queueHist.percentile(0.95),
-		QueueWaitP99:         m.queueHist.percentile(0.99),
-		ExecP50:              m.execHist.percentile(0.50),
-		ExecP95:              m.execHist.percentile(0.95),
-		ExecP99:              m.execHist.percentile(0.99),
-		PoolBusy:             m.poolBusy,
-		PoolSize:             m.poolSize,
-	}
-	for k, v := range m.runStatus {
-		s.RunStatus[k] = v
-	}
-	for k, v := range m.chaos {
-		s.ChaosEvents[k] = v
-	}
-	for k, v := range m.aborts {
-		s.AbortCauses[k] = v
-	}
-	if m.hist.total > 0 {
-		s.LatencyMean = m.hist.sum.Seconds() / float64(m.hist.total)
-	}
-	if m.queueHist.total > 0 {
-		s.QueueWaitMean = m.queueHist.sum.Seconds() / float64(m.queueHist.total)
-	}
-	if m.execHist.total > 0 {
-		s.ExecMean = m.execHist.sum.Seconds() / float64(m.execHist.total)
+		Requests:             m.requests.Load(),
+		Responses:            m.responses.Load(),
+		Failed:               m.failed.Load(),
+		Rejected:             m.rejected.Load(),
+		Retries:              m.retries.Load(),
+		Runs:                 m.runs.Load(),
+		FaultedRuns:          m.faultedRuns.Load(),
+		RunStatus:            m.runStatus.Values(),
+		Quarantines:          m.quarantines.Load(),
+		Rebuilds:             m.rebuilds.Load(),
+		QuarantinedInstances: int(m.quarantinedNow.Load()),
+		ChaosEvents:          m.chaos.Values(),
+		DeadlineFailures:     m.deadlines.Load(),
+		InjectedFaults:       m.injected.Load(),
+		CorrectedFaults:      m.corrected.Load(),
+		VoteCorrections:      m.voteCorrections.Load(),
+		VerifyRejects:        m.verifyRejects.Load(),
+		CorruptedReplies:     m.corrupted.Load(),
+		TxStarted:            m.txStarted.Load(),
+		TxCommitted:          m.txCommitted.Load(),
+		FallbackRuns:         m.fallbacks.Load(),
+		AbortCauses:          m.aborts.Values(),
+		LatencyP50:           lat.Percentile(0.50),
+		LatencyP95:           lat.Percentile(0.95),
+		LatencyP99:           lat.Percentile(0.99),
+		LatencyMean:          lat.Mean(),
+		LatencyMax:           lat.Max.Seconds(),
+		QueueWaitP50:         wait.Percentile(0.50),
+		QueueWaitP95:         wait.Percentile(0.95),
+		QueueWaitP99:         wait.Percentile(0.99),
+		QueueWaitMean:        wait.Mean(),
+		ExecP50:              exec.Percentile(0.50),
+		ExecP95:              exec.Percentile(0.95),
+		ExecP99:              exec.Percentile(0.99),
+		ExecMean:             exec.Mean(),
+		QueueDepth:           m.queueDepth(),
+		PoolBusy:             int(m.poolBusy.Load()),
+		PoolSize:             int(m.poolSize.Load()),
 	}
 	if s.ElapsedSeconds > 0 {
-		s.ThroughputRPS = float64(m.responses) / s.ElapsedSeconds
-	}
-	if m.queueDepth != nil {
-		s.QueueDepth = m.queueDepth()
+		s.ThroughputRPS = float64(s.Responses) / s.ElapsedSeconds
 	}
 	return s
 }
@@ -444,92 +301,6 @@ func (s Snapshot) Summary() string {
 	t.AddF(0, "queue depth", s.QueueDepth)
 	t.Add("pool occupancy", fmt.Sprintf("%d/%d", s.PoolBusy, s.PoolSize))
 	return t.String()
-}
-
-// WriteProm renders the registry in Prometheus text exposition format
-// (the serve half of the `-debug-addr` /metrics endpoint). Counter
-// families are sorted and label values escaped-free (status/cause
-// names are identifiers), so scrapes are deterministic for a given
-// state.
-func (m *Metrics) WriteProm(w io.Writer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP haft_serve_%s %s\n# TYPE haft_serve_%s counter\nhaft_serve_%s %d\n",
-			name, help, name, name, v)
-	}
-	g := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP haft_serve_%s %s\n# TYPE haft_serve_%s gauge\nhaft_serve_%s %s\n",
-			name, help, name, name, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	labeled := func(name, help, label string, vals map[string]uint64) {
-		fmt.Fprintf(w, "# HELP haft_serve_%s %s\n# TYPE haft_serve_%s counter\n", name, help, name)
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(w, "haft_serve_%s{%s=%q} %d\n", name, label, k, vals[k])
-		}
-	}
-	c("requests_total", "requests submitted", m.requests)
-	c("responses_total", "responses delivered", m.responses)
-	c("failed_total", "requests failed after retries", m.failed)
-	c("rejected_total", "requests rejected by backpressure", m.rejected)
-	c("retries_total", "request retries", m.retries)
-	c("runs_total", "VM batch runs", m.runs)
-	c("faulted_runs_total", "VM runs ending in a non-ok status", m.faultedRuns)
-	labeled("run_status_total", "VM runs by final status", "status", m.runStatus)
-	c("quarantines_total", "instance quarantines", m.quarantines)
-	c("rebuilds_total", "instance machine rebuilds", m.rebuilds)
-	g("quarantined_instances", "instances currently quarantined", float64(m.quarantinedNow))
-	labeled("chaos_events_total", "chaos-layer events", "kind", m.chaos)
-	c("deadline_failures_total", "requests failed on deadline", m.deadlines)
-	c("injected_faults_total", "SEU campaign injections", m.injected)
-	c("corrected_faults_total", "faults absorbed by tx rollback or TMR majority votes", m.corrected)
-	c("vote_corrections_total", "faults corrected in place by TMR majority votes", m.voteCorrections)
-	c("verify_rejects_total", "corrupted replies caught by verification", m.verifyRejects)
-	c("corrupted_replies_total", "corrupted replies delivered", m.corrupted)
-	c("tx_started_total", "hardware transactions started", m.txStarted)
-	c("tx_committed_total", "hardware transactions committed", m.txCommitted)
-	c("fallback_runs_total", "non-transactional fallback runs", m.fallbacks)
-	labeled("tx_aborts_total", "transaction aborts by cause", "cause", m.aborts)
-	g("latency_p50_seconds", "median request latency", m.hist.percentile(0.50))
-	g("latency_p95_seconds", "95th percentile request latency", m.hist.percentile(0.95))
-	g("latency_p99_seconds", "99th percentile request latency", m.hist.percentile(0.99))
-	g("latency_max_seconds", "maximum request latency", float64(m.hist.max)/1e9)
-	g("queue_wait_p50_seconds", "median queue wait (queueing + retry backoffs)", m.queueHist.percentile(0.50))
-	g("queue_wait_p95_seconds", "95th percentile queue wait", m.queueHist.percentile(0.95))
-	g("queue_wait_p99_seconds", "99th percentile queue wait", m.queueHist.percentile(0.99))
-	g("queue_wait_max_seconds", "maximum queue wait", float64(m.queueHist.max)/1e9)
-	g("exec_p50_seconds", "median execution time (VM run + verification)", m.execHist.percentile(0.50))
-	g("exec_p95_seconds", "95th percentile execution time", m.execHist.percentile(0.95))
-	g("exec_p99_seconds", "99th percentile execution time", m.execHist.percentile(0.99))
-	g("exec_max_seconds", "maximum execution time", float64(m.execHist.max)/1e9)
-	g("pool_size", "warm pool size", float64(m.poolSize))
-	g("pool_busy", "pool instances currently running a batch", float64(m.poolBusy))
-	if m.queueDepth != nil {
-		g("queue_depth", "requests waiting in the queue", float64(m.queueDepth()))
-	}
-	// The latency histogram as a native Prometheus histogram: only
-	// non-empty buckets are listed (plus +Inf), cumulative as the
-	// format requires.
-	fmt.Fprintf(w, "# HELP haft_serve_latency_seconds request latency distribution\n")
-	fmt.Fprintf(w, "# TYPE haft_serve_latency_seconds histogram\n")
-	var cum uint64
-	for b, n := range m.hist.counts {
-		if n == 0 {
-			continue
-		}
-		cum += n
-		fmt.Fprintf(w, "haft_serve_latency_seconds_bucket{le=%q} %d\n",
-			strconv.FormatFloat(bucketUpper(b)/1e9, 'g', 6, 64), cum)
-	}
-	fmt.Fprintf(w, "haft_serve_latency_seconds_bucket{le=\"+Inf\"} %d\n", m.hist.total)
-	fmt.Fprintf(w, "haft_serve_latency_seconds_sum %s\n",
-		strconv.FormatFloat(m.hist.sum.Seconds(), 'g', -1, 64))
-	fmt.Fprintf(w, "haft_serve_latency_seconds_count %d\n", m.hist.total)
 }
 
 func mapLine(m map[string]uint64) string {

@@ -31,6 +31,19 @@ import (
 // maxScan bounds one scan command.
 const maxScan = 1024
 
+// Handler is what the text protocol is served against: a single node
+// (Server) or anything that routes to nodes while looking like one
+// (cluster.Cluster). StatsJSON is the payload of the "stats" reply —
+// the one place the two differ on the wire.
+type Handler interface {
+	Do(req Request) (uint64, error)
+	Scan(key uint64, n int) ([]uint64, error)
+	StatsJSON() []byte
+}
+
+// StatsJSON implements Handler: the node's metrics snapshot.
+func (s *Server) StatsJSON() []byte { return s.Metrics().JSON() }
+
 // ServeListener accepts connections on l and serves the text protocol
 // until the server is closed (which also closes the listener) or the
 // listener fails. Each connection gets its own goroutine; requests
@@ -59,11 +72,15 @@ func (s *Server) ServeListener(l net.Listener) error {
 				return err
 			}
 		}
-		go s.serveConn(conn)
+		go ServeConn(conn, s)
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
+// ServeConn serves the text protocol on one connection against h until
+// the peer quits or the connection fails, then closes it. Every
+// command is answered with exactly one line, flushed before the next
+// command is read.
+func ServeConn(conn net.Conn, h Handler) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
 	sc.Buffer(make([]byte, 0, 4096), 1<<16)
@@ -73,7 +90,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if line == "" {
 			continue
 		}
-		if !s.dispatch(w, line) {
+		if !dispatch(w, line, h) {
 			return
 		}
 		if w.Flush() != nil {
@@ -83,8 +100,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // dispatch handles one command line; it returns false when the
-// connection should close.
-func (s *Server) dispatch(w *bufio.Writer, line string) bool {
+// connection should close. Nothing is written for a command until its
+// outcome is known, so a failure is always a whole "ERR" line.
+func dispatch(w *bufio.Writer, line string, h Handler) bool {
 	f := strings.Fields(line)
 	cmd := strings.ToLower(f[0])
 	args := f[1:]
@@ -113,7 +131,7 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 		if err != nil {
 			return fail("bad key: %v", err)
 		}
-		v, err := s.Do(Request{Key: key, TraceID: tid})
+		v, err := h.Do(Request{Key: key, TraceID: tid})
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -130,7 +148,7 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 		if err != nil {
 			return fail("bad value: %v", err)
 		}
-		v, err := s.Do(Request{Write: true, Key: key, Value: val, TraceID: tid})
+		v, err := h.Do(Request{Write: true, Key: key, Value: val, TraceID: tid})
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -147,7 +165,7 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 		if err != nil || n == 0 || n > maxScan {
 			return fail("bad count (1..%d)", maxScan)
 		}
-		vs, err := s.Scan(key, int(n))
+		vs, err := h.Scan(key, int(n))
 		if err != nil {
 			return fail("%v", err)
 		}
@@ -157,7 +175,7 @@ func (s *Server) dispatch(w *bufio.Writer, line string) bool {
 		}
 		w.WriteByte('\n')
 	case "stats":
-		fmt.Fprintf(w, "STATS %s\n", s.Metrics().JSON())
+		fmt.Fprintf(w, "STATS %s\n", h.StatsJSON())
 	case "ping":
 		w.WriteString("PONG\n")
 	case "quit":

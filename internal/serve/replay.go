@@ -245,20 +245,12 @@ func ReplayBundle(b *obs.FlightBundle) (*ReplayReport, error) {
 // hardenConfigFromBundle reconstructs the hardening configuration a
 // bundle's program was built with.
 func hardenConfigFromBundle(b *obs.FlightBundle) (core.Config, error) {
-	var cfg core.Config
-	switch b.Mode {
-	case "", "haft":
-		cfg.Mode = core.ModeHAFT
-	case "native":
-		cfg.Mode = core.ModeNative
-	case "ilr":
-		cfg.Mode = core.ModeILR
-	case "tx":
-		cfg.Mode = core.ModeTX
-	case "tmr":
-		cfg.Mode = core.ModeTMR
-	default:
-		return cfg, fmt.Errorf("serve: bundle has unknown harden mode %q", b.Mode)
+	cfg := core.Config{Mode: core.ModeHAFT} // bundles without a mode predate the field
+	if b.Mode != "" {
+		var err error
+		if cfg.Mode, err = core.ParseMode(b.Mode); err != nil {
+			return cfg, fmt.Errorf("serve: flight bundle: %w", err)
+		}
 	}
 	for _, o := range core.OptLevels() {
 		if o.String() == b.OptLevel {

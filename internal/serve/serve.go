@@ -389,6 +389,7 @@ func (s *Server) newInstance(id int) *instance {
 // fresh one (new memory image, new HTM seed lineage).
 func (inst *instance) rebuild(s *Server) {
 	inst.generation++
+	s.metrics.rebuilds.Inc()
 	fresh := s.mod.newMachine(int64(inst.id) + 1 + int64(inst.generation)*104729)
 	fresh.Cfg.MaxDynInstrs = s.runBudget
 	fresh.SetObsRing(s.ring)
@@ -401,7 +402,7 @@ func (inst *instance) rebuild(s *Server) {
 	// /metrics agree on node state.
 	if !inst.inQuarantine {
 		inst.inQuarantine = true
-		s.metrics.quarantineEnter()
+		s.metrics.quarantinedNow.Add(1)
 	}
 	s.event(obs.Event{Kind: obs.KindQuarantine, Actor: int32(inst.id),
 		A: uint64(inst.generation), Label: "enter"})
@@ -497,8 +498,8 @@ func (s *Server) requeue(it *item, delay time.Duration) {
 // runBatch executes one batch on the instance and applies the
 // fault-aware policy to the outcome.
 func (s *Server) runBatch(inst *instance, batch []*item) {
-	s.metrics.busy(1)
-	defer s.metrics.busy(-1)
+	s.metrics.poolBusy.Add(1)
+	defer s.metrics.poolBusy.Add(-1)
 
 	if inst.usedSinceReset {
 		inst.mach.Reset()
@@ -534,7 +535,7 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 			// Instance dies mid-traffic: no run, no replies; the batch
 			// re-enters the retry path and the machine is rebuilt from
 			// the hardened module.
-			s.metrics.chaosEvent("kill")
+			s.metrics.chaos.With("kill").Inc()
 			inst.rebuild(s)
 			s.failOrRetry(inst, batch, fmt.Errorf("instance killed"))
 			return
@@ -542,7 +543,7 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 			// Wedge the run: a tiny dynamic-instruction budget makes
 			// it exhaust and be classified as hung, which the normal
 			// watchdog path must absorb.
-			s.metrics.chaosEvent("hang")
+			s.metrics.chaos.With("hang").Inc()
 			inst.mach.Cfg.MaxDynInstrs = 64
 		case r < c.KillRate+c.HangRate+c.StormRate:
 			// SEU storm: several simultaneous upsets in one run.
@@ -560,7 +561,7 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 			}
 			inst.mach.SetFaultPlans(plans)
 			armed = plans
-			s.metrics.chaosEvent("storm")
+			s.metrics.chaos.With("storm").Inc()
 			storm = true
 		}
 	}
@@ -576,7 +577,7 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 		}
 		inst.mach.SetFaultPlan(plan)
 		armed = []*vm.FaultPlan{plan}
-		s.metrics.injectedFault()
+		s.metrics.injected.Inc()
 	}
 
 	// The run starts now: everything before this instant was queueing
@@ -606,7 +607,7 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 			nil, nil, status, armed, runBudget, htmSeed)
 		inst.consecutiveFaults++
 		if inst.consecutiveFaults >= s.cfg.QuarantineAfter {
-			s.metrics.quarantine()
+			s.metrics.quarantines.Inc()
 			inst.rebuild(s)
 		}
 		s.failOrRetry(inst, batch, fmt.Errorf("last run: %v", status))
@@ -650,19 +651,21 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 	}
 	if !s.cfg.Verify && anyInjected(armed) {
 		// Verification is off but a fault plan actually fired: audit
-		// the replies against the host reference purely for forensics
-		// (delivery below is unchanged — whatever defense the pool has,
-		// votes or nothing, stands on its own). A mismatch here is an
-		// SDC in flight, exactly the case the cluster voter masks.
+		// the replies against the host reference for accounting and
+		// forensics (delivery below is unchanged — whatever defense the
+		// pool has, votes or nothing, stands on its own). A mismatch
+		// here is an SDC in flight — a corrupted reply this node
+		// delivers, exactly the case the cluster voter masks.
 		expected := make([]uint64, len(batch))
-		sdc := false
+		sdc := uint64(0)
 		for i, it := range batch {
 			expected[i] = workloads.KVReference(it.word, s.cfg.KV.ValueWork)
 			if replies[i] != expected[i] {
-				sdc = true
+				sdc++
 			}
 		}
-		if sdc {
+		if sdc > 0 {
+			s.metrics.corrupted.Add(sdc)
 			s.recordFlight("sdc-audit", "", inst, batch,
 				replies, expected, status, armed, runBudget, htmSeed)
 		}
@@ -676,14 +679,14 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 		if len(rejected) > 0 {
 			tid = rejected[0].tid
 		}
-		s.metrics.verifyReject(n)
+		s.metrics.verifyRejects.Add(uint64(n))
 		s.event(obs.Event{Kind: obs.KindVerifyReject, Actor: int32(inst.id),
 			A: uint64(n), TraceID: tid})
 		s.recordFlight("verify-reject", "", inst, batch,
 			replies, nil, status, armed, runBudget, htmSeed)
 		inst.consecutiveFaults++
 		if inst.consecutiveFaults >= s.cfg.QuarantineAfter {
-			s.metrics.quarantine()
+			s.metrics.quarantines.Inc()
 			inst.rebuild(s)
 		}
 		s.failOrRetry(inst, rejected, fmt.Errorf("reply failed verification"))
@@ -693,7 +696,7 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 			// First clean, fully-verified run after a rebuild: the
 			// instance leaves quarantine.
 			inst.inQuarantine = false
-			s.metrics.quarantineExit()
+			s.metrics.quarantinedNow.Add(-1)
 			s.event(obs.Event{Kind: obs.KindQuarantine, Actor: int32(inst.id),
 				A: uint64(inst.generation), Label: "exit"})
 		}
@@ -791,7 +794,7 @@ func (s *Server) recordFlight(kind, cause string, inst *instance, batch []*item,
 func (s *Server) failOrRetry(inst *instance, batch []*item, cause error) {
 	for _, it := range batch {
 		if it.retries >= s.cfg.MaxRetries {
-			s.metrics.failure()
+			s.metrics.failed.Inc()
 			s.finish(it, result{err: fmt.Errorf(
 				"serve: request failed after %d retries (%v)", it.retries, cause)})
 			continue
@@ -801,13 +804,13 @@ func (s *Server) failOrRetry(inst *instance, batch []*item, cause error) {
 			// The per-request watchdog: do not keep retrying past the
 			// deadline; the submitter gets a definitive failure, never
 			// a stale or corrupted reply.
-			s.metrics.deadlineExceeded()
+			s.metrics.deadlines.Inc()
 			s.finish(it, result{err: ErrDeadline})
 			continue
 		}
 		it.retries++
 		it.exclude = inst.id
-		s.metrics.retry()
+		s.metrics.retries.Inc()
 		s.event(obs.Event{Kind: obs.KindRetry, Actor: int32(inst.id),
 			A: uint64(it.retries), Label: "serve", TraceID: it.tid})
 		s.requeue(it, backoff)
@@ -850,7 +853,11 @@ func (s *Server) submit(req Request, wait bool) (uint64, error) {
 		// keep running until Shutdown's drain completes.
 		return 0, ErrClosed
 	}
-	s.metrics.request()
+	// Count the request as outstanding BEFORE it is counted as submitted
+	// or enqueued, so the drain path can never observe a momentary zero
+	// while a just-admitted request races between here and a worker.
+	s.outstanding.Add(1)
+	s.metrics.requests.Inc()
 	it := &item{
 		id:       s.reqID.Add(1),
 		tid:      req.TraceID,
@@ -860,10 +867,6 @@ func (s *Server) submit(req Request, wait bool) (uint64, error) {
 		done:     make(chan result, 1),
 	}
 	s.event(obs.Event{Kind: obs.KindRequest, A: it.id, TraceID: it.tid})
-	// Count the request as outstanding BEFORE the enqueue attempt so
-	// the drain path can never observe a momentary zero while a just-
-	// admitted request races between queue and worker.
-	s.outstanding.Add(1)
 	if wait {
 		select {
 		case s.queue <- it:
@@ -876,7 +879,7 @@ func (s *Server) submit(req Request, wait bool) (uint64, error) {
 		case s.queue <- it:
 		default:
 			s.outstanding.Add(-1)
-			s.metrics.rejectedN(1)
+			s.metrics.rejected.Inc()
 			return 0, ErrOverloaded
 		}
 	}
@@ -893,7 +896,7 @@ func (s *Server) submit(req Request, wait bool) (uint64, error) {
 		// The request may still be queued or retrying; the submitter
 		// gets a definitive deadline failure now (the late result, if
 		// any, lands in the buffered channel and is dropped).
-		s.metrics.deadlineExceeded()
+		s.metrics.deadlines.Inc()
 		return 0, ErrDeadline
 	case <-s.closed:
 		// Drain either the late result or report shutdown.
@@ -975,7 +978,7 @@ func (s *Server) ProgramHash() uint64 { return s.progHash }
 
 // WriteProm renders the live metrics in Prometheus text exposition
 // format.
-func (s *Server) WriteProm(w io.Writer) { s.metrics.WriteProm(w) }
+func (s *Server) WriteProm(w io.Writer) { s.metrics.reg.WriteProm(w) }
 
 // Health reports the pool/quarantine state for /healthz: healthy
 // means the server is open and at least one instance is serviceable.
@@ -1009,7 +1012,7 @@ func (s *Server) Health() obs.Health {
 // registry) are appended after the serve metrics.
 func (s *Server) DebugHandler(extra ...func(io.Writer)) http.Handler {
 	return obs.NewHandler(obs.HandlerConfig{
-		Metrics: append([]func(io.Writer){s.metrics.WriteProm}, extra...),
+		Metrics: append([]func(io.Writer){s.WriteProm}, extra...),
 		Ring:    s.ring,
 		Node:    s.cfg.Node,
 		Health:  s.Health,

@@ -303,21 +303,6 @@ func TestSnapshotJSONAndSummary(t *testing.T) {
 	}
 }
 
-// TestLatencyHistogram: bucket math sanity.
-func TestLatencyHistogram(t *testing.T) {
-	var h latencyHist
-	for i := 1; i <= 1000; i++ {
-		h.observe(1000 * 1000) // 1ms
-	}
-	p50 := h.percentile(0.50)
-	if p50 < 0.0009 || p50 > 0.0014 {
-		t.Fatalf("p50 of constant 1ms stream = %v s", p50)
-	}
-	if h.percentile(0.99) < p50 {
-		t.Fatalf("p99 < p50")
-	}
-}
-
 // TestServeShutdownDrain: Shutdown rejects new submissions but every
 // already-admitted request completes with a correct reply — nothing
 // in flight is dropped.
