@@ -22,7 +22,13 @@
 //     falls under a caller-chosen margin of error;
 //   - resumable campaign state: the result serializes to JSON and a
 //     resumed campaign continues at the next run index, producing
-//     bit-identical results to an uninterrupted one.
+//     bit-identical results to an uninterrupted one;
+//   - fast-forward injection: the reference run is snapshotted at equal
+//     instruction-count boundaries, every injection starts on a reused
+//     machine at the last snapshot before its fault site, and a run
+//     whose state has become equal to the reference's again at a later
+//     boundary ends there as Masked (DESIGN.md "Fast-forward
+//     injection").
 package fault
 
 import (
@@ -31,6 +37,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 
 	"repro/internal/htm"
@@ -345,6 +352,12 @@ type CampaignResult struct {
 	RefCondBranches uint64 `json:"ref_cond_branches"`
 	RefCycles       uint64 `json:"ref_cycles"`
 	RefDynInstrs    uint64 `json:"ref_dyn_instrs"`
+
+	// Fast-forward accounting of the runs this process executed, folded
+	// in run-index order (PublishProgress exports them; they are not
+	// part of the checkpoint): reference-run instructions not executed,
+	// instructions executed, runs ended early as Masked.
+	skippedInstrs, executedInstrs, earlyMasked uint64
 }
 
 // Total returns the number of executed runs across all models.
@@ -408,11 +421,11 @@ func LoadCheckpoint(b []byte) (*CampaignResult, error) {
 	return &r, nil
 }
 
-// runRNG returns run i's private RNG: independent per-run seeds derived
-// from (campaign seed, run index).
-func runRNG(seed int64, i int) *rand.Rand {
+// runSeed returns the seed of run i's private RNG: independent per-run
+// streams derived from (campaign seed, run index).
+func runSeed(seed int64, i int) int64 {
 	s := obs.SplitMix64(obs.SplitMix64(uint64(seed)) + uint64(i))
-	return rand.New(rand.NewSource(int64(s & math.MaxInt64)))
+	return int64(s & math.MaxInt64)
 }
 
 // segmentDraw draws a uniform index within segment seg of nseg over
@@ -496,11 +509,101 @@ type runRecord struct {
 	recovered uint64
 	corrected uint64
 	htm       htm.Stats
+	// Fast-forward accounting: the reference-run instructions the run
+	// did not have to execute, the instructions it did execute, and
+	// whether it ended early by re-converging with the reference.
+	skipped, executed uint64
+	early             bool
 }
 
-// RunCampaign executes a multi-model fault-injection campaign against
-// the target. See the package comment of this file for the protocol.
-func RunCampaign(t *Target, cfg CampaignConfig) (*CampaignResult, error) {
+// Fast-forward limits. They are constants, not configuration: a
+// campaign's results do not depend on them, only the time it takes.
+const (
+	// maxSnapshots bounds the reference-run snapshots a campaign keeps,
+	// maxSnapshotBytes the memory they hold.
+	maxSnapshots     = 64
+	maxSnapshotBytes = 64 << 20
+	// firstStride is the initial distance between snapshots in dynamic
+	// instructions; it doubles whenever a bound is reached.
+	firstStride = 8192
+)
+
+// reference is a campaign's fault-free run: what it produced, and the
+// machine snapshots taken along it. snaps[k] is the state where the run
+// paused at k*stride dynamic instructions (snaps[0]: before the first).
+type reference struct {
+	out   []uint64
+	stats vm.RunStats
+	// rec is the record of a run that has become indistinguishable from
+	// the reference: its outcome (Masked) and transactional activity.
+	rec    runRecord
+	stride uint64
+	snaps  []*vm.Snapshot
+}
+
+// runReference takes the target's fault-free run on mach in equal
+// steps with a snapshot at every pause. The length of the run is not
+// known in advance, so the steps start small, and whenever a bound is
+// reached every other snapshot is dropped and the step doubles.
+func runReference(t *Target, mach *vm.Machine) (*reference, error) {
+	mach.Start(t.Specs...)
+	ref := &reference{stride: firstStride, snaps: []*vm.Snapshot{mach.Snapshot()}}
+	bytes := ref.snaps[0].Bytes()
+	for !mach.RunUntil(uint64(len(ref.snaps)) * ref.stride) {
+		ref.snaps = append(ref.snaps, mach.Snapshot())
+		bytes += ref.snaps[len(ref.snaps)-1].Bytes()
+		for len(ref.snaps) > 1 && (len(ref.snaps) > maxSnapshots || bytes > maxSnapshotBytes) {
+			kept := ref.snaps[:0]
+			bytes = 0
+			for k := 0; k < len(ref.snaps); k += 2 {
+				kept = append(kept, ref.snaps[k])
+				bytes += ref.snaps[k].Bytes()
+			}
+			clear(ref.snaps[len(kept):])
+			ref.snaps, ref.stride = kept, 2*ref.stride
+		}
+	}
+	if mach.Status() != vm.StatusOK {
+		return nil, fmt.Errorf("fault: reference run of %s failed: %v (%s)",
+			t.Name, mach.Status(), mach.Stats().CrashReason)
+	}
+	ref.out = append([]uint64(nil), mach.Output()...)
+	ref.stats = mach.Stats()
+	ref.rec = finishedRecord(mach, ref.out)
+	return ref, nil
+}
+
+// finishedRecord classifies a run that executed to its end.
+func finishedRecord(mach *vm.Machine, refOut []uint64) runRecord {
+	return runRecord{
+		outcome:   Classify(mach, refOut),
+		recovered: mach.Stats().Recovered,
+		corrected: mach.Stats().CorrectedFaults,
+		htm:       mach.HTM.Stats,
+	}
+}
+
+// injector is the state RunCampaign's runs share: the reference run
+// and the per-worker machines, each reused for every run of its worker.
+type injector struct {
+	t    *Target
+	cfg  CampaignConfig
+	ref  *reference
+	pops map[Model]uint64
+	// budget is the instruction budget past which a run counts as hung.
+	budget  uint64
+	workers []*worker
+}
+
+// worker is what one campaign worker keeps across its runs.
+type worker struct {
+	mach *vm.Machine
+	rng  *rand.Rand // reseeded per run
+}
+
+// newInjector validates the configuration and takes the reference run:
+// correct output, model populations, snapshots.
+func newInjector(t *Target, cfg CampaignConfig) (*injector, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Models) == 0 {
 		return nil, fmt.Errorf("fault: campaign needs at least one fault model")
@@ -508,27 +611,156 @@ func RunCampaign(t *Target, cfg CampaignConfig) (*CampaignResult, error) {
 	if cfg.Injections <= 0 {
 		return nil, fmt.Errorf("fault: campaign needs a positive injection budget")
 	}
-
-	// Reference run: correct output plus the model populations.
-	ref := t.newMachine()
-	ref.Run(t.Specs...)
-	if ref.Status() != vm.StatusOK {
-		return nil, fmt.Errorf("fault: reference run of %s failed: %v (%s)",
-			t.Name, ref.Status(), ref.Stats().CrashReason)
+	mach := t.newMachine()
+	ref, err := runReference(t, mach)
+	if err != nil {
+		return nil, err
 	}
-	refOut := append([]uint64(nil), ref.Output()...)
-	refStats := ref.Stats()
-	budget := refStats.DynInstrs*10 + 100_000
-
-	pops := make(map[Model]uint64, len(cfg.Models))
+	c := &injector{
+		t: t, cfg: cfg, ref: ref,
+		pops:    make(map[Model]uint64, len(cfg.Models)),
+		budget:  ref.stats.DynInstrs*10 + 100_000,
+		workers: make([]*worker, cfg.Workers),
+	}
 	for _, m := range cfg.Models {
-		pop := population(m, cfg.Flow, refStats)
+		pop := population(m, cfg.Flow, ref.stats)
 		if pop == 0 {
 			return nil, fmt.Errorf("fault: %s has an empty %s/%s injection population",
 				t.Name, m, cfg.Flow)
 		}
-		pops[m] = pop
+		c.pops[m] = pop
 	}
+	c.worker(0, mach) // the reference machine serves the first worker
+	return c, nil
+}
+
+// worker returns worker w's state, building it around mach (or a new
+// machine when mach is nil) on first use.
+func (c *injector) worker(w int, mach *vm.Machine) *worker {
+	if c.workers[w] == nil {
+		if mach == nil {
+			mach = c.t.newMachine()
+		}
+		mach.Cfg.MaxDynInstrs = c.budget
+		if c.cfg.Trace != nil {
+			// Disjoint actor base per worker: the ring is shared and a
+			// run's core ids would otherwise collide.
+			mach.SetObsRing(c.cfg.Trace)
+			mach.SetObsActorBase(int32(w+1) * 64)
+		}
+		c.workers[w] = &worker{mach: mach, rng: rand.New(rand.NewSource(0))}
+	}
+	return c.workers[w]
+}
+
+// inject executes run i on the worker's machine and classifies it. The
+// run starts at the last reference snapshot its first fault still lies
+// ahead of, and once all its faults have fired it is compared with the
+// reference at every later snapshot boundary: when the two are equal the
+// rest of the run is the rest of the reference run, so it ends there
+// with the reference's record. A traced campaign starts every run at
+// snapshot 0 and ends none early, so its ring sees whole runs.
+func (c *injector) inject(w *worker, i int) runRecord {
+	cfg, ref, mach := &c.cfg, c.ref, w.mach
+	model := cfg.Models[i%len(cfg.Models)]
+	seg := (i / len(cfg.Models)) % cfg.Segments
+	w.rng.Seed(runSeed(cfg.Seed, i))
+	plans := plansFor(model, cfg.Flow, w.rng, c.pops[model], seg, cfg.Segments)
+
+	fast := cfg.Trace == nil
+	k := 0
+	if fast {
+		first := plans[0].TargetIndex
+		for _, p := range plans[1:] {
+			first = min(first, p.TargetIndex)
+		}
+		k = sort.Search(len(ref.snaps), func(j int) bool {
+			return population(model, cfg.Flow, ref.snaps[j].Stats()) > first
+		}) - 1
+	}
+	mach.Restore(ref.snaps[k])
+	mach.SetFaultPlans(plans)
+	start := mach.Stats().DynInstrs
+
+	early := false
+	for k++; ; k++ {
+		pause := uint64(math.MaxUint64)
+		if k < len(ref.snaps) {
+			pause = uint64(k) * ref.stride
+		}
+		if mach.RunUntil(pause) {
+			break
+		}
+		if fast && allInjected(plans) && mach.Equal(ref.snaps[k]) {
+			early = true
+			break
+		}
+	}
+
+	var rec runRecord
+	if early {
+		rec = ref.rec
+		rec.early = true
+		rec.skipped = start + ref.stats.DynInstrs - mach.Stats().DynInstrs
+	} else {
+		rec = finishedRecord(mach, ref.out)
+		rec.skipped = start
+	}
+	rec.executed = mach.Stats().DynInstrs - start
+	for _, p := range plans {
+		if p.Injected {
+			rec.site = p.Where
+			break
+		}
+	}
+	return rec
+}
+
+func allInjected(plans []*vm.FaultPlan) bool {
+	for _, p := range plans {
+		if !p.Injected {
+			return false
+		}
+	}
+	return true
+}
+
+// sameReference reports how the reference run a checkpoint was taken
+// against differs from this campaign's: a checkpoint of another target
+// or VM configuration must not be continued.
+func (c *injector) sameReference(res *CampaignResult) error {
+	if res.Name != c.t.Name {
+		return fmt.Errorf("fault: checkpoint is of campaign %q, not %q", res.Name, c.t.Name)
+	}
+	st := c.ref.stats
+	for _, f := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"ref_reg_writes", res.RefRegWrites, st.RegWrites},
+		{"ref_shadow_writes", res.RefShadowWrites, st.ShadowRegWrites},
+		{"ref_mem_accesses", res.RefMemAccesses, st.MemAccesses},
+		{"ref_cond_branches", res.RefCondBranches, st.CondBranches},
+		{"ref_cycles", res.RefCycles, st.Cycles},
+		{"ref_dyn_instrs", res.RefDynInstrs, st.DynInstrs},
+	} {
+		if f.got != f.want {
+			return fmt.Errorf("fault: checkpoint of %s was taken against another reference run: %s is %d, this run's is %d",
+				res.Name, f.name, f.got, f.want)
+		}
+	}
+	return nil
+}
+
+// RunCampaign executes a multi-model fault-injection campaign against
+// the target. See the package comment of this file for the protocol.
+func RunCampaign(t *Target, cfg CampaignConfig) (*CampaignResult, error) {
+	c, err := newInjector(t, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = c.cfg
+	refStats := c.ref.stats
 
 	res := cfg.Resume
 	if res != nil {
@@ -537,6 +769,9 @@ func RunCampaign(t *Target, cfg CampaignConfig) (*CampaignResult, error) {
 		}
 		if len(res.PerModel) != len(cfg.Models) {
 			return nil, fmt.Errorf("fault: checkpoint model set does not match")
+		}
+		if err := c.sameReference(res); err != nil {
+			return nil, err
 		}
 	} else {
 		res = &CampaignResult{
@@ -578,34 +813,9 @@ func RunCampaign(t *Target, cfg CampaignConfig) (*CampaignResult, error) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
+				wk := c.worker(w, nil)
 				for i := range next {
-					model := cfg.Models[i%nm]
-					seg := (i / nm) % cfg.Segments
-					rng := runRNG(cfg.Seed, i)
-					plans := plansFor(model, cfg.Flow, rng, pops[model], seg, cfg.Segments)
-					mach := t.newMachine()
-					mach.Cfg.MaxDynInstrs = budget
-					if cfg.Trace != nil {
-						// Disjoint actor base per worker: the ring is shared
-						// and a run's core ids would otherwise collide.
-						mach.SetObsRing(cfg.Trace)
-						mach.SetObsActorBase(int32(w+1) * 64)
-					}
-					mach.SetFaultPlans(plans)
-					mach.Run(t.Specs...)
-					rec := runRecord{
-						outcome:   Classify(mach, refOut),
-						recovered: mach.Stats().Recovered,
-						corrected: mach.Stats().CorrectedFaults,
-						htm:       mach.HTM.Stats,
-					}
-					for _, p := range plans {
-						if p.Injected {
-							rec.site = p.Where
-							break
-						}
-					}
-					records[i-res.NextIndex] = rec
+					records[i-res.NextIndex] = c.inject(wk, i)
 				}
 			}(w)
 		}
@@ -624,6 +834,11 @@ func RunCampaign(t *Target, cfg CampaignConfig) (*CampaignResult, error) {
 			mr.Recovered += rec.recovered
 			mr.CorrectedFaults += rec.corrected
 			mr.HTM.Merge(rec.htm)
+			res.skippedInstrs += rec.skipped
+			res.executedInstrs += rec.executed
+			if rec.early {
+				res.earlyMasked++
+			}
 			if rec.site != "" {
 				s := mr.Sites[rec.site]
 				if s == nil {

@@ -100,9 +100,9 @@ func (o Outcome) Class() Class {
 	return ClassCorrupted
 }
 
-// Target describes a program to inject faults into. Build must return
-// a freshly-prepared machine plus its thread specs on every call: each
-// injection is an independent run.
+// Target describes a program to inject faults into. Every injection is
+// an independent run: a campaign builds one machine per worker and
+// restores it to a snapshot of the fault-free run before each.
 type Target struct {
 	Name string
 	// Module is the (hardened or native) program.
@@ -119,19 +119,27 @@ type Target struct {
 	// precompiled engine (differential testing; default off).
 	Interpret bool
 
-	// compileOnce guards the shared compiled program: the module is
-	// compiled once per target and every worker machine runs the same
-	// immutable artifact instead of re-cloning the module per run.
+	// compileOnce guards the one-time preparation of the module: it is
+	// laid out and, for the compiled engine, compiled once per target.
+	// Every worker machine then runs that one immutable module and
+	// artifact, which is also what lets a snapshot of one machine
+	// restore into another.
 	compileOnce sync.Once
 	prog        *vm.Program
 }
 
 func (t *Target) newMachine() *vm.Machine {
+	t.compileOnce.Do(func() {
+		if t.Interpret {
+			t.Module.Layout()
+		} else {
+			t.prog = vm.SharedPrograms.Get(t.Module)
+		}
+	})
 	var mach *vm.Machine
 	if t.Interpret {
-		mach = vm.New(t.Module.Clone(), t.Threads, t.VM)
+		mach = vm.New(t.Module, t.Threads, t.VM)
 	} else {
-		t.compileOnce.Do(func() { t.prog = vm.SharedPrograms.Get(t.Module) })
 		mach = vm.NewFromProgram(t.prog, t.Threads, t.VM)
 	}
 	if t.Setup != nil {

@@ -24,6 +24,9 @@ func DeclareCampaignMetrics(reg *obs.Registry) {
 	reg.Declare("haft_campaign_moe", "gauge", "per-model margin of error (proportion)")
 	reg.Declare("haft_campaign_tx_aborts", "gauge", "transactional aborts by cause per model")
 	reg.Declare("haft_campaign_progress", "gauge", "campaign progress: next run index, early-stop flag")
+	reg.Declare("haft_campaign_skipped_instrs_total", "counter", "reference-run instructions the runs did not execute (started at a snapshot, ended early)")
+	reg.Declare("haft_campaign_executed_instrs_total", "counter", "instructions the injection runs executed")
+	reg.Declare("haft_campaign_early_masked_total", "counter", "runs ended early as Masked on re-converging with the reference run")
 }
 
 // PublishProgress writes the campaign's live per-model state into the
@@ -44,6 +47,9 @@ func PublishProgress(reg *obs.Registry, r *CampaignResult) {
 		stopped = 1
 	}
 	reg.Set("haft_campaign_progress", base+`,what="early_stopped"`, stopped)
+	reg.Set("haft_campaign_skipped_instrs_total", base, float64(r.skippedInstrs))
+	reg.Set("haft_campaign_executed_instrs_total", base, float64(r.executedInstrs))
+	reg.Set("haft_campaign_early_masked_total", base, float64(r.earlyMasked))
 	for _, m := range r.PerModel {
 		ml := fmt.Sprintf("%s,model=%q", base, m.Model.String())
 		reg.Set("haft_campaign_runs", ml, float64(m.Total))

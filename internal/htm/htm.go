@@ -249,6 +249,10 @@ type System struct {
 	cfg   Config
 	cores []tx
 	rng   *rand.Rand
+	// draws counts the values taken from rng since the last seeding. The
+	// stream position is all of the generator's state a run can change,
+	// so Snapshot records the count and Restore replays it.
+	draws uint64
 	Stats Stats
 	// Trace, when non-nil, receives a tx lifecycle event (begin,
 	// commit, abort with cause) for every transaction. The HTM layer
@@ -283,7 +287,14 @@ func (s *System) Reset() {
 		s.cores[i] = tx{}
 	}
 	s.rng.Seed(s.cfg.Seed) // same stream as a fresh source, without its 5 KB
+	s.draws = 0
 	s.Stats = Stats{Aborted: make(map[Cause]uint64)}
+}
+
+// draw returns the next spontaneous-event sample, uniform in [0, 1e6).
+func (s *System) draw() uint64 {
+	s.draws++
+	return uint64(s.rng.Intn(1_000_000))
 }
 
 // InTx reports whether core is currently executing a transaction
@@ -505,7 +516,7 @@ func (s *System) Read(core int, addr uint64, cycle uint64) (val uint64, buffered
 				ways = 1
 			}
 			if int(t.setCount[set]) > ways &&
-				uint64(s.rng.Intn(1_000_000)) < s.cfg.L1EvictAbortMicro*uint64(int(t.setCount[set])-ways) {
+				s.draw() < s.cfg.L1EvictAbortMicro*uint64(int(t.setCount[set])-ways) {
 				s.doom(core, CauseCapacity)
 			}
 		}
@@ -566,7 +577,7 @@ func (s *System) Write(core int, addr, val uint64, cycle uint64) (buffered bool)
 			case len(t.writeSet) > 2*cap:
 				s.doom(core, CauseCapacity)
 			case s.cfg.WriteEvictAbortMicro > 0 &&
-				uint64(s.rng.Intn(1_000_000)) < s.cfg.WriteEvictAbortMicro*uint64(over):
+				s.draw() < s.cfg.WriteEvictAbortMicro*uint64(over):
 				s.doom(core, CauseCapacity)
 			}
 		}
@@ -593,7 +604,7 @@ func (s *System) spontaneous(core int) {
 	if p == 0 {
 		return
 	}
-	if uint64(s.rng.Intn(1_000_000)) < p {
+	if s.draw() < p {
 		s.doom(core, CauseOther)
 	}
 }

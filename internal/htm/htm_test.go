@@ -314,3 +314,89 @@ func TestSuspendOnInterrupt(t *testing.T) {
 		t.Fatal("suspended tx failed to commit")
 	}
 }
+
+// drive performs a fixed pseudo-random access pattern on two cores with
+// spontaneous aborts on, returning what the pattern observed: every
+// abort cause depends on the position of the rng stream.
+func drive(s *System, from, to int) []Cause {
+	var seen []Cause
+	for i := from; i < to; i++ {
+		core := i % 2
+		if !s.InTx(core) {
+			s.Begin(core, uint64(i))
+		}
+		addr := uint64(0x1000 + 64*(i*7%90) + 4096*core)
+		if i%3 == 0 {
+			s.Write(core, addr, uint64(i), uint64(i))
+		} else {
+			s.Read(core, addr, uint64(i))
+		}
+		if c := s.Doomed(core); c != CauseNone {
+			seen = append(seen, c)
+			s.Abort(core, uint64(i), CauseNone)
+		} else if i%17 == 0 {
+			s.Commit(core, uint64(i), func(uint64, uint64) {})
+		}
+	}
+	return seen
+}
+
+// TestSnapshotRestoreContinuesIdentically: a system restored to a
+// snapshot — after running on, and from a fresh system — continues
+// exactly like the snapshotted one, including the spontaneous-abort
+// stream, and Equal tells the states apart.
+func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SpontaneousPerAccessMicro = 30_000
+	const mid, end = 700, 2000
+
+	a := NewSystem(2, cfg)
+	drive(a, 0, mid)
+	sn := a.Snapshot()
+	if !a.InTx(0) && !a.InTx(1) {
+		t.Fatal("snapshot not taken inside a transaction; the test would not cover the sets")
+	}
+	want := drive(a, mid, end)
+	wantStats := a.Stats
+	if len(want) < 10 {
+		t.Fatalf("only %d aborts after the snapshot; the stream is not exercised", len(want))
+	}
+	if a.Equal(sn) {
+		t.Fatal("system equals a snapshot it has run past")
+	}
+
+	for name, s := range map[string]*System{"same system": a, "fresh system": NewSystem(2, cfg)} {
+		s.Restore(sn)
+		if !s.Equal(sn) {
+			t.Fatalf("%s: differs from the snapshot right after Restore", name)
+		}
+		got := drive(s, mid, end)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d aborts after Restore, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: abort %d is %v, want %v", name, i, got[i], want[i])
+			}
+		}
+		if !s.Stats.equal(wantStats) {
+			t.Fatalf("%s: stats %+v, want %+v", name, s.Stats, wantStats)
+		}
+	}
+
+	// One more draw, one more buffered word: not equal any more.
+	a.Restore(sn)
+	a.draw()
+	if a.Equal(sn) {
+		t.Error("Equal missed an advanced rng stream")
+	}
+	a.Restore(sn)
+	core := 0
+	if !a.InTx(core) {
+		core = 1
+	}
+	a.cores[core].writeVals[0x9000] = 1
+	if a.Equal(sn) {
+		t.Error("Equal missed a buffered write")
+	}
+}

@@ -6,7 +6,8 @@
 //
 // Attribute conventions:
 //   smoke   — the fixed-seed CI subset (fast, deterministic, golden-pinned)
-//   nightly — the wide sweep, too slow for per-commit CI
+//   sweep   — the wide sweep, golden-pinned per commit since fast-forward
+//             injection made it a few seconds (testdata/golden_full_sweep.json)
 //   gate    — scenarios with a hard pass gate (MaxSDCRuns, corruption invariant)
 //   fi/perf/serve, plus mode tags (haft, tmr, ...) for ad-hoc selection
 
@@ -143,13 +144,14 @@ func DefaultRegistry() *Registry {
 	})
 
 	// The wide sweep: every fault model x hardened mode x engine over a
-	// workload spread — nightly-only by runtime.
+	// workload spread. Too slow for the smoke subset's budget, so CI runs
+	// and golden-diffs it as its own step.
 	r.MustRegister(&Scenario{
 		Name:     "fi/full-sweep",
 		Desc:     "all models x hardened modes x engines over a workload spread",
 		Owner:    defaultOwner,
 		Contacts: defaultContacts,
-		Attrs:    []string{"fi", "sweep", "nightly"},
+		Attrs:    []string{"fi", "sweep"},
 		Timeout:  3 * time.Minute,
 		Matrix: Matrix{
 			Workloads: []string{"histogram", "linearreg", "stringmatch", "blackscholes"},

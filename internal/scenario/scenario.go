@@ -7,7 +7,7 @@
 //
 // The shape follows ChromeOS's tast orchestrator: each scenario names
 // an owner and contacts, carries attributes for subset selection
-// ("smoke", "nightly", ...), declares a per-run timeout, and
+// ("smoke", "sweep", ...), declares a per-run timeout, and
 // parameterizes itself over axes instead of hand-enumerating runs.
 // ZOFI's framing motivates the execution side: fault-injection
 // campaigns are first-class, repeatable scenario runs whose outcome
@@ -166,7 +166,7 @@ type Scenario struct {
 	Owner string `json:"owner"`
 	// Contacts are notified on regressions (tast-style; at least one).
 	Contacts []string `json:"contacts"`
-	// Attrs are selection tags ("smoke", "nightly", "fi", "tmr", ...).
+	// Attrs are selection tags ("smoke", "sweep", "fi", "tmr", ...).
 	Attrs []string `json:"attrs"`
 	// Timeout is the per-run deadline; a run still executing when it
 	// expires is recorded with outcome "timeout".

@@ -27,13 +27,12 @@ func (m *Machine) loopCompiled() {
 	} else {
 		m.loopCN()
 	}
-	m.finishRun()
 }
 
 // loopC1 drives a single core to completion.
 func (m *Machine) loopC1(c *core) {
 	for {
-		if m.stats.DynInstrs > m.Cfg.MaxDynInstrs {
+		if m.stats.DynInstrs > m.limit {
 			m.status = StatusHung
 			return
 		}
@@ -67,7 +66,7 @@ func (m *Machine) loopC1(c *core) {
 // code, one instruction per turn.
 func (m *Machine) loopCN() {
 	for {
-		if m.stats.DynInstrs > m.Cfg.MaxDynInstrs {
+		if m.stats.DynInstrs > m.limit {
 			m.status = StatusHung
 			return
 		}
@@ -589,7 +588,7 @@ func (m *Machine) execFusedRun(c *core, fr *frame, cf *cfunc, pc int32) {
 		if pc >= end {
 			return
 		}
-		if m.stats.DynInstrs > m.Cfg.MaxDynInstrs {
+		if m.stats.DynInstrs > m.limit {
 			m.status = StatusHung
 			return
 		}
@@ -696,7 +695,7 @@ func (m *Machine) execFusedCheck(c *core, fr *frame, cf *cfunc, pc int32) {
 				return
 			}
 		}
-		if int32(k) < n-1 && m.stats.DynInstrs > m.Cfg.MaxDynInstrs {
+		if int32(k) < n-1 && m.stats.DynInstrs > m.limit {
 			m.status = StatusHung
 			return
 		}

@@ -24,6 +24,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cpu"
 	"repro/internal/htm"
@@ -286,7 +287,9 @@ type frame struct {
 	retReady bool // caller expects a value
 }
 
-// txSnapshot captures the state restored on transaction abort.
+// txSnapshot captures the state restored on transaction abort. It is
+// never modified after takeSnapshot built it (restoreSnapshot copies
+// out of it), so machine snapshots share it instead of copying it.
 type txSnapshot struct {
 	frames []frame // deep copies
 }
@@ -296,18 +299,31 @@ type core struct {
 	id     int
 	sched  *cpu.Sched
 	frames []frame
-	state  threadState
 
-	// Transaction runtime (HAFT helpers).
-	attempts  int
-	snapshot  *txSnapshot
-	counter   int64 // thread-local instruction counter (§3.2)
-	txEntered uint64
+	// snapshot is the frame stack to restore when the active
+	// transaction aborts (HAFT helpers).
+	snapshot *txSnapshot
 	// elided tracks locks elided by the active transaction.
 	elided []uint64
 
 	stackBase  uint64
 	stackLimit uint64
+
+	coreState
+}
+
+// coreState is the part of a core's run-time state that is plain
+// values: Machine.Snapshot copies it and Machine.Equal compares it as
+// a whole, so a field added here is covered by both. State held behind
+// a pointer or slice belongs in core and needs its own line in
+// snapshot.go.
+type coreState struct {
+	state threadState
+
+	// Transaction runtime (HAFT helpers).
+	attempts  int
+	counter   int64 // thread-local instruction counter (§3.2)
+	txEntered uint64
 
 	// l1tags is a direct-mapped 32 KB / 64 B-line cache model used only
 	// for load latency: a miss costs extra cycles. This is what makes
@@ -365,6 +381,10 @@ type Machine struct {
 
 	mem      []uint64
 	memBytes uint64
+
+	// limit is the DynInstrs value past which the dispatch loops stop:
+	// the instruction budget, or an earlier pause point (RunUntil).
+	limit uint64
 
 	cores    []*core
 	locks    map[uint64]*lockState
@@ -443,10 +463,10 @@ func newMachine(m *ir.Module, p *Program, nthreads int, cfg Config) *Machine {
 		c := &core{
 			id:         i,
 			sched:      cpu.NewSched(cfg.IssueWidth),
-			state:      threadDone, // becomes runnable on Start
 			stackBase:  stackStart + uint64(i)*m.StackBytes,
 			stackLimit: stackStart + uint64(i+1)*m.StackBytes,
 		}
+		c.state = threadDone // becomes runnable on Start
 		mach.cores = append(mach.cores, c)
 	}
 	return mach
@@ -589,6 +609,14 @@ func (m *Machine) Coverage() float64 {
 // Run starts one thread per spec and executes to completion. It
 // returns the final status.
 func (m *Machine) Run(specs ...ThreadSpec) Status {
+	m.Start(specs...)
+	m.RunUntil(math.MaxUint64)
+	return m.status
+}
+
+// Start sets up one thread per spec without executing anything; the
+// run proceeds in RunUntil steps.
+func (m *Machine) Start(specs ...ThreadSpec) {
 	if len(specs) > len(m.cores) {
 		panic("vm: more thread specs than cores")
 	}
@@ -616,19 +644,35 @@ func (m *Machine) Run(specs ...ThreadSpec) Status {
 		c.frames = append(c.frames[:0], fr)
 	}
 	m.status = StatusOK
+}
+
+// RunUntil resumes a started (or restored) run and reports whether it
+// ended. It pauses, reporting false, at the first instruction boundary
+// where more than pause dynamic instructions have executed; the
+// machine can then be snapshotted, compared, and resumed. Pausing
+// reuses the dispatch loops' instruction-budget check, so a run taken
+// in any number of steps is bit-identical to a straight one. RunUntil
+// must not be called again once it has reported true.
+func (m *Machine) RunUntil(pause uint64) (ended bool) {
+	m.limit = min(pause, m.Cfg.MaxDynInstrs)
 	if m.prog != nil {
 		m.loopCompiled()
 	} else {
 		m.loop()
 	}
-	return m.status
+	if m.status == StatusHung && m.limit < m.Cfg.MaxDynInstrs {
+		m.status = StatusOK // stopped by the pause point, not the budget
+		return false
+	}
+	m.finishRun()
+	return true
 }
 
 // loop is the global scheduler: repeatedly run the runnable core with
 // the smallest local clock.
 func (m *Machine) loop() {
 	for {
-		if m.stats.DynInstrs > m.Cfg.MaxDynInstrs {
+		if m.stats.DynInstrs > m.limit {
 			m.status = StatusHung
 			break
 		}
@@ -658,7 +702,6 @@ func (m *Machine) loop() {
 			break
 		}
 	}
-	m.finishRun()
 }
 
 // finishRun performs the end-of-run accounting shared by the step

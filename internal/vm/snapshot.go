@@ -1,0 +1,265 @@
+// Machine snapshots: a paused run (RunUntil) can be captured, restored
+// into any machine built from the same program, and compared against.
+// fault.RunCampaign uses the three together: it snapshots its reference
+// run at instruction-count boundaries, starts every injection from the
+// last snapshot before the fault site, and stops a run whose state has
+// become equal to the reference's again.
+package vm
+
+import (
+	"fmt"
+	"maps"
+	"slices"
+
+	"repro/internal/cpu"
+	"repro/internal/htm"
+	"repro/internal/ir"
+)
+
+// pageWords is the granularity of a snapshot's memory image (4 KiB).
+const pageWords = 512
+
+// Snapshot is a deep copy of everything a run can change in a Machine.
+// It is immutable and may be restored into several machines
+// concurrently. Memory is kept as the pages that are not all zero:
+// most of a machine's memory is untouched heap and stack.
+type Snapshot struct {
+	// The shape the snapshot fits: Restore and Equal refuse any other.
+	mod      *ir.Module
+	prog     *Program
+	ncores   int
+	memWords int
+
+	pages []int32  // indices of the pages that hold a non-zero word
+	data  []uint64 // their contents, back to back
+
+	cores    []coreSnap
+	locks    map[uint64]*lockState
+	barriers map[uint64]*barrierState
+	heapNext uint64
+	output   []uint64
+	nthreads int
+	status   Status
+	stats    RunStats
+	htm      *htm.Snapshot
+}
+
+// coreSnap is the captured state of one core.
+type coreSnap struct {
+	coreState
+	sched    cpu.Sched
+	frames   []frame
+	snapshot *txSnapshot // shared, see txSnapshot
+	elided   []uint64
+}
+
+// Stats returns the run statistics at the time of the snapshot (without
+// the end-of-run cycle totals, which finishing a run adds).
+func (s *Snapshot) Stats() RunStats { return s.stats }
+
+// Bytes estimates the memory the snapshot holds.
+func (s *Snapshot) Bytes() int {
+	n := 8*len(s.data) + 4*len(s.pages) + 8*len(s.output)
+	for i := range s.cores {
+		n += 8 * l1Sets
+		for j := range s.cores[i].frames {
+			n += 16 * len(s.cores[i].frames[j].regs)
+		}
+	}
+	return n
+}
+
+// Snapshot captures the machine. Take it before Start, or after
+// RunUntil paused; armed fault plans, tracers, breakpoints and rings
+// are not part of it.
+func (m *Machine) Snapshot() *Snapshot {
+	s := &Snapshot{
+		mod: m.Mod, prog: m.prog, ncores: len(m.cores), memWords: len(m.mem),
+		cores:    make([]coreSnap, len(m.cores)),
+		locks:    make(map[uint64]*lockState, len(m.locks)),
+		barriers: make(map[uint64]*barrierState, len(m.barriers)),
+		heapNext: m.heapNext,
+		output:   slices.Clone(m.output),
+		nthreads: m.nthreads,
+		status:   m.status,
+		stats:    m.stats,
+		htm:      m.HTM.Snapshot(),
+	}
+	for lo := 0; lo < len(m.mem); lo += pageWords {
+		if pg := m.mem[lo:min(lo+pageWords, len(m.mem))]; !allZero(pg) {
+			s.pages = append(s.pages, int32(lo/pageWords))
+			s.data = append(s.data, pg...)
+		}
+	}
+	copyLocks(s.locks, m.locks)
+	copyBarriers(s.barriers, m.barriers)
+	for i, c := range m.cores {
+		s.cores[i] = coreSnap{
+			coreState: c.coreState,
+			sched:     *c.sched,
+			frames:    cloneFrames(nil, c.frames),
+			snapshot:  c.snapshot,
+			elided:    slices.Clone(c.elided),
+		}
+	}
+	return s
+}
+
+// Restore puts the machine into the snapshot's state, whatever it ran
+// since — including a crashed run that stored to wild addresses: a
+// restored machine continues bit-identically to the one the snapshot
+// was taken from. Like Reset it disarms fault plans and keeps tracers,
+// breakpoints and rings. The snapshot must come from a machine of the
+// same program, core count and memory size.
+func (m *Machine) Restore(s *Snapshot) {
+	m.mustFit(s, "Restore")
+	next, off := 0, 0 // next word to settle, offset into s.data
+	for _, p := range s.pages {
+		lo := int(p) * pageWords
+		hi := min(lo+pageWords, len(m.mem))
+		clear(m.mem[next:lo])
+		copy(m.mem[lo:hi], s.data[off:])
+		next, off = hi, off+hi-lo
+	}
+	clear(m.mem[next:])
+
+	for i, c := range m.cores {
+		sc := &s.cores[i]
+		c.coreState = sc.coreState
+		*c.sched = sc.sched
+		c.frames = cloneFrames(c.frames[:0], sc.frames)
+		c.snapshot = sc.snapshot
+		c.elided = append(c.elided[:0], sc.elided...)
+	}
+	copyLocks(m.locks, s.locks)
+	copyBarriers(m.barriers, s.barriers)
+	m.heapNext = s.heapNext
+	m.output = slices.Clone(s.output)
+	m.nthreads = s.nthreads
+	m.status = s.status
+	m.stats = s.stats
+	m.faults = nil
+	m.HTM.Restore(s.htm)
+}
+
+// Equal reports whether the machine is in exactly the snapshot's state.
+// Equality, not a digest: when it holds, the rest of the run is the
+// rest of the snapshotted run, provided no armed fault plan is still to
+// fire. The comparisons are ordered cheapest and most-likely-different
+// first; memory comes last.
+func (m *Machine) Equal(s *Snapshot) bool {
+	m.mustFit(s, "Equal")
+	if m.stats != s.stats || m.status != s.status || m.heapNext != s.heapNext ||
+		m.nthreads != s.nthreads || len(m.output) != len(s.output) {
+		return false
+	}
+	for i, c := range m.cores {
+		sc := &s.cores[i]
+		if *c.sched != sc.sched || !framesEqual(c.frames, sc.frames) || c.coreState != sc.coreState ||
+			!slices.Equal(c.elided, sc.elided) {
+			return false
+		}
+		if c.snapshot != sc.snapshot && (c.snapshot == nil || sc.snapshot == nil ||
+			!framesEqual(c.snapshot.frames, sc.snapshot.frames)) {
+			return false
+		}
+	}
+	if !maps.EqualFunc(m.locks, s.locks, func(a, b *lockState) bool {
+		return a.held == b.held && a.owner == b.owner && slices.Equal(a.waiters, b.waiters)
+	}) || !maps.EqualFunc(m.barriers, s.barriers, func(a, b *barrierState) bool {
+		return a.need == b.need && slices.Equal(a.arrived, b.arrived)
+	}) {
+		return false
+	}
+	if !m.HTM.Equal(s.htm) || !slices.Equal(m.output, s.output) {
+		return false
+	}
+	next, off := 0, 0
+	for _, p := range s.pages {
+		lo := int(p) * pageWords
+		hi := min(lo+pageWords, len(m.mem))
+		if !allZero(m.mem[next:lo]) || !slices.Equal(m.mem[lo:hi], s.data[off:off+hi-lo]) {
+			return false
+		}
+		next, off = hi, off+hi-lo
+	}
+	return allZero(m.mem[next:])
+}
+
+// mustFit panics unless the snapshot was taken from a machine of this
+// machine's shape: restoring frames that point into another program,
+// or a memory image of another size, would corrupt the run silently.
+func (m *Machine) mustFit(s *Snapshot, op string) {
+	switch {
+	case s.mod != m.Mod || s.prog != m.prog:
+		panic("vm: " + op + " of a snapshot taken from a different program")
+	case s.ncores != len(m.cores):
+		panic(fmt.Sprintf("vm: %s of a %d-core snapshot on a %d-core machine", op, s.ncores, len(m.cores)))
+	case s.memWords != len(m.mem):
+		panic(fmt.Sprintf("vm: %s of a snapshot with %d memory words on a machine with %d", op, s.memWords, len(m.mem)))
+	}
+}
+
+// allZero reports whether every word is zero. It accumulates instead of
+// branching per word: snapshots scan the whole memory image.
+func allZero(ws []uint64) bool {
+	var a, b, c, d uint64
+	for len(ws) >= 8 {
+		a |= ws[0] | ws[4]
+		b |= ws[1] | ws[5]
+		c |= ws[2] | ws[6]
+		d |= ws[3] | ws[7]
+		ws = ws[8:]
+	}
+	for _, w := range ws {
+		a |= w
+	}
+	return a|b|c|d == 0
+}
+
+// cloneFrames appends deep copies of src to dst; each frame's register
+// and readiness files share one allocation, as in pushFrameC.
+func cloneFrames(dst, src []frame) []frame {
+	for i := range src {
+		f := src[i]
+		n := len(f.regs)
+		buf := make([]uint64, 2*n)
+		copy(buf, f.regs)
+		copy(buf[n:], f.ready)
+		f.regs, f.ready = buf[:n:n], buf[n:]
+		dst = append(dst, f)
+	}
+	return dst
+}
+
+func framesEqual(a, b []frame) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	// Innermost frame first: it is where a diverged run differs.
+	for i := len(a) - 1; i >= 0; i-- {
+		x, y := &a[i], &b[i]
+		if x.fn != y.fn || x.block != y.block || x.instr != y.instr || x.prevBlk != y.prevBlk ||
+			x.base != y.base || x.retReg != y.retReg || x.retReady != y.retReady ||
+			!slices.Equal(x.regs, y.regs) || !slices.Equal(x.ready, y.ready) {
+			return false
+		}
+	}
+	return true
+}
+
+// copyLocks makes dst a deep copy of src.
+func copyLocks(dst, src map[uint64]*lockState) {
+	clear(dst)
+	for a, lk := range src {
+		dst[a] = &lockState{held: lk.held, owner: lk.owner, waiters: slices.Clone(lk.waiters)}
+	}
+}
+
+// copyBarriers makes dst a deep copy of src.
+func copyBarriers(dst, src map[uint64]*barrierState) {
+	clear(dst)
+	for a, b := range src {
+		dst[a] = &barrierState{need: b.need, arrived: slices.Clone(b.arrived)}
+	}
+}
