@@ -67,7 +67,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print campaign results as JSON")
 	checkpoint := flag.String("checkpoint", "", "checkpoint file: saved after every batch, resumed from if present")
 	maxSDC := flag.Float64("max-sdc", -1, "exit non-zero if any model's SDC class rate exceeds this percentage (-1 disables)")
-	debugAddr := flag.String("debug-addr", "", "serve live campaign telemetry on this address (/metrics, /trace, /healthz)")
+	debugAddr := flag.String("debug-addr", "", "serve live campaign telemetry on this address (/metrics, /trace, /healthz, /debug/pprof/)")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintf(os.Stderr, "usage: faultinject [flags] benchmark...\nbenchmarks: %s\n",

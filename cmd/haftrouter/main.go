@@ -56,7 +56,7 @@ func main() {
 	healthInterval := flag.Duration("health-interval", 100*time.Millisecond, "health probe period")
 	metricsEvery := flag.Int("metrics", 0, "print a metrics snapshot every N seconds (0 = off)")
 	jsonOut := flag.Bool("json", false, "print metrics as JSON instead of a table")
-	debugAddr := flag.String("debug-addr", "", "HTTP debug listener: /metrics, /trace, /healthz (empty = off)")
+	debugAddr := flag.String("debug-addr", "", "HTTP debug listener: /metrics, /trace, /healthz, /debug/pprof/ (empty = off)")
 	node := flag.String("node", "", "router name in traces and flight bundles (default \"router\")")
 	flightDir := flag.String("flight-dir", "", "write a forensic flight bundle per masked reply into this directory (empty = memory only)")
 	flag.Parse()

@@ -54,7 +54,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "injection campaign seed")
 	metricsEvery := flag.Int("metrics", 0, "print a metrics snapshot every N seconds (0 = off)")
 	jsonOut := flag.Bool("json", false, "print metrics as JSON instead of a table")
-	debugAddr := flag.String("debug-addr", "", "HTTP debug listener: /metrics, /trace, /healthz (empty = off)")
+	debugAddr := flag.String("debug-addr", "", "HTTP debug listener: /metrics, /trace, /healthz, /debug/pprof/ (empty = off)")
 	node := flag.String("node", "", "node name in traces and flight bundles (default \"serve\")")
 	flightDir := flag.String("flight-dir", "", "write a forensic flight bundle per detected corruption into this directory (empty = memory only)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second,

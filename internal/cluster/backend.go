@@ -127,8 +127,8 @@ func (b *LocalBackend) Restart() error {
 func (b *LocalBackend) Close() { b.Kill() }
 
 // RemoteBackend is a TCP client to a haftserve node: a small pool of
-// text-protocol connections, dialed lazily and discarded on error so a
-// restarted node is picked up by fresh dials.
+// text-protocol connections, dialed lazily and discarded on a transport
+// or framing error so a restarted node is picked up by fresh dials.
 type RemoteBackend struct {
 	id    string
 	addr  string
@@ -191,8 +191,17 @@ func (b *RemoteBackend) get() (*serve.Conn, error) {
 	}
 }
 
-// put returns a healthy connection to the pool.
-func (b *RemoteBackend) put(c *serve.Conn) {
+// put returns a connection to the pool after a command that ended with
+// err. A node's own "ERR ..." answer (draining, retries exhausted,
+// deadline) leaves the line protocol in sync, so the connection is kept;
+// after any other error it is closed and its slot freed for a fresh dial.
+func (b *RemoteBackend) put(c *serve.Conn, err error) {
+	var refused *serve.ServerError
+	if err != nil && !errors.As(err, &refused) {
+		c.Close()
+		b.slots <- struct{}{}
+		return
+	}
 	b.mu.Lock()
 	closed := b.closed
 	b.mu.Unlock()
@@ -208,13 +217,6 @@ func (b *RemoteBackend) put(c *serve.Conn) {
 	}
 }
 
-// discard drops a connection that saw a transport error and frees its
-// slot for a fresh dial.
-func (b *RemoteBackend) discard(c *serve.Conn) {
-	c.Close()
-	b.slots <- struct{}{}
-}
-
 // Do implements Backend over the text protocol.
 func (b *RemoteBackend) Do(req serve.Request) (uint64, error) {
 	c, err := b.get()
@@ -227,15 +229,8 @@ func (b *RemoteBackend) Do(req serve.Request) (uint64, error) {
 	} else {
 		v, err = c.GetTraced(req.Key, req.TraceID)
 	}
-	if err != nil {
-		// Server-side errors ("ERR ...") keep the connection usable;
-		// transport errors do not. Telling them apart precisely is not
-		// worth it — a fresh dial is cheap and always safe.
-		b.discard(c)
-		return 0, err
-	}
-	b.put(c)
-	return v, nil
+	b.put(c, err)
+	return v, err
 }
 
 // Ping implements Backend.
@@ -244,12 +239,9 @@ func (b *RemoteBackend) Ping() error {
 	if err != nil {
 		return err
 	}
-	if err := c.Ping(); err != nil {
-		b.discard(c)
-		return err
-	}
-	b.put(c)
-	return nil
+	err = c.Ping()
+	b.put(c, err)
+	return err
 }
 
 // Close implements Backend.

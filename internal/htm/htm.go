@@ -31,6 +31,7 @@ package htm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/obs"
@@ -242,18 +243,39 @@ type tx struct {
 	writeVals  map[uint64]uint64 // word address -> buffered value
 	setCount   []uint16          // read lines per L1 set (geometry model)
 	startCycle uint64
+	// The duration check as one compare: the transaction is doomed at the
+	// first cycle with cycle-durBase >= durSpan (unsigned). Both are
+	// functions of startCycle and the configuration, see setDeadline.
+	durBase, durSpan uint64
 }
+
+// MemoDraws bounds the per-System memo of the spontaneous-abort stream:
+// 64 Ki draws, 256 KiB once a run has drawn that many. It grows a page
+// at a time, so a system holds (and has allocated) what its longest run
+// drew, rounded up to 4 KiB.
+const (
+	MemoDraws = 1 << 16
+	memoPage  = 1 << 10
+)
 
 // System models the HTM of one multi-core processor.
 type System struct {
 	cfg   Config
 	cores []tx
-	rng   *rand.Rand
-	// draws counts the values taken from rng since the last seeding. The
-	// stream position is all of the generator's state a run can change,
-	// so Snapshot records the count and Restore replays it.
-	draws uint64
-	Stats Stats
+	// The spontaneous-abort stream is draw i of
+	// rand.New(rand.NewSource(cfg.Seed)).Intn(1_000_000). draws is the
+	// position of the next draw and all of the stream's state a run can
+	// change: Reset zeroes it, Snapshot records it, Restore sets it. memo
+	// holds draws [0, memoLen) in pages of memoPage, grown as they are
+	// first drawn up to MemoDraws, so a warm system replays them as array
+	// reads; rng is seeded on the first draw the memo lacks and has
+	// produced rngPos draws since.
+	draws   uint64
+	memo    [][]uint32
+	memoLen uint64
+	rng     *rand.Rand
+	rngPos  uint64
+	Stats   Stats
 	// Trace, when non-nil, receives a tx lifecycle event (begin,
 	// commit, abort with cause) for every transaction. The HTM layer
 	// emits these itself because only it knows the resolved abort
@@ -269,7 +291,6 @@ func NewSystem(ncores int, cfg Config) *System {
 	s := &System{
 		cfg:   cfg,
 		cores: make([]tx, ncores),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	s.Stats.Aborted = make(map[Cause]uint64)
 	return s
@@ -278,23 +299,54 @@ func NewSystem(ncores int, cfg Config) *System {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// Reset returns the system to its post-NewSystem state: all per-core
-// transactional state is discarded, the statistics are zeroed, and the
-// spontaneous-abort RNG is re-seeded, so a reused system behaves
-// identically to a freshly constructed one.
+// Reset returns the system to its post-NewSystem state: every
+// transaction is closed (its sets are dead state that Begin clears), the
+// statistics are zeroed and the spontaneous-abort stream is rewound, so
+// a reused system behaves identically to a freshly constructed one.
+// Stats.Aborted is a new map, not a cleared one: finished runs hand
+// Stats out by value and keep the old map.
 func (s *System) Reset() {
 	for i := range s.cores {
-		s.cores[i] = tx{}
+		t := &s.cores[i]
+		t.active, t.doomed, t.startCycle = false, CauseNone, 0
 	}
-	s.rng.Seed(s.cfg.Seed) // same stream as a fresh source, without its 5 KB
 	s.draws = 0
 	s.Stats = Stats{Aborted: make(map[Cause]uint64)}
 }
 
 // draw returns the next spontaneous-event sample, uniform in [0, 1e6).
 func (s *System) draw() uint64 {
+	i := s.draws
 	s.draws++
-	return uint64(s.rng.Intn(1_000_000))
+	if i < s.memoLen {
+		return uint64(s.memo[i/memoPage][i%memoPage])
+	}
+	return s.generate(i)
+}
+
+// generate produces draw i, which the memo lacks, from the generator:
+// seeded first when it does not exist yet or is already past i, advanced
+// to i, and extending the memo with every draw that is its next entry.
+func (s *System) generate(i uint64) uint64 {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.cfg.Seed))
+	} else if s.rngPos > i {
+		s.rng.Seed(s.cfg.Seed)
+		s.rngPos = 0
+	}
+	for {
+		v := uint32(s.rng.Intn(1_000_000))
+		if n := s.memoLen; s.rngPos == n && n < MemoDraws {
+			if n%memoPage == 0 {
+				s.memo = append(s.memo, make([]uint32, memoPage))
+			}
+			s.memo[n/memoPage][n%memoPage] = v
+			s.memoLen++
+		}
+		if s.rngPos++; s.rngPos > i {
+			return uint64(v)
+		}
+	}
 }
 
 // InTx reports whether core is currently executing a transaction
@@ -318,6 +370,7 @@ func (s *System) Begin(core int, cycle uint64) {
 	t.active = true
 	t.doomed = CauseNone
 	t.startCycle = cycle
+	s.setDeadline(t)
 	if t.readSet == nil {
 		t.readSet = make(map[uint64]struct{})
 		t.writeSet = make(map[uint64]struct{})
@@ -411,17 +464,31 @@ func (s *System) doom(core int, cause Cause) {
 // exceeds the duration bound.
 func (s *System) checkDuration(core int, cycle uint64) {
 	t := &s.cores[core]
-	if !t.active || s.cfg.SuspendOnInterrupt {
-		return // POWER8-style transactions suspend across interrupts
-	}
-	if s.cfg.MaxCycles > 0 && cycle-t.startCycle > s.cfg.MaxCycles {
+	if t.active && cycle-t.durBase >= t.durSpan {
 		s.doom(core, CauseOther)
-		return
 	}
-	if p := s.cfg.InterruptPeriod; p > 0 {
-		if t.startCycle/p != cycle/p {
-			s.doom(core, CauseOther) // timer interrupt fired mid-transaction
-		}
+}
+
+// setDeadline derives the duration check from t.startCycle. The
+// transaction is doomed once it has run more than MaxCycles or the
+// cycle counter is in another interrupt period than startCycle. With a
+// duration bound that is "MaxCycles+1 or the distance to the next timer
+// interrupt, whichever is less, from startCycle"; with a timer alone it
+// is "outside the period startCycle lies in", which — unlike the first
+// form — also holds for a cycle before startCycle. Without either, or
+// with POWER8-style suspension across interrupts, it is "never". (Cycle
+// counts are assumed to stay below 2^64-1.)
+func (s *System) setDeadline(t *tx) {
+	max, p := s.cfg.MaxCycles, s.cfg.InterruptPeriod
+	switch {
+	case s.cfg.SuspendOnInterrupt || max == 0 && p == 0:
+		t.durBase, t.durSpan = 0, math.MaxUint64
+	case max == 0:
+		t.durBase, t.durSpan = t.startCycle-t.startCycle%p, p
+	case p > 0 && p-t.startCycle%p <= max:
+		t.durBase, t.durSpan = t.startCycle, p-t.startCycle%p
+	default:
+		t.durBase, t.durSpan = t.startCycle, max+1
 	}
 }
 
@@ -615,3 +682,6 @@ func (s *System) WriteSetSize(core int) int { return len(s.cores[core].writeSet)
 
 // ReadSetSize returns the number of lines in core's read set.
 func (s *System) ReadSetSize(core int) int { return len(s.cores[core].readSet) }
+
+// Draws returns the position of the spontaneous-abort stream.
+func (s *System) Draws() uint64 { return s.draws }

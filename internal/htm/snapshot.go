@@ -36,8 +36,9 @@ func (s *System) Snapshot() *Snapshot {
 
 // Restore returns the system to the snapshot's state, whatever it ran
 // since: a restored system continues exactly as the one the snapshot
-// was taken from. math/rand sources cannot be copied, so the stream is
-// re-seeded and advanced by the recorded number of draws.
+// was taken from. The stream position is just set: the next draw reads
+// the memo, and only one past the memo seeds a generator and skips to it
+// (see System.generate).
 func (s *System) Restore(sn *Snapshot) {
 	if len(sn.cores) != len(s.cores) {
 		panic("htm: Restore of a snapshot with a different core count")
@@ -48,6 +49,7 @@ func (s *System) Restore(sn *Snapshot) {
 		if !c.active {
 			continue
 		}
+		s.setDeadline(t)
 		if t.readSet == nil {
 			t.readSet = make(map[uint64]struct{}, len(c.readSet))
 			t.writeSet = make(map[uint64]struct{}, len(c.writeSet))
@@ -64,10 +66,7 @@ func (s *System) Restore(sn *Snapshot) {
 	}
 	s.Stats = sn.stats
 	s.Stats.Aborted = maps.Clone(sn.stats.Aborted)
-	s.rng.Seed(s.cfg.Seed)
-	for s.draws = 0; s.draws < sn.draws; {
-		s.draw()
-	}
+	s.draws = sn.draws
 }
 
 // Equal reports whether the system is in exactly the snapshot's state,

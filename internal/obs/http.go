@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strconv"
 )
@@ -46,8 +47,8 @@ type RawTrace struct {
 	Events  []EventRecord `json:"events"`
 }
 
-// NewHandler returns the debug mux: /metrics, /trace, /healthz, and
-// an index at /.
+// NewHandler returns the debug mux: /metrics, /trace, /healthz, the Go
+// profiler under /debug/pprof/, and an index at /.
 func NewHandler(cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
@@ -55,8 +56,13 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		io.WriteString(w, "haft debug endpoints: /metrics /trace /healthz\n")
+		io.WriteString(w, "haft debug endpoints: /metrics /trace /healthz /debug/pprof/\n")
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // heap, goroutine, allocs, ... by name
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		if len(cfg.Metrics) == 0 {
 			http.NotFound(w, req)

@@ -45,6 +45,20 @@ func TestHandlerMetrics(t *testing.T) {
 	}
 }
 
+// TestHandlerPprof: the Go profiler is mounted on the same listener.
+func TestHandlerPprof(t *testing.T) {
+	h := debugHandlerForTest()
+	if rec, body := get(t, h, "/debug/pprof/cmdline"); rec.Code != 200 || body == "" {
+		t.Fatalf("/debug/pprof/cmdline: status %d, body %q", rec.Code, body)
+	}
+	if rec, body := get(t, h, "/debug/pprof/goroutine?debug=1"); rec.Code != 200 || !strings.Contains(body, "goroutine profile") {
+		t.Fatalf("/debug/pprof/goroutine: status %d", rec.Code)
+	}
+	if _, body := get(t, h, "/"); !strings.Contains(body, "/debug/pprof/") {
+		t.Fatalf("index does not list the profiler: %q", body)
+	}
+}
+
 func TestHandlerTrace(t *testing.T) {
 	rec, body := get(t, debugHandlerForTest(), "/trace")
 	if rec.Code != 200 {

@@ -213,8 +213,15 @@ func Dial(addr string) (*Conn, error) {
 	}, nil
 }
 
+// ServerError is a well-formed "ERR <message>" reply: the server refused
+// or failed the command, and the connection is still in sync.
+type ServerError struct{ Msg string }
+
+func (e *ServerError) Error() string { return "serve: server error: " + e.Msg }
+
 // roundTrip sends one command line and returns the reply payload after
-// stripping the expected tag.
+// stripping the expected tag. An error that is not a *ServerError means
+// the connection can no longer be trusted.
 func (c *Conn) roundTrip(cmd, wantTag string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -234,7 +241,7 @@ func (c *Conn) roundTrip(cmd, wantTag string) (string, error) {
 	case wantTag:
 		return rest, nil
 	case "ERR":
-		return "", fmt.Errorf("serve: server error: %s", rest)
+		return "", &ServerError{Msg: rest}
 	default:
 		return "", fmt.Errorf("serve: unexpected reply %q", line)
 	}

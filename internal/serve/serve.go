@@ -52,7 +52,8 @@ import (
 type Config struct {
 	// Pool is the number of warm VM instances (= worker goroutines).
 	Pool int
-	// QueueDepth bounds the request queue; a full queue pushes back on
+	// QueueDepth bounds the request queue, in entries (a point request,
+	// or up to Batch keys of one scan); a full queue pushes back on
 	// submitters (Do blocks, TryDo rejects).
 	QueueDepth int
 	// Batch is the maximum number of requests executed in one machine
@@ -210,10 +211,13 @@ type instance struct {
 
 // Server is the request-serving layer.
 type Server struct {
-	cfg     Config
-	mod     moduleSource
-	prog    *workloads.Program
-	queue   chan *item
+	cfg  Config
+	mod  moduleSource
+	prog *workloads.Program
+	// queue carries entries: the items of one entry run in one batch. A
+	// point request or a retry is an entry of one, a scan admits up to
+	// Batch keys per entry.
+	queue   chan []*item
 	metrics *Metrics
 	ring    *obs.Ring
 	flight  *obs.FlightRecorder
@@ -322,7 +326,7 @@ func NewServer(cfg Config) (*Server, error) {
 		closed:   make(chan struct{}),
 	}
 	s.mod = moduleSource{prog: &hp, cprog: vm.SharedPrograms.Get(hp.Module), cfg: vm.DefaultConfig()}
-	s.queue = make(chan *item, cfg.QueueDepth)
+	s.queue = make(chan []*item, cfg.QueueDepth)
 	s.metrics = newMetrics(cfg.Pool, func() int { return len(s.queue) })
 
 	if err := s.calibrate(); err != nil {
@@ -423,47 +427,60 @@ func (s *Server) pokeBatch(inst *instance, words []uint64) {
 	inst.mach.Poke(inst.nreqAddr, uint64(len(words)))
 }
 
-// worker owns one instance and serves batches until shutdown.
+// worker owns one instance and serves batches until shutdown. held is
+// an entry taken off the queue that did not fit the last batch: it opens
+// the next one.
 func (s *Server) worker(id int) {
 	defer s.wg.Done()
 	inst := s.newInstance(id)
+	var batch, held []*item
 	for {
 		select {
 		case <-s.closed:
+			s.fail(held, ErrClosed)
 			return
-		case it := <-s.queue:
-			batch := s.gather(it, inst.id)
-			if len(batch) > 0 {
-				s.runBatch(inst, batch)
+		default:
+		}
+		if held == nil {
+			select {
+			case <-s.closed:
+				return
+			case held = <-s.queue:
 			}
+		}
+		if batch, held = s.gather(held, inst.id); len(batch) > 0 {
+			s.runBatch(inst, batch)
 		}
 	}
 }
 
-// gather assembles a batch: the first item plus whatever else is
-// immediately available, up to the batch bound. Items excluded from
-// this instance (they faulted here last time) are pushed back so a
-// different instance picks them up.
-func (s *Server) gather(first *item, id int) []*item {
-	batch := make([]*item, 0, s.cfg.Batch)
-	add := func(it *item) {
-		if it.exclude == id && s.cfg.Pool > 1 {
-			it.exclude = -1 // give way once, accept anywhere after
-			s.requeue(it, 0)
-			return
-		}
-		batch = append(batch, it)
-	}
-	add(first)
-	for len(batch) < s.cfg.Batch {
-		select {
-		case it := <-s.queue:
-			add(it)
+// gather assembles a batch: the first entry plus whatever else is
+// immediately available, up to the batch bound. An entry is never split:
+// one that does not fit the remaining room ends the batch and is
+// returned as held (nothing overtakes it on this worker). A retried item
+// excluded from this instance (it faulted here last time) is pushed back
+// so a different instance picks it up.
+func (s *Server) gather(entry []*item, id int) (batch, held []*item) {
+	batch = make([]*item, 0, s.cfg.Batch)
+	for {
+		switch {
+		case len(entry) == 1 && entry[0].exclude == id && s.cfg.Pool > 1:
+			entry[0].exclude = -1 // give way once, accept anywhere after
+			s.requeue(entry, 0)
+		case len(batch)+len(entry) > s.cfg.Batch:
+			return batch, entry
 		default:
-			return batch
+			batch = append(batch, entry...)
+		}
+		if len(batch) == s.cfg.Batch {
+			return batch, nil
+		}
+		select {
+		case entry = <-s.queue:
+		default:
+			return batch, nil
 		}
 	}
-	return batch
 }
 
 // finish delivers a request's result and retires it from the
@@ -473,20 +490,27 @@ func (s *Server) finish(it *item, r result) {
 	s.outstanding.Add(-1)
 }
 
-// requeue re-submits an item after a delay without blocking a worker.
-func (s *Server) requeue(it *item, delay time.Duration) {
+// fail finishes every item of an entry with err.
+func (s *Server) fail(entry []*item, err error) {
+	for _, it := range entry {
+		s.finish(it, result{err: err})
+	}
+}
+
+// requeue re-submits an entry after a delay without blocking a worker.
+func (s *Server) requeue(entry []*item, delay time.Duration) {
 	push := func() {
 		select {
-		case s.queue <- it:
+		case s.queue <- entry:
 		case <-s.closed:
-			s.finish(it, result{err: ErrClosed})
+			s.fail(entry, ErrClosed)
 		}
 	}
 	if delay <= 0 {
 		// Fast path: try inline, fall back to a goroutine so a full
 		// queue cannot deadlock the worker that is requeueing.
 		select {
-		case s.queue <- it:
+		case s.queue <- entry:
 		default:
 			go push()
 		}
@@ -813,7 +837,7 @@ func (s *Server) failOrRetry(inst *instance, batch []*item, cause error) {
 		s.metrics.retries.Inc()
 		s.event(obs.Event{Kind: obs.KindRetry, Actor: int32(inst.id),
 			A: uint64(it.retries), Label: "serve", TraceID: it.tid})
-		s.requeue(it, backoff)
+		s.requeue([]*item{it}, backoff)
 	}
 }
 
@@ -833,80 +857,117 @@ func randMask(rng *rand.Rand) uint64 {
 // Do submits a request and blocks until its response (backpressure:
 // a full queue blocks the submitter).
 func (s *Server) Do(req Request) (uint64, error) {
-	return s.submit(req, true)
+	return s.do(req, true)
 }
 
 // TryDo submits a request but returns ErrOverloaded instead of
 // blocking when the queue is full.
 func (s *Server) TryDo(req Request) (uint64, error) {
-	return s.submit(req, false)
+	return s.do(req, false)
 }
 
-func (s *Server) submit(req Request, wait bool) (uint64, error) {
+func (s *Server) do(req Request, wait bool) (uint64, error) {
+	entry := []*item{newItem(req)}
+	if err := s.admit(entry, wait); err != nil {
+		return 0, err
+	}
+	vals, err := s.await(entry)
+	if err != nil {
+		return 0, err
+	}
+	return vals[0], nil
+}
+
+func newItem(req Request) *item {
+	return &item{
+		tid:     req.TraceID,
+		word:    workloads.KVRequestWord(req.Write, req.Key, req.Value),
+		exclude: -1,
+		done:    make(chan result, 1),
+	}
+}
+
+// admit puts the items on the queue as one entry — they run in one
+// batch — or admits none of them.
+func (s *Server) admit(entry []*item, wait bool) error {
 	select {
 	case <-s.closed:
-		return 0, ErrClosed
+		return ErrClosed
 	default:
 	}
+	// Count the requests as outstanding BEFORE they are counted as
+	// submitted or enqueued, and before looking at draining: Shutdown sets
+	// draining and then reads outstanding, so it can never observe a zero
+	// while a just-admitted request races between here and a worker.
+	n := int64(len(entry))
+	s.outstanding.Add(n)
 	if s.draining.Load() {
 		// A draining server admits nothing new; in-flight requests
 		// keep running until Shutdown's drain completes.
-		return 0, ErrClosed
+		s.outstanding.Add(-n)
+		return ErrClosed
 	}
-	// Count the request as outstanding BEFORE it is counted as submitted
-	// or enqueued, so the drain path can never observe a momentary zero
-	// while a just-admitted request races between here and a worker.
-	s.outstanding.Add(1)
-	s.metrics.requests.Inc()
-	it := &item{
-		id:       s.reqID.Add(1),
-		tid:      req.TraceID,
-		word:     workloads.KVRequestWord(req.Write, req.Key, req.Value),
-		exclude:  -1,
-		enqueued: time.Now(),
-		done:     make(chan result, 1),
+	s.metrics.requests.Add(uint64(n))
+	now := time.Now()
+	for _, it := range entry {
+		it.id, it.enqueued = s.reqID.Add(1), now
+		s.event(obs.Event{Kind: obs.KindRequest, A: it.id, TraceID: it.tid})
 	}
-	s.event(obs.Event{Kind: obs.KindRequest, A: it.id, TraceID: it.tid})
 	if wait {
 		select {
-		case s.queue <- it:
+		case s.queue <- entry:
+			return nil
 		case <-s.closed:
-			s.outstanding.Add(-1)
-			return 0, ErrClosed
-		}
-	} else {
-		select {
-		case s.queue <- it:
-		default:
-			s.outstanding.Add(-1)
-			s.metrics.rejected.Inc()
-			return 0, ErrOverloaded
+			s.outstanding.Add(-n)
+			return ErrClosed
 		}
 	}
+	select {
+	case s.queue <- entry:
+		return nil
+	default:
+		s.outstanding.Add(-n)
+		s.metrics.rejected.Inc()
+		return ErrOverloaded
+	}
+}
+
+// await blocks until the admitted items are answered, in order, and
+// returns their replies — or the first failure: an item's own, the
+// submitter's side of Config.Deadline (one watchdog for all of them), or
+// the server closing.
+func (s *Server) await(items []*item) ([]uint64, error) {
 	var watchdog <-chan time.Time
 	if s.cfg.Deadline > 0 {
 		timer := time.NewTimer(s.cfg.Deadline)
 		defer timer.Stop()
 		watchdog = timer.C
 	}
-	select {
-	case r := <-it.done:
-		return r.val, r.err
-	case <-watchdog:
-		// The request may still be queued or retrying; the submitter
-		// gets a definitive deadline failure now (the late result, if
-		// any, lands in the buffered channel and is dropped).
-		s.metrics.deadlines.Inc()
-		return 0, ErrDeadline
-	case <-s.closed:
-		// Drain either the late result or report shutdown.
+	out := make([]uint64, len(items))
+	for i, it := range items {
+		var r result
 		select {
-		case r := <-it.done:
-			return r.val, r.err
-		default:
-			return 0, ErrClosed
+		case r = <-it.done:
+		case <-watchdog:
+			// The request may still be queued or retrying; the submitter
+			// gets a definitive deadline failure now (the late result, if
+			// any, lands in the buffered channel and is dropped).
+			s.metrics.deadlines.Inc()
+			return nil, ErrDeadline
+		case <-s.closed:
+			// Drain either the late result or report shutdown.
+			select {
+			case r = <-it.done:
+			default:
+				return nil, ErrClosed
+			}
 		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		out[i] = r.val
 	}
+	return out, nil
 }
 
 // Get reads a key.
@@ -920,37 +981,24 @@ func (s *Server) Put(key, value uint64) (uint64, error) {
 }
 
 // Scan reads n consecutive keys starting at key (wrapping at the key
-// range) and returns their replies in order.
+// range) and returns their replies in order. Every run of up to Batch
+// keys is admitted as one queue entry, so it costs one machine run
+// unless a key has to be retried; all entries are admitted before the
+// first is awaited, so a long scan spreads over the pool.
 func (s *Server) Scan(key uint64, n int) ([]uint64, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	type slot struct {
-		i   int
-		val uint64
-		err error
+	items := make([]*item, n)
+	for i := range items {
+		items[i] = newItem(Request{Key: (key + uint64(i)) % uint64(s.cfg.KV.Records)})
 	}
-	ch := make(chan slot, n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			k := (key + uint64(i)) % uint64(s.cfg.KV.Records)
-			v, err := s.Get(k)
-			ch <- slot{i, v, err}
-		}(i)
-	}
-	out := make([]uint64, n)
-	var firstErr error
-	for i := 0; i < n; i++ {
-		r := <-ch
-		out[r.i] = r.val
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
+	for lo := 0; lo < n; lo += s.cfg.Batch {
+		if err := s.admit(items[lo:min(lo+s.cfg.Batch, n)], true); err != nil {
+			return nil, err // entries already admitted run and are dropped
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return s.await(items)
 }
 
 // Records returns the configured key range.
@@ -1027,8 +1075,8 @@ func (s *Server) Close() {
 		s.wg.Wait()
 		for {
 			select {
-			case it := <-s.queue:
-				s.finish(it, result{err: ErrClosed})
+			case entry := <-s.queue:
+				s.fail(entry, ErrClosed)
 			default:
 				return
 			}

@@ -203,68 +203,102 @@ func dirtier(t *testing.T, c snapCase, m *Machine, start *Snapshot) func() {
 // resumed from any of those snapshots — on the machine that took them
 // and on another one dirtied by a crashed faulty run.
 func TestSnapshotStepsAndRestore(t *testing.T) {
-	const steps = 40
 	for _, c := range snapCases(t) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			straight := c.machine()
-			if st := straight.Run(c.specs()...); st != StatusOK {
-				t.Fatalf("straight run: %v (%s)", st, straight.Stats().CrashReason)
-			}
-			want := finalOf(straight)
-
-			stepped := c.machine()
-			stepped.Start(c.specs()...)
-			snaps := []*Snapshot{stepped.Snapshot()}
-			stride := want.stats.DynInstrs/steps + 1
-			var inTx, blocked, afterAbort bool
-			for !stepped.RunUntil(uint64(len(snaps)) * stride) {
-				for i, co := range stepped.cores {
-					inTx = inTx || stepped.HTM.InTx(i)
-					blocked = blocked || co.state == threadBlocked
-				}
-				afterAbort = afterAbort || stepped.HTM.Stats.Aborted[htm.CauseOther] > 0
-				if stepped.Equal(snaps[0]) {
-					t.Fatal("a machine that has run equals its start snapshot")
-				}
-				snaps = append(snaps, stepped.Snapshot())
-				if !stepped.Equal(snaps[len(snaps)-1]) {
-					t.Fatalf("machine differs from the snapshot just taken (%d)", len(snaps)-1)
-				}
-			}
-			if d := finalOf(stepped).diff(want); d != "" {
-				t.Fatalf("run in %d steps differs from the straight run: %s", len(snaps), d)
-			}
-			if len(snaps) < steps/2 {
-				t.Fatalf("only %d snapshots taken", len(snaps))
-			}
-			if c.mode == harden.ModeHAFT && !(inTx && afterAbort) {
-				t.Errorf("no snapshot mid-transaction (%v) or after a spontaneous abort (%v)", inTx, afterAbort)
-			}
-			if c.threads == 2 && !blocked {
-				t.Error("no snapshot with a thread blocked on a lock or barrier")
-			}
-
-			other := c.machine()
-			dirty := dirtier(t, c, other, snaps[0])
-			for k, s := range snaps {
-				stepped.Restore(s)
-				stepped.RunUntil(^uint64(0))
-				if d := finalOf(stepped).diff(want); d != "" {
-					t.Fatalf("resumed from snapshot %d on the same machine: %s", k, d)
-				}
-				dirty()
-				other.Restore(s)
-				if !other.Equal(s) {
-					t.Fatalf("dirtied machine differs from snapshot %d after Restore", k)
-				}
-				other.RunUntil(^uint64(0))
-				if d := finalOf(other).diff(want); d != "" {
-					t.Fatalf("resumed from snapshot %d on a dirtied machine: %s", k, d)
-				}
-			}
+			checkStepsAndRestore(t, c, 40)
 		})
 	}
+	// The same property where the spontaneous-abort stream runs far past
+	// what htm memoizes, so that Restore positions it before, across and
+	// beyond the memo: the private loop made 1000 times longer.
+	mod, err := harden.Harden(ir.MustParse(strings.Replace(snapProg, "add v22, #60", "add v22, #60000", 1)),
+		harden.Config{Mode: harden.ModeHAFT, Opt: harden.OptFaultProp, TxThreshold: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := snapCase{name: "haft/1T/compiled/long", mode: harden.ModeHAFT, threads: 1, mod: mod, prog: Compile(mod)}
+	t.Run(long.name, func(t *testing.T) {
+		t.Parallel()
+		if draws := checkStepsAndRestore(t, long, 8); draws < 3*htm.MemoDraws/2 {
+			t.Fatalf("the long run drew %d times, want well past htm.MemoDraws = %d", draws, htm.MemoDraws)
+		}
+	})
+}
+
+// checkStepsAndRestore is the property for one case; it returns the
+// number of spontaneous-abort draws of the whole run.
+func checkStepsAndRestore(t *testing.T, c snapCase, steps uint64) uint64 {
+	t.Helper()
+	straight := c.machine()
+	if st := straight.Run(c.specs()...); st != StatusOK {
+		t.Fatalf("straight run: %v (%s)", st, straight.Stats().CrashReason)
+	}
+	want, draws := finalOf(straight), straight.HTM.Draws()
+
+	stepped := c.machine()
+	stepped.Start(c.specs()...)
+	snaps := []*Snapshot{stepped.Snapshot()}
+	stride := want.stats.DynInstrs/steps + 1
+	var inTx, blocked, afterAbort bool
+	for !stepped.RunUntil(uint64(len(snaps)) * stride) {
+		for i, co := range stepped.cores {
+			inTx = inTx || stepped.HTM.InTx(i)
+			blocked = blocked || co.state == threadBlocked
+		}
+		afterAbort = afterAbort || stepped.HTM.Stats.Aborted[htm.CauseOther] > 0
+		if stepped.Equal(snaps[0]) {
+			t.Fatal("a machine that has run equals its start snapshot")
+		}
+		snaps = append(snaps, stepped.Snapshot())
+		if !stepped.Equal(snaps[len(snaps)-1]) {
+			t.Fatalf("machine differs from the snapshot just taken (%d)", len(snaps)-1)
+		}
+	}
+	if d := finalOf(stepped).diff(want); d != "" {
+		t.Fatalf("run in %d steps differs from the straight run: %s", len(snaps), d)
+	}
+	if uint64(len(snaps)) < steps/2 {
+		t.Fatalf("only %d snapshots taken", len(snaps))
+	}
+	if c.mode == harden.ModeHAFT && !(inTx && afterAbort) {
+		t.Errorf("no snapshot mid-transaction (%v) or after a spontaneous abort (%v)", inTx, afterAbort)
+	}
+	if c.threads == 2 && !blocked {
+		t.Error("no snapshot with a thread blocked on a lock or barrier")
+	}
+
+	// The warm machine after Reset passes through the fresh one's states.
+	straight.Reset()
+	straight.Start(c.specs()...)
+	for k, s := range snaps {
+		if k > 0 {
+			straight.RunUntil(uint64(k) * stride)
+		}
+		if !straight.Equal(s) {
+			t.Fatalf("a machine reused after Reset differs from the fresh one at snapshot %d", k)
+		}
+	}
+
+	other := c.machine()
+	dirty := dirtier(t, c, other, snaps[0])
+	for k, s := range snaps {
+		stepped.Restore(s)
+		stepped.RunUntil(^uint64(0))
+		if d := finalOf(stepped).diff(want); d != "" {
+			t.Fatalf("resumed from snapshot %d on the same machine: %s", k, d)
+		}
+		dirty()
+		other.Restore(s)
+		if !other.Equal(s) {
+			t.Fatalf("dirtied machine differs from snapshot %d after Restore", k)
+		}
+		other.RunUntil(^uint64(0))
+		if d := finalOf(other).diff(want); d != "" {
+			t.Fatalf("resumed from snapshot %d on a dirtied machine: %s", k, d)
+		}
+	}
+	return draws
 }
 
 // TestSnapshotEqualSeesEveryPart: Equal must notice a difference in
