@@ -322,6 +322,7 @@ func (c *Cluster) Node(i int) Backend { return c.nodes[i].be }
 
 // callResult is one replica's answer to a fanned-out request.
 type callResult struct {
+	slot int // index of the node among the fan-out's targets
 	node *node
 	val  uint64
 	err  error
@@ -329,30 +330,25 @@ type callResult struct {
 
 // fanout calls every target concurrently, bounding each call with
 // CallTimeout; a timed-out replica counts as failed (its goroutine
-// finishes in the background against a buffered channel).
+// finishes in the background against a buffered channel). Results are
+// in target order.
 func (c *Cluster) fanout(targets []*node, req serve.Request) []callResult {
 	ch := make(chan callResult, len(targets))
-	for _, n := range targets {
-		go func(n *node) {
+	out := make([]callResult, len(targets))
+	for i, n := range targets {
+		out[i] = callResult{slot: i, node: n, err: errCallTimeout} // until its answer arrives
+		go func(i int, n *node) {
 			v, err := n.be.Do(req)
-			ch <- callResult{node: n, val: v, err: err}
-		}(n)
+			ch <- callResult{slot: i, node: n, val: v, err: err}
+		}(i, n)
 	}
 	timer := time.NewTimer(c.cfg.CallTimeout)
 	defer timer.Stop()
-	out := make([]callResult, 0, len(targets))
-	got := map[*node]bool{}
-	for len(out) < len(targets) {
+	for got := 0; got < len(targets); got++ {
 		select {
 		case r := <-ch:
-			out = append(out, r)
-			got[r.node] = true
+			out[r.slot] = r
 		case <-timer.C:
-			for _, n := range targets {
-				if !got[n] {
-					out = append(out, callResult{node: n, err: errCallTimeout})
-				}
-			}
 			return out
 		}
 	}

@@ -125,6 +125,9 @@ func NewSched(width int) *Sched {
 	return &Sched{Width: width}
 }
 
+// Reset returns the scoreboard to cycle 0, keeping its width.
+func (s *Sched) Reset() { *s = Sched{Width: s.Width} }
+
 // Now returns the current cycle of the core.
 func (s *Sched) Now() uint64 { return s.cycle }
 

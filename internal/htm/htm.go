@@ -238,10 +238,10 @@ func (s *Stats) CauseShare(c Cause) float64 {
 type tx struct {
 	active     bool
 	doomed     Cause
-	readSet    map[uint64]struct{}
-	writeSet   map[uint64]struct{}
-	writeVals  map[uint64]uint64 // word address -> buffered value
-	setCount   []uint16          // read lines per L1 set (geometry model)
+	readSet    table    // cache lines read
+	writeSet   table    // cache lines written
+	writeVals  table    // word address -> buffered value
+	setCount   []uint16 // read lines per L1 set (geometry model)
 	startCycle uint64
 	// The duration check as one compare: the transaction is doomed at the
 	// first cycle with cycle-durBase >= durSpan (unsigned). Both are
@@ -250,11 +250,11 @@ type tx struct {
 }
 
 // MemoDraws bounds the per-System memo of the spontaneous-abort stream:
-// 64 Ki draws, 256 KiB once a run has drawn that many. It grows a page
+// 256 Ki draws, 1 MiB once a run has drawn that many. It grows a page
 // at a time, so a system holds (and has allocated) what its longest run
 // drew, rounded up to 4 KiB.
 const (
-	MemoDraws = 1 << 16
+	MemoDraws = 1 << 18
 	memoPage  = 1 << 10
 )
 
@@ -371,20 +371,13 @@ func (s *System) Begin(core int, cycle uint64) {
 	t.doomed = CauseNone
 	t.startCycle = cycle
 	s.setDeadline(t)
-	if t.readSet == nil {
-		t.readSet = make(map[uint64]struct{})
-		t.writeSet = make(map[uint64]struct{})
-		t.writeVals = make(map[uint64]uint64)
-		if s.cfg.L1Sets > 0 {
-			t.setCount = make([]uint16, s.cfg.L1Sets)
-		}
+	t.readSet.reset()
+	t.writeSet.reset()
+	t.writeVals.reset()
+	if len(t.setCount) != s.cfg.L1Sets {
+		t.setCount = make([]uint16, s.cfg.L1Sets)
 	} else {
-		clear(t.readSet)
-		clear(t.writeSet)
-		clear(t.writeVals)
-		for i := range t.setCount {
-			t.setCount[i] = 0
-		}
+		clear(t.setCount)
 	}
 	s.Stats.Started++
 	if s.Trace != nil {
@@ -393,10 +386,10 @@ func (s *System) Begin(core int, cycle uint64) {
 }
 
 // Commit attempts to commit the core's transaction (XEND). On success
-// it calls apply for every buffered (wordAddr, value) pair — the
-// atomic flush of the write set to memory — and returns (CauseNone,
-// true). If the transaction was doomed, it is aborted instead and the
-// cause is returned with ok=false.
+// it calls apply for every buffered (wordAddr, value) pair, in the order
+// the words were first written — the atomic flush of the write set to
+// memory — and returns (CauseNone, true). If the transaction was doomed,
+// it is aborted instead and the cause is returned with ok=false.
 func (s *System) Commit(core int, cycle uint64, apply func(addr, val uint64)) (Cause, bool) {
 	t := &s.cores[core]
 	if !t.active {
@@ -408,8 +401,9 @@ func (s *System) Commit(core int, cycle uint64, apply func(addr, val uint64)) (C
 		s.abort(core, cycle, c)
 		return c, false
 	}
-	for a, v := range t.writeVals {
-		apply(a, v)
+	for _, i := range t.writeVals.live {
+		e := &t.writeVals.slots[i]
+		apply(e.key, e.val)
 	}
 	s.Stats.Committed++
 	s.Stats.TxCycles += cycle - t.startCycle
@@ -512,7 +506,7 @@ func (s *System) effectiveWriteCap(core int) int {
 	if sib := s.sibling(core); sib >= 0 {
 		st := &s.cores[sib]
 		if st.active {
-			cap -= len(st.writeSet) + len(st.readSet)/8
+			cap -= st.writeSet.len() + st.readSet.len()/8
 		}
 		cap /= 2 // static partitioning of the shared L1
 	}
@@ -528,7 +522,7 @@ func (s *System) effectiveReadCap(core int) int {
 		st := &s.cores[sib]
 		cap /= 2
 		if st.active {
-			cap -= len(st.readSet)
+			cap -= st.readSet.len()
 		}
 	}
 	if cap < 1 {
@@ -552,7 +546,7 @@ func (s *System) Read(core int, addr uint64, cycle uint64) (val uint64, buffered
 		}
 		o := &s.cores[i]
 		if o.active {
-			if _, w := o.writeSet[line]; w {
+			if o.writeSet.has(line) {
 				s.doom(i, CauseConflict)
 			}
 		}
@@ -565,13 +559,9 @@ func (s *System) Read(core int, addr uint64, cycle uint64) (val uint64, buffered
 	s.spontaneous(core)
 	if s.cfg.RollbackOnly {
 		// Rollback-only transactions do not track reads at all.
-		if v, ok := t.writeVals[addr]; ok {
-			return v, true
-		}
-		return 0, false
+		return t.writeVals.get(addr)
 	}
-	if _, seen := t.readSet[line]; !seen {
-		t.readSet[line] = struct{}{}
+	if t.readSet.put(line, 0) {
 		if s.cfg.L1Sets > 0 {
 			set := line % uint64(s.cfg.L1Sets)
 			t.setCount[set]++
@@ -588,16 +578,13 @@ func (s *System) Read(core int, addr uint64, cycle uint64) (val uint64, buffered
 			}
 		}
 	}
-	if len(t.readSet) > s.Stats.MaxReadSet {
-		s.Stats.MaxReadSet = len(t.readSet)
+	if n := t.readSet.len(); n > s.Stats.MaxReadSet {
+		s.Stats.MaxReadSet = n
 	}
-	if len(t.readSet) > s.effectiveReadCap(core) {
+	if t.readSet.len() > s.effectiveReadCap(core) {
 		s.doom(core, CauseCapacity)
 	}
-	if v, ok := t.writeVals[addr]; ok {
-		return v, true
-	}
-	return 0, false
+	return t.writeVals.get(addr)
 }
 
 // Write performs a (possibly transactional) write of the 8-byte word
@@ -617,11 +604,7 @@ func (s *System) Write(core int, addr, val uint64, cycle uint64) (buffered bool)
 		if !o.active {
 			continue
 		}
-		if _, w := o.writeSet[line]; w {
-			s.doom(i, CauseConflict)
-			continue
-		}
-		if _, r := o.readSet[line]; r {
+		if o.writeSet.has(line) || o.readSet.has(line) {
 			s.doom(i, CauseConflict)
 		}
 	}
@@ -631,17 +614,17 @@ func (s *System) Write(core int, addr, val uint64, cycle uint64) (buffered bool)
 	}
 	s.checkDuration(core, cycle)
 	s.spontaneous(core)
-	before := len(t.writeSet)
-	t.writeSet[line] = struct{}{}
-	t.writeVals[addr] = val
-	if len(t.writeSet) > s.Stats.MaxWriteSet {
-		s.Stats.MaxWriteSet = len(t.writeSet)
+	grew := t.writeSet.put(line, 0)
+	t.writeVals.put(addr, val)
+	n := t.writeSet.len()
+	if n > s.Stats.MaxWriteSet {
+		s.Stats.MaxWriteSet = n
 	}
-	if grew := len(t.writeSet) > before; grew {
+	if grew {
 		cap := s.effectiveWriteCap(core)
-		if over := len(t.writeSet) - cap; over > 0 {
+		if over := n - cap; over > 0 {
 			switch {
-			case len(t.writeSet) > 2*cap:
+			case n > 2*cap:
 				s.doom(core, CauseCapacity)
 			case s.cfg.WriteEvictAbortMicro > 0 &&
 				s.draw() < s.cfg.WriteEvictAbortMicro*uint64(over):
@@ -678,10 +661,10 @@ func (s *System) spontaneous(core int) {
 
 // WriteSetSize returns the number of lines in core's write set
 // (diagnostics and tests).
-func (s *System) WriteSetSize(core int) int { return len(s.cores[core].writeSet) }
+func (s *System) WriteSetSize(core int) int { return s.cores[core].writeSet.len() }
 
 // ReadSetSize returns the number of lines in core's read set.
-func (s *System) ReadSetSize(core int) int { return len(s.cores[core].readSet) }
+func (s *System) ReadSetSize(core int) int { return s.cores[core].readSet.len() }
 
 // Draws returns the position of the spontaneous-abort stream.
 func (s *System) Draws() uint64 { return s.draws }

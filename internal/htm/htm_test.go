@@ -395,7 +395,7 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 	if !a.InTx(core) {
 		core = 1
 	}
-	a.cores[core].writeVals[0x9000] = 1
+	a.cores[core].writeVals.put(0x9000, 1)
 	if a.Equal(sn) {
 		t.Error("Equal missed a buffered write")
 	}

@@ -11,22 +11,43 @@ import "maps"
 // clears them before their next use), so they are neither copied nor
 // compared.
 type Snapshot struct {
-	cores []tx
+	cores []txSnap
 	stats Stats
 	draws uint64
 }
 
+// txSnap is the captured state of one core; the sets are held as their
+// entries in insertion order, so a restored write buffer commits in the
+// order the original would have.
+type txSnap struct {
+	active                       bool
+	doomed                       Cause
+	startCycle                   uint64
+	readSet, writeSet, writeVals []entry
+	setCount                     []uint16
+}
+
+// Bytes estimates the memory the snapshot holds.
+func (sn *Snapshot) Bytes() int {
+	n := 0
+	for i := range sn.cores {
+		c := &sn.cores[i]
+		n += 16*(len(c.readSet)+len(c.writeSet)+len(c.writeVals)) + 2*len(c.setCount)
+	}
+	return n
+}
+
 // Snapshot captures the system's state.
 func (s *System) Snapshot() *Snapshot {
-	sn := &Snapshot{cores: make([]tx, len(s.cores)), stats: s.Stats, draws: s.draws}
+	sn := &Snapshot{cores: make([]txSnap, len(s.cores)), stats: s.Stats, draws: s.draws}
 	sn.stats.Aborted = maps.Clone(s.Stats.Aborted)
 	for i := range s.cores {
 		t := &s.cores[i]
-		c := tx{active: t.active, doomed: t.doomed, startCycle: t.startCycle}
+		c := txSnap{active: t.active, doomed: t.doomed, startCycle: t.startCycle}
 		if t.active {
-			c.readSet = maps.Clone(t.readSet)
-			c.writeSet = maps.Clone(t.writeSet)
-			c.writeVals = maps.Clone(t.writeVals)
+			c.readSet = t.readSet.entries(nil)
+			c.writeSet = t.writeSet.entries(nil)
+			c.writeVals = t.writeVals.entries(nil)
 			c.setCount = append([]uint16(nil), t.setCount...)
 		}
 		sn.cores[i] = c
@@ -50,18 +71,9 @@ func (s *System) Restore(sn *Snapshot) {
 			continue
 		}
 		s.setDeadline(t)
-		if t.readSet == nil {
-			t.readSet = make(map[uint64]struct{}, len(c.readSet))
-			t.writeSet = make(map[uint64]struct{}, len(c.writeSet))
-			t.writeVals = make(map[uint64]uint64, len(c.writeVals))
-		} else {
-			clear(t.readSet)
-			clear(t.writeSet)
-			clear(t.writeVals)
-		}
-		maps.Copy(t.readSet, c.readSet)
-		maps.Copy(t.writeSet, c.writeSet)
-		maps.Copy(t.writeVals, c.writeVals)
+		t.readSet.load(c.readSet)
+		t.writeSet.load(c.writeSet)
+		t.writeVals.load(c.writeVals)
 		t.setCount = append(t.setCount[:0], c.setCount...)
 	}
 	s.Stats = sn.stats
@@ -81,8 +93,8 @@ func (s *System) Equal(sn *Snapshot) bool {
 		if t.active != c.active || t.doomed != c.doomed || t.startCycle != c.startCycle {
 			return false
 		}
-		if t.active && !(maps.Equal(t.readSet, c.readSet) && maps.Equal(t.writeSet, c.writeSet) &&
-			maps.Equal(t.writeVals, c.writeVals)) {
+		if t.active && !(t.readSet.equal(c.readSet) && t.writeSet.equal(c.writeSet) &&
+			t.writeVals.equal(c.writeVals)) {
 			return false // setCount is a function of readSet
 		}
 	}

@@ -433,6 +433,7 @@ func (m *Machine) execTerminatorC(c *core, fr *frame, ci *cinstr) {
 		}
 		c.sched.Issue(ci.lat, ready)
 		popped := c.frames[len(c.frames)-1]
+		c.release(c.frames[len(c.frames)-1:])
 		c.frames = c.frames[:len(c.frames)-1]
 		if len(c.frames) == 0 {
 			c.state = threadDone
@@ -455,19 +456,12 @@ func (m *Machine) execTerminatorC(c *core, fr *frame, ci *cinstr) {
 }
 
 // pushFrameC enters a compiled callee. It mirrors pushFrame
-// (operand gather, issue, overflow check, frame construction) with
-// one combined allocation for the register and readiness files.
+// (operand gather, issue, overflow check, frame construction).
 func (m *Machine) pushFrameC(c *core, fr *frame, cfn *cfunc, args []carg, res int32, lat uint64) {
 	callee := cfn.fn
-	n := callee.NValues
-	buf := make([]uint64, 2*n)
-	regs := buf[:n:n]
-	rdy := buf[n:]
 	var opsReady uint64
-	for i, a := range args {
-		v, r := fr.cval(a)
-		regs[i] = v
-		if r > opsReady {
+	for _, a := range args {
+		if _, r := fr.cval(a); r > opsReady {
 			opsReady = r
 		}
 	}
@@ -480,7 +474,9 @@ func (m *Machine) pushFrameC(c *core, fr *frame, cfn *cfunc, args []carg, res in
 		m.crash("stack overflow in " + callee.Name)
 		return
 	}
-	for i := range args {
+	regs, rdy := c.file(callee.NValues)
+	for i, a := range args {
+		regs[i], _ = fr.cval(a)
 		rdy[i] = ready
 	}
 	c.frames = append(c.frames, frame{

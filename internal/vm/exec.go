@@ -337,6 +337,7 @@ func (m *Machine) execTerminator(c *core, fr *frame, in *ir.Instr) {
 		}
 		c.sched.Issue(cpu.Latency(ir.OpRet), ready)
 		popped := c.frames[len(c.frames)-1]
+		c.release(c.frames[len(c.frames)-1:])
 		c.frames = c.frames[:len(c.frames)-1]
 		if len(c.frames) == 0 {
 			c.state = threadDone
@@ -397,11 +398,8 @@ func (m *Machine) execCallInd(c *core, in *ir.Instr) {
 func (m *Machine) pushFrame(c *core, callee *ir.Func, in *ir.Instr) {
 	fr := &c.frames[len(c.frames)-1]
 	var opsReady uint64
-	args := make([]uint64, len(in.Args))
-	for i, a := range in.Args {
-		v, r := fr.operand(a)
-		args[i] = v
-		if r > opsReady {
+	for _, a := range in.Args {
+		if _, r := fr.operand(a); r > opsReady {
 			opsReady = r
 		}
 	}
@@ -416,14 +414,13 @@ func (m *Machine) pushFrame(c *core, callee *ir.Func, in *ir.Instr) {
 	}
 	nf := frame{
 		fn:       callee,
-		regs:     make([]uint64, callee.NValues),
-		ready:    make([]uint64, callee.NValues),
 		base:     newBase,
 		retReg:   in.Res,
 		retReady: in.Res != ir.NoValue,
 	}
-	copy(nf.regs, args)
-	for i := range args {
+	nf.regs, nf.ready = c.file(callee.NValues)
+	for i, a := range in.Args {
+		nf.regs[i], _ = fr.operand(a)
 		nf.ready[i] = ready
 	}
 	c.frames = append(c.frames, nf)
@@ -530,28 +527,69 @@ func (m *Machine) checkDoom(c *core) {
 
 // restoreSnapshot deep-restores the frame stack from the snapshot.
 func (c *core) restoreSnapshot() {
-	s := c.snapshot
-	c.frames = c.frames[:0]
-	for i := range s.frames {
-		sf := s.frames[i]
-		nf := sf
-		nf.regs = append([]uint64(nil), sf.regs...)
-		nf.ready = append([]uint64(nil), sf.ready...)
-		c.frames = append(c.frames, nf)
+	c.frames = c.copyFrames(c.frames, c.snapshot.frames)
+}
+
+// takeSnapshot captures the frame stack in the core's txbuf with the
+// current frame's position advanced past the instruction being
+// executed, so a retry resumes right after the tx.begin /
+// tx.cond_split call.
+func (c *core) takeSnapshot() {
+	s := &c.txbuf
+	s.frames = c.copyFrames(s.frames, c.frames)
+	s.frames[len(s.frames)-1].instr++
+	c.snapshot = s
+}
+
+// Register files. A frame's regs and ready are the two halves of one
+// allocation, and every file of a core's frame stack and of its txbuf
+// comes from, and returns to, the core's free list: a warm machine
+// calls, returns, begins and aborts transactions without allocating.
+
+// grab returns a file for n values with arbitrary content: the most
+// recently released one that is large enough, else a new one.
+func (c *core) grab(n int) []uint64 {
+	for i := len(c.free) - 1; i >= 0; i-- {
+		if f := c.free[i]; cap(f) >= 2*n {
+			last := len(c.free) - 1
+			c.free[i] = c.free[last]
+			c.free = c.free[:last]
+			return f[:2*n]
+		}
+	}
+	return make([]uint64, 2*n)
+}
+
+// file returns the zeroed register and readiness files of a new frame.
+func (c *core) file(n int) (regs, ready []uint64) {
+	buf := c.grab(n)
+	clear(buf)
+	return buf[:n], buf[n:]
+}
+
+// release takes back the files of frames that are going away.
+func (c *core) release(frames []frame) {
+	for i := range frames {
+		c.free = append(c.free, frames[i].regs[:cap(frames[i].regs)])
 	}
 }
 
-// takeSnapshot captures the frame stack with the current frame's
-// position advanced past the instruction being executed, so a retry
-// resumes right after the tx.begin / tx.cond_split call.
-func (c *core) takeSnapshot() {
-	s := &txSnapshot{frames: make([]frame, len(c.frames))}
-	for i := range c.frames {
-		sf := c.frames[i]
-		sf.regs = append([]uint64(nil), sf.regs...)
-		sf.ready = append([]uint64(nil), sf.ready...)
-		s.frames[i] = sf
+// copyFrames makes dst, one of the core's own frame stacks, a deep copy
+// of src.
+func (c *core) copyFrames(dst, src []frame) []frame {
+	c.release(dst)
+	dst = dst[:0]
+	for i := range src {
+		dst = append(dst, src[i].withFile(c.grab(len(src[i].regs))))
 	}
-	s.frames[len(s.frames)-1].instr++
-	c.snapshot = s
+	return dst
+}
+
+// withFile returns a copy of the frame that keeps its registers in buf.
+func (fr frame) withFile(buf []uint64) frame {
+	n := len(fr.regs)
+	copy(buf, fr.regs)
+	copy(buf[n:], fr.ready)
+	fr.regs, fr.ready = buf[:n], buf[n:]
+	return fr
 }

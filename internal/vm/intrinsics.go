@@ -367,7 +367,7 @@ func (m *Machine) commitTx(c *core) bool {
 		return false
 	}
 	cause, ok := m.HTM.Commit(c.id, c.sched.Now(), func(addr, val uint64) {
-		m.mem[addr/8] = val
+		m.store(addr/8, val)
 	})
 	if ok {
 		if c.hadExplicit {

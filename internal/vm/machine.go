@@ -25,6 +25,8 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/cpu"
 	"repro/internal/htm"
@@ -287,9 +289,9 @@ type frame struct {
 	retReady bool // caller expects a value
 }
 
-// txSnapshot captures the state restored on transaction abort. It is
-// never modified after takeSnapshot built it (restoreSnapshot copies
-// out of it), so machine snapshots share it instead of copying it.
+// txSnapshot captures the state restored on transaction abort. Each
+// core refills its own (core.txbuf) at every transaction begin, so a
+// machine snapshot copies the frames instead of keeping the pointer.
 type txSnapshot struct {
 	frames []frame // deep copies
 }
@@ -301,8 +303,11 @@ type core struct {
 	frames []frame
 
 	// snapshot is the frame stack to restore when the active
-	// transaction aborts (HAFT helpers).
+	// transaction aborts (HAFT helpers): nil or, outside tests, &txbuf.
 	snapshot *txSnapshot
+	txbuf    txSnapshot
+	// free holds the register files of popped frames for the next push.
+	free [][]uint64
 	// elided tracks locks elided by the active transaction.
 	elided []uint64
 
@@ -379,8 +384,15 @@ type Machine struct {
 	Cfg Config
 	HTM *htm.System
 
+	// mem is the memory image. A fresh machine's image is pristine: zero,
+	// plus the initialisers of Mod.Globals. Every store goes through
+	// Machine.store, which records the 4 KiB page it lands on, so that
+	// every page not in dirty is pristine, and Reset, Snapshot, Restore
+	// and Equal handle the pages a run touched instead of the image.
 	mem      []uint64
 	memBytes uint64
+	dirty    []int32 // the pages stored to, in first-store order
+	isDirty  []bool  // per page: is it in dirty
 
 	// limit is the DynInstrs value past which the dispatch loops stop:
 	// the instruction budget, or an earlier pause point (RunUntil).
@@ -451,6 +463,7 @@ func newMachine(m *ir.Module, p *Program, nthreads int, cfg Config) *Machine {
 		HTM:         htm.NewSystem(nthreads, cfg.HTM),
 		mem:         make([]uint64, memBytes/8+1),
 		memBytes:    memBytes,
+		isDirty:     make([]bool, memBytes/8/pageWords+1),
 		locks:       make(map[uint64]*lockState),
 		barriers:    make(map[uint64]*barrierState),
 		heapNext:    m.HeapBase,
@@ -486,19 +499,18 @@ func (m *Machine) SetFaultPlan(p *FaultPlan) {
 func (m *Machine) SetFaultPlans(ps []*FaultPlan) { m.faults = ps }
 
 // Reset returns the machine to its post-New state so it can run again
-// without re-cloning the module or reallocating memory: globals are
-// re-initialized, the heap and stacks are zeroed, the HTM system and
-// per-core scoreboards restart from cycle 0, and all statistics are
-// cleared. A reused machine is byte-identical in behavior to a fresh
-// one (the serve layer's warm-pool contract); installed tracers and
-// breakpoints survive, armed fault plans do not.
+// without re-cloning the module or reallocating memory: the pages the
+// run stored to are made pristine again, the HTM system and per-core
+// scoreboards restart from cycle 0, and all statistics are cleared. A
+// reused machine is byte-identical in behavior to a fresh one (the serve
+// layer's warm-pool contract); installed tracers and breakpoints
+// survive, armed fault plans do not.
 func (m *Machine) Reset() {
-	for i := range m.mem {
-		m.mem[i] = 0
+	for _, p := range m.dirty {
+		m.pristine(p)
+		m.isDirty[p] = false
 	}
-	for _, g := range m.Mod.Globals {
-		copy(m.mem[g.Addr/8:], g.Init)
-	}
+	m.dirty = m.dirty[:0]
 	m.HTM.Reset()
 	clear(m.locks)
 	clear(m.barriers)
@@ -509,7 +521,8 @@ func (m *Machine) Reset() {
 	m.stats = RunStats{}
 	m.faults = nil
 	for _, c := range m.cores {
-		c.sched = cpu.NewSched(m.Cfg.IssueWidth)
+		c.sched.Reset()
+		c.release(c.frames)
 		c.frames = c.frames[:0]
 		c.state = threadDone
 		c.attempts = 0
@@ -631,12 +644,9 @@ func (m *Machine) Start(specs ...ThreadSpec) {
 		}
 		c := m.cores[i]
 		c.state = threadRunnable
-		fr := frame{
-			fn:    f,
-			regs:  make([]uint64, f.NValues),
-			ready: make([]uint64, f.NValues),
-			base:  c.stackBase,
-		}
+		c.release(c.frames)
+		fr := frame{fn: f, base: c.stackBase}
+		fr.regs, fr.ready = c.file(f.NValues)
 		if m.prog != nil {
 			fr.cfn = m.prog.funcs[m.Mod.FuncIndex(spec.Func)]
 		}
@@ -762,7 +772,7 @@ func (m *Machine) memFaultPre(c *core, addr uint64, load bool) (uint64, *FaultPl
 // addresses outside memory: the access itself will trap).
 func (m *Machine) flipWord(c *core, addr uint64, p *FaultPlan) {
 	if addr%8 == 0 && addr >= 8 && addr+8 <= m.memBytes {
-		m.mem[addr/8] ^= p.Mask
+		m.store(addr/8, m.mem[addr/8]^p.Mask)
 	}
 	m.markInjected(c, p)
 }
@@ -803,12 +813,64 @@ func (m *Machine) memWrite(c *core, addr, val uint64) bool {
 		return false
 	}
 	if buffered := m.HTM.Write(c.id, addr, val, c.sched.Now()); !buffered {
-		m.mem[addr/8] = val
+		m.store(addr/8, val)
 	}
 	if post != nil {
 		m.flipWord(c, addr, post)
 	}
 	return true
+}
+
+// store is the one way a word of the memory image changes after
+// construction (see Machine.mem).
+func (m *Machine) store(word, val uint64) {
+	m.mem[word] = val
+	if p := word / pageWords; !m.isDirty[p] {
+		m.markDirty(int32(p))
+	}
+}
+
+func (m *Machine) markDirty(p int32) {
+	m.isDirty[p] = true
+	m.dirty = append(m.dirty, p)
+}
+
+// pageSpan returns the words of page p.
+func (m *Machine) pageSpan(p int32) (lo, hi int) {
+	lo = int(p) * pageWords
+	return lo, min(lo+pageWords, len(m.mem))
+}
+
+// fillPristine gives page, which starts at word lo of the image, the
+// content it has in a fresh machine: zero, then the initialisers of the
+// globals that lie on it (Layout places globals in address order).
+func (m *Machine) fillPristine(page []uint64, lo int) {
+	clear(page)
+	gs := m.Mod.Globals
+	i := sort.Search(len(gs), func(i int) bool { return int(gs[i].Addr/8)+len(gs[i].Init) > lo })
+	for _, g := range gs[i:] {
+		at := int(g.Addr / 8)
+		if at >= lo+len(page) {
+			break
+		}
+		if from := max(at, lo); from < at+len(g.Init) {
+			copy(page[from-lo:], g.Init[from-at:])
+		}
+	}
+}
+
+// pristine makes page p of the image pristine.
+func (m *Machine) pristine(p int32) {
+	lo, hi := m.pageSpan(p)
+	m.fillPristine(m.mem[lo:hi], lo)
+}
+
+// isPristine reports whether page p of the image is pristine.
+func (m *Machine) isPristine(p int32) bool {
+	var page [pageWords]uint64
+	lo, hi := m.pageSpan(p)
+	m.fillPristine(page[:hi-lo], lo)
+	return slices.Equal(m.mem[lo:hi], page[:hi-lo])
 }
 
 // Malloc exposes the bump allocator for host-side setup of dynamic
@@ -830,7 +892,7 @@ func (m *Machine) Poke(addr, val uint64) {
 	if addr%8 != 0 || addr+8 > m.memBytes {
 		panic(fmt.Sprintf("vm: Poke at invalid address %#x", addr))
 	}
-	m.mem[addr/8] = val
+	m.store(addr/8, val)
 }
 
 // Peek reads a word directly from memory (host-side inspection only).

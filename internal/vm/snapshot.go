@@ -21,8 +21,8 @@ const pageWords = 512
 
 // Snapshot is a deep copy of everything a run can change in a Machine.
 // It is immutable and may be restored into several machines
-// concurrently. Memory is kept as the pages that are not all zero:
-// most of a machine's memory is untouched heap and stack.
+// concurrently. Memory is kept as the machine's dirty pages: every other
+// page is pristine (see Machine.mem), which is most of them.
 type Snapshot struct {
 	// The shape the snapshot fits: Restore and Equal refuse any other.
 	mod      *ir.Module
@@ -30,7 +30,7 @@ type Snapshot struct {
 	ncores   int
 	memWords int
 
-	pages []int32  // indices of the pages that hold a non-zero word
+	pages []int32  // the dirty pages, ascending
 	data  []uint64 // their contents, back to back
 
 	cores    []coreSnap
@@ -49,7 +49,7 @@ type coreSnap struct {
 	coreState
 	sched    cpu.Sched
 	frames   []frame
-	snapshot *txSnapshot // shared, see txSnapshot
+	txFrames []frame // the frames of the active tx snapshot, nil without one
 	elided   []uint64
 }
 
@@ -59,11 +59,14 @@ func (s *Snapshot) Stats() RunStats { return s.stats }
 
 // Bytes estimates the memory the snapshot holds.
 func (s *Snapshot) Bytes() int {
-	n := 8*len(s.data) + 4*len(s.pages) + 8*len(s.output)
+	n := 8*len(s.data) + 4*len(s.pages) + 8*len(s.output) + s.htm.Bytes()
 	for i := range s.cores {
-		n += 8 * l1Sets
-		for j := range s.cores[i].frames {
-			n += 16 * len(s.cores[i].frames[j].regs)
+		c := &s.cores[i]
+		n += 8*l1Sets + 8*len(c.elided)
+		for _, frames := range [][]frame{c.frames, c.txFrames} {
+			for j := range frames {
+				n += 16 * len(frames[j].regs)
+			}
 		}
 	}
 	return n
@@ -85,11 +88,12 @@ func (m *Machine) Snapshot() *Snapshot {
 		stats:    m.stats,
 		htm:      m.HTM.Snapshot(),
 	}
-	for lo := 0; lo < len(m.mem); lo += pageWords {
-		if pg := m.mem[lo:min(lo+pageWords, len(m.mem))]; !allZero(pg) {
-			s.pages = append(s.pages, int32(lo/pageWords))
-			s.data = append(s.data, pg...)
-		}
+	s.pages = slices.Clone(m.dirty)
+	slices.Sort(s.pages)
+	s.data = make([]uint64, 0, len(s.pages)*pageWords)
+	for _, p := range s.pages {
+		lo, hi := m.pageSpan(p)
+		s.data = append(s.data, m.mem[lo:hi]...)
 	}
 	copyLocks(s.locks, m.locks)
 	copyBarriers(s.barriers, m.barriers)
@@ -98,8 +102,10 @@ func (m *Machine) Snapshot() *Snapshot {
 			coreState: c.coreState,
 			sched:     *c.sched,
 			frames:    cloneFrames(nil, c.frames),
-			snapshot:  c.snapshot,
 			elided:    slices.Clone(c.elided),
+		}
+		if c.snapshot != nil {
+			s.cores[i].txFrames = cloneFrames(nil, c.snapshot.frames)
 		}
 	}
 	return s
@@ -113,22 +119,34 @@ func (m *Machine) Snapshot() *Snapshot {
 // same program, core count and memory size.
 func (m *Machine) Restore(s *Snapshot) {
 	m.mustFit(s, "Restore")
-	next, off := 0, 0 // next word to settle, offset into s.data
-	for _, p := range s.pages {
-		lo := int(p) * pageWords
-		hi := min(lo+pageWords, len(m.mem))
-		clear(m.mem[next:lo])
-		copy(m.mem[lo:hi], s.data[off:])
-		next, off = hi, off+hi-lo
+	// The snapshot's pages get its contents and become the dirty set; the
+	// machine's other dirty pages become pristine.
+	for _, p := range m.dirty {
+		m.isDirty[p] = false
 	}
-	clear(m.mem[next:])
+	off := 0
+	for _, p := range s.pages {
+		lo, hi := m.pageSpan(p)
+		off += copy(m.mem[lo:hi], s.data[off:])
+		m.isDirty[p] = true
+	}
+	for _, p := range m.dirty {
+		if !m.isDirty[p] {
+			m.pristine(p)
+		}
+	}
+	m.dirty = append(m.dirty[:0], s.pages...)
 
 	for i, c := range m.cores {
 		sc := &s.cores[i]
 		c.coreState = sc.coreState
 		*c.sched = sc.sched
-		c.frames = cloneFrames(c.frames[:0], sc.frames)
-		c.snapshot = sc.snapshot
+		c.frames = c.copyFrames(c.frames, sc.frames)
+		c.snapshot = nil
+		if sc.txFrames != nil {
+			c.txbuf.frames = c.copyFrames(c.txbuf.frames, sc.txFrames)
+			c.snapshot = &c.txbuf
+		}
 		c.elided = append(c.elided[:0], sc.elided...)
 	}
 	copyLocks(m.locks, s.locks)
@@ -159,8 +177,8 @@ func (m *Machine) Equal(s *Snapshot) bool {
 			!slices.Equal(c.elided, sc.elided) {
 			return false
 		}
-		if c.snapshot != sc.snapshot && (c.snapshot == nil || sc.snapshot == nil ||
-			!framesEqual(c.snapshot.frames, sc.snapshot.frames)) {
+		if (c.snapshot != nil) != (sc.txFrames != nil) ||
+			c.snapshot != nil && !framesEqual(c.snapshot.frames, sc.txFrames) {
 			return false
 		}
 	}
@@ -174,16 +192,21 @@ func (m *Machine) Equal(s *Snapshot) bool {
 	if !m.HTM.Equal(s.htm) || !slices.Equal(m.output, s.output) {
 		return false
 	}
-	next, off := 0, 0
+	// Memory can differ only on a page dirty on either side.
+	off := 0
 	for _, p := range s.pages {
-		lo := int(p) * pageWords
-		hi := min(lo+pageWords, len(m.mem))
-		if !allZero(m.mem[next:lo]) || !slices.Equal(m.mem[lo:hi], s.data[off:off+hi-lo]) {
+		lo, hi := m.pageSpan(p)
+		if !slices.Equal(m.mem[lo:hi], s.data[off:off+hi-lo]) {
 			return false
 		}
-		next, off = hi, off+hi-lo
+		off += hi - lo
 	}
-	return allZero(m.mem[next:])
+	for _, p := range m.dirty {
+		if _, held := slices.BinarySearch(s.pages, p); !held && !m.isPristine(p) {
+			return false
+		}
+	}
+	return true
 }
 
 // mustFit panics unless the snapshot was taken from a machine of this
@@ -200,34 +223,11 @@ func (m *Machine) mustFit(s *Snapshot, op string) {
 	}
 }
 
-// allZero reports whether every word is zero. It accumulates instead of
-// branching per word: snapshots scan the whole memory image.
-func allZero(ws []uint64) bool {
-	var a, b, c, d uint64
-	for len(ws) >= 8 {
-		a |= ws[0] | ws[4]
-		b |= ws[1] | ws[5]
-		c |= ws[2] | ws[6]
-		d |= ws[3] | ws[7]
-		ws = ws[8:]
-	}
-	for _, w := range ws {
-		a |= w
-	}
-	return a|b|c|d == 0
-}
-
-// cloneFrames appends deep copies of src to dst; each frame's register
-// and readiness files share one allocation, as in pushFrameC.
+// cloneFrames appends deep copies of src to dst, with files of their own
+// that no core's free list will ever see.
 func cloneFrames(dst, src []frame) []frame {
 	for i := range src {
-		f := src[i]
-		n := len(f.regs)
-		buf := make([]uint64, 2*n)
-		copy(buf, f.regs)
-		copy(buf[n:], f.ready)
-		f.regs, f.ready = buf[:n:n], buf[n:]
-		dst = append(dst, f)
+		dst = append(dst, src[i].withFile(make([]uint64, 2*len(src[i].regs))))
 	}
 	return dst
 }

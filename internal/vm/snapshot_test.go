@@ -185,7 +185,7 @@ func dirtier(t *testing.T, c snapCase, m *Machine, start *Snapshot) func() {
 		})
 		m.RunUntil(^uint64(0))
 		if m.Status() != StatusOK && c.mode == harden.ModeHAFT {
-			heap[len(heap)/2] = 0xdead
+			m.Poke(m.Mod.HeapBase+m.Mod.HeapBytes/2&^7, 0xdead) // a store, so through the machine
 		}
 		return m.Status() != StatusOK && !allZero(heap)
 	}
@@ -196,6 +196,10 @@ func dirtier(t *testing.T, c snapCase, m *Machine, start *Snapshot) func() {
 	}
 	t.Fatalf("%s: no address fault stored into the unused heap of a run that then failed", c.name)
 	return nil
+}
+
+func allZero(ws []uint64) bool {
+	return !slices.ContainsFunc(ws, func(w uint64) bool { return w != 0 })
 }
 
 // TestSnapshotStepsAndRestore: a run taken in steps with a snapshot at
@@ -211,8 +215,8 @@ func TestSnapshotStepsAndRestore(t *testing.T) {
 	}
 	// The same property where the spontaneous-abort stream runs far past
 	// what htm memoizes, so that Restore positions it before, across and
-	// beyond the memo: the private loop made 1000 times longer.
-	mod, err := harden.Harden(ir.MustParse(strings.Replace(snapProg, "add v22, #60", "add v22, #60000", 1)),
+	// beyond the memo: the private loop made 2000 times longer.
+	mod, err := harden.Harden(ir.MustParse(strings.Replace(snapProg, "add v22, #60", "add v22, #120000", 1)),
 		harden.Config{Mode: harden.ModeHAFT, Opt: harden.OptFaultProp, TxThreshold: 120})
 	if err != nil {
 		t.Fatal(err)
@@ -301,6 +305,46 @@ func checkStepsAndRestore(t *testing.T, c snapCase, steps uint64) uint64 {
 	return draws
 }
 
+// TestRestoreEarlierSnapshot: a machine restored to a late snapshot and
+// run on holds dirty pages that an earlier snapshot lacks. Restoring the
+// earlier one must return them to what they were then, so that the image
+// is word for word the one that snapshot was taken from.
+func TestRestoreEarlierSnapshot(t *testing.T) {
+	for _, c := range snapCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			m := c.machine()
+			m.Start(c.specs()...)
+			early, earlyImage := m.Snapshot(), slices.Clone(m.mem)
+			m.RunUntil(300)
+			mid, midImage := m.Snapshot(), slices.Clone(m.mem)
+			if m.RunUntil(^uint64(0)); m.Status() != StatusOK {
+				t.Fatalf("run: %v", m.Status())
+			}
+			want, late := finalOf(m), m.Snapshot()
+			if !(len(early.pages) < len(mid.pages) && len(mid.pages) <= len(late.pages)) {
+				t.Fatalf("dirty pages of the three snapshots: %d, %d, %d; want them to grow", len(early.pages), len(mid.pages), len(late.pages))
+			}
+			for _, to := range []struct {
+				s     *Snapshot
+				image []uint64
+			}{{mid, midImage}, {early, earlyImage}} {
+				m.Restore(late)
+				m.Restore(mid)
+				m.RunUntil(^uint64(0))
+				m.Restore(to.s)
+				if !slices.Equal(m.mem, to.image) || !m.Equal(to.s) {
+					t.Fatalf("restored to the snapshot with %d dirty pages after a run: image or machine differs", len(to.s.pages))
+				}
+				m.RunUntil(^uint64(0))
+				if d := finalOf(m).diff(want); d != "" {
+					t.Fatalf("resumed from the snapshot with %d dirty pages: %s", len(to.s.pages), d)
+				}
+			}
+		})
+	}
+}
+
 // TestSnapshotEqualSeesEveryPart: Equal must notice a difference in
 // each kind of state a snapshot holds.
 func TestSnapshotEqualSeesEveryPart(t *testing.T) {
@@ -330,8 +374,8 @@ func TestSnapshotEqualSeesEveryPart(t *testing.T) {
 		"output":       func() { m.output = append(m.output, 1) },
 		"heap pointer": func() { m.heapNext += 64 },
 		"lock table":   func() { m.locks[4160] = &lockState{held: true, owner: 1, waiters: []int{0}} },
-		"memory word":  func() { m.mem[4096/8] ^= 1 << 40 },
-		"wild memory":  func() { m.mem[len(m.mem)-3] = 1 },
+		"memory word":  func() { m.Poke(4096, m.Peek(4096)^1<<40) },
+		"wild memory":  func() { m.Poke(m.memBytes-16, 1) },
 		"htm write":    func() { m.HTM.Write(0, 4224, 99, m.cores[0].sched.Now()) },
 		"htm stats":    func() { m.HTM.RecordFallback() },
 		"tx snapshot":  func() { m.cores[0].snapshot = &txSnapshot{frames: cloneFrames(nil, m.cores[0].frames)} },
