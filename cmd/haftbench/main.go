@@ -10,7 +10,10 @@
 //
 // -json additionally writes one BENCH_<id>.json per experiment with a
 // machine-readable result (structured metrics where the experiment
-// defines them, the rendered text otherwise).
+// defines them, the rendered text otherwise), the command line that
+// produced it and, when the binary carries VCS information, the commit.
+// Every experiment is deterministic, so the file is byte-stable for a
+// given command and tree; wall-clock numbers come from bench/ only.
 //
 // Absolute numbers come from the machine simulator, not a Haswell
 // testbed; the shapes (who wins, rough factors, crossovers) are the
@@ -23,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"strings"
 	"time"
 
@@ -66,8 +70,11 @@ func main() {
 		if *jsonOut {
 			doc := map[string]any{
 				"experiment": id,
-				"seconds":    elapsed.Seconds(),
+				"command":    strings.Join(append([]string{"haftbench"}, os.Args[1:]...), " "),
 				"result":     data,
+			}
+			if rev := vcsRevision(); rev != "" {
+				doc["commit"] = rev
 			}
 			b, err := json.MarshalIndent(doc, "", "  ")
 			if err == nil {
@@ -83,6 +90,26 @@ func main() {
 		}
 		fmt.Printf("[%s took %s]\n\n", id, elapsed.Round(time.Millisecond))
 	}
+}
+
+// vcsRevision returns the commit the binary was built from, if the
+// build recorded one ("+dirty" when the tree had uncommitted changes).
+func vcsRevision() string {
+	var rev, dirty string
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range info.Settings {
+			switch {
+			case kv.Key == "vcs.revision":
+				rev = kv.Value
+			case kv.Key == "vcs.modified" && kv.Value == "true":
+				dirty = "+dirty"
+			}
+		}
+	}
+	if rev == "" {
+		return ""
+	}
+	return rev + dirty
 }
 
 // benchFile maps an experiment id to its BENCH_<name>.json stem where

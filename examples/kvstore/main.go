@@ -9,7 +9,7 @@
 //
 // The batch-oriented Figure 11 throughput table (lock elision
 // amortizing the hardening cost) lives in `haftbench fig11`; the
-// serving benchmark is `haftbench serve`.
+// serving benchmark is `bash bench/run.sh -workload serve-kv`.
 package main
 
 import (

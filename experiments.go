@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/exp"
+	"repro/internal/workloads"
 )
 
 // ExperimentOptions parameterizes the evaluation harness.
@@ -16,48 +17,59 @@ type ExperimentOptions = exp.Options
 // approach it).
 func DefaultExperimentOptions() ExperimentOptions { return exp.DefaultOptions() }
 
-// experimentRunners maps experiment ids to runners. Every table and
-// figure of the paper's evaluation has an entry (see DESIGN.md's
-// experiment index).
-var experimentRunners = map[string]func(exp.Options) (string, error){
-	"fig6": func(o exp.Options) (string, error) {
+// textOnly adapts an experiment that only renders text; ExperimentFull
+// supplies its machine-readable form.
+func textOnly(run func(exp.Options) (string, error)) func(exp.Options) (any, string, error) {
+	return func(o exp.Options) (any, string, error) {
+		text, err := run(o)
+		return nil, text, err
+	}
+}
+
+// experiments maps experiment ids to runners returning a
+// machine-readable value (for haftbench -json) and the rendered text.
+// Every table and figure of the paper's evaluation has an entry (see
+// DESIGN.md's experiment index); all of them are deterministic —
+// wall-clock numbers come from bench/ only.
+var experiments = map[string]func(exp.Options) (data any, text string, err error){
+	"fig6": textOnly(func(o exp.Options) (string, error) {
 		return exp.Fig6(o).String(), nil
-	},
-	"table2": func(o exp.Options) (string, error) {
+	}),
+	"table2": textOnly(func(o exp.Options) (string, error) {
 		return exp.Table2(o).String(), nil
-	},
-	"fig7": func(o exp.Options) (string, error) {
+	}),
+	"fig7": textOnly(func(o exp.Options) (string, error) {
 		return exp.Fig7(o).String(), nil
-	},
-	"fig8": func(o exp.Options) (string, error) {
+	}),
+	"fig8": textOnly(func(o exp.Options) (string, error) {
 		over, ab := exp.Fig8(o)
 		return over.String() + "\n" + ab.String(), nil
-	},
-	"table3": func(o exp.Options) (string, error) {
+	}),
+	"table3": textOnly(func(o exp.Options) (string, error) {
 		return exp.Table3(o).String(), nil
-	},
-	"fig9": func(o exp.Options) (string, error) {
+	}),
+	"fig9": textOnly(func(o exp.Options) (string, error) {
 		_, t, err := exp.Fig9(o)
 		if err != nil {
 			return "", err
 		}
 		return t.String(), nil
-	},
-	"fig9opts": func(o exp.Options) (string, error) {
+	}),
+	"fig9opts": textOnly(func(o exp.Options) (string, error) {
 		t, err := exp.Fig9Opts(o)
 		if err != nil {
 			return "", err
 		}
 		return t.String(), nil
-	},
-	"table4": func(o exp.Options) (string, error) {
+	}),
+	"table4": textOnly(func(o exp.Options) (string, error) {
 		_, _, _, t, err := exp.Table4(o)
 		if err != nil {
 			return "", err
 		}
 		return t.String(), nil
-	},
-	"fig10": func(o exp.Options) (string, error) {
+	}),
+	"fig10": textOnly(func(o exp.Options) (string, error) {
 		// Model evaluated with the published Table 4 parameters; run
 		// "fig10measured" to use a fresh fault-injection campaign.
 		n, i, h := exp.PaperTable4()
@@ -66,8 +78,8 @@ var experimentRunners = map[string]func(exp.Options) (string, error){
 			return "", err
 		}
 		return av.String() + "\n" + co.String(), nil
-	},
-	"fig10measured": func(o exp.Options) (string, error) {
+	}),
+	"fig10measured": textOnly(func(o exp.Options) (string, error) {
 		n, i, h, t, err := exp.Table4(o)
 		if err != nil {
 			return "", err
@@ -77,122 +89,39 @@ var experimentRunners = map[string]func(exp.Options) (string, error){
 			return "", err
 		}
 		return t.String() + "\n" + av.String() + "\n" + co.String(), nil
-	},
-	"fig11": func(o exp.Options) (string, error) {
+	}),
+	"fig11": textOnly(func(o exp.Options) (string, error) {
 		var sb strings.Builder
 		for _, s := range exp.Fig11(o) {
 			sb.WriteString(s.String())
 			sb.WriteString("\n")
 		}
 		return sb.String(), nil
-	},
-	"fig11sei": func(o exp.Options) (string, error) {
+	}),
+	"fig11sei": textOnly(func(o exp.Options) (string, error) {
 		return exp.Fig11SEI(o).String(), nil
-	},
-	"fig12": func(o exp.Options) (string, error) {
+	}),
+	"fig12": textOnly(func(o exp.Options) (string, error) {
 		var sb strings.Builder
 		for _, s := range exp.Fig12(o) {
 			sb.WriteString(s.String())
 			sb.WriteString("\n")
 		}
 		return sb.String(), nil
-	},
-	"appfi": func(o exp.Options) (string, error) {
+	}),
+	"appfi": textOnly(func(o exp.Options) (string, error) {
 		t, err := exp.AppFI(o)
 		if err != nil {
 			return "", err
 		}
 		return t.String(), nil
-	},
-	"serve": func(o exp.Options) (string, error) {
-		snap, err := exp.ServeBench(o)
-		if err != nil {
-			return "", err
-		}
-		return snap.Summary(), nil
-	},
-	"fimodels": func(o exp.Options) (string, error) {
-		_, t, err := exp.FIModels(o)
-		if err != nil {
-			return "", err
-		}
-		return t.String(), nil
-	},
-	"chaos": func(o exp.Options) (string, error) {
-		snap, err := exp.ChaosBench(o)
-		if err != nil {
-			return "", err
-		}
-		return snap.Summary(), nil
-	},
-	"cluster": func(o exp.Options) (string, error) {
-		res, err := exp.ClusterBench(o)
-		if err != nil {
-			return "", err
-		}
-		return res.Table().String(), nil
-	},
-	"overhead": func(o exp.Options) (string, error) {
-		_, t, err := exp.Overhead(o)
-		if err != nil {
-			return "", err
-		}
-		return t.String(), nil
-	},
-	"vmexec": func(o exp.Options) (string, error) {
-		_, t, err := exp.VMExec(o)
-		if err != nil {
-			return "", err
-		}
-		return t.String(), nil
-	},
-	"tmrcompare": func(o exp.Options) (string, error) {
-		_, t, err := exp.TMRCompare(o)
-		if err != nil {
-			return "", err
-		}
-		return t, nil
-	},
-	"scenarios": func(o exp.Options) (string, error) {
-		_, t, err := exp.Scenarios(o)
-		if err != nil {
-			return "", err
-		}
-		return t.String(), nil
-	},
-}
-
-// experimentData maps experiment ids to runners with a structured,
-// machine-readable result (for haftbench -json). Experiments without
-// an entry fall back to their rendered text.
-var experimentData = map[string]func(exp.Options) (any, string, error){
-	"serve": func(o exp.Options) (any, string, error) {
-		snap, err := exp.ServeBench(o)
-		if err != nil {
-			return nil, "", err
-		}
-		return snap, snap.Summary(), nil
-	},
+	}),
 	"fimodels": func(o exp.Options) (any, string, error) {
 		res, t, err := exp.FIModels(o)
 		if err != nil {
 			return nil, "", err
 		}
 		return res, t.String(), nil
-	},
-	"chaos": func(o exp.Options) (any, string, error) {
-		snap, err := exp.ChaosBench(o)
-		if err != nil {
-			return nil, "", err
-		}
-		return snap, snap.Summary(), nil
-	},
-	"cluster": func(o exp.Options) (any, string, error) {
-		res, err := exp.ClusterBench(o)
-		if err != nil {
-			return nil, "", err
-		}
-		return res, res.Table().String(), nil
 	},
 	"overhead": func(o exp.Options) (any, string, error) {
 		res, t, err := exp.Overhead(o)
@@ -215,35 +144,33 @@ var experimentData = map[string]func(exp.Options) (any, string, error){
 		}
 		return res, t, nil
 	},
-	"scenarios": func(o exp.Options) (any, string, error) {
-		bundle, t, err := exp.Scenarios(o)
-		if err != nil {
-			return nil, "", err
-		}
-		return bundle, t.String(), nil
-	},
 }
 
 // ExperimentFull runs an experiment and returns both its rendered text
 // and a machine-readable value: a structured result where the
-// experiment defines one, otherwise the text wrapped in a
-// {"id", "output"} object.
+// experiment defines one, otherwise the text wrapped in an
+// {"id", "output"} object. Valid ids are listed by Experiments.
 func ExperimentFull(id string, opts ExperimentOptions) (string, any, error) {
-	if run, ok := experimentData[id]; ok {
-		data, text, err := run(opts)
-		return text, data, err
+	run, ok := experiments[id]
+	if !ok {
+		return "", nil, fmt.Errorf("haft: unknown experiment %q (have %v)", id, Experiments())
 	}
-	text, err := Experiment(id, opts)
-	if err != nil {
-		return "", nil, err
+	for _, name := range opts.Benchmarks {
+		if _, err := workloads.ByName(name); err != nil {
+			return "", nil, fmt.Errorf("haft: unknown benchmark %q", name)
+		}
 	}
-	return text, map[string]any{"id": id, "output": text}, nil
+	data, text, err := run(opts)
+	if err == nil && data == nil {
+		data = map[string]any{"id": id, "output": text}
+	}
+	return text, data, err
 }
 
 // Experiments lists the available experiment ids.
 func Experiments() []string {
-	out := make([]string, 0, len(experimentRunners))
-	for id := range experimentRunners {
+	out := make([]string, 0, len(experiments))
+	for id := range experiments {
 		out = append(out, id)
 	}
 	sort.Strings(out)
@@ -251,11 +178,8 @@ func Experiments() []string {
 }
 
 // Experiment regenerates one of the paper's tables or figures and
-// returns it rendered as text. Valid ids are listed by Experiments.
+// returns it rendered as text.
 func Experiment(id string, opts ExperimentOptions) (string, error) {
-	run, ok := experimentRunners[id]
-	if !ok {
-		return "", fmt.Errorf("haft: unknown experiment %q (have %v)", id, Experiments())
-	}
-	return run(opts)
+	text, _, err := ExperimentFull(id, opts)
+	return text, err
 }

@@ -1,7 +1,9 @@
 package haft
 
 import (
+	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -123,22 +125,31 @@ func TestMemcachedFacade(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	ids := Experiments()
-	want := []string{"fig6", "table2", "fig7", "fig8", "table3", "fig9",
-		"fig9opts", "table4", "fig10", "fig11", "fig11sei", "fig12", "appfi"}
-	for _, w := range want {
-		found := false
-		for _, id := range ids {
-			if id == w {
-				found = true
-			}
-		}
-		if !found {
+	have := map[string]bool{}
+	for _, id := range Experiments() {
+		have[id] = true
+	}
+	for _, w := range []string{"fig6", "table2", "fig7", "fig8", "table3", "fig9",
+		"fig9opts", "table4", "fig10", "fig11", "fig11sei", "fig12", "appfi",
+		"overhead", "tmrcompare", "fimodels", "vmexec"} {
+		if !have[w] {
 			t.Errorf("experiment %q missing from registry", w)
+		}
+	}
+	// Wall-clock experiments live in bench/ only.
+	for _, gone := range []string{"serve", "chaos", "cluster", "scenarios"} {
+		if have[gone] {
+			t.Errorf("timing experiment %q is back in the registry", gone)
 		}
 	}
 	if _, err := Experiment("nope", DefaultExperimentOptions()); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+	opts := DefaultExperimentOptions()
+	opts.Benchmarks = []string{"histogram", "nope"}
+	_, err := Experiment("table3", opts)
+	if err == nil || err.Error() != `haft: unknown benchmark "nope"` {
+		t.Errorf("unknown benchmark: err = %v", err)
 	}
 }
 
@@ -193,7 +204,8 @@ func TestTraceFacade(t *testing.T) {
 }
 
 // TestExperimentRunnersSmoke exercises every registered experiment at
-// a tiny scale so the whole registry stays runnable.
+// a tiny scale so the whole registry stays runnable: the one table
+// must yield both a rendered text and a machine-readable value.
 func TestExperimentRunnersSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
@@ -206,14 +218,38 @@ func TestExperimentRunnersSmoke(t *testing.T) {
 	for _, id := range Experiments() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			out, err := Experiment(id, opts)
+			out, data, err := ExperimentFull(id, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
 			if len(out) < 40 {
 				t.Fatalf("%s produced implausibly small output:\n%s", id, out)
 			}
+			if data == nil {
+				t.Fatalf("%s produced no machine-readable result", id)
+			}
 		})
+	}
+}
+
+// TestDocsNameRegisteredExperiments: every `haftbench [flags] <id>` the
+// docs tell a reader to run must name an id the registry has.
+func TestDocsNameRegisteredExperiments(t *testing.T) {
+	have := map[string]bool{"all": true}
+	for _, id := range Experiments() {
+		have[id] = true
+	}
+	token := regexp.MustCompile("`(?:go run ./cmd/)?haftbench [^`\n]*?([a-z0-9]+)`")
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range token.FindAllStringSubmatch(string(text), -1) {
+			if !have[m[1]] {
+				t.Errorf("%s: %s names no registered experiment", doc, m[0])
+			}
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Backend is one hardened serving node as the router sees it. The two
 // implementations are LocalBackend (an in-process serve.Server — what
-// tests, the chaos harness, and the haftbench cluster experiment use)
+// tests, the chaos harness, and the cluster-kv benchmark use)
 // and RemoteBackend (a TCP client to a haftserve process — what
 // cmd/haftrouter uses).
 type Backend interface {

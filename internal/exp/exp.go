@@ -1,6 +1,13 @@
 // Package exp implements the experiment harness: one runner per table
-// and figure of the paper's evaluation (§5), shared by the haftbench
-// command and the repository's testing.B benchmarks.
+// and figure of the paper's evaluation (§5) plus the repo's own
+// instruction/cycle/SDC ladders (overhead, tmrcompare, fimodels, the
+// vmexec engine differential), shared by the haftbench command and the
+// repository's testing.B benchmarks.
+//
+// Everything here is deterministic: results are simulator cycles,
+// instruction counts and seeded campaign outcomes, so two runs of one
+// command produce the same output. Wall-clock numbers (req/s, latency,
+// instrs/s, injections/s) come from bench/ only.
 //
 // Absolute numbers come from the machine simulator, not a Haswell
 // testbed, so the harness reproduces *shapes*: who wins, by what
@@ -327,9 +334,9 @@ func fiTarget(spec workloads.Spec, mode core.Mode, opt core.OptLevel, o Options)
 // FIOutcome bundles the per-mode campaign results of one benchmark.
 type FIOutcome struct {
 	Bench  string
-	Native *fault.Result
-	ILR    *fault.Result
-	HAFT   *fault.Result
+	Native *fault.ModelResult
+	ILR    *fault.ModelResult
+	HAFT   *fault.ModelResult
 }
 
 // Fig9 regenerates Figure 9 (left): fault-injection reliability for
@@ -398,7 +405,7 @@ func Fig9Opts(o Options) (*report.Table, error) {
 
 // ModelParams aggregates Figure 9 campaigns into the Table 4 fault
 // probabilities for one architecture.
-func ModelParams(results []*fault.Result) markov.Params {
+func ModelParams(results []*fault.ModelResult) markov.Params {
 	var masked, sdc, crashed, corrected float64
 	for _, r := range results {
 		masked += r.Rate(fault.OutcomeMasked)
@@ -433,7 +440,7 @@ func Table4(o Options) (native, ilr, haft markov.Params, tbl *report.Table, err 
 	if err != nil {
 		return native, ilr, haft, nil, err
 	}
-	var nr, ir2, hr []*fault.Result
+	var nr, ir2, hr []*fault.ModelResult
 	for _, out := range outs {
 		nr = append(nr, out.Native)
 		ir2 = append(ir2, out.ILR)

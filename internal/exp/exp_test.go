@@ -75,7 +75,7 @@ func TestFig9AndModelParams(t *testing.T) {
 	if !strings.Contains(tbl.String(), "histogram") {
 		t.Fatal("table missing benchmark")
 	}
-	p := ModelParams([]*fault.Result{outs[0].HAFT})
+	p := ModelParams([]*fault.ModelResult{outs[0].HAFT})
 	sum := p.PMasked + p.PSDC + p.PCrashed + p.PCorrectable
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("model params sum to %v", sum)

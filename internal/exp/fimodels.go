@@ -1,14 +1,10 @@
 package exp
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/report"
-	"repro/internal/serve"
 	"repro/internal/workloads"
-	"repro/internal/ycsb"
 )
 
 // fiModelBenches is the default drill-down pair for the multi-model
@@ -46,55 +42,4 @@ func FIModels(o Options) ([]*fault.CampaignResult, *report.Table, error) {
 		return cr
 	})
 	return results, fault.CampaignTable(results...), nil
-}
-
-// ChaosBench drives the serving layer under adversarial conditions:
-// YCSB-A load while pool instances are killed, wedged, and hit by SEU
-// storms mid-traffic, with per-request deadlines armed. With reply
-// verification on, the snapshot's corrupted-reply counter is the
-// experiment's headline (it must stay zero; the retry, quarantine and
-// watchdog machinery absorbs every failure).
-func ChaosBench(o Options) (serve.Snapshot, error) {
-	cfg := serve.DefaultConfig()
-	cfg.Pool = 4
-	cfg.Seed = o.Seed
-	cfg.SEURate = 0.005
-	cfg.MaxRetries = 8
-	chaos, err := serve.ChaosProfile("heavy")
-	if err != nil {
-		return serve.Snapshot{}, err
-	}
-	cfg.Chaos = chaos
-	cfg.Deadline = 5 * time.Second
-	srv, err := serve.NewServer(cfg)
-	if err != nil {
-		return serve.Snapshot{}, err
-	}
-	defer srv.Close()
-
-	requests := 2000
-	if o.Scale > 1 {
-		requests *= o.Scale
-	}
-	const clients = 16
-	w := ycsb.WorkloadA(srv.Records())
-	done := make(chan struct{})
-	for i := 0; i < clients; i++ {
-		go func(i int) {
-			defer func() { done <- struct{}{} }()
-			gen := ycsb.NewGenerator(w, o.Seed+int64(i)*1000003)
-			for n := 0; n < requests/clients; n++ {
-				r := gen.Next()
-				req := serve.Request{Write: r.Op == ycsb.OpWrite, Key: r.Key}
-				if req.Write {
-					req.Value = r.Key*2654435761 + uint64(i)
-				}
-				srv.Do(req) //nolint:errcheck // failures land in the metrics
-			}
-		}(i)
-	}
-	for i := 0; i < clients; i++ {
-		<-done
-	}
-	return srv.Metrics(), nil
 }

@@ -1,20 +1,18 @@
-// The "vmexec" experiment: a differential benchmark of the
-// precompiled execution engine. For every hardened workload it runs
-// the same module through the reference step interpreter and the
-// compiled engine, checks the runs are bit-identical (status, output,
-// run statistics, HTM behavior), and reports instruction throughput
-// for both. A second stage repeats a multi-model fault-injection
-// campaign on both engines and compares the JSON checkpoints byte for
-// byte. Any divergence is an error: the speedup numbers are only
-// meaningful if the fast engine is exact.
+// The "vmexec" experiment: the engine differential. For every hardened
+// workload it runs the same module once through the reference step
+// interpreter and once through the compiled engine, checks the runs are
+// bit-identical (status, output, run statistics, HTM behavior), and
+// reports the static shape of the compiled artifact. A second stage
+// repeats a multi-model fault-injection campaign on both engines and
+// compares the JSON checkpoints byte for byte. Any divergence is an
+// error. The result is deterministic; how fast each engine runs is
+// bench/'s exec-ladder (vm.minstr_per_s.*, vm.interp_minstr_per_s).
 package exp
 
 import (
 	"bytes"
 	"fmt"
-	"math"
-	"reflect"
-	"time"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -23,26 +21,14 @@ import (
 	"repro/internal/workloads"
 )
 
-// vmexecReps is how many timed runs each engine gets per benchmark;
-// the fastest is reported (standard best-of-N microbenchmarking).
-const vmexecReps = 3
-
 // VMExecRow is one hardened benchmark's engine comparison.
 type VMExecRow struct {
 	Benchmark string `json:"benchmark"`
 	// DynInstrs is the dynamic instruction count of one run (equal on
 	// both engines by construction).
 	DynInstrs uint64 `json:"dyn_instrs"`
-	// InterpInstrsPerSec / CompiledInstrsPerSec are best-of-N dynamic
-	// instructions per wall-clock second.
-	InterpInstrsPerSec   float64 `json:"interp_instrs_per_sec"`
-	CompiledInstrsPerSec float64 `json:"compiled_instrs_per_sec"`
-	// Speedup is compiled/interpreter throughput.
-	Speedup float64 `json:"speedup"`
 	// Identical reports full bit-identity of the two engines' runs.
 	Identical bool `json:"identical"`
-	// CompileMicros is the one-time lowering cost for this module.
-	CompileMicros float64 `json:"compile_micros"`
 	// Program is the static shape of the compiled artifact
 	// (instruction count, fused runs, ILR pair-checks).
 	Program vm.ProgramStats `json:"program"`
@@ -55,60 +41,38 @@ type VMExecCampaign struct {
 	Injections int    `json:"injections"`
 	// CheckpointsIdentical: the two campaigns' JSON checkpoints are
 	// byte-identical (same outcomes for every seeded injection).
-	CheckpointsIdentical bool    `json:"checkpoints_identical"`
-	InterpRunsPerSec     float64 `json:"interp_runs_per_sec"`
-	CompiledRunsPerSec   float64 `json:"compiled_runs_per_sec"`
-	Speedup              float64 `json:"speedup"`
+	CheckpointsIdentical bool `json:"checkpoints_identical"`
 }
 
 // VMExecResult is the structured result of the vmexec experiment.
 type VMExecResult struct {
 	Threads int         `json:"threads"`
 	Scale   int         `json:"scale"`
-	Reps    int         `json:"reps"`
 	Rows    []VMExecRow `json:"rows"`
-	// GeomeanSpeedup is the geometric mean of per-benchmark speedups.
-	GeomeanSpeedup float64 `json:"geomean_speedup"`
 	// Divergences counts benchmarks whose engines disagreed (must be
 	// zero; a non-zero count fails the experiment).
 	Divergences int            `json:"divergences"`
 	Campaign    VMExecCampaign `json:"campaign"`
 }
 
-// vmexecProbe is one engine's observable outcome plus throughput.
+// vmexecProbe is one engine's observable outcome.
 type vmexecProbe struct {
-	status  vm.Status
-	out     []uint64
-	stats   vm.RunStats
-	bestSec float64
+	status vm.Status
+	out    []uint64
+	stats  vm.RunStats
 }
 
-// vmexecRun times reps runs of one machine (Reset between runs; reset
-// determinism makes every rep identical) and captures the outcome.
 func vmexecRun(mach *vm.Machine, specs []vm.ThreadSpec) vmexecProbe {
-	p := vmexecProbe{bestSec: math.Inf(1)}
-	for r := 0; r < vmexecReps; r++ {
-		if r > 0 {
-			mach.Reset()
-		}
-		start := time.Now()
-		mach.Run(specs...)
-		if sec := time.Since(start).Seconds(); sec < p.bestSec {
-			p.bestSec = sec
-		}
-	}
-	p.status = mach.Status()
-	p.out = append([]uint64(nil), mach.Output()...)
-	p.stats = mach.Stats()
-	return p
+	mach.Run(specs...)
+	return vmexecProbe{mach.Status(), mach.Output(), mach.Stats()}
 }
 
-// VMExec runs the engine-differential benchmark over the hardened
-// workload suite plus one cross-engine fault campaign. It returns an
-// error if any benchmark or the campaign diverges between engines.
+// VMExec runs the engine differential over the hardened workload suite
+// plus one cross-engine fault campaign. It returns an error if any
+// benchmark or the campaign diverges between engines.
 func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 	benches := o.benchList()
-	res := &VMExecResult{Threads: 1, Scale: o.Scale, Reps: vmexecReps}
+	res := &VMExecResult{Threads: 1, Scale: o.Scale}
 	type meas struct {
 		row VMExecRow
 		err error
@@ -128,40 +92,27 @@ func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 			return meas{err: fmt.Errorf("%s: interpreter run failed: %v (%s)",
 				benches[i].Name, interp.status, interp.stats.CrashReason)}
 		}
-		cstart := time.Now()
 		prog := vm.Compile(mod)
-		compileMicros := float64(time.Since(cstart).Microseconds())
 		compiled := vmexecRun(vm.NewFromProgram(prog, 1, vm.DefaultConfig()), specs)
-
-		r := VMExecRow{
-			Benchmark:            benches[i].Name,
-			DynInstrs:            interp.stats.DynInstrs,
-			InterpInstrsPerSec:   float64(interp.stats.DynInstrs) / interp.bestSec,
-			CompiledInstrsPerSec: float64(compiled.stats.DynInstrs) / compiled.bestSec,
-			CompileMicros:        compileMicros,
-			Program:              prog.Stats(),
-		}
-		r.Speedup = r.CompiledInstrsPerSec / r.InterpInstrsPerSec
-		r.Identical = compiled.status == interp.status &&
-			reflect.DeepEqual(compiled.out, interp.out) &&
-			compiled.stats == interp.stats
-		return meas{row: r}
+		return meas{row: VMExecRow{
+			Benchmark: benches[i].Name,
+			DynInstrs: interp.stats.DynInstrs,
+			Identical: compiled.status == interp.status &&
+				slices.Equal(compiled.out, interp.out) && compiled.stats == interp.stats,
+			Program: prog.Stats(),
+		}}
 	})
 
-	logSum, diverged := 0.0, []string{}
+	var diverged []string
 	for _, m := range rows {
 		if m.err != nil {
 			return nil, nil, m.err
 		}
 		res.Rows = append(res.Rows, m.row)
-		logSum += math.Log(m.row.Speedup)
 		if !m.row.Identical {
 			res.Divergences++
 			diverged = append(diverged, m.row.Benchmark)
 		}
-	}
-	if len(res.Rows) > 0 {
-		res.GeomeanSpeedup = math.Exp(logSum / float64(len(res.Rows)))
 	}
 
 	// Cross-engine campaign: same seeds, all six fault models, both
@@ -172,27 +123,21 @@ func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 	}
 	res.Campaign = camp
 
+	verdict := map[bool]string{true: "identical", false: "DIVERGED"}
 	t := &report.Table{
-		Title: fmt.Sprintf("vmexec: compiled engine vs step interpreter (threads=1, scale=%d, best of %d)",
-			o.Scale, vmexecReps),
-		Header: []string{"benchmark", "dyn instrs", "interp Mi/s", "compiled Mi/s",
-			"speedup", "fused %", "pair checks", "outputs"},
+		Title:  fmt.Sprintf("vmexec: compiled engine vs step interpreter (threads=1, scale=%d)", o.Scale),
+		Header: []string{"benchmark", "dyn instrs (M)", "instrs", "fused %", "pair checks", "outputs"},
 	}
 	for _, r := range res.Rows {
 		fusedPct := 0.0
 		if r.Program.Instrs > 0 {
 			fusedPct = 100 * float64(r.Program.FusedInstrs) / float64(r.Program.Instrs)
 		}
-		outcome := "identical"
-		if !r.Identical {
-			outcome = "DIVERGED"
-		}
-		t.AddF(2, r.Benchmark, float64(r.DynInstrs)/1e6,
-			r.InterpInstrsPerSec/1e6, r.CompiledInstrsPerSec/1e6,
-			r.Speedup, fusedPct, r.Program.PairChecks, outcome)
+		t.AddF(2, r.Benchmark, float64(r.DynInstrs)/1e6, r.Program.Instrs,
+			fusedPct, r.Program.PairChecks, verdict[r.Identical])
 	}
-	t.AddF(2, "geomean", "", "", "", res.GeomeanSpeedup, "", "",
-		fmt.Sprintf("campaign %s / %.2fx", map[bool]string{true: "identical", false: "DIVERGED"}[camp.CheckpointsIdentical], camp.Speedup))
+	t.AddF(2, fmt.Sprintf("campaign %s x%d", camp.Benchmark, camp.Injections),
+		"", "", "", "", verdict[camp.CheckpointsIdentical])
 
 	if res.Divergences > 0 {
 		return res, t, fmt.Errorf("vmexec: engines diverged on %v", diverged)
@@ -204,46 +149,34 @@ func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 }
 
 // vmexecCampaign runs the same seeded multi-model campaign on both
-// engines and compares checkpoints and throughput.
+// engines and compares the checkpoints.
 func vmexecCampaign(spec workloads.Spec, o Options) (VMExecCampaign, error) {
-	models := fault.AllModels()
 	injections := o.Injections
 	if injections <= 0 {
 		injections = 60
 	}
 	camp := VMExecCampaign{Benchmark: spec.Name, Injections: injections}
-	run := func(interpret bool) ([]byte, float64, error) {
+	run := func(interpret bool) ([]byte, error) {
 		tg := fiTarget(spec, core.ModeHAFT, core.OptFaultProp, o)
 		tg.Interpret = interpret
-		start := time.Now()
 		cr, err := fault.RunCampaign(tg, fault.CampaignConfig{
-			Models:     models,
+			Models:     fault.AllModels(),
 			Injections: injections,
 			Seed:       o.Seed,
 		})
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		sec := time.Since(start).Seconds()
-		b, err := cr.Checkpoint()
-		if err != nil {
-			return nil, 0, err
-		}
-		return b, float64(cr.NextIndex) / sec, nil
+		return cr.Checkpoint()
 	}
-	ib, irate, err := run(true)
+	ib, err := run(true)
 	if err != nil {
 		return camp, fmt.Errorf("vmexec campaign (interpreter): %w", err)
 	}
-	cb, crate, err := run(false)
+	cb, err := run(false)
 	if err != nil {
 		return camp, fmt.Errorf("vmexec campaign (compiled): %w", err)
 	}
 	camp.CheckpointsIdentical = bytes.Equal(ib, cb)
-	camp.InterpRunsPerSec = irate
-	camp.CompiledRunsPerSec = crate
-	if irate > 0 {
-		camp.Speedup = crate / irate
-	}
 	return camp, nil
 }

@@ -12,10 +12,7 @@
 package fault
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/ir"
@@ -161,112 +158,22 @@ type SiteStats struct {
 // SDCs returns the number of silent corruptions at the site.
 func (s *SiteStats) SDCs() int { return s.Counts[OutcomeSDC] }
 
-// Result aggregates a campaign.
-type Result struct {
-	Name   string
-	Total  int
-	Counts [numOutcomes]int
-	// Sites breaks outcomes down by the static instruction the fault
-	// was injected at.
-	Sites map[string]*SiteStats
-	// Reference statistics from the fault-free run.
-	RefRegWrites uint64
-	RefCycles    uint64
-}
-
-// VulnerableSites returns the sites with at least one SDC, most
-// vulnerable first.
-func (r *Result) VulnerableSites() []*SiteStats {
-	var out []*SiteStats
-	for _, s := range r.Sites {
-		if s.SDCs() > 0 {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].SDCs() != out[j].SDCs() {
-			return out[i].SDCs() > out[j].SDCs()
-		}
-		return out[i].Site < out[j].Site
-	})
-	return out
-}
-
-// Rate returns the percentage of runs with the given outcome.
-func (r *Result) Rate(o Outcome) float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return 100 * float64(r.Counts[o]) / float64(r.Total)
-}
-
-// ClassRate returns the percentage of runs in the given class.
-func (r *Result) ClassRate(c Class) float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	n := 0
-	for o := Outcome(0); o < numOutcomes; o++ {
-		if o.Class() == c {
-			n += r.Counts[o]
-		}
-	}
-	return 100 * float64(n) / float64(r.Total)
-}
-
-// CorrectedShare returns the percentage of *detected* faults that were
-// corrected (the paper's 91.2% headline combines detection and
-// recovery; this helper reports recovery effectiveness).
-func (r *Result) CorrectedShare() float64 {
-	det := r.Counts[OutcomeHAFTCorrected] + r.Counts[OutcomeILRDetected]
-	if det == 0 {
-		return 0
-	}
-	return 100 * float64(r.Counts[OutcomeHAFTCorrected]) / float64(det)
-}
-
-// String formats the result like a Figure 9 bar.
-func (r *Result) String() string {
-	return fmt.Sprintf("%s: crashed=%.1f%% correct=%.1f%% corrupted=%.1f%% (corrected=%.1f%% masked=%.1f%%)",
-		r.Name, r.ClassRate(ClassCrashed), r.ClassRate(ClassCorrect), r.ClassRate(ClassCorrupted),
-		r.Rate(OutcomeHAFTCorrected), r.Rate(OutcomeMasked))
-}
-
 // Campaign runs n single-fault register-flip injections against the
 // target and classifies each outcome, fanning the independent runs
 // out across CPU cores — the role the paper's 25-machine cluster
-// plays (§5.1). It is a thin wrapper over RunCampaign with the
-// classic single-model configuration; results are independent of
-// worker count because every run derives its own RNG from (seed, i).
-func Campaign(t *Target, n int, seed int64) (*Result, error) {
-	return campaign(t, n, seed, runtime.GOMAXPROCS(0))
-}
-
-// CampaignSerial is Campaign on a single worker (tests and debugging).
-func CampaignSerial(t *Target, n int, seed int64) (*Result, error) {
-	return campaign(t, n, seed, 1)
-}
-
-func campaign(t *Target, n int, seed int64, workers int) (*Result, error) {
+// plays (§5.1). It is RunCampaign with the classic single-model
+// configuration, returning that model's aggregate.
+func Campaign(t *Target, n int, seed int64) (*ModelResult, error) {
 	cr, err := RunCampaign(t, CampaignConfig{
 		Models:     []Model{ModelRegister},
 		Injections: n,
 		Seed:       seed,
 		Segments:   1, // plain uniform sampling, as in the paper
-		Workers:    workers,
 	})
 	if err != nil {
 		return nil, err
 	}
-	mr := cr.PerModel[0]
-	return &Result{
-		Name:         cr.Name,
-		Total:        mr.Total,
-		Counts:       mr.Counts,
-		Sites:        mr.Sites,
-		RefRegWrites: cr.RefRegWrites,
-		RefCycles:    cr.RefCycles,
-	}, nil
+	return cr.PerModel[0], nil
 }
 
 // randMask returns a random non-zero 64-bit corruption pattern. Half

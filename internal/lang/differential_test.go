@@ -3,7 +3,9 @@ package lang
 // Differential testing of the code generator: random source programs
 // are executed by the reference AST interpreter and by the compiled IR
 // on the machine simulator — natively, optimized, and HAFT-hardened —
-// and all outputs must agree exactly.
+// and all outputs must agree exactly. The code generator is under test,
+// not the engine, so the runs use the compiled engine (engine_fuzz_test.go
+// holds the step interpreter to it on the same generator).
 
 import (
 	"fmt"
@@ -186,8 +188,12 @@ func TestDifferentialCompilerVsInterpreter(t *testing.T) {
 		if ierr != nil {
 			// The oracle rejected the program (e.g. a division by zero
 			// the guard missed): the compiled run must not silently
-			// produce output either — it must crash the same way.
-			mach := vm.New(m, 1, vmQuiet())
+			// produce output either — it must crash the same way. The
+			// budget is fuzzCheck's: a program the oracle's step limit
+			// rejected must not burn the default 500M instructions.
+			cfg := vmQuiet()
+			cfg.MaxDynInstrs = 10_000_000
+			mach := vm.NewFromProgram(vm.Compile(m), 1, cfg)
 			mach.Run(vm.ThreadSpec{Func: "main"})
 			if mach.Status() == vm.StatusOK {
 				t.Fatalf("seed %d: oracle failed (%v) but compiled run succeeded\n%s", seed, ierr, src)
@@ -196,7 +202,7 @@ func TestDifferentialCompilerVsInterpreter(t *testing.T) {
 		}
 		variants := map[string]func() []uint64{
 			"native": func() []uint64 {
-				mach := vm.New(m.Clone(), 1, vmQuiet())
+				mach := vm.NewFromProgram(vm.Compile(m.Clone()), 1, vmQuiet())
 				mach.Run(vm.ThreadSpec{Func: "main"})
 				if mach.Status() != vm.StatusOK {
 					t.Fatalf("seed %d native: %v (%s)\n%s", seed, mach.Status(), mach.Stats().CrashReason, src)
@@ -206,7 +212,7 @@ func TestDifferentialCompilerVsInterpreter(t *testing.T) {
 			"optimized": func() []uint64 {
 				mo := m.Clone()
 				opt.Apply(mo)
-				mach := vm.New(mo, 1, vmQuiet())
+				mach := vm.NewFromProgram(vm.Compile(mo), 1, vmQuiet())
 				mach.Run(vm.ThreadSpec{Func: "main"})
 				if mach.Status() != vm.StatusOK {
 					t.Fatalf("seed %d optimized: %v\n%s", seed, mach.Status(), src)
@@ -215,7 +221,7 @@ func TestDifferentialCompilerVsInterpreter(t *testing.T) {
 			},
 			"haft": func() []uint64 {
 				h := core.MustHarden(m, core.Config{Mode: core.ModeHAFT, Opt: core.OptFaultProp, TxThreshold: 300})
-				mach := vm.New(h, 1, vmQuiet())
+				mach := vm.NewFromProgram(vm.Compile(h), 1, vmQuiet())
 				mach.Run(vm.ThreadSpec{Func: "main"})
 				if mach.Status() != vm.StatusOK {
 					t.Fatalf("seed %d haft: %v\n%s", seed, mach.Status(), src)

@@ -146,7 +146,9 @@ func fuzzCheck(src string, variants []fuzzVariant) error {
 		// budget per variant. The reference interpreter's own step limit
 		// rejects the same programs, so crash behavior stays aligned.
 		cfg.MaxDynInstrs = 10_000_000
-		mach := vm.New(mod, 1, cfg)
+		// Outputs are what this matrix compares, so it runs on the fast
+		// engine; engineCheck is what holds the step interpreter to it.
+		mach := vm.NewFromProgram(vm.Compile(mod), 1, cfg)
 		mach.Run(vm.ThreadSpec{Func: "main"})
 		return mach.Output(), mach.Status() == vm.StatusOK
 	}

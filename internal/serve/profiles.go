@@ -7,9 +7,8 @@ import "fmt"
 // calibrated level of chaos instead of hand-tuning four rates. "none"
 // disables the chaos layer (the SEU campaign, if configured, still
 // runs); "light" exercises every failure path at rates the retry
-// budget absorbs comfortably; "heavy" matches the adversarial mix of
-// the chaos benchmark (kills, wedges and SEU storms every few dozen
-// batch runs).
+// budget absorbs comfortably; "heavy" is the adversarial mix (kills,
+// wedges and SEU storms every few dozen batch runs).
 
 // ChaosProfiles lists the named chaos presets in escalation order.
 func ChaosProfiles() []string { return []string{"none", "light", "heavy"} }
