@@ -1,7 +1,7 @@
 // Command haftobs is the cluster observability toolchain: it scrapes
 // per-process event rings into one clock-aligned cluster trace, merges
 // sharded collections, lists forensic flight bundles, and replays a
-// bundle under the step interpreter to localize the instruction a
+// bundle with stepwise dispatch to localize the instruction a
 // detected corruption first diverged at.
 //
 // Usage:
@@ -26,7 +26,7 @@
 //
 // flight lists the bundles a recorder directory holds, one line each.
 //
-// replay re-executes a bundle's batch under the step interpreter —
+// replay re-executes a bundle's batch with stepwise dispatch —
 // once clean, once with the recorded faults re-injected — and reports
 // the first divergent instruction with function/line attribution.
 // -require-localized exits nonzero unless the divergence maps back to

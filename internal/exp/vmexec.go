@@ -1,12 +1,12 @@
-// The "vmexec" experiment: the engine differential. For every hardened
-// workload it runs the same module once through the reference step
-// interpreter and once through the compiled engine, checks the runs are
+// The "vmexec" experiment: the dispatch differential. For every hardened
+// workload it runs the same module once with stepwise dispatch (vm.New)
+// and once with fused dispatch (vm.NewFromProgram), checks the runs are
 // bit-identical (status, output, run statistics, HTM behavior), and
 // reports the static shape of the compiled artifact. A second stage
-// repeats a multi-model fault-injection campaign on both engines and
-// compares the JSON checkpoints byte for byte. Any divergence is an
-// error. The result is deterministic; how fast each engine runs is
-// bench/'s exec-ladder (vm.minstr_per_s.*, vm.interp_minstr_per_s).
+// repeats a multi-model fault-injection campaign with both and compares
+// the JSON checkpoints byte for byte. Any divergence is an error. The
+// result is deterministic; how fast each dispatch runs is bench/'s
+// exec-ladder (vm.minstr_per_s.*, vm.interp_minstr_per_s).
 package exp
 
 import (
@@ -21,13 +21,13 @@ import (
 	"repro/internal/workloads"
 )
 
-// VMExecRow is one hardened benchmark's engine comparison.
+// VMExecRow is one hardened benchmark's dispatch comparison.
 type VMExecRow struct {
 	Benchmark string `json:"benchmark"`
-	// DynInstrs is the dynamic instruction count of one run (equal on
-	// both engines by construction).
+	// DynInstrs is the dynamic instruction count of one run (equal for
+	// both dispatches by construction).
 	DynInstrs uint64 `json:"dyn_instrs"`
-	// Identical reports full bit-identity of the two engines' runs.
+	// Identical reports full bit-identity of the two dispatches' runs.
 	Identical bool `json:"identical"`
 	// Program is the static shape of the compiled artifact
 	// (instruction count, fused runs, ILR pair-checks).
@@ -35,7 +35,7 @@ type VMExecRow struct {
 }
 
 // VMExecCampaign compares a full fault-injection campaign across
-// engines.
+// dispatches.
 type VMExecCampaign struct {
 	Benchmark  string `json:"benchmark"`
 	Injections int    `json:"injections"`
@@ -49,13 +49,13 @@ type VMExecResult struct {
 	Threads int         `json:"threads"`
 	Scale   int         `json:"scale"`
 	Rows    []VMExecRow `json:"rows"`
-	// Divergences counts benchmarks whose engines disagreed (must be
+	// Divergences counts benchmarks whose dispatches disagreed (must be
 	// zero; a non-zero count fails the experiment).
 	Divergences int            `json:"divergences"`
 	Campaign    VMExecCampaign `json:"campaign"`
 }
 
-// vmexecProbe is one engine's observable outcome.
+// vmexecProbe is one dispatch's observable outcome.
 type vmexecProbe struct {
 	status vm.Status
 	out    []uint64
@@ -67,9 +67,9 @@ func vmexecRun(mach *vm.Machine, specs []vm.ThreadSpec) vmexecProbe {
 	return vmexecProbe{mach.Status(), mach.Output(), mach.Stats()}
 }
 
-// VMExec runs the engine differential over the hardened workload suite
-// plus one cross-engine fault campaign. It returns an error if any
-// benchmark or the campaign diverges between engines.
+// VMExec runs the dispatch differential over the hardened workload
+// suite plus one cross-dispatch fault campaign. It returns an error if
+// any benchmark or the campaign diverges between dispatches.
 func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 	benches := o.benchList()
 	res := &VMExecResult{Threads: 1, Scale: o.Scale}
@@ -87,18 +87,18 @@ func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 		hp.Module = mod
 		specs := hp.SpecsFor(1)
 
-		interp := vmexecRun(vm.New(mod, 1, vm.DefaultConfig()), specs)
-		if interp.status != vm.StatusOK {
-			return meas{err: fmt.Errorf("%s: interpreter run failed: %v (%s)",
-				benches[i].Name, interp.status, interp.stats.CrashReason)}
+		stepwise := vmexecRun(vm.New(mod, 1, vm.DefaultConfig()), specs)
+		if stepwise.status != vm.StatusOK {
+			return meas{err: fmt.Errorf("%s: stepwise run failed: %v (%s)",
+				benches[i].Name, stepwise.status, stepwise.stats.CrashReason)}
 		}
 		prog := vm.Compile(mod)
-		compiled := vmexecRun(vm.NewFromProgram(prog, 1, vm.DefaultConfig()), specs)
+		fused := vmexecRun(vm.NewFromProgram(prog, 1, vm.DefaultConfig()), specs)
 		return meas{row: VMExecRow{
 			Benchmark: benches[i].Name,
-			DynInstrs: interp.stats.DynInstrs,
-			Identical: compiled.status == interp.status &&
-				slices.Equal(compiled.out, interp.out) && compiled.stats == interp.stats,
+			DynInstrs: stepwise.stats.DynInstrs,
+			Identical: fused.status == stepwise.status &&
+				slices.Equal(fused.out, stepwise.out) && fused.stats == stepwise.stats,
 			Program: prog.Stats(),
 		}}
 	})
@@ -115,8 +115,8 @@ func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 		}
 	}
 
-	// Cross-engine campaign: same seeds, all six fault models, both
-	// engines — the checkpoints must match byte for byte.
+	// Cross-dispatch campaign: same seeds, all six fault models, both
+	// dispatches — the checkpoints must match byte for byte.
 	camp, err := vmexecCampaign(benches[0], o)
 	if err != nil {
 		return nil, nil, err
@@ -125,7 +125,7 @@ func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 
 	verdict := map[bool]string{true: "identical", false: "DIVERGED"}
 	t := &report.Table{
-		Title:  fmt.Sprintf("vmexec: compiled engine vs step interpreter (threads=1, scale=%d)", o.Scale),
+		Title:  fmt.Sprintf("vmexec: fused vs stepwise dispatch (threads=1, scale=%d)", o.Scale),
 		Header: []string{"benchmark", "dyn instrs (M)", "instrs", "fused %", "pair checks", "outputs"},
 	}
 	for _, r := range res.Rows {
@@ -140,16 +140,18 @@ func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 		"", "", "", "", verdict[camp.CheckpointsIdentical])
 
 	if res.Divergences > 0 {
-		return res, t, fmt.Errorf("vmexec: engines diverged on %v", diverged)
+		return res, t, fmt.Errorf("vmexec: dispatches diverged on %v", diverged)
 	}
 	if !camp.CheckpointsIdentical {
-		return res, t, fmt.Errorf("vmexec: campaign checkpoints diverged between engines")
+		return res, t, fmt.Errorf("vmexec: campaign checkpoints diverged between dispatches")
 	}
 	return res, t, nil
 }
 
-// vmexecCampaign runs the same seeded multi-model campaign on both
-// engines and compares the checkpoints.
+// vmexecCampaign runs the same seeded multi-model campaign with both
+// dispatches and compares the checkpoints. The campaign runs
+// Options.FIThreads threads (default 2); at more than one both
+// dispatches take the same loop.
 func vmexecCampaign(spec workloads.Spec, o Options) (VMExecCampaign, error) {
 	injections := o.Injections
 	if injections <= 0 {
@@ -171,11 +173,11 @@ func vmexecCampaign(spec workloads.Spec, o Options) (VMExecCampaign, error) {
 	}
 	ib, err := run(true)
 	if err != nil {
-		return camp, fmt.Errorf("vmexec campaign (interpreter): %w", err)
+		return camp, fmt.Errorf("vmexec campaign (stepwise): %w", err)
 	}
 	cb, err := run(false)
 	if err != nil {
-		return camp, fmt.Errorf("vmexec campaign (compiled): %w", err)
+		return camp, fmt.Errorf("vmexec campaign (fused): %w", err)
 	}
 	camp.CheckpointsIdentical = bytes.Equal(ib, cb)
 	return camp, nil

@@ -13,9 +13,6 @@ func TestTargetSharesCompiledProgram(t *testing.T) {
 	tg := target(t, core.ModeHAFT)
 	m1 := tg.newMachine()
 	m2 := tg.newMachine()
-	if !m1.Compiled() || !m2.Compiled() {
-		t.Fatal("campaign machines not running the compiled engine")
-	}
 	if m1.Mod != m2.Mod {
 		t.Fatal("workers hold different module copies; the program is not shared")
 	}
@@ -23,17 +20,18 @@ func TestTargetSharesCompiledProgram(t *testing.T) {
 		t.Fatal("target did not cache its compiled program")
 	}
 
+	// Stepwise workers (vm.New) compile for themselves.
 	tg2 := target(t, core.ModeHAFT)
 	tg2.Interpret = true
-	if tg2.newMachine().Compiled() {
-		t.Fatal("Interpret target still used the compiled engine")
+	if tg2.newMachine(); tg2.prog != nil {
+		t.Fatal("Interpret target took the shared program")
 	}
 }
 
-// TestCampaignEngineBitIdentical is the cross-engine campaign
+// TestCampaignEngineBitIdentical is the cross-dispatch campaign
 // contract: the same seeds produce byte-identical JSON checkpoints
-// whether the workers run the compiled engine or the reference
-// interpreter, across all six fault models.
+// whether the workers dispatch fused (the default) or stepwise
+// (Interpret), across all six fault models.
 func TestCampaignEngineBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign sweep")
@@ -60,12 +58,12 @@ func TestCampaignEngineBitIdentical(t *testing.T) {
 	compiled := run(false)
 	interp := run(true)
 	if !bytes.Equal(compiled, interp) {
-		t.Fatalf("campaign checkpoints diverge between engines:\ncompiled: %s\ninterp:   %s",
+		t.Fatalf("campaign checkpoints diverge between dispatches:\nfused:    %s\nstepwise: %s",
 			compiled, interp)
 	}
 
-	// Determinism across repeats of the compiled engine (the resumable-
-	// checkpoint property must survive the shared program cache).
+	// Determinism across repeats (the resumable-checkpoint property must
+	// survive the shared program cache).
 	if again := run(false); !bytes.Equal(compiled, again) {
 		t.Fatal("compiled campaign not deterministic across repeats")
 	}

@@ -112,15 +112,16 @@ type Target struct {
 	Setup func(*vm.Machine)
 	// Specs are the thread entry points.
 	Specs []vm.ThreadSpec
-	// Interpret forces the reference step interpreter instead of the
-	// precompiled engine (differential testing; default off).
+	// Interpret makes every worker a vm.New machine, which dispatches
+	// stepwise, one instruction per turn, instead of fusing
+	// superinstructions (differential testing; default off). At more
+	// than one thread both settings take the same dispatch loop.
 	Interpret bool
 
 	// compileOnce guards the one-time preparation of the module: it is
-	// laid out and, for the compiled engine, compiled once per target.
-	// Every worker machine then runs that one immutable module and
-	// artifact, which is also what lets a snapshot of one machine
-	// restore into another.
+	// laid out and, unless Interpret is set, compiled once per target.
+	// Every worker machine then runs that one immutable module, which is
+	// what lets a snapshot of one machine restore into another.
 	compileOnce sync.Once
 	prog        *vm.Program
 }

@@ -1,13 +1,16 @@
 package lang
 
-// Fuzzing the precompiled execution engine: random source programs are
-// compiled, optionally hardened, and run twice — once on the reference
-// step interpreter and once on the compiled engine — and the two runs
-// must be bit-identical in status, externalized output, and run
-// statistics. This catches lowering or superinstruction-fusion bugs
-// the hand-written differential suite in internal/vm misses, because
-// the generator produces control flow (nested loops, guarded division,
-// dead branches) no fixture author would think to write.
+// Fuzzing the execution core: random source programs are compiled,
+// optionally hardened, and run twice — once with stepwise dispatch
+// (vm.New) and once with fused dispatch (vm.NewFromProgram) — and the
+// two runs must be bit-identical in status, externalized output, and
+// run statistics. Both share one lowering, so the lowering is held to
+// the AST interpreter instead: whenever Interp accepts a program, every
+// variant must run to completion with Interp's output. This catches
+// lowering or superinstruction-fusion bugs the hand-written suite in
+// internal/vm misses, because the generator produces control flow
+// (nested loops, guarded division, dead branches) no fixture author
+// would think to write.
 
 import (
 	"fmt"
@@ -43,12 +46,14 @@ func engineVariants() []fuzzVariant {
 }
 
 // engineCheck compiles one source and, for every hardening variant,
-// compares the step interpreter against the compiled engine.
+// compares stepwise against fused dispatch and, when the AST interpreter
+// accepts the program, both against its output.
 func engineCheck(src string, variants []fuzzVariant) error {
 	prog, err := ParseProgram(src)
 	if err != nil {
 		return errNotAProgram{err}
 	}
+	oracle, ierr := Interp(prog)
 	m, err := CompileProgram(prog)
 	if err != nil {
 		return fmt.Errorf("compile: %w", err)
@@ -74,19 +79,29 @@ func engineCheck(src string, variants []fuzzVariant) error {
 		}
 		cfg := vmQuiet()
 		cfg.MaxDynInstrs = 10_000_000 // see fuzzCheck: fail loops fast
-		interp := run(vm.New(mod, 1, cfg))
-		compiled := run(vm.NewFromProgram(vm.Compile(mod), 1, cfg))
-		if compiled.status != interp.status {
-			return fmt.Errorf("%s: compiled status %v, interpreter %v",
-				v.name, compiled.status, interp.status)
+		stepwise := run(vm.New(mod, 1, cfg))
+		fused := run(vm.NewFromProgram(vm.Compile(mod), 1, cfg))
+		if fused.status != stepwise.status {
+			return fmt.Errorf("%s: fused status %v, stepwise %v",
+				v.name, fused.status, stepwise.status)
 		}
-		if !outputsEqual(compiled.out, interp.out) {
-			return fmt.Errorf("%s: compiled output %v, interpreter %v",
-				v.name, compiled.out, interp.out)
+		if !outputsEqual(fused.out, stepwise.out) {
+			return fmt.Errorf("%s: fused output %v, stepwise %v",
+				v.name, fused.out, stepwise.out)
 		}
-		if compiled.stats != interp.stats {
-			return fmt.Errorf("%s: compiled stats %+v, interpreter %+v",
-				v.name, compiled.stats, interp.stats)
+		if fused.stats != stepwise.stats {
+			return fmt.Errorf("%s: fused stats %+v, stepwise %+v",
+				v.name, fused.stats, stepwise.stats)
+		}
+		if ierr != nil {
+			continue
+		}
+		if stepwise.status != vm.StatusOK {
+			return fmt.Errorf("%s: %v (%s) on a program the AST interpreter runs",
+				v.name, stepwise.status, stepwise.stats.CrashReason)
+		}
+		if !outputsEqual(stepwise.out, oracle) {
+			return fmt.Errorf("%s: output %v, AST interpreter %v", v.name, stepwise.out, oracle)
 		}
 	}
 	return nil
@@ -157,7 +172,7 @@ func TestFuzzEngineDifferential(t *testing.T) {
 		}
 		t.Fatalf("seed %d: %v\n%s", failSeed, failErr, src)
 	}
-	t.Logf("fuzzed %d programs across both execution engines, all runs bit-identical", checked)
+	t.Logf("fuzzed %d programs across both dispatches, all runs bit-identical", checked)
 }
 
 // TestFuzzCorpusEngineReplay runs every stored pipeline-fuzzer

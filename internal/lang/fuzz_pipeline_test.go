@@ -146,8 +146,8 @@ func fuzzCheck(src string, variants []fuzzVariant) error {
 		// budget per variant. The reference interpreter's own step limit
 		// rejects the same programs, so crash behavior stays aligned.
 		cfg.MaxDynInstrs = 10_000_000
-		// Outputs are what this matrix compares, so it runs on the fast
-		// engine; engineCheck is what holds the step interpreter to it.
+		// Outputs are what this matrix compares, so it runs fused;
+		// engineCheck is what holds stepwise dispatch to it.
 		mach := vm.NewFromProgram(vm.Compile(mod), 1, cfg)
 		mach.Run(vm.ThreadSpec{Func: "main"})
 		return mach.Output(), mach.Status() == vm.StatusOK

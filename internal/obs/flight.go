@@ -26,7 +26,7 @@ type FaultRecord struct {
 
 // FlightBundle is one forensic dossier: everything captured around a
 // detected-corruption event, sufficient to deterministically re-execute
-// the offending batch under the step interpreter. Producers fill the
+// the offending batch with stepwise dispatch. Producers fill the
 // fields they know; consumers tolerate absent optionals.
 type FlightBundle struct {
 	Version int    `json:"version"`

@@ -65,12 +65,14 @@ func DefaultRegistry() *Registry {
 		MaxSDCRuns: -1,
 	})
 
-	// Engine differential: identical campaigns on the step interpreter
-	// and the precompiled engine must agree (the engines' equivalence
-	// contract, checked per fault model).
+	// Engine differential: identical campaigns dispatched stepwise and
+	// fused must agree (the equivalence contract, checked per fault
+	// model). Campaigns run fiThreads = 2 threads, where both axis
+	// values take the same one-instruction-per-turn loop, so this pins
+	// that a stepwise (vm.New) worker matches a shared-program one.
 	r.MustRegister(&Scenario{
 		Name:     "fi/engine-differential",
-		Desc:     "identical campaigns on step vs compiled engines (equivalence contract)",
+		Desc:     "identical campaigns on stepwise vs fused dispatch (equivalence contract)",
 		Owner:    defaultOwner,
 		Contacts: defaultContacts,
 		Attrs:    []string{"fi", "engines", "smoke"},

@@ -62,8 +62,10 @@ type Axes struct {
 	// Flow restricts register-indexed models to one redundant data
 	// flow: any, master, shadow, shadow2.
 	Flow string `json:"flow"`
-	// Engine selects the execution engine: "compiled" (the precompiled
-	// flat-bytecode engine) or "step" (the reference interpreter).
+	// Engine selects the dispatch: "compiled" (vm.NewFromProgram, fused
+	// superinstructions when single-threaded) or "step" (vm.New, one
+	// instruction per turn). Fault-injection runs use fiThreads = 2,
+	// where both take the same loop.
 	Engine string `json:"engine"`
 	// Chaos is a serving-layer chaos profile: none, light, heavy.
 	Chaos string `json:"chaos"`

@@ -14,7 +14,7 @@ import (
 // bundle records a batch that a defense layer flagged (ILR fail-stop,
 // TMR vote, host verifier, cluster vote mask) together with the exact
 // fault plans that were armed; ReplayBundle re-executes that batch
-// twice under the step interpreter — once clean, once with the
+// twice with stepwise dispatch — once clean, once with the
 // recorded faults re-injected — and diffs the two register-write
 // traces. The first divergent write IS the fault's architectural entry
 // point, named by function, block, op, and source line, in the spirit

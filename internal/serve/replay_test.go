@@ -36,7 +36,7 @@ func driveUntilBundle(t *testing.T, s *Server, want func(*obs.FlightBundle) bool
 // TestFlightReplayLocalizesInjectedSEU is the detect→diagnose loop end
 // to end on one node: a fixed-seed SEU campaign corrupts a reply, the
 // host verifier rejects it and captures a flight bundle, and replaying
-// the bundle under the step interpreter re-injects the recorded fault
+// the bundle with stepwise dispatch re-injects the recorded fault
 // and names the exact corrupted instruction — function, block, op, and
 // source line — with profiler attribution.
 func TestFlightReplayLocalizesInjectedSEU(t *testing.T) {

@@ -1,10 +1,14 @@
-// Compiled-program dispatch: the fast twin of exec.go's step
-// interpreter. Every handler here mirrors the interpreter's order of
-// operations exactly — accounting, fault application, scheduler
-// issues, HTM ticks — so a compiled run is bit-identical to an
-// interpreted one (see compile.go for the contract). The shared slow
-// paths (memRead/memWrite, commitReg, the intrinsic runtime, lock and
-// barrier machinery, snapshots) are reused verbatim.
+// Dispatch: the one place instruction semantics are written. exec1C
+// executes one compiled instruction; the two loops below decide how
+// many run per scheduler turn. Stepwise dispatch (loopCN) runs one
+// instruction of the runnable core with the smallest clock per turn;
+// fused dispatch (loopC1, single-threaded NewFromProgram machines)
+// runs a whole superinstruction per turn. The fused handlers keep
+// exec1C's order of operations exactly — accounting, fault
+// application, scheduler issues, HTM ticks — so the two dispatches are
+// bit-identical (see compile.go for the contract). The slow paths
+// (memRead/memWrite, commitReg, the intrinsic runtime, lock and
+// barrier machinery, snapshots) are shared by both.
 package vm
 
 import (
@@ -16,13 +20,13 @@ import (
 	"repro/internal/obs"
 )
 
-// loopCompiled is the compiled engine's scheduler. Single-threaded
-// runs take a tight core-pinned loop with superinstruction dispatch;
-// multi-threaded runs keep the one-instruction-per-turn smallest-
-// clock interleaving (fused dispatch would reorder the globally
-// numbered fault populations across cores).
+// loopCompiled is the scheduler. Single-threaded runs take a tight
+// core-pinned loop with superinstruction dispatch, unless the machine
+// is stepwise (New); multi-threaded runs keep the one-instruction-per-
+// turn smallest-clock interleaving (fused dispatch would reorder the
+// globally numbered fault populations across cores).
 func (m *Machine) loopCompiled() {
-	if m.nthreads == 1 {
+	if m.nthreads == 1 && !m.stepwise {
 		m.loopC1(m.cores[0])
 	} else {
 		m.loopCN()
@@ -48,7 +52,7 @@ func (m *Machine) loopC1(c *core) {
 		ci := &cf.code[pc]
 		if ci.fused > 1 {
 			if (ci.fkind == fusePairCheck || ci.fkind == fuseTriadVote) &&
-				len(m.faults) == 0 && m.tracer == nil && m.breakpoints == nil {
+				len(m.faults) == 0 && m.tracer == nil {
 				m.execFusedCheck(c, fr, cf, pc)
 			} else {
 				m.execFusedRun(c, fr, cf, pc)
@@ -62,8 +66,8 @@ func (m *Machine) loopC1(c *core) {
 	}
 }
 
-// loopCN mirrors the interpreter's global scheduler over the compiled
-// code, one instruction per turn.
+// loopCN is the global scheduler: repeatedly run one instruction of the
+// runnable core with the smallest local clock.
 func (m *Machine) loopCN() {
 	for {
 		if m.stats.DynInstrs > m.limit {
@@ -102,7 +106,7 @@ func (m *Machine) loopCN() {
 // aluEval evaluates a pure register-only instruction against the
 // frame, returning the result, the operands' readiness, and a crash
 // reason for trapping instructions (division by zero) or unlowered
-// ops. Shared by single dispatch and both fused handlers.
+// ops. Shared by exec1C and both fused handlers.
 func aluEval(fr *frame, ci *cinstr) (res, opsReady uint64, crash string) {
 	var v0, v1, v2 uint64
 	args := ci.args
@@ -191,16 +195,13 @@ func aluEval(fr *frame, ci *cinstr) (res, opsReady uint64, crash string) {
 	return res, opsReady, ""
 }
 
-// exec1C executes one compiled instruction, mirroring Machine.step.
+// exec1C executes one compiled instruction.
 func (m *Machine) exec1C(c *core, fr *frame, ci *cinstr) {
 	op := ci.op
 	if op == copFellOff {
 		m.crash(fmt.Sprintf("fell off block %s in %s",
 			fr.fn.Blocks[fr.block].Name, fr.fn.Name))
 		return
-	}
-	if m.breakpoints != nil {
-		m.checkBreakpoints(c, fr)
 	}
 	m.stats.DynInstrs++
 	if m.prof != nil && op != ir.OpPhi {
@@ -228,9 +229,6 @@ func (m *Machine) exec1C(c *core, fr *frame, ci *cinstr) {
 		return
 	case copBadCall:
 		m.crash("call to unknown function " + ci.in.Callee)
-		return
-	case copBadIntrinsic:
-		m.crash("unknown intrinsic " + ci.in.Callee)
 		return
 	case ir.OpLoad, ir.OpALoad:
 		addr, r0 := fr.cval(ci.args[0])
@@ -282,9 +280,20 @@ func (m *Machine) exec1C(c *core, fr *frame, ci *cinstr) {
 		res, wrote = old, true
 		lat = ci.lat
 	case ir.OpOut:
-		v0, r0 := fr.cval(ci.args[0])
-		m.execOut(c, fr, ci.in, v0, r0)
-		return
+		// Externalization is unfriendly to a transaction and dooms it;
+		// the abort is observed right away, so the value is emitted once,
+		// by the retry or the fallback run.
+		if m.HTM.InTx(c.id) {
+			m.HTM.Unfriendly(c.id)
+			m.checkDoom(c)
+			return
+		}
+		var v0 uint64
+		v0, opsReady = fr.cval(ci.args[0])
+		if len(m.output) < m.outputLimit {
+			m.output = append(m.output, v0)
+		}
+		lat = ci.lat
 	default:
 		var reason string
 		res, opsReady, reason = aluEval(fr, ci)
@@ -328,10 +337,11 @@ type phiUpd struct {
 	val, ready uint64
 }
 
-// execPhiGroupC executes a pre-batched phi run, mirroring
-// execPhiGroup's accounting (the caller counted the first phi; each
-// move recounts itself; one count is returned on success; a missing
-// edge crashes on the offending phi without the give-back).
+// execPhiGroupC executes a pre-batched phi run. Every phi counts as
+// one instruction (the caller counted the first; each move recounts
+// itself and one count is given back on success; a missing edge
+// crashes on the offending phi without the give-back) and as one
+// register write.
 func (m *Machine) execPhiGroupC(c *core, fr *frame, g *cphiGroup) {
 	var pp *cphiPred
 	for i := range g.preds {
@@ -394,7 +404,7 @@ func (m *Machine) execPhiGroupC(c *core, fr *frame, g *cphiGroup) {
 	m.afterInstr(c)
 }
 
-// execTerminatorC mirrors execTerminator over pre-resolved targets.
+// execTerminatorC handles br/jmp/ret/trap over pre-resolved targets.
 func (m *Machine) execTerminatorC(c *core, fr *frame, ci *cinstr) {
 	switch ci.op {
 	case ir.OpBr:
@@ -455,8 +465,8 @@ func (m *Machine) execTerminatorC(c *core, fr *frame, ci *cinstr) {
 	m.afterInstr(c)
 }
 
-// pushFrameC enters a compiled callee. It mirrors pushFrame
-// (operand gather, issue, overflow check, frame construction).
+// pushFrameC enters a callee: operand gather, issue, stack-overflow
+// check, frame construction.
 func (m *Machine) pushFrameC(c *core, fr *frame, cfn *cfunc, args []carg, res int32, lat uint64) {
 	callee := cfn.fn
 	var opsReady uint64
@@ -490,8 +500,9 @@ func (m *Machine) pushFrameC(c *core, fr *frame, cfn *cfunc, args []carg, res in
 	})
 }
 
-// execCallIndC mirrors execCallInd: arg0 indexes the module function
-// table; its readiness is not charged (matching the interpreter).
+// execCallIndC dispatches an indirect call: arg0 indexes the module
+// function table, and its readiness is not charged. A corrupted index
+// crashes, like a wild function pointer would.
 func (m *Machine) execCallIndC(c *core, fr *frame, ci *cinstr) {
 	idxv, _ := fr.cval(ci.args[0])
 	if idxv >= uint64(len(m.Mod.Funcs)) {
@@ -507,7 +518,7 @@ func (m *Machine) execCallIndC(c *core, fr *frame, ci *cinstr) {
 }
 
 // execIntrinsicC gathers operands from pre-resolved slots and enters
-// the shared intrinsic runtime by id — no name lookup on this path.
+// the intrinsic runtime by id — no name lookup on this path.
 func (m *Machine) execIntrinsicC(c *core, fr *frame, ci *cinstr) {
 	var buf [6]uint64
 	var vals []uint64
@@ -535,9 +546,6 @@ func (m *Machine) execFusedRun(c *core, fr *frame, cf *cfunc, pc int32) {
 	end := pc + cf.code[pc].fused
 	for {
 		ci := &cf.code[pc]
-		if m.breakpoints != nil {
-			m.checkBreakpoints(c, fr)
-		}
 		m.stats.DynInstrs++
 		if m.prof != nil {
 			m.prof.Note(fr.fn, ci.in)
@@ -652,8 +660,8 @@ func (m *Machine) execFusedIntrinsic(c *core, fr *frame, ci *cinstr) bool {
 // hardening superinstructions: the ILR pair-check (master op + shadow
 // op + tx.check of their results) and the TMR triad-vote (master op +
 // both shadow twins + tmr.vote of their results). It is dispatched
-// only when no fault plans, tracer, or breakpoints are installed, so
-// commits take the branch-free fast path; constituent accounting
+// only when no fault plans or tracer are installed, so commits take
+// the branch-free fast path; constituent accounting
 // (DynInstrs, profiler, register-write populations, HTM ticks,
 // budget) is identical to unfused execution.
 func (m *Machine) execFusedCheck(c *core, fr *frame, cf *cfunc, pc int32) {

@@ -1,12 +1,12 @@
-// Precompiled execution engine: Compile lowers a verified ir.Module
-// once into a flat, cache-friendly Program that the machine's fast
-// dispatch loop (cexec.go) executes without re-resolving operands,
-// block targets, phi edges, or intrinsic names per dynamic
-// instruction. The compiled form is immutable and safe to share: any
-// number of Machines (campaign workers, the serve warm pool) can run
-// the same Program concurrently, each with its own registers, memory
-// and HTM state. Machine.Reset never touches the program, so a pooled
-// machine keeps its compiled code across reuse.
+// The lowering every machine executes: Compile turns a verified
+// ir.Module once into a flat, cache-friendly Program that the dispatch
+// loops (cexec.go) execute without re-resolving operands, block
+// targets, phi edges, or intrinsic names per dynamic instruction. The
+// compiled form is immutable, a pure function of its module, and safe
+// to share: any number of Machines (campaign workers, the serve warm
+// pool) can run the same Program concurrently, each with its own
+// registers, memory and HTM state. Machine.Reset never touches the
+// program, so a pooled machine keeps its compiled code across reuse.
 //
 // The lowering rules:
 //
@@ -16,22 +16,23 @@
 //     cpu.IntrinsicLatency) and shadow flag are precomputed.
 //   - Block bodies are concatenated into one contiguous code array per
 //     function; cfunc.start maps a block index to its first pc, and a
-//     synthetic end-of-block slot reproduces the interpreter's
-//     "fell off block" crash without a bounds check per step.
+//     synthetic end-of-block slot reproduces the "fell off block"
+//     crash without a bounds check per step.
 //   - Direct calls are bound to a function index or an intrinsic id at
 //     compile time; unknown callees lower to sentinel ops that crash
-//     with the interpreter's exact diagnostics.
+//     with the callee's name.
 //   - Phi runs are pre-batched per predecessor into permutation-move
 //     lists (cphiGroup), including the exact crash/accounting behavior
 //     for a predecessor with no edge.
 //   - A superinstruction fuser (fuse.go) marks hot straight-line ILR
 //     patterns for fused dispatch.
 //
-// Correctness contract: a Machine running a compiled Program is
-// bit-identical to the step interpreter in Status, Output, RunStats,
-// fault-injection behavior (sites, populations, outcomes), breakpoint
-// firing, obs emission, and profiler attribution. compile_test.go and
-// the internal/lang differential fuzz pin this.
+// Correctness contract: fused dispatch (NewFromProgram) is
+// bit-identical to stepwise dispatch (New) in Status, Output, RunStats,
+// fault-injection behavior (sites, populations, outcomes), obs
+// emission, and profiler attribution; compile_test.go and the
+// internal/lang engine fuzz pin this. The lowering itself is held to
+// lang.Interp, an AST interpreter independent of this package.
 package vm
 
 import (
@@ -41,9 +42,9 @@ import (
 	"repro/internal/ir"
 )
 
-// intrID is a dense intrinsic index; the compiled engine dispatches
-// intrinsics by id instead of by name. The table covers exactly the
-// names ir.IsIntrinsic accepts.
+// intrID is a dense intrinsic index; the machine dispatches intrinsics
+// by id instead of by name. The table covers exactly the names
+// ir.IsIntrinsic accepts.
 type intrID uint8
 
 const (
@@ -91,11 +92,11 @@ var intrinsicNames = [numIntrinsics]string{
 	intrSysWrite:         "sys.write",
 }
 
-// intrinsicIDs resolves a callee name to its dense id (both engines
-// use it: the interpreter per call, the compiler once per site).
+// intrinsicIDs resolves a callee name to its dense id, once per call
+// site at compile time.
 var intrinsicIDs map[string]intrID
 
-// intrinsicLat caches cpu.IntrinsicLatency per id so neither engine
+// intrinsicLat caches cpu.IntrinsicLatency per id so the runtime never
 // consults the name-keyed latency table on the hot path.
 var intrinsicLat [numIntrinsics]uint64
 
@@ -111,9 +112,9 @@ func init() {
 	latPhi = cpu.Latency(ir.OpPhi)
 }
 
-// Sentinel ops, private to the compiled engine. They occupy the high
-// end of the ir.Op space and reproduce interpreter crash paths that
-// the compiler resolves statically.
+// Sentinel ops, private to the lowering. They occupy the high end of
+// the ir.Op space and stand for crash paths the compiler resolves
+// statically.
 const (
 	// copFellOff sits after the last instruction of every block:
 	// control falling past a block without a terminator crashes.
@@ -121,10 +122,6 @@ const (
 	// copBadCall is a direct call to a name that is neither an
 	// intrinsic nor a module function.
 	copBadCall
-	// copBadIntrinsic is a call to a name ir.IsIntrinsic accepts but
-	// the runtime does not implement (defensive, mirrors the
-	// interpreter's default case).
-	copBadIntrinsic
 )
 
 // carg is a pre-resolved operand: r >= 0 names a frame register,
@@ -135,7 +132,7 @@ type carg struct {
 }
 
 // cval evaluates a pre-resolved operand, returning the value and its
-// readiness cycle (the compiled twin of frame.operand).
+// readiness cycle.
 func (fr *frame) cval(a carg) (uint64, uint64) {
 	if a.r >= 0 {
 		return fr.regs[a.r], fr.ready[a.r]
@@ -201,8 +198,7 @@ type cphiMove struct {
 // cphiPred batches the moves a whole phi run performs when entered
 // from one predecessor block. bad, if non-nil, is the first phi in
 // the run lacking an edge from this predecessor (the run crashes
-// there, after performing the complete moves before it — mirroring
-// the interpreter's accounting exactly).
+// there, after performing the complete moves before it).
 type cphiPred struct {
 	pred  int
 	moves []cphiMove
@@ -210,8 +206,8 @@ type cphiPred struct {
 }
 
 // cphiGroup is the pre-batched phi run starting at one instruction
-// index. The interpreter executes the run [i, end) when control lands
-// on phi index i, so every phi in a run heads its own group over its
+// index. The machine executes the run [i, end) when control lands on
+// phi index i, so every phi in a run heads its own group over its
 // suffix; control normally enters at the block head.
 type cphiGroup struct {
 	end   int32 // instruction index just past the run, within the block
@@ -327,8 +323,6 @@ func compileFunc(mod *ir.Module, fn *ir.Func) *cfunc {
 				if id, ok := intrinsicIDs[in.Callee]; ok {
 					ci.t0, ci.t1 = int32(id), 1
 					ci.lat = intrinsicLat[id]
-				} else if ir.IsIntrinsic(in.Callee) {
-					ci.op = copBadIntrinsic
 				} else if fi := mod.FuncIndex(in.Callee); fi >= 0 {
 					ci.t0, ci.t1 = int32(fi), 0
 					ci.lat = cpu.Latency(ir.OpCall)
@@ -336,8 +330,7 @@ func compileFunc(mod *ir.Module, fn *ir.Func) *cfunc {
 					ci.op = copBadCall
 				}
 			case ir.OpCallInd:
-				// The interpreter charges indirect calls the direct-call
-				// frame-push latency.
+				// Indirect calls cost the direct-call frame-push latency.
 				ci.lat = cpu.Latency(ir.OpCall)
 			case ir.OpBr:
 				ci.t0, ci.t1 = int32(in.Blocks[0]), int32(in.Blocks[1])

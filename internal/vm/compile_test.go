@@ -11,8 +11,8 @@ import (
 )
 
 // engineOut is everything the differential harness compares between
-// the step interpreter and the compiled engine. The two must agree on
-// every field, bit for bit.
+// stepwise dispatch (New) and fused dispatch (NewFromProgram). The two
+// must agree on every field, bit for bit.
 type engineOut struct {
 	status Status
 	out    []uint64
@@ -28,9 +28,9 @@ type diffSetup struct {
 	arm     func(mach *Machine)
 }
 
-// execEngine runs one engine over a fresh parse of src and captures
+// execEngine runs one dispatch over a fresh parse of src and captures
 // its observable outcome.
-func execEngine(t *testing.T, src string, compiled bool, s diffSetup) (engineOut, *Machine) {
+func execEngine(t *testing.T, src string, fused bool, s diffSetup) (engineOut, *Machine) {
 	t.Helper()
 	m, err := ir.Parse(src)
 	if err != nil {
@@ -46,11 +46,8 @@ func execEngine(t *testing.T, src string, compiled bool, s diffSetup) (engineOut
 		cfg = s.cfg()
 	}
 	var mach *Machine
-	if compiled {
+	if fused {
 		mach = NewFromProgram(Compile(m), threads, cfg)
-		if !mach.Compiled() {
-			t.Fatal("NewFromProgram machine not compiled")
-		}
 	} else {
 		mach = New(m, threads, cfg)
 	}
@@ -74,7 +71,7 @@ func execEngine(t *testing.T, src string, compiled bool, s diffSetup) (engineOut
 	}, mach
 }
 
-// diffEngines runs src through both engines and fails on any
+// diffEngines runs src through both dispatches and fails on any
 // divergence in status, output, statistics, or HTM behavior.
 func diffEngines(t *testing.T, name, src string, s diffSetup) (engineOut, engineOut) {
 	t.Helper()
@@ -87,17 +84,17 @@ func diffEngines(t *testing.T, name, src string, s diffSetup) (engineOut, engine
 func compareEngines(t *testing.T, name string, got, want engineOut) {
 	t.Helper()
 	if got.status != want.status {
-		t.Errorf("%s: status %v, interpreter %v (compiled reason %q, interp reason %q)",
+		t.Errorf("%s: status %v, stepwise %v (fused reason %q, stepwise reason %q)",
 			name, got.status, want.status, got.stats.CrashReason, want.stats.CrashReason)
 	}
 	if !reflect.DeepEqual(got.out, want.out) {
-		t.Errorf("%s: output %v, interpreter %v", name, got.out, want.out)
+		t.Errorf("%s: output %v, stepwise %v", name, got.out, want.out)
 	}
 	if got.stats != want.stats {
-		t.Errorf("%s: stats diverge\ncompiled: %+v\ninterp:   %+v", name, got.stats, want.stats)
+		t.Errorf("%s: stats diverge\nfused:    %+v\nstepwise: %+v", name, got.stats, want.stats)
 	}
 	if !reflect.DeepEqual(got.htm, want.htm) {
-		t.Errorf("%s: HTM stats diverge\ncompiled: %+v\ninterp:   %+v", name, got.htm, want.htm)
+		t.Errorf("%s: HTM stats diverge\nfused:    %+v\nstepwise: %+v", name, got.htm, want.htm)
 	}
 }
 
@@ -594,10 +591,11 @@ entry:
 	}
 }
 
-// TestCompiledUnknownCalleesCrash covers the copBadCall/copBadIntrinsic
-// sentinels (unparseable sources, so built directly).
+// TestCompiledUnknownCalleesCrash covers the copBadCall sentinel
+// (unparseable sources, so built directly).
 func TestCompiledUnknownCalleesCrash(t *testing.T) {
 	for _, callee := range []string{"sys.nope", "nosuchfunc"} {
+		reason := "call to unknown function " + callee
 		fb := ir.NewFuncBuilder("main", 0)
 		fb.SetBlock(fb.Block("entry"))
 		fb.Append(ir.Instr{Op: ir.OpCall, Res: ir.NoValue, Callee: callee})
@@ -605,23 +603,75 @@ func TestCompiledUnknownCalleesCrash(t *testing.T) {
 		m := ir.NewModule()
 		m.AddFunc(fb.Done())
 
-		interp := New(m, 1, quietCfg())
-		interp.Run(ThreadSpec{Func: "main"})
-		comp := NewFromProgram(Compile(m), 1, quietCfg())
-		comp.Run(ThreadSpec{Func: "main"})
-		if comp.Status() != StatusCrashed || comp.Status() != interp.Status() {
-			t.Fatalf("%s: compiled %v, interp %v", callee, comp.Status(), interp.Status())
+		for _, mach := range []*Machine{New(m, 1, quietCfg()), NewFromProgram(Compile(m), 1, quietCfg())} {
+			mach.Run(ThreadSpec{Func: "main"})
+			if mach.Status() != StatusCrashed || mach.Stats().CrashReason != reason || mach.Stats().DynInstrs != 1 {
+				t.Fatalf("%s: %v after %d instructions (%q), want a crash on the call with %q",
+					callee, mach.Status(), mach.Stats().DynInstrs, mach.Stats().CrashReason, reason)
+			}
 		}
-		if comp.Stats().CrashReason != interp.Stats().CrashReason {
-			t.Fatalf("%s: crash reason %q, interp %q",
-				callee, comp.Stats().CrashReason, interp.Stats().CrashReason)
-		}
+	}
+}
+
+// TestPhiMissingEdgeCrashes covers the phi-group crash path the IR
+// verifier keeps every parsed program away from: entered from a
+// predecessor that the second phi of the run has no edge for, the group
+// crashes on the second phi; entered from one no phi has an edge for,
+// on the first. Either way nothing latches.
+func TestPhiMissingEdgeCrashes(t *testing.T) {
+	const src = `
+func main(0) {
+entry:
+  jmp loop
+loop:
+  v0 = phi #0 [entry], v2 [loop]
+  v1 = phi #5 [entry], v3 [loop]
+  v2 = add v0, #1
+  v3 = add v1, #1
+  v4 = cmp lt v2, #3
+  br v4, loop, done
+done:
+  out v1
+  ret
+}
+`
+	for _, tc := range []struct {
+		name string
+		cut  func(phis []ir.Instr) // drops edges the verifier would demand
+		want RunStats
+	}{
+		// jmp and one iteration (2 phis, 2 adds, cmp, br) are 7
+		// instructions and 5 register writes; the failing group counts
+		// one more than the phis it reached (no give-back).
+		{"second phi", func(phis []ir.Instr) {
+			phis[1].Args, phis[1].PhiPreds = phis[1].Args[:1], phis[1].PhiPreds[:1]
+		}, RunStats{DynInstrs: 7 + 3, RegWrites: 5, CondBranches: 1}},
+		{"every phi", func(phis []ir.Instr) {
+			for i := range phis[:2] {
+				phis[i].Args, phis[i].PhiPreds = phis[i].Args[:1], phis[i].PhiPreds[:1]
+			}
+		}, RunStats{DynInstrs: 7 + 2, RegWrites: 5, CondBranches: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := ir.MustParse(src)
+			tc.cut(m.Func("main").Blocks[1].Instrs)
+			for _, mach := range []*Machine{New(m, 1, quietCfg()), NewFromProgram(Compile(m), 1, quietCfg())} {
+				mach.Run(ThreadSpec{Func: "main"})
+				st := mach.Stats()
+				const reason = "phi in main/loop has no edge from block 1"
+				if mach.Status() != StatusCrashed || st.CrashReason != reason ||
+					st.DynInstrs != tc.want.DynInstrs || st.RegWrites != tc.want.RegWrites || st.CondBranches != tc.want.CondBranches {
+					t.Fatalf("%v (%q) with %+v, want a crash with %q and %+v",
+						mach.Status(), st.CrashReason, st, reason, tc.want)
+				}
+			}
+		})
 	}
 }
 
 // TestCompiledFaultDifferential sweeps every fault model and flow over
 // target indices spanning each population, on both a plain and an
-// ILR-hardened program. Both engines must agree on injection site,
+// ILR-hardened program. Both dispatches must agree on injection site,
 // detection outcome, and every statistic.
 func TestCompiledFaultDifferential(t *testing.T) {
 	models := []struct {
@@ -657,17 +707,17 @@ func TestCompiledFaultDifferential(t *testing.T) {
 				for _, idx := range []uint64{0, 1, n / 3, n / 2, n - 1, n + 10} {
 					var plans [2]*FaultPlan
 					outs := make([]engineOut, 2)
-					for ei, compiled := range []bool{false, true} {
+					for ei, fused := range []bool{false, true} {
 						p := &FaultPlan{Model: mc.model, TargetIndex: idx, Mask: 1 << 13, Flow: flow}
 						plans[ei] = p
-						outs[ei], _ = execEngine(t, prog.src, compiled, diffSetup{
+						outs[ei], _ = execEngine(t, prog.src, fused, diffSetup{
 							arm: func(mach *Machine) { mach.SetFaultPlan(p) },
 						})
 					}
 					name := prog.name + "/" + mc.model.String() + "/" + flow.String()
 					compareEngines(t, name, outs[1], outs[0])
 					if plans[0].Injected != plans[1].Injected || plans[0].Where != plans[1].Where {
-						t.Errorf("%s idx=%d: injected/where (%v,%q) vs interp (%v,%q)",
+						t.Errorf("%s idx=%d: injected/where (%v,%q) vs stepwise (%v,%q)",
 							name, idx, plans[1].Injected, plans[1].Where,
 							plans[0].Injected, plans[0].Where)
 					}
@@ -697,7 +747,7 @@ func TestCompiledDoubleFaultDifferential(t *testing.T) {
 	compareEngines(t, "double-fault", got, want)
 	for i := range pi {
 		if pi[i].Injected != pc[i].Injected || pi[i].Where != pc[i].Where {
-			t.Errorf("plan %d: (%v,%q) vs interp (%v,%q)",
+			t.Errorf("plan %d: (%v,%q) vs stepwise (%v,%q)",
 				i, pc[i].Injected, pc[i].Where, pi[i].Injected, pi[i].Where)
 		}
 	}
@@ -706,15 +756,15 @@ func TestCompiledDoubleFaultDifferential(t *testing.T) {
 // TestCompiledTracerDifferential: the debugtrace event stream must be
 // identical, event for event, including cycles.
 func TestCompiledTracerDifferential(t *testing.T) {
-	collect := func(compiled bool) []TraceEvent {
+	collect := func(fused bool) []TraceEvent {
 		var evs []TraceEvent
-		out, _ := execEngine(t, ilrProg, compiled, diffSetup{
+		out, _ := execEngine(t, ilrProg, fused, diffSetup{
 			arm: func(mach *Machine) {
 				mach.SetTracer(func(ev TraceEvent) { evs = append(evs, ev) })
 			},
 		})
 		if out.status != StatusOK {
-			t.Fatalf("compiled=%v: %v", compiled, out.status)
+			t.Fatalf("fused=%v: %v", fused, out.status)
 		}
 		return evs
 	}
@@ -729,71 +779,13 @@ func TestCompiledTracerDifferential(t *testing.T) {
 				t.Fatalf("trace diverges at event %d: %+v vs %+v", i, got[i], want[i])
 			}
 		}
-		t.Fatalf("trace lengths: compiled %d, interp %d", len(got), len(want))
-	}
-}
-
-// TestCompiledBreakpointDifferential: conditional breakpoints must
-// fire at the same occurrence and observe/corrupt the same values.
-func TestCompiledBreakpointDifferential(t *testing.T) {
-	src := `
-func main(0) {
-entry:
-  jmp loop
-loop:
-  v0 = phi #0 [entry], v1 [loop]
-  v1 = add v0, #1
-  v2 = cmp lt v1, #10
-  br v2, loop, done
-done:
-  out v1
-  ret
-}
-`
-	run := func(compiled bool) ([]uint64, engineOut) {
-		var observed []uint64
-		out, _ := execEngine(t, src, compiled, diffSetup{
-			arm: func(mach *Machine) {
-				mach.AddBreakpoint(&Breakpoint{
-					Func: "main", Block: "loop", Index: 1, Occurrence: 3,
-					Action: func(mm *Machine, core int) {
-						if v, ok := mm.ReadRegister(core, 0); ok {
-							observed = append(observed, v)
-						}
-						mm.CorruptRegister(core, 0, 100)
-					},
-				})
-			},
-		})
-		return observed, out
-	}
-	wantObs, want := run(false)
-	gotObs, got := run(true)
-	compareEngines(t, "breakpoint", got, want)
-	if !reflect.DeepEqual(gotObs, wantObs) {
-		t.Fatalf("breakpoint observed %v, interp %v", gotObs, wantObs)
-	}
-	// Breakpoints also fire inside fused runs.
-	fires := map[bool]int{}
-	for _, compiled := range []bool{false, true} {
-		c := compiled
-		execEngine(t, ilrProg, c, diffSetup{
-			arm: func(mach *Machine) {
-				mach.AddBreakpoint(&Breakpoint{
-					Func: "main", Block: "loop", Index: 4, Occurrence: 7,
-					Action: func(mm *Machine, core int) { fires[c]++ },
-				})
-			},
-		})
-	}
-	if fires[true] != fires[false] || fires[false] != 1 {
-		t.Fatalf("fused-run breakpoint fires: compiled %d, interp %d", fires[true], fires[false])
+		t.Fatalf("trace lengths: fused %d, stepwise %d", len(got), len(want))
 	}
 }
 
 // TestCompiledObsAndProfilerDifferential: the observability ring and
 // the overhead profiler must record identical streams from both
-// engines, and attaching them must not perturb the run.
+// dispatches, and attaching them must not perturb the run.
 func TestCompiledObsAndProfilerDifferential(t *testing.T) {
 	type probe struct {
 		out    engineOut
@@ -801,10 +793,10 @@ func TestCompiledObsAndProfilerDifferential(t *testing.T) {
 		folded string
 		total  uint64
 	}
-	run := func(src string, threads int, compiled bool) probe {
+	run := func(src string, threads int, fused bool) probe {
 		ring := obs.NewRing(1 << 14)
 		prof := obs.NewProfiler()
-		out, _ := execEngine(t, src, compiled, diffSetup{
+		out, _ := execEngine(t, src, fused, diffSetup{
 			threads: threads,
 			arm: func(mach *Machine) {
 				mach.SetObsRing(ring)
@@ -840,14 +832,14 @@ entry:
 		got := run(tc.src, tc.threads, true)
 		compareEngines(t, tc.name, got.out, want.out)
 		if !reflect.DeepEqual(got.events, want.events) {
-			t.Errorf("%s: obs events diverge (compiled %d events, interp %d)",
+			t.Errorf("%s: obs events diverge (fused %d events, stepwise %d)",
 				tc.name, len(got.events), len(want.events))
 		}
 		if got.folded != want.folded {
-			t.Errorf("%s: profiles diverge\ncompiled:\n%s\ninterp:\n%s", tc.name, got.folded, want.folded)
+			t.Errorf("%s: profiles diverge\nfused:\n%s\nstepwise:\n%s", tc.name, got.folded, want.folded)
 		}
 		if got.total != got.out.stats.DynInstrs {
-			t.Errorf("%s: compiled profile total %d != DynInstrs %d",
+			t.Errorf("%s: fused profile total %d != DynInstrs %d",
 				tc.name, got.total, got.out.stats.DynInstrs)
 		}
 		// Instrumentation must not have perturbed the simulation.
@@ -857,7 +849,7 @@ entry:
 }
 
 // TestProgramSharedAcrossMachines: one compiled Program backing many
-// concurrent machines produces the interpreter's exact results.
+// concurrent machines produces a stepwise machine's exact results.
 func TestProgramSharedAcrossMachines(t *testing.T) {
 	m, err := ir.Parse(ilrProg)
 	if err != nil {
@@ -935,8 +927,8 @@ func TestProgramStatsFusion(t *testing.T) {
 
 // --- Benchmarks -------------------------------------------------------
 
-// The two halves of satellite "intrinsic id dispatch": the old name-map
-// lookup vs the dense id table the engines now use.
+// Intrinsic dispatch: a name-map lookup per call vs the dense id table
+// the runtime uses.
 
 var (
 	benchID  intrID
@@ -957,10 +949,10 @@ func BenchmarkIntrinsicLookupID(b *testing.B) {
 	}
 }
 
-func benchEngine(b *testing.B, compiled bool) {
+func benchEngine(b *testing.B, fused bool) {
 	m := ir.MustParse(ilrProg)
 	var mach *Machine
-	if compiled {
+	if fused {
 		mach = NewFromProgram(Compile(m), 1, quietCfg())
 	} else {
 		mach = New(m, 1, quietCfg())
@@ -977,5 +969,5 @@ func benchEngine(b *testing.B, compiled bool) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
-func BenchmarkEngineInterpreter(b *testing.B) { benchEngine(b, false) }
-func BenchmarkEngineCompiled(b *testing.B)    { benchEngine(b, true) }
+func BenchmarkEngineStepwise(b *testing.B) { benchEngine(b, false) }
+func BenchmarkEngineFused(b *testing.B)    { benchEngine(b, true) }

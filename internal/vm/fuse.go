@@ -1,4 +1,4 @@
-// Superinstruction fusion for the compiled engine. The hardening
+// Superinstruction fusion for fused dispatch. The hardening
 // passes emit long straight-line stretches of register-only code —
 // the ILR master/shadow pairs, their tx.check comparisons, and the
 // tx.counter_inc latch bookkeeping. The fuser marks maximal runs of
@@ -6,11 +6,11 @@
 // scheduler turn instead of one instruction.
 //
 // Fusion is a dispatch optimization only; every constituent still
-// performs its full per-instruction protocol (breakpoint check,
-// DynInstrs accounting, profiler attribution, register-write fault
-// population, HTM tick + doom handling, budget check), so fault
-// sites, obs events and profiles are bit-identical to unfused
-// execution.
+// performs its full per-instruction protocol (DynInstrs accounting,
+// profiler attribution, register-write fault population, HTM tick +
+// doom handling, budget check), so fault sites, obs events and
+// profiles are bit-identical to stepwise dispatch, which ignores the
+// marks.
 //
 // What a fused run must NOT cross:
 //
@@ -32,8 +32,8 @@
 // populations (RegWrites, MemAccesses, CondBranches) are numbered
 // globally across cores, and executing several instructions per
 // scheduler turn would reorder that numbering between cores.
-// Multi-threaded machines run the same compiled program through the
-// one-instruction-per-turn dispatch path instead.
+// Multi-threaded and stepwise (New) machines run the same compiled
+// program through the one-instruction-per-turn dispatch path instead.
 package vm
 
 import "repro/internal/ir"

@@ -8,35 +8,11 @@ import (
 	"repro/internal/obs"
 )
 
-// execIntrinsic is the interpreter's entry into the intrinsic
-// runtime: it gathers operands, resolves the callee name to its dense
-// id once, and dispatches. The compiled engine skips the name lookup
-// entirely (the id and latency are bound per call site at compile
-// time) and enters execIntrinsicID directly.
-func (m *Machine) execIntrinsic(c *core, in *ir.Instr) {
-	fr := &c.frames[len(c.frames)-1]
-	var opsReady uint64
-	vals := make([]uint64, len(in.Args))
-	for i, a := range in.Args {
-		v, r := fr.operand(a)
-		vals[i] = v
-		if r > opsReady {
-			opsReady = r
-		}
-	}
-	id, ok := intrinsicIDs[in.Callee]
-	if !ok {
-		m.crash("unknown intrinsic " + in.Callee)
-		return
-	}
-	m.execIntrinsicID(c, fr, in, id, vals, opsReady, intrinsicLat[id])
-}
-
 // execIntrinsicID implements the runtime helper functions: the HAFT
 // transactification helpers of §3.2, the ILR detection point, lock and
 // lock-elision wrappers (§3.3), and the unprotected "external library"
-// surface (allocation, raw I/O, threading queries, barriers). Both
-// engines land here; dispatch is on the dense intrinsic id.
+// surface (allocation, raw I/O, threading queries, barriers). Dispatch
+// is on the dense intrinsic id bound at compile time.
 func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, vals []uint64, opsReady, lat uint64) {
 	advance := func() {
 		fr.instr++
@@ -304,8 +280,8 @@ func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, v
 // corrected-fault counter is bumped. Reports false when a triple had
 // three distinct values: the majority is undefined, which is outside
 // the single-fault model, and the run stops with StatusILRDetected.
-// Both engines and the fused triad-vote superinstruction land here on
-// divergence.
+// tmr.vote calls and the fused triad-vote superinstruction land here
+// on divergence.
 func (m *Machine) tmrVote(c *core, fr *frame, in *ir.Instr, vals []uint64) bool {
 	now := c.sched.Now()
 	for i := 0; i+2 < len(vals); i += 3 {

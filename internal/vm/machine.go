@@ -278,7 +278,7 @@ const (
 // frame is one activation record.
 type frame struct {
 	fn       *ir.Func
-	cfn      *cfunc // compiled body (nil when the step interpreter runs)
+	cfn      *cfunc // compiled body
 	block    int
 	instr    int
 	prevBlk  int // predecessor block for phi resolution
@@ -406,30 +406,35 @@ type Machine struct {
 	output   []uint64
 	nthreads int
 
-	status      Status
-	stats       RunStats
-	faults      []*FaultPlan
-	tracer      func(TraceEvent)
-	breakpoints []*Breakpoint
-	obsRing     *obs.Ring
-	obsBase     int32
-	prof        *obs.Profiler
+	status  Status
+	stats   RunStats
+	faults  []*FaultPlan
+	tracer  func(TraceEvent)
+	obsRing *obs.Ring
+	obsBase int32
+	prof    *obs.Profiler
 
-	// prog is the precompiled program; nil machines run the step
-	// interpreter, non-nil machines run the compiled dispatch loops in
-	// cexec.go. Reset never touches it, so a pooled machine keeps its
-	// compiled artifact across reuses.
+	// prog is the program the dispatch loops in cexec.go execute. Reset
+	// never touches it, so a pooled machine keeps its compiled artifact
+	// across reuses.
 	prog *Program
-	// phiScratch is reused by the compiled phi-group handler.
+	// stepwise makes every run dispatch one instruction per turn, as a
+	// multi-threaded run does, instead of fusing single-threaded runs.
+	stepwise bool
+	// phiScratch is reused by the phi-group handler.
 	phiScratch []phiUpd
 
 	outputLimit int
 }
 
-// New builds a machine for the module with n threads, running the
-// reference step interpreter.
+// New builds a machine for the module with n threads that compiles the
+// module and dispatches one instruction per turn: the same lowering as
+// NewFromProgram without superinstructions, which makes it the live
+// reference for fused dispatch.
 func New(m *ir.Module, nthreads int, cfg Config) *Machine {
-	return newMachine(m, nil, nthreads, cfg)
+	mach := newMachine(m, Compile(m), nthreads, cfg)
+	mach.stepwise = true
+	return mach
 }
 
 // NewFromProgram builds a machine executing a precompiled program.
@@ -439,9 +444,6 @@ func New(m *ir.Module, nthreads int, cfg Config) *Machine {
 func NewFromProgram(p *Program, nthreads int, cfg Config) *Machine {
 	return newMachine(p.Mod, p, nthreads, cfg)
 }
-
-// Compiled reports whether this machine runs the precompiled engine.
-func (m *Machine) Compiled() bool { return m.prog != nil }
 
 func newMachine(m *ir.Module, p *Program, nthreads int, cfg Config) *Machine {
 	if cfg.IssueWidth == 0 {
@@ -503,8 +505,8 @@ func (m *Machine) SetFaultPlans(ps []*FaultPlan) { m.faults = ps }
 // run stored to are made pristine again, the HTM system and per-core
 // scoreboards restart from cycle 0, and all statistics are cleared. A
 // reused machine is byte-identical in behavior to a fresh one (the serve
-// layer's warm-pool contract); installed tracers and breakpoints
-// survive, armed fault plans do not.
+// layer's warm-pool contract); installed tracers survive, armed fault
+// plans do not.
 func (m *Machine) Reset() {
 	for _, p := range m.dirty {
 		m.pristine(p)
@@ -645,11 +647,8 @@ func (m *Machine) Start(specs ...ThreadSpec) {
 		c := m.cores[i]
 		c.state = threadRunnable
 		c.release(c.frames)
-		fr := frame{fn: f, base: c.stackBase}
+		fr := frame{fn: f, cfn: m.prog.funcs[m.Mod.FuncIndex(spec.Func)], base: c.stackBase}
 		fr.regs, fr.ready = c.file(f.NValues)
-		if m.prog != nil {
-			fr.cfn = m.prog.funcs[m.Mod.FuncIndex(spec.Func)]
-		}
 		copy(fr.regs, spec.Args)
 		c.frames = append(c.frames[:0], fr)
 	}
@@ -665,11 +664,7 @@ func (m *Machine) Start(specs ...ThreadSpec) {
 // must not be called again once it has reported true.
 func (m *Machine) RunUntil(pause uint64) (ended bool) {
 	m.limit = min(pause, m.Cfg.MaxDynInstrs)
-	if m.prog != nil {
-		m.loopCompiled()
-	} else {
-		m.loop()
-	}
+	m.loopCompiled()
 	if m.status == StatusHung && m.limit < m.Cfg.MaxDynInstrs {
 		m.status = StatusOK // stopped by the pause point, not the budget
 		return false
@@ -678,44 +673,7 @@ func (m *Machine) RunUntil(pause uint64) (ended bool) {
 	return true
 }
 
-// loop is the global scheduler: repeatedly run the runnable core with
-// the smallest local clock.
-func (m *Machine) loop() {
-	for {
-		if m.stats.DynInstrs > m.limit {
-			m.status = StatusHung
-			break
-		}
-		var pick *core
-		anyAlive := false
-		for _, c := range m.cores {
-			if c.state == threadDone {
-				continue
-			}
-			anyAlive = true
-			if c.state != threadRunnable {
-				continue
-			}
-			if pick == nil || c.sched.Now() < pick.sched.Now() {
-				pick = c
-			}
-		}
-		if pick == nil {
-			if anyAlive {
-				// All remaining threads blocked: deadlock.
-				m.crash("deadlock: all threads blocked")
-			}
-			break
-		}
-		m.step(pick)
-		if m.status != StatusOK {
-			break
-		}
-	}
-}
-
-// finishRun performs the end-of-run accounting shared by the step
-// interpreter and the compiled dispatch loops.
+// finishRun performs the end-of-run accounting.
 func (m *Machine) finishRun() {
 	for _, c := range m.cores {
 		n := c.sched.Now()

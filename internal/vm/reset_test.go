@@ -103,10 +103,10 @@ func TestResetDeterminism(t *testing.T) {
 	}
 }
 
-// TestCompiledResetDeterminism extends the warm-pool contract to the
-// fast engine: a Reset compiled machine — with a ring and profiler
-// still attached — reruns bit-identically to a fresh one built from
-// the same shared Program, and both agree with the step interpreter.
+// TestCompiledResetDeterminism extends the warm-pool contract to
+// machines sharing one Program: a Reset machine — with a ring and
+// profiler still attached — reruns bit-identically to a fresh one
+// built from the same Program, and both agree with a stepwise one.
 func TestCompiledResetDeterminism(t *testing.T) {
 	m, err := ir.Parse(resetProg)
 	if err != nil {
@@ -121,7 +121,7 @@ func TestCompiledResetDeterminism(t *testing.T) {
 		t.Fatalf("reference run failed: %v (%s)", wantStatus, wantStats.CrashReason)
 	}
 
-	// The interpreter agrees on the same module.
+	// A stepwise machine agrees on the same module.
 	interp := New(m, 2, cfg)
 	iStatus, iOut, iStats, _, _ := runReset(t, interp)
 	if iStatus != wantStatus || !reflect.DeepEqual(iOut, wantOut) || iStats != wantStats {
@@ -136,9 +136,6 @@ func TestCompiledResetDeterminism(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		if round > 0 {
 			reused.Reset()
-			if !reused.Compiled() {
-				t.Fatalf("round %d: Reset dropped the compiled program", round)
-			}
 		}
 		status, out, stats, started, committed := runReset(t, reused)
 		if status != wantStatus || !reflect.DeepEqual(out, wantOut) || stats != wantStats ||

@@ -1,5 +1,5 @@
 // Machine snapshots: a paused run (RunUntil) can be captured, restored
-// into any machine built from the same program, and compared against.
+// into any machine built from the same module, and compared against.
 // fault.RunCampaign uses the three together: it snapshots its reference
 // run at instruction-count boundaries, starts every injection from the
 // last snapshot before the fault site, and stops a run whose state has
@@ -26,7 +26,6 @@ const pageWords = 512
 type Snapshot struct {
 	// The shape the snapshot fits: Restore and Equal refuse any other.
 	mod      *ir.Module
-	prog     *Program
 	ncores   int
 	memWords int
 
@@ -73,11 +72,11 @@ func (s *Snapshot) Bytes() int {
 }
 
 // Snapshot captures the machine. Take it before Start, or after
-// RunUntil paused; armed fault plans, tracers, breakpoints and rings
-// are not part of it.
+// RunUntil paused; armed fault plans, tracers and rings are not part
+// of it.
 func (m *Machine) Snapshot() *Snapshot {
 	s := &Snapshot{
-		mod: m.Mod, prog: m.prog, ncores: len(m.cores), memWords: len(m.mem),
+		mod: m.Mod, ncores: len(m.cores), memWords: len(m.mem),
 		cores:    make([]coreSnap, len(m.cores)),
 		locks:    make(map[uint64]*lockState, len(m.locks)),
 		barriers: make(map[uint64]*barrierState, len(m.barriers)),
@@ -114,9 +113,10 @@ func (m *Machine) Snapshot() *Snapshot {
 // Restore puts the machine into the snapshot's state, whatever it ran
 // since — including a crashed run that stored to wild addresses: a
 // restored machine continues bit-identically to the one the snapshot
-// was taken from. Like Reset it disarms fault plans and keeps tracers,
-// breakpoints and rings. The snapshot must come from a machine of the
-// same program, core count and memory size.
+// was taken from. Like Reset it disarms fault plans and keeps tracers
+// and rings. The snapshot must come from a machine of the same module,
+// core count and memory size; it may have dispatched stepwise or
+// fused.
 func (m *Machine) Restore(s *Snapshot) {
 	m.mustFit(s, "Restore")
 	// The snapshot's pages get its contents and become the dirty set; the
@@ -210,12 +210,15 @@ func (m *Machine) Equal(s *Snapshot) bool {
 }
 
 // mustFit panics unless the snapshot was taken from a machine of this
-// machine's shape: restoring frames that point into another program,
-// or a memory image of another size, would corrupt the run silently.
+// machine's shape: restoring frames that point into another module, or
+// a memory image of another size, would corrupt the run silently.
+// The module decides, not the *Program: a Program is a pure function
+// of its immutable module, so a frame's code pointer into another
+// machine's compilation of the module runs the same code.
 func (m *Machine) mustFit(s *Snapshot, op string) {
 	switch {
-	case s.mod != m.Mod || s.prog != m.prog:
-		panic("vm: " + op + " of a snapshot taken from a different program")
+	case s.mod != m.Mod:
+		panic("vm: " + op + " of a snapshot taken from a different module")
 	case s.ncores != len(m.cores):
 		panic(fmt.Sprintf("vm: %s of a %d-core snapshot on a %d-core machine", op, s.ncores, len(m.cores)))
 	case s.memWords != len(m.mem):

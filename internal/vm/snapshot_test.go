@@ -124,13 +124,13 @@ func (a snapFinal) diff(b snapFinal) string {
 	return ""
 }
 
-// snapCase is one (mode, threads, engine) cell of the property tests.
+// snapCase is one (mode, threads, dispatch) cell of the property tests.
 type snapCase struct {
 	name    string
 	mode    harden.Mode
 	threads int
 	mod     *ir.Module
-	prog    *Program // nil: step interpreter
+	prog    *Program // nil: stepwise dispatch (New)
 }
 
 func (c snapCase) machine() *Machine {
@@ -393,20 +393,53 @@ func TestSnapshotEqualSeesEveryPart(t *testing.T) {
 }
 
 // TestRestoreRejectsForeignSnapshot: restoring a snapshot of another
-// program, core count or memory size must fail loudly, not corrupt the
-// run.
+// module, core count or memory size must fail loudly, not corrupt the
+// run. A machine of the same module fits whichever way it dispatches.
 func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 	mod := ir.MustParse(snapProg)
 	base := New(mod, 2, DefaultConfig())
 	s := base.Snapshot()
 	base.Restore(s) // fits
 
+	// Paused mid-transaction on a stepwise machine, resumed on a fused one
+	// of the same module, and the reverse: both end like a straight run.
+	t.Run("stepwise and fused machines of the module", func(t *testing.T) {
+		hmod, err := harden.Harden(mod, harden.Config{Mode: harden.ModeHAFT, Opt: harden.OptFaultProp, TxThreshold: 120})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepwise := func() *Machine { return New(hmod, 1, snapConfig()) }
+		fused := func() *Machine { return NewFromProgram(Compile(hmod), 1, snapConfig()) }
+		spec := ThreadSpec{Func: "main"}
+		straight := fused()
+		if st := straight.Run(spec); st != StatusOK {
+			t.Fatalf("straight run: %v (%s)", st, straight.Stats().CrashReason)
+		}
+		end := straight.Snapshot()
+		for _, dir := range []struct {
+			name     string
+			from, to func() *Machine
+		}{{"stepwise to fused", stepwise, fused}, {"fused to stepwise", fused, stepwise}} {
+			from, to := dir.from(), dir.to()
+			from.Start(spec)
+			for pause := uint64(50); !from.HTM.InTx(0); pause += 50 {
+				if from.RunUntil(pause) {
+					t.Fatalf("%s: run ended before a transaction was open", dir.name)
+				}
+			}
+			to.Restore(from.Snapshot())
+			if !to.RunUntil(^uint64(0)) || !to.Equal(end) {
+				t.Fatalf("%s: the resumed run ends %v (%s), not like the straight run",
+					dir.name, to.Status(), to.Stats().CrashReason)
+			}
+		}
+	})
+
 	for _, tc := range []struct {
 		name, want string
 		m          *Machine
 	}{
-		{"clone of the module", "different program", New(mod.Clone(), 2, DefaultConfig())},
-		{"other engine", "different program", NewFromProgram(Compile(mod), 2, DefaultConfig())},
+		{"clone of the module", "different module", New(mod.Clone(), 2, DefaultConfig())},
 		{"other core count", "2-core snapshot on a 1-core machine", New(mod, 1, DefaultConfig())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

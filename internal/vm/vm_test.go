@@ -735,87 +735,6 @@ entry:
 	}
 }
 
-func TestConditionalBreakpoint(t *testing.T) {
-	src := `
-func main(0) {
-entry:
-  jmp loop
-loop:
-  v0 = phi #0 [entry], v1 [loop]
-  v1 = add v0, #1
-  v2 = cmp lt v1, #10
-  br v2, loop, done
-done:
-  out v1
-  ret
-}
-`
-	m := ir.MustParse(src)
-	mach := New(m, 1, quietCfg())
-	var observed []uint64
-	// Stop at the add (instruction index 1 of block loop) on its 4th
-	// dynamic occurrence and corrupt its input v0 — the GDB-script
-	// mechanism of §4.2.
-	mach.AddBreakpoint(&Breakpoint{
-		Func: "main", Block: "loop", Index: 1, Occurrence: 3,
-		Action: func(mm *Machine, core int) {
-			if v, ok := mm.ReadRegister(core, 0); ok {
-				observed = append(observed, v)
-			}
-			if !mm.CorruptRegister(core, 0, 100) {
-				t.Error("CorruptRegister failed")
-			}
-		},
-	})
-	mach.Run(ThreadSpec{Func: "main"})
-	if len(observed) != 1 || observed[0] != 3 {
-		t.Fatalf("breakpoint observed %v, want [3] (4th occurrence sees v0=3)", observed)
-	}
-	// v0 becomes 3^100=103 -> v1 counts 104,105,... loop exits at once
-	// since 104 >= 10; output is 104.
-	if got := mach.Output(); len(got) != 1 || got[0] != 104 {
-		t.Fatalf("output = %v, want [104]", got)
-	}
-}
-
-func TestBreakpointFiresOnce(t *testing.T) {
-	src := `
-func main(0) {
-entry:
-  jmp loop
-loop:
-  v0 = phi #0 [entry], v1 [loop]
-  v1 = add v0, #1
-  v2 = cmp lt v1, #5
-  br v2, loop, done
-done:
-  ret
-}
-`
-	m := ir.MustParse(src)
-	mach := New(m, 1, quietCfg())
-	fires := 0
-	mach.AddBreakpoint(&Breakpoint{
-		Func: "main", Block: "loop", Index: 1, Occurrence: 0,
-		Action: func(mm *Machine, core int) { fires++ },
-	})
-	mach.Run(ThreadSpec{Func: "main"})
-	if fires != 1 {
-		t.Fatalf("breakpoint fired %d times, want 1", fires)
-	}
-}
-
-func TestRegisterAccessorsOutOfRange(t *testing.T) {
-	m := ir.MustParse("func main(0) {\nentry:\n  ret\n}")
-	mach := New(m, 1, quietCfg())
-	if mach.CorruptRegister(0, 99, 1) {
-		t.Error("CorruptRegister accepted out-of-range register")
-	}
-	if _, ok := mach.ReadRegister(0, 99); ok {
-		t.Error("ReadRegister accepted out-of-range register")
-	}
-}
-
 func TestLockFIFOHandoff(t *testing.T) {
 	// Three threads funnel through one lock; FIFO handoff must give
 	// every thread its turn and the count must be exact.

@@ -101,8 +101,8 @@ func checkImages(t *testing.T, c imageCase) {
 	}
 }
 
-// engines returns the case on the compiled engine and on the step
-// interpreter.
+// engines returns the case on a machine of a shared Program (fused
+// when single-threaded) and on a stepwise one (New).
 func engines(name string, mod *ir.Module, threads int, cfg vm.Config, c imageCase) []imageCase {
 	prog := vm.Compile(mod)
 	compiled, step := c, c
