@@ -358,6 +358,9 @@ type CampaignResult struct {
 	// part of the checkpoint): reference-run instructions not executed,
 	// instructions executed, runs ended early as Masked.
 	skippedInstrs, executedInstrs, earlyMasked uint64
+	// The reference run's snapshots this process took: how many, their
+	// distance in dynamic instructions, and the memory they hold.
+	refSnapshots, refStride, refSnapshotBytes uint64
 }
 
 // Total returns the number of executed runs across all models.
@@ -418,7 +421,46 @@ func LoadCheckpoint(b []byte) (*CampaignResult, error) {
 	if err := json.Unmarshal(b, &r); err != nil {
 		return nil, fmt.Errorf("fault: bad campaign checkpoint: %w", err)
 	}
+	if err := r.check(); err != nil {
+		return nil, err
+	}
 	return &r, nil
+}
+
+// check reports what makes a campaign state unfit to resume: a resumed
+// campaign folds run i into PerModel[i%len(Models)] and continues at
+// NextIndex, so it needs one result per model, in Spec.Models order and
+// with its site table, and counts that add up to the runs before
+// NextIndex.
+func (r *CampaignResult) check() error {
+	nm := len(r.Spec.Models)
+	switch {
+	case nm == 0:
+		return fmt.Errorf("fault: bad campaign checkpoint: no fault models")
+	case r.NextIndex < 0:
+		return fmt.Errorf("fault: bad campaign checkpoint: next_index %d", r.NextIndex)
+	case len(r.PerModel) != nm:
+		return fmt.Errorf("fault: bad campaign checkpoint: %d model results for %d models", len(r.PerModel), nm)
+	}
+	for i, mr := range r.PerModel {
+		if mr == nil || mr.Model != r.Spec.Models[i] || mr.Sites == nil {
+			return fmt.Errorf("fault: bad campaign checkpoint: model result %d is not a %s result with sites",
+				i, r.Spec.Models[i])
+		}
+		n := 0
+		for _, k := range mr.Counts {
+			if k < 0 {
+				return fmt.Errorf("fault: bad campaign checkpoint: %s has a negative outcome count", mr.Model)
+			}
+			n += k
+		}
+		// Runs 0..NextIndex-1 rotate over the models.
+		if want := (r.NextIndex - i + nm - 1) / nm; mr.Total != n || mr.Total != want {
+			return fmt.Errorf("fault: bad campaign checkpoint: %s has total %d and outcome counts summing to %d; %d runs give it %d",
+				mr.Model, mr.Total, n, r.NextIndex, want)
+		}
+	}
+	return nil
 }
 
 // runSeed returns the seed of run i's private RNG: independent per-run
@@ -539,6 +581,9 @@ type reference struct {
 	rec    runRecord
 	stride uint64
 	snaps  []*vm.Snapshot
+	// bytes is the memory the snapshots hold, each page array they share
+	// counted once.
+	bytes int
 }
 
 // runReference takes the target's fault-free run on mach in equal
@@ -548,19 +593,19 @@ type reference struct {
 func runReference(t *Target, mach *vm.Machine) (*reference, error) {
 	mach.Start(t.Specs...)
 	ref := &reference{stride: firstStride, snaps: []*vm.Snapshot{mach.Snapshot()}}
-	bytes := ref.snaps[0].Bytes()
+	ref.bytes = ref.snaps[0].Bytes(nil)
 	for !mach.RunUntil(uint64(len(ref.snaps)) * ref.stride) {
-		ref.snaps = append(ref.snaps, mach.Snapshot())
-		bytes += ref.snaps[len(ref.snaps)-1].Bytes()
-		for len(ref.snaps) > 1 && (len(ref.snaps) > maxSnapshots || bytes > maxSnapshotBytes) {
+		s := mach.Snapshot()
+		ref.bytes += s.Bytes(ref.snaps[len(ref.snaps)-1])
+		ref.snaps = append(ref.snaps, s)
+		for len(ref.snaps) > 1 && (len(ref.snaps) > maxSnapshots || ref.bytes > maxSnapshotBytes) {
 			kept := ref.snaps[:0]
-			bytes = 0
 			for k := 0; k < len(ref.snaps); k += 2 {
 				kept = append(kept, ref.snaps[k])
-				bytes += ref.snaps[k].Bytes()
 			}
 			clear(ref.snaps[len(kept):])
 			ref.snaps, ref.stride = kept, 2*ref.stride
+			ref.bytes = chainBytes(ref.snaps)
 		}
 	}
 	if mach.Status() != vm.StatusOK {
@@ -571,6 +616,19 @@ func runReference(t *Target, mach *vm.Machine) (*reference, error) {
 	ref.stats = mach.Stats()
 	ref.rec = finishedRecord(mach, ref.out)
 	return ref, nil
+}
+
+// chainBytes is the memory snapshots of one machine hold together, given
+// in the order it took them: a page array several of them share counts
+// once, also when the snapshot that first copied it is not among them.
+func chainBytes(snaps []*vm.Snapshot) int {
+	n := 0
+	var prev *vm.Snapshot
+	for _, s := range snaps {
+		n += s.Bytes(prev)
+		prev = s
+	}
+	return n
 }
 
 // finishedRecord classifies a run that executed to its end.
@@ -691,7 +749,7 @@ func (c *injector) inject(w *worker, i int) runRecord {
 		if mach.RunUntil(pause) {
 			break
 		}
-		if fast && allInjected(plans) && mach.Equal(ref.snaps[k]) {
+		if fast && mach.PendingFaults() == 0 && mach.Equal(ref.snaps[k]) {
 			early = true
 			break
 		}
@@ -714,15 +772,6 @@ func (c *injector) inject(w *worker, i int) runRecord {
 		}
 	}
 	return rec
-}
-
-func allInjected(plans []*vm.FaultPlan) bool {
-	for _, p := range plans {
-		if !p.Injected {
-			return false
-		}
-	}
-	return true
 }
 
 // sameReference reports how the reference run a checkpoint was taken
@@ -767,8 +816,8 @@ func RunCampaign(t *Target, cfg CampaignConfig) (*CampaignResult, error) {
 		if !specEqual(res.Spec, cfg.spec()) {
 			return nil, fmt.Errorf("fault: checkpoint spec does not match the campaign configuration")
 		}
-		if len(res.PerModel) != len(cfg.Models) {
-			return nil, fmt.Errorf("fault: checkpoint model set does not match")
+		if err := res.check(); err != nil {
+			return nil, err
 		}
 		if err := c.sameReference(res); err != nil {
 			return nil, err
@@ -795,6 +844,7 @@ func RunCampaign(t *Target, cfg CampaignConfig) (*CampaignResult, error) {
 	}
 	res.MOETarget = cfg.MOE
 	res.Confidence = cfg.Confidence
+	res.refSnapshots, res.refStride, res.refSnapshotBytes = uint64(len(c.ref.snaps)), c.ref.stride, uint64(c.ref.bytes)
 
 	nm := len(cfg.Models)
 	for res.NextIndex < cfg.Injections && !res.Stopped {

@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -378,4 +379,113 @@ func TestWilsonAndZ(t *testing.T) {
 	if lo, hi := wilson(0, 0, 1.96); lo != 0 || hi != 1 {
 		t.Fatalf("wilson(0,0) = [%v,%v]", lo, hi)
 	}
+}
+
+// resumable runs the first batch of a campaign of the target over the
+// models and returns its configuration, set to run a second batch, and
+// the checkpoint after the first.
+func resumable(t testing.TB, tg *Target, models []Model) (CampaignConfig, []byte) {
+	t.Helper()
+	cfg := CampaignConfig{Models: models, Injections: 12, Seed: 5, Batch: 12, Workers: 2}
+	first, err := RunCampaign(tg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := first.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Injections = 24
+	return cfg, b
+}
+
+// TestCampaignRejectsMalformedCheckpoint: a checkpoint that decodes but
+// does not describe a campaign that can be continued is refused with an
+// error, both by LoadCheckpoint and by RunCampaign given it in memory,
+// instead of panicking (in a worker, where no caller can recover it) or
+// folding into wrong rates.
+func TestCampaignRejectsMalformedCheckpoint(t *testing.T) {
+	tg := target(t, core.ModeHAFT)
+	two := []Model{ModelRegister, ModelMemory}
+	for _, tc := range []struct {
+		name   string
+		models []Model
+		spoil  func(r *CampaignResult)
+	}{
+		{"sites null", []Model{ModelRegister}, func(r *CampaignResult) { r.PerModel[0].Sites = nil }},
+		{"next index negative, six models", AllModels(), func(r *CampaignResult) { r.NextIndex = -5 }},
+		{"next index negative, one model", []Model{ModelRegister},
+			func(r *CampaignResult) {
+				r.NextIndex, r.PerModel[0].Total, r.PerModel[0].Counts = -5, 0, [numOutcomes]int{}
+			}},
+		{"model result null", two, func(r *CampaignResult) { r.PerModel[1] = nil }},
+		{"model results swapped", two, func(r *CampaignResult) { r.PerModel[0], r.PerModel[1] = r.PerModel[1], r.PerModel[0] }},
+		{"total is not the sum of the counts", two, func(r *CampaignResult) { r.PerModel[0].Counts[OutcomeSDC]++ }},
+		{"totals do not sum to next index", two, func(r *CampaignResult) {
+			r.PerModel[1].Total++
+			r.PerModel[1].Counts[OutcomeSDC]++
+		}},
+		{"totals sum to next index, but not round-robin", two, func(r *CampaignResult) {
+			r.PerModel[0].Total++
+			r.PerModel[0].Counts[OutcomeSDC]++
+			r.PerModel[1].Total--
+			r.PerModel[1].Counts[someOutcome(r.PerModel[1])]--
+		}},
+		{"negative count", two, func(r *CampaignResult) {
+			mr := r.PerModel[0]
+			o := someOutcome(mr)
+			mr.Counts[(o+1)%numOutcomes] += mr.Counts[o] + 1
+			mr.Counts[o] = -1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, good := resumable(t, tg, tc.models)
+			r, err := LoadCheckpoint(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.spoil(r)
+			b, err := r.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadCheckpoint(b); err == nil {
+				t.Error("LoadCheckpoint accepted it")
+			}
+			cfg.Resume = r
+			if _, err := RunCampaign(tg, cfg); err == nil {
+				t.Error("RunCampaign resumed it")
+			}
+		})
+	}
+}
+
+// someOutcome returns an outcome the model has runs of.
+func someOutcome(mr *ModelResult) Outcome {
+	for o, n := range mr.Counts {
+		if n > 0 {
+			return Outcome(o)
+		}
+	}
+	panic("model result without runs")
+}
+
+// FuzzLoadCheckpoint: whatever a checkpoint file holds, loading it and
+// resuming a campaign from it returns an error or a result, and never
+// panics.
+func FuzzLoadCheckpoint(f *testing.F) {
+	tg := target(f, core.ModeHAFT)
+	cfg, good := resumable(f, tg, []Model{ModelRegister, ModelBranch, ModelDouble})
+	f.Add(good)
+	f.Add([]byte(strings.Replace(string(good), `"next_index": 12`, `"next_index": -5`, 1)))
+	f.Add([]byte(strings.Replace(string(good), `"sites": {`, `"sites": null, "x": {`, 1)))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		r, err := LoadCheckpoint(b)
+		if err != nil {
+			return
+		}
+		cfg := cfg
+		cfg.Resume = r
+		RunCampaign(tg, cfg)
+	})
 }

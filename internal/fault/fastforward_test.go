@@ -2,6 +2,8 @@ package fault
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/vm"
+	"repro/internal/workloads"
 )
 
 // ffWorkload is long enough for a reference run of several snapshots in
@@ -203,7 +206,8 @@ func TestCampaignTracedSeesWholeRuns(t *testing.T) {
 
 // TestCampaignFastForwardMetrics: the saving is published through the
 // progress registry, and — folded in run-index order — does not depend
-// on the number of workers.
+// on the number of workers; so is the memory of the reference snapshots,
+// which share the pages that did not change between them.
 func TestCampaignFastForwardMetrics(t *testing.T) {
 	scrape := func(workers int) (string, *CampaignResult) {
 		reg := obs.NewRegistry()
@@ -218,7 +222,8 @@ func TestCampaignFastForwardMetrics(t *testing.T) {
 		reg.WriteProm(&sb)
 		var lines []string
 		for _, l := range strings.Split(sb.String(), "\n") {
-			if strings.Contains(l, "_instrs_total") || strings.Contains(l, "early_masked_total") {
+			if strings.Contains(l, "_instrs_total") || strings.Contains(l, "early_masked_total") ||
+				strings.Contains(l, "haft_campaign_ref_") {
 				lines = append(lines, l)
 			}
 		}
@@ -234,6 +239,12 @@ func TestCampaignFastForwardMetrics(t *testing.T) {
 		"# TYPE haft_campaign_executed_instrs_total counter",
 		"# TYPE haft_campaign_early_masked_total counter",
 		`haft_campaign_early_masked_total{program="ff/haft"} `,
+		"# TYPE haft_campaign_ref_snapshots gauge",
+		"# TYPE haft_campaign_ref_stride gauge",
+		"# TYPE haft_campaign_ref_snapshot_bytes gauge",
+		fmt.Sprintf(`haft_campaign_ref_snapshots{program="ff/haft"} %d`, res.refSnapshots),
+		fmt.Sprintf(`haft_campaign_ref_stride{program="ff/haft"} %d`, res.refStride),
+		fmt.Sprintf(`haft_campaign_ref_snapshot_bytes{program="ff/haft"} %d`, res.refSnapshotBytes),
 	} {
 		if !strings.Contains(one, want) {
 			t.Errorf("scrape lacks %q:\n%s", want, one)
@@ -245,6 +256,22 @@ func TestCampaignFastForwardMetrics(t *testing.T) {
 	}
 	if res.skippedInstrs < res.executedInstrs/4 {
 		t.Errorf("skipped only %d of %d instructions", res.skippedInstrs, res.skippedInstrs+res.executedInstrs)
+	}
+
+	// The gauges are the reference run's; its snapshots, each counted
+	// whole, hold at least the shared total the gauge shows.
+	c, err := newInjector(ffTarget(t, core.ModeHAFT, false), CampaignConfig{Models: AllModels(), Injections: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := 0
+	for _, s := range c.ref.snaps {
+		whole += s.Bytes(nil)
+	}
+	if res.refSnapshots != uint64(len(c.ref.snaps)) || res.refStride != c.ref.stride ||
+		res.refSnapshotBytes != uint64(c.ref.bytes) || c.ref.bytes > whole || len(c.ref.snaps) < 4 {
+		t.Errorf("gauges %d snapshots, stride %d, %d bytes; the reference run has %d, %d, %d bytes shared of %d",
+			res.refSnapshots, res.refStride, res.refSnapshotBytes, len(c.ref.snaps), c.ref.stride, c.ref.bytes, whole)
 	}
 }
 
@@ -291,5 +318,108 @@ func TestCampaignResumeRejectsOtherReference(t *testing.T) {
 	slow.VM.IssueWidth = 1
 	if err := resume(slow); err == nil || !strings.Contains(err.Error(), "ref_cycles") {
 		t.Errorf("resume under another VM configuration: error %v, want one naming ref_cycles", err)
+	}
+}
+
+// workloadTarget is a benchmark program at its smallest input, hardened
+// by HAFT and run on two threads, as the campaign benchmark runs it.
+func workloadTarget(t *testing.T, name string) *Target {
+	t.Helper()
+	spec, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := spec.Build(0)
+	mod, err := core.Harden(p.Module, core.Config{Mode: core.ModeHAFT, Opt: core.OptFaultProp,
+		TxThreshold: p.TxThreshold, Blacklist: p.Blacklist})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hp := *p
+	hp.Module = mod
+	return &Target{Name: name + "/haft", Module: mod, Threads: 2, VM: vm.DefaultConfig(), Specs: hp.SpecsFor(2)}
+}
+
+// TestFiredPlansLeaveScanningPath: once a run's fault plans have all
+// fired it runs on the machine's fault-free path. For every model, each
+// run is paired with the same run armed with one more plan that never
+// fires, which keeps it on the plan-scanning path: from the boundary on
+// where the first has no plan pending, the two machines are equal at
+// every boundary, and they end with the same record. Independently of
+// the pending count, a register plan whose index the run has passed has
+// fired.
+func TestFiredPlansLeaveScanningPath(t *testing.T) {
+	c, err := newInjector(workloadTarget(t, "histogram"), CampaignConfig{
+		Models: AllModels(), Injections: 36, Seed: 20261017, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := c.ref
+	fast, scan := c.t.newMachine(), c.t.newMachine()
+	fast.Cfg.MaxDynInstrs, scan.Cfg.MaxDynInstrs = c.budget, c.budget
+	rng := rand.New(rand.NewSource(0))
+	compared, doubles := 0, 0
+	for i := 0; i < c.cfg.Injections; i++ {
+		model := c.cfg.Models[i%len(c.cfg.Models)]
+		seg := (i / len(c.cfg.Models)) % c.cfg.Segments
+		rng.Seed(runSeed(c.cfg.Seed, i))
+		plans := plansFor(model, c.cfg.Flow, rng, c.pops[model], seg, c.cfg.Segments)
+		var twin []*vm.FaultPlan
+		for _, p := range plans {
+			q := *p
+			twin = append(twin, &q)
+		}
+		twin = append(twin, &vm.FaultPlan{Model: vm.FaultBranch, TargetIndex: math.MaxUint64})
+
+		fast.Restore(ref.snaps[0])
+		fast.SetFaultPlans(plans)
+		scan.Restore(ref.snaps[0])
+		scan.SetFaultPlans(twin)
+		for k := 1; ; k++ {
+			pause := uint64(math.MaxUint64)
+			if k < len(ref.snaps) {
+				pause = uint64(k) * ref.stride
+			}
+			ended, scanEnded := fast.RunUntil(pause), scan.RunUntil(pause)
+			if ended != scanEnded {
+				t.Fatalf("run %d (%v): one machine ended at boundary %d, the other did not", i, model, k)
+			}
+			if got, want := fast.PendingFaults(), scan.PendingFaults()-1; got != want {
+				t.Fatalf("run %d (%v): %d plans pending at boundary %d, the scanning twin has %d besides the extra one",
+					i, model, got, k, want)
+			}
+			if fast.PendingFaults() == 0 {
+				if !fast.Equal(scan.Snapshot()) {
+					t.Fatalf("run %d (%v): machines differ at boundary %d after every plan fired", i, model, k)
+				}
+				compared++
+			}
+			if ended {
+				break
+			}
+		}
+		got, want := finishedRecord(fast, ref.out), finishedRecord(scan, ref.out)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("run %d (%v): record %+v, scanning twin %+v", i, model, got, want)
+		}
+		for j, p := range plans {
+			if p.Injected != twin[j].Injected || p.Where != twin[j].Where {
+				t.Errorf("run %d (%v): plan %d fired %v at %q, in the twin %v at %q",
+					i, model, j, p.Injected, p.Where, twin[j].Injected, twin[j].Where)
+			}
+			if p.Model == vm.FaultRegister && p.TargetIndex < fast.Stats().RegWrites && !p.Injected {
+				t.Errorf("run %d (%v): plan %d at register write %d did not fire in a run of %d",
+					i, model, j, p.TargetIndex, fast.Stats().RegWrites)
+			}
+		}
+		if model == ModelDouble && plans[0].Injected && plans[1].Injected {
+			doubles++
+		}
+	}
+	t.Logf("%d boundaries compared over %d runs; %d double faults fired both flips", compared, c.cfg.Injections, doubles)
+	if compared < c.cfg.Injections || doubles == 0 {
+		t.Fatalf("%d boundaries compared over %d runs, %d double faults fired both flips: the test is not exercised",
+			compared, c.cfg.Injections, doubles)
 	}
 }

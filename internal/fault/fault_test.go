@@ -50,7 +50,7 @@ done:
 }
 `
 
-func target(t *testing.T, mode core.Mode) *Target {
+func target(t testing.TB, mode core.Mode) *Target {
 	t.Helper()
 	native := ir.MustParse(prog)
 	mod, err := core.Harden(native, core.Config{Mode: mode, Opt: core.OptFaultProp, TxThreshold: 1000})

@@ -27,6 +27,9 @@ func DeclareCampaignMetrics(reg *obs.Registry) {
 	reg.Declare("haft_campaign_skipped_instrs_total", "counter", "reference-run instructions the runs did not execute (started at a snapshot, ended early)")
 	reg.Declare("haft_campaign_executed_instrs_total", "counter", "instructions the injection runs executed")
 	reg.Declare("haft_campaign_early_masked_total", "counter", "runs ended early as Masked on re-converging with the reference run")
+	reg.Declare("haft_campaign_ref_snapshots", "gauge", "reference-run snapshots the injection runs start from")
+	reg.Declare("haft_campaign_ref_stride", "gauge", "dynamic instructions between reference-run snapshots")
+	reg.Declare("haft_campaign_ref_snapshot_bytes", "gauge", "memory the reference-run snapshots hold, a page they share counted once")
 }
 
 // PublishProgress writes the campaign's live per-model state into the
@@ -50,6 +53,9 @@ func PublishProgress(reg *obs.Registry, r *CampaignResult) {
 	reg.Set("haft_campaign_skipped_instrs_total", base, float64(r.skippedInstrs))
 	reg.Set("haft_campaign_executed_instrs_total", base, float64(r.executedInstrs))
 	reg.Set("haft_campaign_early_masked_total", base, float64(r.earlyMasked))
+	reg.Set("haft_campaign_ref_snapshots", base, float64(r.refSnapshots))
+	reg.Set("haft_campaign_ref_stride", base, float64(r.refStride))
+	reg.Set("haft_campaign_ref_snapshot_bytes", base, float64(r.refSnapshotBytes))
 	for _, m := range r.PerModel {
 		ml := fmt.Sprintf("%s,model=%q", base, m.Model.String())
 		reg.Set("haft_campaign_runs", ml, float64(m.Total))

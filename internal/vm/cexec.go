@@ -52,7 +52,7 @@ func (m *Machine) loopC1(c *core) {
 		ci := &cf.code[pc]
 		if ci.fused > 1 {
 			if (ci.fkind == fusePairCheck || ci.fkind == fuseTriadVote) &&
-				len(m.faults) == 0 && m.tracer == nil {
+				m.pending == 0 && m.tracer == nil {
 				m.execFusedCheck(c, fr, cf, pc)
 			} else {
 				m.execFusedRun(c, fr, cf, pc)
@@ -307,7 +307,7 @@ func (m *Machine) exec1C(c *core, fr *frame, ci *cinstr) {
 
 	ready := c.sched.Issue(lat, opsReady)
 	if wrote && ci.res >= 0 {
-		if len(m.faults) == 0 && m.tracer == nil {
+		if m.pending == 0 && m.tracer == nil {
 			// Fast-path commit: same accounting as commitReg without
 			// the fault-plan scan and trace hook.
 			m.stats.RegWrites++
@@ -381,7 +381,7 @@ func (m *Machine) execPhiGroupC(c *core, fr *frame, g *cphiGroup) {
 		return
 	}
 	m.stats.DynInstrs-- // the dispatch preamble already counted the first phi
-	if len(m.faults) == 0 && m.tracer == nil {
+	if m.pending == 0 && m.tracer == nil {
 		for i := range ups {
 			u := &ups[i]
 			m.stats.RegWrites++
@@ -412,13 +412,14 @@ func (m *Machine) execTerminatorC(c *core, fr *frame, ci *cinstr) {
 		c.sched.Issue(ci.lat, r)
 		m.stats.CondBranches++
 		taken := v != 0
-		if len(m.faults) != 0 {
+		if m.pending != 0 {
 			for _, p := range m.faults {
 				if p.Injected || p.Model != FaultBranch || p.TargetIndex != m.stats.CondBranches-1 {
 					continue
 				}
 				taken = !taken
 				p.Injected = true
+				m.pending--
 				p.Where = fmt.Sprintf("%s/%s br", fr.fn.Name, fr.fn.Blocks[fr.block].Name)
 				m.emitFault(c, p)
 			}
@@ -562,7 +563,7 @@ func (m *Machine) execFusedRun(c *core, fr *frame, cf *cfunc, pc int32) {
 			}
 			ready := c.sched.Issue(ci.lat, opsReady)
 			if ci.res >= 0 {
-				if len(m.faults) == 0 && m.tracer == nil {
+				if m.pending == 0 && m.tracer == nil {
 					m.stats.RegWrites++
 					if ci.shadow {
 						m.stats.ShadowRegWrites++

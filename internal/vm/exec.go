@@ -111,6 +111,7 @@ func (m *Machine) commitReg(c *core, fr *frame, in *ir.Instr, res, ready uint64)
 			flip ^= p.Mask
 		}
 		p.Injected = true
+		m.pending--
 		p.Where = fmt.Sprintf("%s/%s %s", fr.fn.Name, fr.fn.Blocks[fr.block].Name, in.Op)
 		m.emitFault(c, p)
 	}

@@ -9,7 +9,7 @@ import "slices"
 func (m *Machine) Image() []uint64 {
 	img := make([]uint64, 0, m.memWords)
 	for p := range m.mem {
-		img = append(img, m.pageSpan(int32(p))...)
+		img = append(img, m.imagePage(p)...)
 	}
 	return img
 }
@@ -21,10 +21,16 @@ func (m *Machine) ImageIs(img []uint64) bool {
 		return false
 	}
 	for p := range m.mem {
-		page := m.pageSpan(int32(p))
+		page := m.imagePage(p)
 		if !slices.Equal(page, img[p*pageWords:p*pageWords+len(page)]) {
 			return false
 		}
 	}
 	return true
+}
+
+// imagePage returns the words of page p that belong to the image: all
+// of them but on the last page.
+func (m *Machine) imagePage(p int) []uint64 {
+	return m.mem[p][:min(pageWords, m.memWords-p*pageWords)]
 }

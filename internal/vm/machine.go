@@ -413,13 +413,22 @@ type Machine struct {
 	output   []uint64
 	nthreads int
 
-	status  Status
-	stats   RunStats
-	faults  []*FaultPlan
+	status Status
+	stats  RunStats
+	faults []*FaultPlan
+	// pending counts the armed plans not yet injected. The dispatch loops
+	// scan the plans only while it is nonzero, so a run whose plans have
+	// all fired runs on the fault-free path.
+	pending int
 	tracer  func(TraceEvent)
 	obsRing *obs.Ring
 	obsBase int32
 	prof    *obs.Profiler
+
+	// lastSnap is the snapshot the machine last took or restored since
+	// Reset, nil without one: Snapshot shares the pages that still equal
+	// its pages.
+	lastSnap *Snapshot
 
 	// prog is the program the dispatch loops in cexec.go execute. Reset
 	// never touches it, so a pooled machine keeps its compiled artifact
@@ -500,15 +509,28 @@ func newMachine(m *ir.Module, p *Program, nthreads int, cfg Config) *Machine {
 // SetFaultPlan arms a single-fault injection (may be nil to disarm).
 func (m *Machine) SetFaultPlan(p *FaultPlan) {
 	if p == nil {
-		m.faults = nil
+		m.SetFaultPlans(nil)
 		return
 	}
-	m.faults = []*FaultPlan{p}
+	m.SetFaultPlans([]*FaultPlan{p})
 }
 
 // SetFaultPlans arms several fault plans at once — double SEUs and
-// chaos fault storms. Nil or empty disarms.
-func (m *Machine) SetFaultPlans(ps []*FaultPlan) { m.faults = ps }
+// chaos fault storms. Nil or empty disarms. A plan already Injected
+// stays as it is. Once every armed plan has fired, the run continues on
+// the same path as an unarmed one (PendingFaults).
+func (m *Machine) SetFaultPlans(ps []*FaultPlan) {
+	m.faults, m.pending = ps, 0
+	for _, p := range ps {
+		if !p.Injected {
+			m.pending++
+		}
+	}
+}
+
+// PendingFaults returns the number of armed fault plans that have not
+// fired yet.
+func (m *Machine) PendingFaults() int { return m.pending }
 
 // Reset returns the machine to its post-New state so it can run again
 // without re-cloning the module or reallocating memory: the pages the
@@ -531,7 +553,8 @@ func (m *Machine) Reset() {
 	m.nthreads = 0
 	m.status = StatusOK
 	m.stats = RunStats{}
-	m.faults = nil
+	m.faults, m.pending = nil, 0
+	m.lastSnap = nil
 	for _, c := range m.cores {
 		c.sched.Reset()
 		c.release(c.frames)
@@ -712,7 +735,7 @@ func (m *Machine) crash(reason string) {
 // address.
 func (m *Machine) memFaultPre(c *core, addr uint64, load bool) (uint64, *FaultPlan) {
 	m.stats.MemAccesses++
-	if len(m.faults) == 0 {
+	if m.pending == 0 {
 		return addr, nil
 	}
 	idx := m.stats.MemAccesses - 1
@@ -748,6 +771,7 @@ func (m *Machine) flipWord(c *core, addr uint64, p *FaultPlan) {
 // markInjected records that a plan fired and where.
 func (m *Machine) markInjected(c *core, p *FaultPlan) {
 	p.Injected = true
+	m.pending--
 	if len(c.frames) > 0 {
 		fr := &c.frames[len(c.frames)-1]
 		b := fr.fn.Blocks[fr.block]
@@ -824,11 +848,6 @@ func (m *Machine) own(p int32) {
 		m.mem[p] = new([pageWords]uint64)
 		*m.mem[p] = *shared
 	}
-}
-
-// pageSpan returns the words of page p: all of it but on the last page.
-func (m *Machine) pageSpan(p int32) []uint64 {
-	return m.mem[p][:min(pageWords, m.memWords-int(p)*pageWords)]
 }
 
 // pristine makes page p of the image, which the machine owns, pristine.

@@ -19,15 +19,18 @@ import (
 // Snapshot is a deep copy of everything a run can change in a Machine.
 // It is immutable and may be restored into several machines
 // concurrently. Memory is kept as the machine's dirty pages: every other
-// page is pristine (see Machine.mem), which is most of them.
+// page is pristine (see Machine.mem), which is most of them. Each dirty
+// page is an immutable array that the snapshot shares with the previous
+// snapshot of its machine when the page has not changed in between, so
+// a sequence of snapshots holds one copy of a page per change to it.
 type Snapshot struct {
 	// The shape the snapshot fits: Restore and Equal refuse any other.
 	mod      *ir.Module
 	ncores   int
 	memWords int
 
-	pages []int32  // the dirty pages, ascending
-	data  []uint64 // their contents, back to back
+	pages []int32              // the dirty pages, ascending
+	data  []*[pageWords]uint64 // their contents, shared and never written
 
 	cores    []coreSnap
 	locks    map[uint64]*lockState
@@ -53,9 +56,20 @@ type coreSnap struct {
 // the end-of-run cycle totals, which finishing a run adds).
 func (s *Snapshot) Stats() RunStats { return s.stats }
 
-// Bytes estimates the memory the snapshot holds.
-func (s *Snapshot) Bytes() int {
-	n := 8*len(s.data) + 4*len(s.pages) + 8*len(s.output) + s.htm.Bytes()
+// Bytes estimates the memory the snapshot holds beyond what it shares
+// with prev (nil: the whole snapshot). A page array lives in an unbroken
+// run of a machine's snapshots, since a snapshot shares pages only with
+// the one taken or restored just before it; so summed over snapshots of
+// one machine in the order it took them, each passed the one before it
+// in the sum, Bytes counts every page array once, whichever snapshots in
+// between were dropped.
+func (s *Snapshot) Bytes(prev *Snapshot) int {
+	n := 12*len(s.pages) + 8*len(s.output) + s.htm.Bytes()
+	for i, p := range s.pages {
+		if s.data[i] != prev.page(p) {
+			n += 8 * pageWords
+		}
+	}
 	for i := range s.cores {
 		c := &s.cores[i]
 		n += 8*l1Sets + 8*len(c.elided)
@@ -86,10 +100,16 @@ func (m *Machine) Snapshot() *Snapshot {
 	}
 	s.pages = slices.Clone(m.dirty)
 	slices.Sort(s.pages)
-	s.data = make([]uint64, 0, len(s.pages)*pageWords)
-	for _, p := range s.pages {
-		s.data = append(s.data, m.pageSpan(p)...)
+	s.data = make([]*[pageWords]uint64, len(s.pages))
+	for i, p := range s.pages {
+		if prev := m.lastSnap.page(p); prev != nil && *prev == *m.mem[p] {
+			s.data[i] = prev
+		} else {
+			s.data[i] = new([pageWords]uint64)
+			*s.data[i] = *m.mem[p]
+		}
 	}
+	m.lastSnap = s
 	copyLocks(s.locks, m.locks)
 	copyBarriers(s.barriers, m.barriers)
 	for i, c := range m.cores {
@@ -120,10 +140,9 @@ func (m *Machine) Restore(s *Snapshot) {
 	for _, p := range m.dirty {
 		m.isDirty[p] = false
 	}
-	off := 0
-	for _, p := range s.pages {
+	for i, p := range s.pages {
 		m.own(p)
-		off += copy(m.pageSpan(p), s.data[off:])
+		*m.mem[p] = *s.data[i]
 		m.isDirty[p] = true
 	}
 	for _, p := range m.dirty {
@@ -152,7 +171,8 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.nthreads = s.nthreads
 	m.status = s.status
 	m.stats = s.stats
-	m.faults = nil
+	m.faults, m.pending = nil, 0
+	m.lastSnap = s
 	m.HTM.Restore(s.htm)
 }
 
@@ -189,13 +209,10 @@ func (m *Machine) Equal(s *Snapshot) bool {
 		return false
 	}
 	// Memory can differ only on a page dirty on either side.
-	off := 0
-	for _, p := range s.pages {
-		page := m.pageSpan(p)
-		if !slices.Equal(page, s.data[off:off+len(page)]) {
+	for i, p := range s.pages {
+		if *m.mem[p] != *s.data[i] {
 			return false
 		}
-		off += len(page)
 	}
 	for _, p := range m.dirty {
 		if _, held := slices.BinarySearch(s.pages, p); !held && !m.isPristine(p) {
@@ -203,6 +220,18 @@ func (m *Machine) Equal(s *Snapshot) bool {
 		}
 	}
 	return true
+}
+
+// page returns the snapshot's copy of page p: nil if p was pristine, or
+// if there is no snapshot.
+func (s *Snapshot) page(p int32) *[pageWords]uint64 {
+	if s == nil {
+		return nil
+	}
+	if i, ok := slices.BinarySearch(s.pages, p); ok {
+		return s.data[i]
+	}
+	return nil
 }
 
 // mustFit panics unless the snapshot was taken from a machine of this

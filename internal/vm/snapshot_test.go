@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	harden "repro/internal/core"
@@ -471,4 +472,175 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 		}
 	}()
 	base.Restore(&odd)
+}
+
+// sweepProg makes each of two threads sweep its own 32 KiB half of arr
+// one word per iteration and wrap around once, so that between two
+// nearby snapshots a few pages change and the rest stay as they were.
+const sweepProg = `
+global arr bytes=65536
+
+func main(0) {
+entry:
+  v0 = call @thread.id
+  v1 = mul v0, #32768
+  v2 = add v1, #4096
+  jmp loop
+loop:
+  v3 = phi #0 [entry], v9 [loop]
+  v4 = mul v3, #8
+  v5 = and v4, #32767
+  v6 = add v2, v5
+  v7 = load v6
+  v8 = add v7, v3
+  store v6, v8
+  v9 = add v3, #1
+  v10 = cmp lt v9, #4800
+  br v10, loop, done
+done:
+  out v8
+  ret
+}
+`
+
+// sweepSnapshots runs sweepProg hardened by HAFT on two threads with a
+// snapshot every 3000 instructions, and returns the program, the
+// snapshots and a flat copy of the image at each.
+func sweepSnapshots(t *testing.T) (*Program, []*Snapshot, [][]uint64) {
+	t.Helper()
+	mod, err := harden.Harden(ir.MustParse(sweepProg), harden.Config{Mode: harden.ModeHAFT, Opt: harden.OptFaultProp, TxThreshold: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := Compile(mod)
+	if a := mod.Global("arr").Addr; a != 4096 {
+		t.Fatalf("arr laid out at %d, the program assumes 4096", a)
+	}
+	m := NewFromProgram(prog, 2, snapConfig())
+	specs := []ThreadSpec{{Func: "main"}, {Func: "main"}}
+	m.Start(specs...)
+	const stride = 3000
+	snaps, images := []*Snapshot{m.Snapshot()}, [][]uint64{m.Image()}
+	for !m.RunUntil(uint64(len(snaps)) * stride) {
+		snaps = append(snaps, m.Snapshot())
+		images = append(images, m.Image())
+	}
+	if m.Status() != StatusOK {
+		t.Fatalf("run: %v (%s)", m.Status(), m.Stats().CrashReason)
+	}
+	return prog, snaps, images
+}
+
+// TestSnapshotSharesUnchangedPages: a page whose words did not change
+// between two snapshots of a machine is the same array in both, and a
+// page that changed, or was first stored to, is an array no earlier
+// snapshot holds. Bytes, summed along the snapshots or along every
+// second or fourth of them, counts each array once.
+func TestSnapshotSharesUnchangedPages(t *testing.T) {
+	_, snaps, images := sweepSnapshots(t)
+	if len(snaps) < 20 {
+		t.Fatalf("only %d snapshots", len(snaps))
+	}
+	pageOf := func(img []uint64, p int32) []uint64 {
+		lo := int(p) * pageWords
+		return img[lo:min(lo+pageWords, len(img))]
+	}
+	seen := map[*[pageWords]uint64]bool{}
+	shared, copied := 0, 0
+	for k, s := range snaps {
+		var old *Snapshot
+		if k > 0 {
+			old = snaps[k-1]
+		}
+		for i, p := range s.pages {
+			unchanged := old.page(p) != nil && slices.Equal(pageOf(images[k-1], p), pageOf(images[k], p))
+			switch {
+			case unchanged && s.data[i] != old.page(p):
+				t.Errorf("snapshot %d: page %d did not change but was copied", k, p)
+			case !unchanged && seen[s.data[i]]:
+				t.Errorf("snapshot %d: page %d changed but shares an earlier snapshot's array", k, p)
+			case unchanged:
+				shared++
+			default:
+				copied++
+			}
+			if !slices.Equal(s.data[i][:len(pageOf(images[k], p))], pageOf(images[k], p)) {
+				t.Fatalf("snapshot %d: page %d does not hold the image's words", k, p)
+			}
+		}
+		for _, a := range s.data {
+			seen[a] = true
+		}
+	}
+	t.Logf("%d snapshots: %d pages shared, %d copied", len(snaps), shared, copied)
+	if shared == 0 || copied <= len(snaps) {
+		t.Fatalf("%d pages shared, %d copied: the run does not exercise both", shared, copied)
+	}
+
+	for _, every := range []int{1, 2, 4} {
+		distinct := map[*[pageWords]uint64]bool{}
+		want, got := 0, 0
+		var prev *Snapshot
+		for k := 0; k < len(snaps); k += every {
+			s := snaps[k]
+			got += s.Bytes(prev)
+			prev = s
+			want += s.Bytes(s) // what the snapshot holds besides page arrays
+			for _, a := range s.data {
+				if !distinct[a] {
+					distinct[a] = true
+					want += 8 * pageWords
+				}
+			}
+		}
+		if got != want {
+			t.Errorf("every %d snapshots: Bytes sums to %d, the distinct page arrays give %d", every, got, want)
+		}
+	}
+}
+
+// TestSnapshotsImmutableUnderRestore: snapshots that share page arrays
+// stay as they were taken while two machines concurrently restore every
+// sixth of them, run each to its end with a memory-cell fault armed and
+// snapshot the result. go test -race also sees a write into a shared
+// array here.
+func TestSnapshotsImmutableUnderRestore(t *testing.T) {
+	prog, snaps, _ := sweepSnapshots(t)
+	copies := make([][][pageWords]uint64, len(snaps))
+	for k, s := range snaps {
+		for _, a := range s.data {
+			copies[k] = append(copies[k], *a)
+		}
+	}
+	var wg sync.WaitGroup
+	fired := make([]int, 2)
+	for w := range fired {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := NewFromProgram(prog, 2, snapConfig())
+			for k := 0; k < len(snaps); k += 6 {
+				s := snaps[k]
+				m.Restore(s)
+				p := &FaultPlan{Model: FaultMemory, TargetIndex: s.Stats().MemAccesses + uint64(3*w+k%5), Mask: 1 << (k % 61)}
+				m.SetFaultPlan(p)
+				m.RunUntil(^uint64(0))
+				m.Snapshot()
+				if p.Injected {
+					fired[w]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if runs := (len(snaps) + 5) / 6; fired[0] < runs/2 || fired[1] < runs/2 {
+		t.Fatalf("memory faults fired in %v of %d runs per machine", fired, runs)
+	}
+	for k, s := range snaps {
+		for i, p := range s.pages {
+			if *s.data[i] != copies[k][i] {
+				t.Fatalf("page %d of snapshot %d changed after it was taken", p, k)
+			}
+		}
+	}
 }
