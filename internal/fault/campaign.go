@@ -360,7 +360,8 @@ type CampaignResult struct {
 	skippedInstrs, executedInstrs, earlyMasked uint64
 	// The reference run's snapshots this process took: how many, their
 	// distance in dynamic instructions, and the memory they hold.
-	refSnapshots, refStride, refSnapshotBytes uint64
+	refSnapshots, refStride uint64
+	refSnapshotBytes        vm.SnapshotBytes
 }
 
 // Total returns the number of executed runs across all models.
@@ -581,9 +582,9 @@ type reference struct {
 	rec    runRecord
 	stride uint64
 	snaps  []*vm.Snapshot
-	// bytes is the memory the snapshots hold, each page array they share
+	// bytes is the memory the snapshots hold, each block array they share
 	// counted once.
-	bytes int
+	bytes vm.SnapshotBytes
 }
 
 // runReference takes the target's fault-free run on mach in equal
@@ -596,9 +597,9 @@ func runReference(t *Target, mach *vm.Machine) (*reference, error) {
 	ref.bytes = ref.snaps[0].Bytes(nil)
 	for !mach.RunUntil(uint64(len(ref.snaps)) * ref.stride) {
 		s := mach.Snapshot()
-		ref.bytes += s.Bytes(ref.snaps[len(ref.snaps)-1])
+		ref.bytes = ref.bytes.Plus(s.Bytes(ref.snaps[len(ref.snaps)-1]))
 		ref.snaps = append(ref.snaps, s)
-		for len(ref.snaps) > 1 && (len(ref.snaps) > maxSnapshots || ref.bytes > maxSnapshotBytes) {
+		for len(ref.snaps) > 1 && (len(ref.snaps) > maxSnapshots || ref.bytes.Total() > maxSnapshotBytes) {
 			kept := ref.snaps[:0]
 			for k := 0; k < len(ref.snaps); k += 2 {
 				kept = append(kept, ref.snaps[k])
@@ -619,13 +620,13 @@ func runReference(t *Target, mach *vm.Machine) (*reference, error) {
 }
 
 // chainBytes is the memory snapshots of one machine hold together, given
-// in the order it took them: a page array several of them share counts
+// in the order it took them: a block array several of them share counts
 // once, also when the snapshot that first copied it is not among them.
-func chainBytes(snaps []*vm.Snapshot) int {
-	n := 0
+func chainBytes(snaps []*vm.Snapshot) vm.SnapshotBytes {
+	var n vm.SnapshotBytes
 	var prev *vm.Snapshot
 	for _, s := range snaps {
-		n += s.Bytes(prev)
+		n = n.Plus(s.Bytes(prev))
 		prev = s
 	}
 	return n
@@ -844,7 +845,7 @@ func RunCampaign(t *Target, cfg CampaignConfig) (*CampaignResult, error) {
 	}
 	res.MOETarget = cfg.MOE
 	res.Confidence = cfg.Confidence
-	res.refSnapshots, res.refStride, res.refSnapshotBytes = uint64(len(c.ref.snaps)), c.ref.stride, uint64(c.ref.bytes)
+	res.refSnapshots, res.refStride, res.refSnapshotBytes = uint64(len(c.ref.snaps)), c.ref.stride, c.ref.bytes
 
 	nm := len(cfg.Models)
 	for res.NextIndex < cfg.Injections && !res.Stopped {

@@ -207,7 +207,8 @@ func TestCampaignTracedSeesWholeRuns(t *testing.T) {
 // TestCampaignFastForwardMetrics: the saving is published through the
 // progress registry, and — folded in run-index order — does not depend
 // on the number of workers; so is the memory of the reference snapshots,
-// which share the pages that did not change between them.
+// which share the blocks that did not change between them, in total and
+// by part, the parts adding up to the total.
 func TestCampaignFastForwardMetrics(t *testing.T) {
 	scrape := func(workers int) (string, *CampaignResult) {
 		reg := obs.NewRegistry()
@@ -221,11 +222,28 @@ func TestCampaignFastForwardMetrics(t *testing.T) {
 		var sb strings.Builder
 		reg.WriteProm(&sb)
 		var lines []string
+		total, parts := -1.0, 0.0
 		for _, l := range strings.Split(sb.String(), "\n") {
 			if strings.Contains(l, "_instrs_total") || strings.Contains(l, "early_masked_total") ||
 				strings.Contains(l, "haft_campaign_ref_") {
 				lines = append(lines, l)
 			}
+			name, val, ok := strings.Cut(l, " ")
+			if !ok || strings.HasPrefix(l, "#") {
+				continue
+			}
+			v, err := strconv.ParseFloat(val, 64)
+			switch {
+			case err != nil:
+				continue
+			case name == `haft_campaign_ref_snapshot_bytes{program="ff/haft"}`:
+				total = v
+			case strings.HasPrefix(name, "haft_campaign_ref_snapshot_part_bytes{"):
+				parts += v
+			}
+		}
+		if total <= 0 || parts != total {
+			t.Errorf("%d workers: the snapshot parts sum to %v bytes, the total is %v", workers, parts, total)
 		}
 		return strings.Join(lines, "\n"), res
 	}
@@ -234,6 +252,7 @@ func TestCampaignFastForwardMetrics(t *testing.T) {
 	if one != four {
 		t.Errorf("metrics depend on the worker count:\n%s\nvs\n%s", one, four)
 	}
+	b := res.refSnapshotBytes
 	for _, want := range []string{
 		"# TYPE haft_campaign_skipped_instrs_total counter",
 		"# TYPE haft_campaign_executed_instrs_total counter",
@@ -242,9 +261,14 @@ func TestCampaignFastForwardMetrics(t *testing.T) {
 		"# TYPE haft_campaign_ref_snapshots gauge",
 		"# TYPE haft_campaign_ref_stride gauge",
 		"# TYPE haft_campaign_ref_snapshot_bytes gauge",
+		"# TYPE haft_campaign_ref_snapshot_part_bytes gauge",
 		fmt.Sprintf(`haft_campaign_ref_snapshots{program="ff/haft"} %d`, res.refSnapshots),
 		fmt.Sprintf(`haft_campaign_ref_stride{program="ff/haft"} %d`, res.refStride),
-		fmt.Sprintf(`haft_campaign_ref_snapshot_bytes{program="ff/haft"} %d`, res.refSnapshotBytes),
+		fmt.Sprintf(`haft_campaign_ref_snapshot_bytes{program="ff/haft"} %d`, b.Total()),
+		fmt.Sprintf(`haft_campaign_ref_snapshot_part_bytes{program="ff/haft",part="memory"} %d`, b.Memory),
+		fmt.Sprintf(`haft_campaign_ref_snapshot_part_bytes{program="ff/haft",part="tags"} %d`, b.Tags),
+		fmt.Sprintf(`haft_campaign_ref_snapshot_part_bytes{program="ff/haft",part="registers"} %d`, b.Registers),
+		fmt.Sprintf(`haft_campaign_ref_snapshot_part_bytes{program="ff/haft",part="htm"} %d`, b.HTM),
 	} {
 		if !strings.Contains(one, want) {
 			t.Errorf("scrape lacks %q:\n%s", want, one)
@@ -257,6 +281,9 @@ func TestCampaignFastForwardMetrics(t *testing.T) {
 	if res.skippedInstrs < res.executedInstrs/4 {
 		t.Errorf("skipped only %d of %d instructions", res.skippedInstrs, res.skippedInstrs+res.executedInstrs)
 	}
+	if b.Memory == 0 || b.Tags == 0 || b.Registers == 0 {
+		t.Errorf("snapshot bytes %+v: a part the reference run always holds is zero", b)
+	}
 
 	// The gauges are the reference run's; its snapshots, each counted
 	// whole, hold at least the shared total the gauge shows.
@@ -266,12 +293,12 @@ func TestCampaignFastForwardMetrics(t *testing.T) {
 	}
 	whole := 0
 	for _, s := range c.ref.snaps {
-		whole += s.Bytes(nil)
+		whole += s.Bytes(nil).Total()
 	}
 	if res.refSnapshots != uint64(len(c.ref.snaps)) || res.refStride != c.ref.stride ||
-		res.refSnapshotBytes != uint64(c.ref.bytes) || c.ref.bytes > whole || len(c.ref.snaps) < 4 {
-		t.Errorf("gauges %d snapshots, stride %d, %d bytes; the reference run has %d, %d, %d bytes shared of %d",
-			res.refSnapshots, res.refStride, res.refSnapshotBytes, len(c.ref.snaps), c.ref.stride, c.ref.bytes, whole)
+		b != c.ref.bytes || c.ref.bytes.Total() > whole || len(c.ref.snaps) < 4 {
+		t.Errorf("gauges %d snapshots, stride %d, %+v bytes; the reference run has %d, %d, %+v bytes shared of %d",
+			res.refSnapshots, res.refStride, b, len(c.ref.snaps), c.ref.stride, c.ref.bytes, whole)
 	}
 }
 

@@ -29,7 +29,8 @@ func DeclareCampaignMetrics(reg *obs.Registry) {
 	reg.Declare("haft_campaign_early_masked_total", "counter", "runs ended early as Masked on re-converging with the reference run")
 	reg.Declare("haft_campaign_ref_snapshots", "gauge", "reference-run snapshots the injection runs start from")
 	reg.Declare("haft_campaign_ref_stride", "gauge", "dynamic instructions between reference-run snapshots")
-	reg.Declare("haft_campaign_ref_snapshot_bytes", "gauge", "memory the reference-run snapshots hold, a page they share counted once")
+	reg.Declare("haft_campaign_ref_snapshot_bytes", "gauge", "memory the reference-run snapshots hold, a block they share counted once")
+	reg.Declare("haft_campaign_ref_snapshot_part_bytes", "gauge", "haft_campaign_ref_snapshot_bytes by part of the machine state; the parts sum to it")
 }
 
 // PublishProgress writes the campaign's live per-model state into the
@@ -55,7 +56,14 @@ func PublishProgress(reg *obs.Registry, r *CampaignResult) {
 	reg.Set("haft_campaign_early_masked_total", base, float64(r.earlyMasked))
 	reg.Set("haft_campaign_ref_snapshots", base, float64(r.refSnapshots))
 	reg.Set("haft_campaign_ref_stride", base, float64(r.refStride))
-	reg.Set("haft_campaign_ref_snapshot_bytes", base, float64(r.refSnapshotBytes))
+	b := r.refSnapshotBytes
+	reg.Set("haft_campaign_ref_snapshot_bytes", base, float64(b.Total()))
+	for _, part := range []struct {
+		name  string
+		bytes int
+	}{{"memory", b.Memory}, {"tags", b.Tags}, {"registers", b.Registers}, {"htm", b.HTM}, {"other", b.Other}} {
+		reg.Set("haft_campaign_ref_snapshot_part_bytes", fmt.Sprintf("%s,part=%q", base, part.name), float64(part.bytes))
+	}
 	for _, m := range r.PerModel {
 		ml := fmt.Sprintf("%s,model=%q", base, m.Model.String())
 		reg.Set("haft_campaign_runs", ml, float64(m.Total))

@@ -359,6 +359,15 @@ func (s *System) InTx(core int) bool { return s.cores[core].active }
 // appears asynchronously to the pipeline.
 func (s *System) Doomed(core int) Cause { return s.cores[core].doomed }
 
+// clearSets zeroes the core's per-set line counts.
+func (s *System) clearSets(t *tx) {
+	if len(t.setCount) != s.cfg.L1Sets {
+		t.setCount = make([]uint16, s.cfg.L1Sets)
+	} else {
+		clear(t.setCount)
+	}
+}
+
 // Begin starts a transaction on core at the given cycle (XBEGIN).
 // It panics if a transaction is already active; flat nesting must be
 // handled by the runtime layer.
@@ -374,11 +383,7 @@ func (s *System) Begin(core int, cycle uint64) {
 	t.readSet.reset()
 	t.writeSet.reset()
 	t.writeVals.reset()
-	if len(t.setCount) != s.cfg.L1Sets {
-		t.setCount = make([]uint16, s.cfg.L1Sets)
-	} else {
-		clear(t.setCount)
-	}
+	s.clearSets(t)
 	s.Stats.Started++
 	if s.Trace != nil {
 		s.Trace.Emit(obs.Event{Kind: obs.KindTxBegin, Actor: s.TraceActorBase + int32(core), Time: cycle})

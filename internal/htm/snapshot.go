@@ -18,13 +18,15 @@ type Snapshot struct {
 
 // txSnap is the captured state of one core; the sets are held as their
 // entries in insertion order, so a restored write buffer commits in the
-// order the original would have.
+// order the original would have. The read and write sets hold keys only
+// (their values are unused), and the per-set line counts are not held at
+// all: they are a function of the read set, which Restore recounts.
 type txSnap struct {
-	active                       bool
-	doomed                       Cause
-	startCycle                   uint64
-	readSet, writeSet, writeVals []entry
-	setCount                     []uint16
+	active            bool
+	doomed            Cause
+	startCycle        uint64
+	readSet, writeSet []uint64
+	writeVals         []entry
 }
 
 // Bytes estimates the memory the snapshot holds.
@@ -32,7 +34,7 @@ func (sn *Snapshot) Bytes() int {
 	n := 0
 	for i := range sn.cores {
 		c := &sn.cores[i]
-		n += 16*(len(c.readSet)+len(c.writeSet)+len(c.writeVals)) + 2*len(c.setCount)
+		n += 8*(len(c.readSet)+len(c.writeSet)) + 16*len(c.writeVals)
 	}
 	return n
 }
@@ -45,10 +47,9 @@ func (s *System) Snapshot() *Snapshot {
 		t := &s.cores[i]
 		c := txSnap{active: t.active, doomed: t.doomed, startCycle: t.startCycle}
 		if t.active {
-			c.readSet = t.readSet.entries(nil)
-			c.writeSet = t.writeSet.entries(nil)
+			c.readSet = t.readSet.keys(nil)
+			c.writeSet = t.writeSet.keys(nil)
 			c.writeVals = t.writeVals.entries(nil)
-			c.setCount = append([]uint16(nil), t.setCount...)
 		}
 		sn.cores[i] = c
 	}
@@ -71,10 +72,10 @@ func (s *System) Restore(sn *Snapshot) {
 			continue
 		}
 		s.setDeadline(t)
-		t.readSet.load(c.readSet)
-		t.writeSet.load(c.writeSet)
+		t.readSet.loadKeys(c.readSet)
+		t.writeSet.loadKeys(c.writeSet)
 		t.writeVals.load(c.writeVals)
-		t.setCount = append(t.setCount[:0], c.setCount...)
+		s.countSets(t)
 	}
 	s.Stats = sn.stats
 	s.Stats.Aborted = maps.Clone(sn.stats.Aborted)
@@ -93,12 +94,24 @@ func (s *System) Equal(sn *Snapshot) bool {
 		if t.active != c.active || t.doomed != c.doomed || t.startCycle != c.startCycle {
 			return false
 		}
-		if t.active && !(t.readSet.equal(c.readSet) && t.writeSet.equal(c.writeSet) &&
+		if t.active && !(t.readSet.equalKeys(c.readSet) && t.writeSet.equalKeys(c.writeSet) &&
 			t.writeVals.equal(c.writeVals)) {
 			return false // setCount is a function of readSet
 		}
 	}
 	return true
+}
+
+// countSets makes the core's per-set line counts those of its read set,
+// as Read built them line by line.
+func (s *System) countSets(t *tx) {
+	s.clearSets(t)
+	if s.cfg.L1Sets == 0 {
+		return
+	}
+	for _, i := range t.readSet.live {
+		t.setCount[t.readSet.slots[i].key%uint64(s.cfg.L1Sets)]++
+	}
 }
 
 func (s *Stats) equal(o Stats) bool {

@@ -110,11 +110,28 @@ func (t *table) entries(dst []entry) []entry {
 	return dst
 }
 
+// keys appends the live keys to dst in insertion order.
+func (t *table) keys(dst []uint64) []uint64 {
+	for _, i := range t.live {
+		dst = append(dst, t.slots[i].key)
+	}
+	return dst
+}
+
 // load makes the table hold exactly es, inserted in that order.
 func (t *table) load(es []entry) {
 	t.reset()
 	for _, e := range es {
 		t.put(e.key, e.val)
+	}
+}
+
+// loadKeys makes the table hold exactly the keys ks, inserted in that
+// order (the read and write sets).
+func (t *table) loadKeys(ks []uint64) {
+	t.reset()
+	for _, k := range ks {
+		t.put(k, 0)
 	}
 }
 
@@ -126,6 +143,20 @@ func (t *table) equal(es []entry) bool {
 	}
 	for _, e := range es {
 		if v, ok := t.get(e.key); !ok || v != e.val {
+			return false
+		}
+	}
+	return true
+}
+
+// equalKeys reports whether the keys of the table are exactly ks, as a
+// set (the read and write sets, which leave val unused).
+func (t *table) equalKeys(ks []uint64) bool {
+	if len(ks) != len(t.live) {
+		return false
+	}
+	for _, k := range ks {
+		if !t.has(k) {
 			return false
 		}
 	}

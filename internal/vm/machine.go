@@ -312,14 +312,22 @@ type core struct {
 	stackBase  uint64
 	stackLimit uint64
 
+	// l1tags is a direct-mapped 32 KB / 64 B-line cache model used only
+	// for load latency: a miss costs extra cycles. This is what makes
+	// cache-unfriendly code (matrixmul's column-order accesses) genuinely
+	// latency-bound, reproducing its very low native ILP (§5.2). A
+	// snapshot holds it as blocks, most of them shared with the previous
+	// snapshot, so it is not part of coreState.
+	l1tags [l1Sets]uint64
+
 	coreState
 }
 
-// coreState is the part of a core's run-time state that is plain
+// coreState is the part of a core's run-time state that is a few plain
 // values: Machine.Snapshot copies it and Machine.Equal compares it as
 // a whole, so a field added here is covered by both. State held behind
-// a pointer or slice belongs in core and needs its own line in
-// snapshot.go.
+// a pointer or slice, or too large to copy whole at every snapshot,
+// belongs in core and needs its own line in snapshot.go.
 type coreState struct {
 	state threadState
 
@@ -327,12 +335,6 @@ type coreState struct {
 	attempts  int
 	counter   int64 // thread-local instruction counter (§3.2)
 	txEntered uint64
-
-	// l1tags is a direct-mapped 32 KB / 64 B-line cache model used only
-	// for load latency: a miss costs extra cycles. This is what makes
-	// cache-unfriendly code (matrixmul's column-order accesses) genuinely
-	// latency-bound, reproducing its very low native ILP (§5.2).
-	l1tags [l1Sets]uint64
 
 	waitLock    uint64 // lock address when blocked on a lock
 	waitBarrier uint64 // barrier address when blocked on a barrier
@@ -426,8 +428,8 @@ type Machine struct {
 	prof    *obs.Profiler
 
 	// lastSnap is the snapshot the machine last took or restored since
-	// Reset, nil without one: Snapshot shares the pages that still equal
-	// its pages.
+	// Reset, nil without one: Snapshot shares the blocks that still equal
+	// its blocks.
 	lastSnap *Snapshot
 
 	// prog is the program the dispatch loops in cexec.go execute. Reset

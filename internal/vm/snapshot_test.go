@@ -355,7 +355,9 @@ func TestRestoreEarlierSnapshot(t *testing.T) {
 }
 
 // TestSnapshotEqualSeesEveryPart: Equal must notice a difference in
-// each kind of state a snapshot holds.
+// each kind of state a snapshot holds, also inside a block the snapshot
+// shares: a cache-tag block shared with the previous snapshot, and a
+// rollback-frame block shared with the live frame.
 func TestSnapshotEqualSeesEveryPart(t *testing.T) {
 	var c snapCase
 	for _, sc := range snapCases(t) {
@@ -365,30 +367,57 @@ func TestSnapshotEqualSeesEveryPart(t *testing.T) {
 	}
 	m := c.machine()
 	m.Start(c.specs()...)
-	// Pause inside a transaction, so that the HTM sets are live.
+	// Pause inside a transaction, so that the HTM sets are live, one
+	// instruction after a snapshot that s shares blocks with.
 	for pause := uint64(50); !m.HTM.InTx(0); pause += 50 {
 		if m.RunUntil(pause) {
 			t.Fatal("run ended before a transaction was open on core 0")
 		}
 	}
+	prev := m.Snapshot()
+	m.RunUntil(m.stats.DynInstrs + 1)
+	if !m.HTM.InTx(0) {
+		t.Fatal("the transaction on core 0 ended")
+	}
 	s := m.Snapshot()
+	// A cache-tag block s shares with prev, and a block of core 0's
+	// rollback frames that s shares with its live frames.
+	tag := -1
+	for j, b := range s.cores[1].tags {
+		if b == prev.cores[1].tags[j] {
+			tag = j
+		}
+	}
+	depth, fb := -1, -1
+	for d, fr := range s.cores[0].txFrames {
+		for b, blk := range fr.file {
+			if d < len(s.cores[0].frames) && b < len(s.cores[0].frames[d].file) && s.cores[0].frames[d].file[b] == blk {
+				depth, fb = d, b
+			}
+		}
+	}
+	if tag < 0 || depth < 0 {
+		t.Fatalf("no tag block shared with the previous snapshot (%d) or rollback block shared with the live frame (%d)", tag, depth)
+	}
 	for name, change := range map[string]func(){
-		"register":     func() { m.cores[0].frames[0].regs[0] ^= 1 },
-		"readiness":    func() { m.cores[1].frames[0].ready[0]++ },
-		"pc":           func() { m.cores[0].frames[0].instr++ },
-		"core clock":   func() { m.cores[1].sched.Stall(1) },
-		"core scalar":  func() { m.cores[0].counter++ },
-		"l1 tags":      func() { m.cores[1].l1tags[5] ^= 1 },
-		"stats":        func() { m.stats.CondBranches++ },
-		"output":       func() { m.output = append(m.output, 1) },
-		"heap pointer": func() { m.heapNext += 64 },
-		"lock table":   func() { m.locks[4160] = &lockState{held: true, owner: 1, waiters: []int{0}} },
-		"memory word":  func() { m.Poke(4096, m.Peek(4096)^1<<40) },
-		"wild memory":  func() { m.Poke(m.memBytes-16, 1) },
-		"htm write":    func() { m.HTM.Write(0, 4224, 99, m.cores[0].sched.Now()) },
-		"htm stats":    func() { m.HTM.RecordFallback() },
-		"tx snapshot":  func() { m.cores[0].snapshot = &txSnapshot{frames: cloneFrames(nil, m.cores[0].frames)} },
-		"thread state": func() { m.cores[1].state = threadDone },
+		"shared l1 tags":     func() { blockAt(m.cores[1].l1tags[:], tag)[7] ^= 1 << 20 },
+		"shared tx snapshot": func() { m.cores[0].snapshot.frames[depth].fileWords(fb)[0] ^= 1 },
+		"register":           func() { m.cores[0].frames[0].regs[0] ^= 1 },
+		"readiness":          func() { m.cores[1].frames[0].ready[0]++ },
+		"pc":                 func() { m.cores[0].frames[0].instr++ },
+		"core clock":         func() { m.cores[1].sched.Stall(1) },
+		"core scalar":        func() { m.cores[0].counter++ },
+		"l1 tags":            func() { m.cores[1].l1tags[5] ^= 1 },
+		"stats":              func() { m.stats.CondBranches++ },
+		"output":             func() { m.output = append(m.output, 1) },
+		"heap pointer":       func() { m.heapNext += 64 },
+		"lock table":         func() { m.locks[4160] = &lockState{held: true, owner: 1, waiters: []int{0}} },
+		"memory word":        func() { m.Poke(4096, m.Peek(4096)^1<<40) },
+		"wild memory":        func() { m.Poke(m.memBytes-16, 1) },
+		"htm write":          func() { m.HTM.Write(0, 4224, 99, m.cores[0].sched.Now()) },
+		"htm stats":          func() { m.HTM.RecordFallback() },
+		"tx snapshot":        func() { m.cores[0].snapshot = &txSnapshot{frames: m.cores[0].copyFrames(nil, m.cores[0].frames)} },
+		"thread state":       func() { m.cores[1].state = threadDone },
 	} {
 		m.Restore(s)
 		if !m.Equal(s) {
@@ -477,6 +506,8 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 // sweepProg makes each of two threads sweep its own 32 KiB half of arr
 // one word per iteration and wrap around once, so that between two
 // nearby snapshots a few pages change and the rest stay as they were.
+// The values computed on entry (v11-v43) fill register-file blocks that
+// the loop does not change.
 const sweepProg = `
 global arr bytes=65536
 
@@ -485,6 +516,39 @@ entry:
   v0 = call @thread.id
   v1 = mul v0, #32768
   v2 = add v1, #4096
+  v11 = add v0, #3
+  v12 = mul v11, #12
+  v13 = mul v12, #13
+  v14 = mul v13, #14
+  v15 = mul v14, #15
+  v16 = mul v15, #16
+  v17 = mul v16, #17
+  v18 = mul v17, #18
+  v19 = mul v18, #19
+  v20 = mul v19, #20
+  v21 = mul v20, #21
+  v22 = mul v21, #22
+  v23 = mul v22, #23
+  v24 = mul v23, #24
+  v25 = mul v24, #25
+  v26 = mul v25, #26
+  v27 = mul v26, #27
+  v28 = mul v27, #28
+  v29 = mul v28, #29
+  v30 = mul v29, #30
+  v31 = mul v30, #31
+  v32 = mul v31, #32
+  v33 = mul v32, #33
+  v34 = mul v33, #34
+  v35 = mul v34, #35
+  v36 = mul v35, #36
+  v37 = mul v36, #37
+  v38 = mul v37, #38
+  v39 = mul v38, #39
+  v40 = mul v39, #40
+  v41 = mul v40, #41
+  v42 = mul v41, #42
+  v43 = mul v42, #43
   jmp loop
 loop:
   v3 = phi #0 [entry], v9 [loop]
@@ -499,14 +563,131 @@ loop:
   br v10, loop, done
 done:
   out v8
+  out v43
   ret
 }
 `
 
+// flat is a deep copy of the state a snapshot holds as blocks, taken
+// from a machine word by word: the oracle the blocks are held to.
+type flat struct {
+	image    []uint64
+	tags     [][]uint64    // per core
+	frames   [][]flatFrame // per core
+	txFrames [][]flatFrame // per core, nil without a tx snapshot
+}
+
+// flatFrame is a frame's files and, in head, the rest of it.
+type flatFrame struct {
+	head        frame // regs and ready nil
+	regs, ready []uint64
+}
+
+func flatFrameOf(fr frame, regs, ready []uint64) flatFrame {
+	fr.regs, fr.ready = nil, nil
+	return flatFrame{fr, slices.Clone(regs), slices.Clone(ready)}
+}
+
+func flatOf(m *Machine) flat {
+	f := flat{image: m.Image()}
+	frames := func(fs []frame) []flatFrame {
+		out := []flatFrame{}
+		for _, fr := range fs {
+			out = append(out, flatFrameOf(fr, fr.regs, fr.ready))
+		}
+		return out
+	}
+	for _, c := range m.cores {
+		f.tags = append(f.tags, slices.Clone(c.l1tags[:]))
+		f.frames = append(f.frames, frames(c.frames))
+		var tx []flatFrame
+		if c.snapshot != nil {
+			tx = frames(c.snapshot.frames)
+		}
+		f.txFrames = append(f.txFrames, tx)
+	}
+	return f
+}
+
+// pristineImage is the image of a fresh machine of prog.
+func pristineImage(prog *Program, memWords int) []uint64 {
+	img := make([]uint64, 0, memWords)
+	for p := int32(0); len(img) < memWords; p++ {
+		img = append(img, prog.page(p)[:min(pageWords, memWords-len(img))]...)
+	}
+	return img
+}
+
+// holds reports whether the snapshot's blocks hold the state f, word for
+// word, and every block is zero past the end of the words it holds.
+func (s *Snapshot) holds(t *testing.T, f flat) bool {
+	t.Helper()
+	for lo, p := 0, int32(0); lo < s.memWords; lo, p = lo+pageWords, p+1 {
+		n := min(pageWords, s.memWords-lo)
+		blocks := s.page(p)
+		if blocks == nil {
+			if !slices.Equal(s.prog.page(p)[:n], f.image[lo:lo+n]) {
+				return false
+			}
+			continue
+		}
+		for j, b := range blocks {
+			from, to := min(j*blockWords, n), min((j+1)*blockWords, n)
+			if !slices.Equal(b[:to-from], f.image[lo+from:lo+to]) {
+				return false
+			}
+			if !allZero(b[to-from:]) {
+				t.Fatalf("page %d holds a word past the end of the image", p)
+			}
+		}
+	}
+	return reflect.DeepEqual(s.flatRest(t), flat{nil, f.tags, f.frames, f.txFrames})
+}
+
+func allZero(words []uint64) bool {
+	return !slices.ContainsFunc(words, func(w uint64) bool { return w != 0 })
+}
+
+// flatRest materialises the snapshot's blocks other than memory as a
+// flat copy.
+func (s *Snapshot) flatRest(t *testing.T) flat {
+	t.Helper()
+	var f flat
+	frames := func(fs []frameSnap) []flatFrame {
+		if fs == nil {
+			return nil
+		}
+		out := []flatFrame{}
+		for _, fr := range fs {
+			var file []uint64
+			for _, b := range fr.file {
+				file = append(file, b[:]...)
+			}
+			half := len(file) / 2
+			if half < fr.nregs || !allZero(file[fr.nregs:half]) || !allZero(file[half+fr.nregs:]) {
+				t.Fatalf("a register file of %d registers in %d words, or nonzero past its end", fr.nregs, len(file))
+			}
+			out = append(out, flatFrameOf(fr.frame, file[:fr.nregs], file[half:half+fr.nregs]))
+		}
+		return out
+	}
+	for i := range s.cores {
+		c := &s.cores[i]
+		var tags []uint64
+		for _, b := range c.tags {
+			tags = append(tags, b[:]...)
+		}
+		f.tags = append(f.tags, tags)
+		f.frames = append(f.frames, frames(c.frames))
+		f.txFrames = append(f.txFrames, frames(c.txFrames))
+	}
+	return f
+}
+
 // sweepSnapshots runs sweepProg hardened by HAFT on two threads with a
 // snapshot every 3000 instructions, and returns the program, the
-// snapshots and a flat copy of the image at each.
-func sweepSnapshots(t *testing.T) (*Program, []*Snapshot, [][]uint64) {
+// snapshots and a flat copy of the machine at each.
+func sweepSnapshots(t *testing.T) (*Program, []*Snapshot, []flat) {
 	t.Helper()
 	mod, err := harden.Harden(ir.MustParse(sweepProg), harden.Config{Mode: harden.ModeHAFT, Opt: harden.OptFaultProp, TxThreshold: 120})
 	if err != nil {
@@ -520,97 +701,194 @@ func sweepSnapshots(t *testing.T) (*Program, []*Snapshot, [][]uint64) {
 	specs := []ThreadSpec{{Func: "main"}, {Func: "main"}}
 	m.Start(specs...)
 	const stride = 3000
-	snaps, images := []*Snapshot{m.Snapshot()}, [][]uint64{m.Image()}
+	snaps, flats := []*Snapshot{m.Snapshot()}, []flat{flatOf(m)}
 	for !m.RunUntil(uint64(len(snaps)) * stride) {
 		snaps = append(snaps, m.Snapshot())
-		images = append(images, m.Image())
+		flats = append(flats, flatOf(m))
 	}
 	if m.Status() != StatusOK {
 		t.Fatalf("run: %v (%s)", m.Status(), m.Stats().CrashReason)
 	}
-	return prog, snaps, images
+	return prog, snaps, flats
 }
 
-// TestSnapshotSharesUnchangedPages: a page whose words did not change
-// between two snapshots of a machine is the same array in both, and a
-// page that changed, or was first stored to, is an array no earlier
-// snapshot holds. Bytes, summed along the snapshots or along every
-// second or fourth of them, counts each array once.
-func TestSnapshotSharesUnchangedPages(t *testing.T) {
-	_, snaps, images := sweepSnapshots(t)
+// TestSnapshotSharesUnchangedBlocks: at every boundary of a run, a block
+// of memory, of a core's cache tags or of a register file is shared —
+// with the same block of the previous snapshot, with the Program's
+// pristine page (a page the previous snapshot did not hold), or with the
+// live frame (a block of a rollback frame) — exactly when it holds the
+// same words; a block that changed is an array no earlier snapshot
+// holds; and the blocks hold the machine's state word for word. Bytes,
+// summed along the snapshots or along every second or fourth of them,
+// counts each array once.
+func TestSnapshotSharesUnchangedBlocks(t *testing.T) {
+	prog, snaps, flats := sweepSnapshots(t)
 	if len(snaps) < 20 {
 		t.Fatalf("only %d snapshots", len(snaps))
 	}
-	pageOf := func(img []uint64, p int32) []uint64 {
-		lo := int(p) * pageWords
-		return img[lo:min(lo+pageWords, len(img))]
+	seen := map[any]bool{} // every block array of the snapshots so far
+	type tally struct{ shared, copied int }
+	kinds := map[string]*tally{"memory": {}, "tags": {}, "registers": {}, "rollback registers": {}, "rollback from live": {}}
+	// check holds one block to the rule: it must be want if that is not
+	// nil (the array it shares), else an array no earlier snapshot holds.
+	check := func(k int, kind, where string, got, want any, fresh bool) {
+		t.Helper()
+		switch {
+		case !fresh && got != want:
+			t.Errorf("snapshot %d: %s %s did not change but was copied", k, kind, where)
+		case fresh && seen[got]:
+			t.Errorf("snapshot %d: %s %s changed but shares an earlier snapshot's array", k, kind, where)
+		case fresh:
+			kinds[kind].copied++
+		default:
+			kinds[kind].shared++
+		}
 	}
-	seen := map[*[pageWords]uint64]bool{}
-	shared, copied := 0, 0
+	fresh := flat{image: pristineImage(prog, snaps[0].memWords)}
 	for k, s := range snaps {
+		if !s.holds(t, flats[k]) {
+			t.Fatalf("snapshot %d does not hold the machine's state", k)
+		}
 		var old *Snapshot
+		before, now := fresh, flats[k]
 		if k > 0 {
-			old = snaps[k-1]
+			old, before = snaps[k-1], flats[k-1]
 		}
 		for i, p := range s.pages {
-			unchanged := old.page(p) != nil && slices.Equal(pageOf(images[k-1], p), pageOf(images[k], p))
-			switch {
-			case unchanged && s.data[i] != old.page(p):
-				t.Errorf("snapshot %d: page %d did not change but was copied", k, p)
-			case !unchanged && seen[s.data[i]]:
-				t.Errorf("snapshot %d: page %d changed but shares an earlier snapshot's array", k, p)
-			case unchanged:
-				shared++
-			default:
-				copied++
-			}
-			if !slices.Equal(s.data[i][:len(pageOf(images[k], p))], pageOf(images[k], p)) {
-				t.Fatalf("snapshot %d: page %d does not hold the image's words", k, p)
+			was := old.page(p)
+			for j, b := range s.pageAt(i) {
+				lo := int(p)*pageWords + j*blockWords
+				hi := min(lo+blockWords, len(now.image))
+				want := any(blockAt(prog.page(p)[:], j))
+				if was != nil {
+					want = was[j]
+				}
+				unchanged := lo >= hi || slices.Equal(before.image[lo:hi], now.image[lo:hi])
+				check(k, "memory", fmt.Sprintf("page %d block %d", p, j), b, want, !unchanged)
 			}
 		}
-		for _, a := range s.data {
-			seen[a] = true
-		}
-	}
-	t.Logf("%d snapshots: %d pages shared, %d copied", len(snaps), shared, copied)
-	if shared == 0 || copied <= len(snaps) {
-		t.Fatalf("%d pages shared, %d copied: the run does not exercise both", shared, copied)
-	}
-
-	for _, every := range []int{1, 2, 4} {
-		distinct := map[*[pageWords]uint64]bool{}
-		want, got := 0, 0
-		var prev *Snapshot
-		for k := 0; k < len(snaps); k += every {
-			s := snaps[k]
-			got += s.Bytes(prev)
-			prev = s
-			want += s.Bytes(s) // what the snapshot holds besides page arrays
-			for _, a := range s.data {
-				if !distinct[a] {
-					distinct[a] = true
-					want += 8 * pageWords
+		for ci := range s.cores {
+			c, pc := &s.cores[ci], &noCore
+			if old != nil {
+				pc = &old.cores[ci]
+			}
+			for j, b := range c.tags {
+				unchanged := k > 0 && slices.Equal(before.tags[ci][j*blockWords:(j+1)*blockWords], now.tags[ci][j*blockWords:(j+1)*blockWords])
+				check(k, "tags", fmt.Sprintf("core %d block %d", ci, j), b, pc.tags[j], !unchanged)
+			}
+			// The frames of a file block, in the order sharing tries them.
+			type source struct {
+				kind   string
+				flat   []flatFrame
+				blocks []frameSnap
+			}
+			sources := func(live bool) []source {
+				var src []source
+				if k > 0 && live {
+					src = append(src, source{"registers", before.frames[ci], pc.frames})
+				}
+				if k > 0 && !live {
+					src = append(src, source{"rollback registers", before.txFrames[ci], pc.txFrames})
+				}
+				if !live {
+					src = append(src, source{"rollback from live", now.frames[ci], c.frames})
+				}
+				return src
+			}
+			for _, stack := range []struct {
+				kind   string
+				live   bool
+				blocks []frameSnap
+				flat   []flatFrame
+			}{{"registers", true, c.frames, now.frames[ci]}, {"rollback registers", false, c.txFrames, now.txFrames[ci]}} {
+				for d, fr := range stack.blocks {
+					for b, blk := range fr.file {
+						words := fileWordsOf(stack.flat[d], b)
+						kind, want := stack.kind, any(nil)
+						for _, src := range sources(stack.live) {
+							if d < len(src.flat) && src.flat[d].head.fn == fr.fn && slices.Equal(fileWordsOf(src.flat[d], b), words) {
+								kind, want = src.kind, src.blocks[d].file[b]
+								break
+							}
+						}
+						check(k, kind, fmt.Sprintf("core %d depth %d block %d", ci, d, b), blk, want, want == nil)
+					}
 				}
 			}
 		}
+		mem, tags, files := s.blockArrays()
+		for _, b := range slices.Concat(mem, tags) {
+			seen[b] = true
+		}
+		for _, b := range files {
+			seen[b] = true
+		}
+	}
+	for kind, n := range kinds {
+		t.Logf("%d snapshots: %s blocks %d shared, %d copied", len(snaps), kind, n.shared, n.copied)
+		if n.shared == 0 || kind != "rollback from live" && n.copied < len(snaps)/2 {
+			t.Errorf("%s blocks: %d shared, %d copied: the run does not exercise both", kind, n.shared, n.copied)
+		}
+	}
+
+	pristine := map[*block]bool{}
+	for p := int32(0); int(p)*pageWords < snaps[0].memWords; p++ {
+		for j := range pageBlocks {
+			pristine[blockAt(prog.page(p)[:], j)] = true
+		}
+	}
+	for _, every := range []int{1, 2, 4} {
+		distinct := map[any]bool{}
+		var want, got SnapshotBytes
+		var prev *Snapshot
+		for k := 0; k < len(snaps); k += every {
+			s := snaps[k]
+			got = got.Plus(s.Bytes(prev))
+			prev = s
+			want = want.Plus(s.Bytes(s)) // what the snapshot holds besides block arrays
+			mem, tags, files := s.blockArrays()
+			for _, b := range mem {
+				if !distinct[b] && !pristine[b] {
+					want.Memory += 8 * blockWords
+				}
+				distinct[b] = true
+			}
+			for _, b := range tags {
+				if !distinct[b] {
+					want.Tags += 8 * blockWords
+				}
+				distinct[b] = true
+			}
+			for _, b := range files {
+				if !distinct[b] {
+					want.Registers += 8 * fileBlockRegs
+				}
+				distinct[b] = true
+			}
+		}
 		if got != want {
-			t.Errorf("every %d snapshots: Bytes sums to %d, the distinct page arrays give %d", every, got, want)
+			t.Errorf("every %d snapshots: Bytes sums to %+v, the distinct block arrays give %+v", every, got, want)
 		}
 	}
 }
 
-// TestSnapshotsImmutableUnderRestore: snapshots that share page arrays
+// fileWordsOf returns the words of block b of a flat frame's files, as
+// frame.fileWords does for a live frame.
+func fileWordsOf(fr flatFrame, b int) []uint64 {
+	f := frame{regs: fr.regs, ready: fr.ready}
+	return f.fileWords(b)
+}
+
+// TestSnapshotsImmutableUnderRestore: snapshots that share block arrays
 // stay as they were taken while two machines concurrently restore every
 // sixth of them, run each to its end with a memory-cell fault armed and
 // snapshot the result. go test -race also sees a write into a shared
 // array here.
 func TestSnapshotsImmutableUnderRestore(t *testing.T) {
 	prog, snaps, _ := sweepSnapshots(t)
-	copies := make([][][pageWords]uint64, len(snaps))
+	copies := make([][]uint64, len(snaps))
 	for k, s := range snaps {
-		for _, a := range s.data {
-			copies[k] = append(copies[k], *a)
-		}
+		copies[k] = blockWordsOf(s)
 	}
 	var wg sync.WaitGroup
 	fired := make([]int, 2)
@@ -637,10 +915,138 @@ func TestSnapshotsImmutableUnderRestore(t *testing.T) {
 		t.Fatalf("memory faults fired in %v of %d runs per machine", fired, runs)
 	}
 	for k, s := range snaps {
-		for i, p := range s.pages {
-			if *s.data[i] != copies[k][i] {
-				t.Fatalf("page %d of snapshot %d changed after it was taken", p, k)
+		if !slices.Equal(blockWordsOf(s), copies[k]) {
+			t.Fatalf("snapshot %d changed after it was taken", k)
+		}
+	}
+}
+
+// blockWordsOf returns the words of all the snapshot's blocks.
+func blockWordsOf(s *Snapshot) []uint64 {
+	var words []uint64
+	mem, tags, files := s.blockArrays()
+	for _, b := range slices.Concat(mem, tags) {
+		words = append(words, b[:]...)
+	}
+	for _, b := range files {
+		words = append(words, b[:]...)
+	}
+	return words
+}
+
+// blockArrays returns the snapshot's block arrays: of memory, of the
+// cache tags, and of the live and rollback register files.
+func (s *Snapshot) blockArrays() (mem, tags []*block, files []*fileBlock) {
+	for i := range s.cores {
+		c := &s.cores[i]
+		tags = append(tags, c.tags[:]...)
+		for _, fs := range [][]frameSnap{c.frames, c.txFrames} {
+			for _, fr := range fs {
+				files = append(files, fr.file...)
 			}
 		}
 	}
+	return s.mem, tags, files
+}
+
+// flatEqual is Equal written field by field over flat copies: the
+// oracle FuzzSnapshotRestore holds Equal to. The HTM system is compared
+// by its own Equal, which treats its sets as sets.
+func flatEqual(t *testing.T, m *Machine, f flat, s *Snapshot) bool {
+	t.Helper()
+	if m.stats != s.stats || m.status != s.status || m.heapNext != s.heapNext || m.nthreads != s.nthreads ||
+		!slices.Equal(m.output, s.output) || tableView(m.locks) != tableView(s.locks) ||
+		tableView(m.barriers) != tableView(s.barriers) || !m.HTM.Equal(s.htm) {
+		return false
+	}
+	for i, c := range m.cores {
+		sc := &s.cores[i]
+		if c.coreState != sc.coreState || *c.sched != sc.sched || !slices.Equal(c.elided, sc.elided) {
+			return false
+		}
+	}
+	return s.holds(t, f)
+}
+
+// tableView prints a lock or barrier table by value, a nil and an empty
+// list alike.
+func tableView[V any](table map[uint64]*V) string {
+	byValue := map[uint64]V{}
+	for a, v := range table {
+		byValue[a] = *v
+	}
+	return fmt.Sprintf("%v", byValue)
+}
+
+// FuzzSnapshotRestore: the input picks where a run of the 2-thread HAFT
+// snapshot program pauses for a snapshot, then in which order the
+// snapshots are restored and whether each restored run pauses once more
+// on its way to the end. Every restored run must end like the
+// uninterrupted one, and at every restore and pause Equal must agree
+// with a field-by-field comparison against every snapshot.
+//
+// The input is: one byte for the number of snapshots (1-8), one byte
+// each for the distance to the next pause (1 + 16*b instructions), then
+// one byte per restore: its low bits pick the snapshot, its high bit a
+// pause halfway to the next snapshot's instruction count.
+func FuzzSnapshotRestore(f *testing.F) {
+	mod, err := harden.Harden(ir.MustParse(snapProg), harden.Config{Mode: harden.ModeHAFT, Opt: harden.OptFaultProp, TxThreshold: 120})
+	if err != nil {
+		f.Fatal(err)
+	}
+	c := snapCase{name: "haft/2T/compiled", mode: harden.ModeHAFT, threads: 2, mod: mod, prog: Compile(mod)}
+	straight := c.machine()
+	if st := straight.Run(c.specs()...); st != StatusOK {
+		f.Fatalf("straight run: %v (%s)", st, straight.Stats().CrashReason)
+	}
+	want := finalOf(straight)
+	f.Add([]byte{3, 20, 40, 60, 2, 0x81, 0})
+	f.Add([]byte{5, 0, 1, 255, 9, 30, 4, 0x83, 1, 0x80})
+	f.Add([]byte{8, 3, 7, 11, 13, 17, 19, 23, 29, 7, 0x86, 5, 0x84, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%8
+		data = data[1:]
+		m := c.machine()
+		m.Start(c.specs()...)
+		snaps, at := []*Snapshot{m.Snapshot()}, []uint64{0}
+		for ; len(snaps) < n && len(data) > 0; data = data[1:] {
+			pause := m.stats.DynInstrs + 1 + 16*uint64(data[0])
+			if m.RunUntil(pause) {
+				break
+			}
+			snaps, at = append(snaps, m.Snapshot()), append(at, m.stats.DynInstrs)
+		}
+		// agree checks Equal against the oracle on every snapshot; the
+		// machine must equal snapshot k, if k >= 0.
+		agree := func(k int) {
+			fm := flatOf(m)
+			for j, s := range snaps {
+				eq := m.Equal(s)
+				if eq != flatEqual(t, m, fm, s) {
+					t.Fatalf("Equal to snapshot %d is %v, the field-by-field comparison says otherwise", j, eq)
+				}
+				if j == k && !eq {
+					t.Fatalf("the machine restored to snapshot %d does not equal it", k)
+				}
+			}
+		}
+		for i, b := range data {
+			if i == 16 {
+				break
+			}
+			k := int(b&0x7f) % len(snaps)
+			m.Restore(snaps[k])
+			agree(k)
+			if b&0x80 != 0 && k+1 < len(snaps) && !m.RunUntil((at[k]+at[k+1])/2) {
+				agree(-1)
+			}
+			m.RunUntil(^uint64(0))
+			if d := finalOf(m).diff(want); d != "" {
+				t.Fatalf("restored to snapshot %d and run to the end: %s", k, d)
+			}
+		}
+	})
 }
