@@ -249,15 +249,6 @@ type tx struct {
 	durBase, durSpan uint64
 }
 
-// MemoDraws bounds the per-System memo of the spontaneous-abort stream:
-// 256 Ki draws, 1 MiB once a run has drawn that many. It grows a page
-// at a time, so a system holds (and has allocated) what its longest run
-// drew, rounded up to 4 KiB.
-const (
-	MemoDraws = 1 << 18
-	memoPage  = 1 << 10
-)
-
 // System models the HTM of one multi-core processor.
 type System struct {
 	cfg   Config
@@ -265,17 +256,15 @@ type System struct {
 	// The spontaneous-abort stream is draw i of
 	// rand.New(rand.NewSource(cfg.Seed)).Intn(1_000_000). draws is the
 	// position of the next draw and all of the stream's state a run can
-	// change: Reset zeroes it, Snapshot records it, Restore sets it. memo
-	// holds draws [0, memoLen) in pages of memoPage, grown as they are
-	// first drawn up to MemoDraws, so a warm system replays them as array
-	// reads; rng is seeded on the first draw the memo lacks and has
-	// produced rngPos draws since.
-	draws   uint64
-	memo    [][]uint32
-	memoLen uint64
-	rng     *rand.Rand
-	rngPos  uint64
-	Stats   Stats
+	// change: Reset zeroes it, Snapshot records it, Restore sets it.
+	// stream is the seed's memo, shared with every System of the seed;
+	// rng is the private generator for draws past it, seeded on the first
+	// such draw and rngPos draws in since.
+	draws  uint64
+	stream *stream
+	rng    *rand.Rand
+	rngPos uint64
+	Stats  Stats
 	// Trace, when non-nil, receives a tx lifecycle event (begin,
 	// commit, abort with cause) for every transaction. The HTM layer
 	// emits these itself because only it knows the resolved abort
@@ -289,8 +278,9 @@ type System struct {
 // NewSystem creates an HTM with ncores logical cores.
 func NewSystem(ncores int, cfg Config) *System {
 	s := &System{
-		cfg:   cfg,
-		cores: make([]tx, ncores),
+		cfg:    cfg,
+		cores:  make([]tx, ncores),
+		stream: streamOf(cfg.Seed),
 	}
 	s.Stats.Aborted = make(map[Cause]uint64)
 	return s
@@ -312,41 +302,6 @@ func (s *System) Reset() {
 	}
 	s.draws = 0
 	s.Stats = Stats{Aborted: make(map[Cause]uint64)}
-}
-
-// draw returns the next spontaneous-event sample, uniform in [0, 1e6).
-func (s *System) draw() uint64 {
-	i := s.draws
-	s.draws++
-	if i < s.memoLen {
-		return uint64(s.memo[i/memoPage][i%memoPage])
-	}
-	return s.generate(i)
-}
-
-// generate produces draw i, which the memo lacks, from the generator:
-// seeded first when it does not exist yet or is already past i, advanced
-// to i, and extending the memo with every draw that is its next entry.
-func (s *System) generate(i uint64) uint64 {
-	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(s.cfg.Seed))
-	} else if s.rngPos > i {
-		s.rng.Seed(s.cfg.Seed)
-		s.rngPos = 0
-	}
-	for {
-		v := uint32(s.rng.Intn(1_000_000))
-		if n := s.memoLen; s.rngPos == n && n < MemoDraws {
-			if n%memoPage == 0 {
-				s.memo = append(s.memo, make([]uint32, memoPage))
-			}
-			s.memo[n/memoPage][n%memoPage] = v
-			s.memoLen++
-		}
-		if s.rngPos++; s.rngPos > i {
-			return uint64(v)
-		}
-	}
 }
 
 // InTx reports whether core is currently executing a transaction

@@ -59,8 +59,8 @@ func (s *System) Snapshot() *Snapshot {
 // Restore returns the system to the snapshot's state, whatever it ran
 // since: a restored system continues exactly as the one the snapshot
 // was taken from. The stream position is just set: the next draw reads
-// the memo, and only one past the memo seeds a generator and skips to it
-// (see System.generate).
+// the seed's shared memo, and only one past the memo seeds the System's
+// private generator and skips to it (see System.generate).
 func (s *System) Restore(sn *Snapshot) {
 	if len(sn.cores) != len(s.cores) {
 		panic("htm: Restore of a snapshot with a different core count")

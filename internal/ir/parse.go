@@ -18,8 +18,9 @@ import (
 //	  ret v1
 //	}
 //
-// Comments start with ';' and run to end of line. Parse verifies the
-// result before returning it.
+// Comments start with ';' and run to end of line. A function names
+// fewer than maxValues (1 Mi) registers. Parse verifies the result
+// before returning it.
 func Parse(src string) (*Module, error) {
 	p := &parser{m: NewModule()}
 	lines := strings.Split(src, "\n")
@@ -62,6 +63,11 @@ type parser struct {
 	m *Module
 }
 
+// maxValues bounds the registers a function may name in the text. A
+// larger register id or parameter count is an error, not a request for
+// a register file that large (Verify allocates one flag per register).
+const maxValues = 1 << 20
+
 func stripComment(s string) string {
 	if i := strings.IndexByte(s, ';'); i >= 0 {
 		s = s[:i]
@@ -75,19 +81,22 @@ func (p *parser) parseGlobal(line string, lineno int) error {
 		return fmt.Errorf("ir: line %d: malformed global", lineno)
 	}
 	name := fields[1]
+	if p.m.Global(name) != nil {
+		return fmt.Errorf("ir: line %d: duplicate global %q", lineno, name)
+	}
 	var bytes, align int64 = 0, 8
 	for _, f := range fields[2:] {
 		switch {
 		case strings.HasPrefix(f, "bytes="):
 			v, err := strconv.ParseInt(f[6:], 10, 64)
-			if err != nil {
-				return fmt.Errorf("ir: line %d: bad bytes: %v", lineno, err)
+			if err != nil || v < 0 {
+				return fmt.Errorf("ir: line %d: bad bytes %q", lineno, f[6:])
 			}
 			bytes = v
 		case strings.HasPrefix(f, "align="):
 			v, err := strconv.ParseInt(f[6:], 10, 64)
-			if err != nil {
-				return fmt.Errorf("ir: line %d: bad align: %v", lineno, err)
+			if err != nil || v < 0 {
+				return fmt.Errorf("ir: line %d: bad align %q", lineno, f[6:])
 			}
 			align = v
 		default:
@@ -106,6 +115,9 @@ func (p *parser) parseFunc(lines []string, start int) (int, error) {
 	f, err := parseFuncHeader(header, start+1)
 	if err != nil {
 		return 0, err
+	}
+	if p.m.Func(f.Name) != nil {
+		return 0, fmt.Errorf("ir: line %d: duplicate function %q", start+1, f.Name)
 	}
 	// First sweep: collect block labels so branch targets resolve.
 	type rawInstr struct {
@@ -178,6 +190,9 @@ func parseFuncHeader(header string, lineno int) (*Func, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ir: line %d: bad parameter count: %v", lineno, err)
 	}
+	if nparams < 0 || nparams > maxValues {
+		return nil, fmt.Errorf("ir: line %d: parameter count %d out of range [0,%d]", lineno, nparams, maxValues)
+	}
 	f := &Func{Name: name, NParams: nparams, NValues: nparams}
 	for _, tok := range strings.Fields(rest[closeP+1:]) {
 		switch {
@@ -227,7 +242,7 @@ func parseInstr(text string, lineno int, blockIdx map[string]int) (Instr, error)
 	if eq := strings.Index(text, "="); eq > 0 && strings.HasPrefix(strings.TrimSpace(text), "v") {
 		lhs := strings.TrimSpace(text[:eq])
 		n, err := strconv.Atoi(strings.TrimPrefix(lhs, "v"))
-		if err != nil {
+		if err != nil || n < 0 || n >= maxValues {
 			return fail("bad result register %q", lhs)
 		}
 		in.Res = ValueID(n)
@@ -386,7 +401,7 @@ func parseOperand(tok string) (Operand, error) {
 	switch {
 	case strings.HasPrefix(tok, "v"):
 		n, err := strconv.Atoi(tok[1:])
-		if err != nil {
+		if err != nil || n < 0 || n >= maxValues {
 			return Operand{}, fmt.Errorf("bad register %q", tok)
 		}
 		return Reg(ValueID(n)), nil
