@@ -1,8 +1,9 @@
 // The "vmexec" experiment: the dispatch differential. For every hardened
-// workload it runs the same module once with stepwise dispatch (vm.New)
-// and once with fused dispatch (vm.NewFromProgram), checks the runs are
-// bit-identical (status, output, run statistics, HTM behavior), and
-// reports the static shape of the compiled artifact. A second stage
+// workload it runs the same module once with stepwise turns (vm.New, one
+// instruction per scheduler turn) and once with run-ahead turns
+// (vm.NewFromProgram), checks the runs are bit-identical (status,
+// output, run statistics, HTM behavior), and reports the static shape
+// of the compiled artifact. A second stage
 // repeats a multi-model fault-injection campaign with both and compares
 // the JSON checkpoints byte for byte. Any divergence is an error. The
 // result is deterministic; how fast each dispatch runs is bench/'s
@@ -29,8 +30,7 @@ type VMExecRow struct {
 	DynInstrs uint64 `json:"dyn_instrs"`
 	// Identical reports full bit-identity of the two dispatches' runs.
 	Identical bool `json:"identical"`
-	// Program is the static shape of the compiled artifact
-	// (instruction count, fused runs, ILR pair-checks).
+	// Program is the static shape of the compiled artifact.
 	Program vm.ProgramStats `json:"program"`
 }
 
@@ -93,12 +93,12 @@ func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 				benches[i].Name, stepwise.status, stepwise.stats.CrashReason)}
 		}
 		prog := vm.Compile(mod)
-		fused := vmexecRun(vm.NewFromProgram(prog, 1, vm.DefaultConfig()), specs)
+		ahead := vmexecRun(vm.NewFromProgram(prog, 1, vm.DefaultConfig()), specs)
 		return meas{row: VMExecRow{
 			Benchmark: benches[i].Name,
 			DynInstrs: stepwise.stats.DynInstrs,
-			Identical: fused.status == stepwise.status &&
-				slices.Equal(fused.out, stepwise.out) && fused.stats == stepwise.stats,
+			Identical: ahead.status == stepwise.status &&
+				slices.Equal(ahead.out, stepwise.out) && ahead.stats == stepwise.stats,
 			Program: prog.Stats(),
 		}}
 	})
@@ -125,19 +125,14 @@ func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 
 	verdict := map[bool]string{true: "identical", false: "DIVERGED"}
 	t := &report.Table{
-		Title:  fmt.Sprintf("vmexec: fused vs stepwise dispatch (threads=1, scale=%d)", o.Scale),
-		Header: []string{"benchmark", "dyn instrs (M)", "instrs", "fused %", "pair checks", "outputs"},
+		Title:  fmt.Sprintf("vmexec: run-ahead vs stepwise dispatch (threads=1, scale=%d)", o.Scale),
+		Header: []string{"benchmark", "dyn instrs (M)", "instrs", "outputs"},
 	}
 	for _, r := range res.Rows {
-		fusedPct := 0.0
-		if r.Program.Instrs > 0 {
-			fusedPct = 100 * float64(r.Program.FusedInstrs) / float64(r.Program.Instrs)
-		}
-		t.AddF(2, r.Benchmark, float64(r.DynInstrs)/1e6, r.Program.Instrs,
-			fusedPct, r.Program.PairChecks, verdict[r.Identical])
+		t.AddF(2, r.Benchmark, float64(r.DynInstrs)/1e6, r.Program.Instrs, verdict[r.Identical])
 	}
 	t.AddF(2, fmt.Sprintf("campaign %s x%d", camp.Benchmark, camp.Injections),
-		"", "", "", "", verdict[camp.CheckpointsIdentical])
+		"", "", verdict[camp.CheckpointsIdentical])
 
 	if res.Divergences > 0 {
 		return res, t, fmt.Errorf("vmexec: dispatches diverged on %v", diverged)
@@ -150,8 +145,8 @@ func VMExec(o Options) (*VMExecResult, *report.Table, error) {
 
 // vmexecCampaign runs the same seeded multi-model campaign with both
 // dispatches and compares the checkpoints. The campaign runs
-// Options.FIThreads threads (default 2); at more than one both
-// dispatches take the same loop.
+// Options.FIThreads threads (default 2), where run-ahead turns switch
+// cores at every lock, barrier and clock crossing.
 func vmexecCampaign(spec workloads.Spec, o Options) (VMExecCampaign, error) {
 	injections := o.Injections
 	if injections <= 0 {
@@ -177,7 +172,7 @@ func vmexecCampaign(spec workloads.Spec, o Options) (VMExecCampaign, error) {
 	}
 	cb, err := run(false)
 	if err != nil {
-		return camp, fmt.Errorf("vmexec campaign (fused): %w", err)
+		return camp, fmt.Errorf("vmexec campaign (run-ahead): %w", err)
 	}
 	camp.CheckpointsIdentical = bytes.Equal(ib, cb)
 	return camp, nil

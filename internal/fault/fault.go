@@ -112,10 +112,10 @@ type Target struct {
 	Setup func(*vm.Machine)
 	// Specs are the thread entry points.
 	Specs []vm.ThreadSpec
-	// Interpret makes every worker a vm.New machine, which dispatches
-	// stepwise, one instruction per turn, instead of fusing
-	// superinstructions (differential testing; default off). At more
-	// than one thread both settings take the same dispatch loop.
+	// Interpret makes every worker a vm.New machine, which gives each
+	// scheduler turn one instruction instead of letting the scheduled
+	// core run ahead while it would be picked again (differential
+	// testing; default off). Both produce identical campaigns.
 	Interpret bool
 
 	// compileOnce guards the one-time preparation of the module: it is

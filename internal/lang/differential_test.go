@@ -4,8 +4,8 @@ package lang
 // are executed by the reference AST interpreter and by the compiled IR
 // on the machine simulator — natively, optimized, and HAFT-hardened —
 // and all outputs must agree exactly. The code generator is under test,
-// not the dispatch, so the runs dispatch fused (engine_fuzz_test.go holds
-// stepwise dispatch to it on the same generator).
+// not the dispatch, so the runs take run-ahead turns (engine_fuzz_test.go
+// holds stepwise dispatch to it on the same generator).
 
 import (
 	"fmt"

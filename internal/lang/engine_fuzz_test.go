@@ -1,13 +1,13 @@
 package lang
 
 // Fuzzing the execution core: random source programs are compiled,
-// optionally hardened, and run twice — once with stepwise dispatch
-// (vm.New) and once with fused dispatch (vm.NewFromProgram) — and the
+// optionally hardened, and run twice — once with stepwise turns
+// (vm.New) and once with run-ahead turns (vm.NewFromProgram) — and the
 // two runs must be bit-identical in status, externalized output, and
 // run statistics. Both share one lowering, so the lowering is held to
 // the AST interpreter instead: whenever Interp accepts a program, every
 // variant must run to completion with Interp's output. This catches
-// lowering or superinstruction-fusion bugs the hand-written suite in
+// lowering or dispatch bugs the hand-written suite in
 // internal/vm misses, because the generator produces control flow
 // (nested loops, guarded division, dead branches) no fixture author
 // would think to write.
@@ -29,11 +29,10 @@ import (
 )
 
 // engineVariants is the hardening matrix for the engine fuzzer: the
-// interesting lowering shapes are native code (no replicas, nothing to
-// fuse), plain ILR (master/shadow pairs and checks — the fused-run and
-// pair-check paths), full HAFT with every reduction pass (long
-// coalesced runs crossing transaction boundaries), and TMR (triple
-// runs and the fused triad-vote superinstruction).
+// interesting lowering shapes are native code (no replicas), plain ILR
+// (master/shadow pairs and the inline tx.check path), full HAFT with
+// every reduction pass (long coalesced runs crossing transaction
+// boundaries), and TMR (triple runs and tmr.vote).
 func engineVariants() []fuzzVariant {
 	return []fuzzVariant{
 		{"native", core.Config{Mode: core.ModeNative}},
@@ -46,7 +45,7 @@ func engineVariants() []fuzzVariant {
 }
 
 // engineCheck compiles one source and, for every hardening variant,
-// compares stepwise against fused dispatch and, when the AST interpreter
+// compares stepwise against run-ahead turns and, when the AST interpreter
 // accepts the program, both against its output.
 func engineCheck(src string, variants []fuzzVariant) error {
 	prog, err := ParseProgram(src)
@@ -80,18 +79,18 @@ func engineCheck(src string, variants []fuzzVariant) error {
 		cfg := vmQuiet()
 		cfg.MaxDynInstrs = 10_000_000 // see fuzzCheck: fail loops fast
 		stepwise := run(vm.New(mod, 1, cfg))
-		fused := run(vm.NewFromProgram(vm.Compile(mod), 1, cfg))
-		if fused.status != stepwise.status {
-			return fmt.Errorf("%s: fused status %v, stepwise %v",
-				v.name, fused.status, stepwise.status)
+		ahead := run(vm.NewFromProgram(vm.Compile(mod), 1, cfg))
+		if ahead.status != stepwise.status {
+			return fmt.Errorf("%s: run-ahead status %v, stepwise %v",
+				v.name, ahead.status, stepwise.status)
 		}
-		if !outputsEqual(fused.out, stepwise.out) {
-			return fmt.Errorf("%s: fused output %v, stepwise %v",
-				v.name, fused.out, stepwise.out)
+		if !outputsEqual(ahead.out, stepwise.out) {
+			return fmt.Errorf("%s: run-ahead output %v, stepwise %v",
+				v.name, ahead.out, stepwise.out)
 		}
-		if fused.stats != stepwise.stats {
-			return fmt.Errorf("%s: fused stats %+v, stepwise %+v",
-				v.name, fused.stats, stepwise.stats)
+		if ahead.stats != stepwise.stats {
+			return fmt.Errorf("%s: run-ahead stats %+v, stepwise %+v",
+				v.name, ahead.stats, stepwise.stats)
 		}
 		if ierr != nil {
 			continue
@@ -178,7 +177,7 @@ func TestFuzzEngineDifferential(t *testing.T) {
 // TestFuzzCorpusEngineReplay runs every stored pipeline-fuzzer
 // counterexample through the engine differential too: programs that
 // once broke a reduction pass are exactly the shapes most likely to
-// stress the superinstruction fuser.
+// stress the dispatch.
 func TestFuzzCorpusEngineReplay(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(fuzzCorpusDir, "*.hc"))
 	if err != nil {

@@ -146,7 +146,7 @@ func fuzzCheck(src string, variants []fuzzVariant) error {
 		// budget per variant. The reference interpreter's own step limit
 		// rejects the same programs, so crash behavior stays aligned.
 		cfg.MaxDynInstrs = 10_000_000
-		// Outputs are what this matrix compares, so it runs fused;
+		// Outputs are what this matrix compares, so it runs ahead;
 		// engineCheck is what holds stepwise dispatch to it.
 		mach := vm.NewFromProgram(vm.Compile(mod), 1, cfg)
 		mach.Run(vm.ThreadSpec{Func: "main"})

@@ -65,14 +65,15 @@ func DefaultRegistry() *Registry {
 		MaxSDCRuns: -1,
 	})
 
-	// Engine differential: identical campaigns dispatched stepwise and
-	// fused must agree (the equivalence contract, checked per fault
-	// model). Campaigns run fiThreads = 2 threads, where both axis
-	// values take the same one-instruction-per-turn loop, so this pins
-	// that a stepwise (vm.New) worker matches a shared-program one.
+	// Engine differential: identical campaigns on stepwise (vm.New, one
+	// instruction per scheduler turn) and run-ahead (vm.NewFromProgram)
+	// workers must agree (the equivalence contract, checked per fault
+	// model). Campaigns run fiThreads = 2 threads, where a run-ahead turn
+	// ends at every wake and clock crossing, so this pins those rules
+	// under faults.
 	r.MustRegister(&Scenario{
 		Name:     "fi/engine-differential",
-		Desc:     "identical campaigns on stepwise vs fused dispatch (equivalence contract)",
+		Desc:     "identical campaigns on stepwise vs run-ahead turns (equivalence contract)",
 		Owner:    defaultOwner,
 		Contacts: defaultContacts,
 		Attrs:    []string{"fi", "engines", "smoke"},

@@ -62,10 +62,10 @@ type Axes struct {
 	// Flow restricts register-indexed models to one redundant data
 	// flow: any, master, shadow, shadow2.
 	Flow string `json:"flow"`
-	// Engine selects the dispatch: "compiled" (vm.NewFromProgram, fused
-	// superinstructions when single-threaded) or "step" (vm.New, one
-	// instruction per turn). Fault-injection runs use fiThreads = 2,
-	// where both take the same loop.
+	// Engine selects the dispatch: "compiled" (vm.NewFromProgram, which
+	// lets the scheduled core run ahead while it would be picked again)
+	// or "step" (vm.New, one instruction per scheduler turn). Both must
+	// produce identical runs.
 	Engine string `json:"engine"`
 	// Chaos is a serving-layer chaos profile: none, light, heavy.
 	Chaos string `json:"chaos"`

@@ -935,11 +935,15 @@ func (s *Server) admit(entry []*item, wait bool) error {
 // await blocks until the admitted items are answered, in order, and
 // returns their replies — or the first failure: an item's own, the
 // submitter's side of Config.Deadline (one watchdog for all of them), or
-// the server closing.
+// the server closing. The deadline runs from the admission of the first
+// item, and it wins a tie: a reply taken after it has passed is as late
+// as no reply, however the reply and the timer were scheduled.
 func (s *Server) await(items []*item) ([]uint64, error) {
 	var watchdog <-chan time.Time
+	var deadline time.Time
 	if s.cfg.Deadline > 0 {
-		timer := time.NewTimer(s.cfg.Deadline)
+		deadline = items[0].enqueued.Add(s.cfg.Deadline)
+		timer := time.NewTimer(time.Until(deadline))
 		defer timer.Stop()
 		watchdog = timer.C
 	}
@@ -948,12 +952,7 @@ func (s *Server) await(items []*item) ([]uint64, error) {
 		var r result
 		select {
 		case r = <-it.done:
-		case <-watchdog:
-			// The request may still be queued or retrying; the submitter
-			// gets a definitive deadline failure now (the late result, if
-			// any, lands in the buffered channel and is dropped).
-			s.metrics.deadlines.Inc()
-			return nil, ErrDeadline
+		case <-watchdog: // the deadline has passed: the test below fails
 		case <-s.closed:
 			// Drain either the late result or report shutdown.
 			select {
@@ -964,6 +963,13 @@ func (s *Server) await(items []*item) ([]uint64, error) {
 		}
 		if r.err != nil {
 			return nil, r.err
+		}
+		if watchdog != nil && !time.Now().Before(deadline) {
+			// The request may still be queued or retrying; the submitter
+			// gets a definitive deadline failure now (the late result, if
+			// any, lands in the buffered channel and is dropped).
+			s.metrics.deadlines.Inc()
+			return nil, ErrDeadline
 		}
 		out[i] = r.val
 	}

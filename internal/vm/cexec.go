@@ -1,231 +1,155 @@
 // Dispatch: the one place instruction semantics are written. exec1C
-// executes one compiled instruction; the two loops below decide how
-// many run per scheduler turn. Stepwise dispatch (loopCN) runs one
-// instruction of the runnable core with the smallest clock per turn;
-// fused dispatch (loopC1, single-threaded NewFromProgram machines)
-// runs a whole superinstruction per turn. The fused handlers keep
-// exec1C's order of operations exactly — accounting, fault
-// application, scheduler issues, HTM ticks — so the two dispatches are
-// bit-identical (see compile.go for the contract). The slow paths
-// (memRead/memWrite, commitReg, the intrinsic runtime, lock and
-// barrier machinery, snapshots) are shared by both.
+// executes one compiled instruction, the register-only (ALU) ops
+// included; loopCN decides which core runs it. Every machine takes the
+// same loop at any thread count. The slow paths (memRead/memWrite,
+// commitReg, the intrinsic runtime, lock and barrier machinery,
+// snapshots) live next to the state they change.
+//
+// The interleaving is defined one instruction at a time: the runnable
+// core with the smallest clock, the lowest index on a tie, runs next.
+// loopCN gives that core a run-ahead turn instead of one instruction:
+// it keeps running it while it would be picked again. The other cores'
+// clocks and states change only when the running core wakes one of
+// them (Machine.wake), so the turn ends when its clock passes a bound
+// computed once at the pick, when it stops being runnable, or at a
+// wake — exactly where a pick after every instruction would have
+// switched cores. A stepwise machine (New) ends the turn after every
+// instruction: it is the reference the run-ahead loop is tested
+// against.
 package vm
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/htm"
 	"repro/internal/ir"
-	"repro/internal/obs"
 )
 
-// loopCompiled is the scheduler. Single-threaded runs take a tight
-// core-pinned loop with superinstruction dispatch, unless the machine
-// is stepwise (New); multi-threaded runs keep the one-instruction-per-
-// turn smallest-clock interleaving (fused dispatch would reorder the
-// globally numbered fault populations across cores).
-func (m *Machine) loopCompiled() {
-	if m.nthreads == 1 && !m.stepwise {
-		m.loopC1(m.cores[0])
-	} else {
-		m.loopCN()
-	}
-}
-
-// loopC1 drives a single core to completion.
-func (m *Machine) loopC1(c *core) {
-	for {
-		if m.stats.DynInstrs > m.limit {
-			m.status = StatusHung
-			return
-		}
-		if c.state != threadRunnable {
-			if c.state == threadBlocked {
-				m.crash("deadlock: all threads blocked")
-			}
-			return
-		}
-		fr := &c.frames[len(c.frames)-1]
-		cf := fr.cfn
-		pc := cf.start[fr.block] + int32(fr.instr)
-		ci := &cf.code[pc]
-		if ci.fused > 1 {
-			if (ci.fkind == fusePairCheck || ci.fkind == fuseTriadVote) &&
-				m.pending == 0 && m.tracer == nil {
-				m.execFusedCheck(c, fr, cf, pc)
-			} else {
-				m.execFusedRun(c, fr, cf, pc)
-			}
-		} else {
-			m.exec1C(c, fr, ci)
-		}
-		if m.status != StatusOK {
-			return
-		}
-	}
-}
-
-// loopCN is the global scheduler: repeatedly run one instruction of the
-// runnable core with the smallest local clock.
+// loopCN is the scheduler: it gives turns to the core pick chooses
+// until the run ends, blocks on a deadlock, or passes m.limit.
 func (m *Machine) loopCN() {
 	for {
 		if m.stats.DynInstrs > m.limit {
 			m.status = StatusHung
 			return
 		}
-		var pick *core
-		anyAlive := false
-		for _, c := range m.cores {
-			if c.state == threadDone {
-				continue
-			}
-			anyAlive = true
-			if c.state != threadRunnable {
-				continue
-			}
-			if pick == nil || c.sched.Now() < pick.sched.Now() {
-				pick = c
-			}
-		}
-		if pick == nil {
-			if anyAlive {
-				m.crash("deadlock: all threads blocked")
-			}
+		c, until := m.pick()
+		if c == nil {
 			return
 		}
-		fr := &pick.frames[len(pick.frames)-1]
-		cf := fr.cfn
-		m.exec1C(pick, fr, &cf.code[cf.start[fr.block]+int32(fr.instr)])
-		if m.status != StatusOK {
-			return
+		if m.stepwise {
+			until = 0
+		}
+		wakes := m.wakes
+		for {
+			fr := &c.frames[len(c.frames)-1]
+			m.exec1C(c, fr, &fr.code[fr.pc])
+			if m.status != StatusOK {
+				return
+			}
+			if c.state != threadRunnable || c.sched.Now() >= until || m.wakes != wakes {
+				break
+			}
+			if m.stats.DynInstrs > m.limit {
+				m.status = StatusHung
+				return
+			}
 		}
 	}
 }
 
-// aluEval evaluates a pure register-only instruction against the
-// frame, returning the result, the operands' readiness, and a crash
-// reason for trapping instructions (division by zero) or unlowered
-// ops. Shared by exec1C and both fused handlers.
-func aluEval(fr *frame, ci *cinstr) (res, opsReady uint64, crash string) {
-	var v0, v1, v2 uint64
-	args := ci.args
-	if len(args) > 0 {
-		v0, opsReady = fr.cval(args[0])
-		if len(args) > 1 {
-			var r uint64
-			v1, r = fr.cval(args[1])
-			if r > opsReady {
-				opsReady = r
-			}
-			if len(args) > 2 {
-				v2, r = fr.cval(args[2])
-				if r > opsReady {
-					opsReady = r
-				}
-			}
+// pick returns the runnable core with the smallest clock (the lowest
+// index on a tie) and the clock at which another runnable core would be
+// picked instead: the smallest clock of a lower-index core, or one past
+// the smallest clock of a higher-index one, whichever is smaller. A
+// picked core would be picked again while its clock stays below that
+// bound and no core is woken. pick returns nil, after crashing the run
+// if a thread is still blocked, when no core is runnable.
+func (m *Machine) pick() (pick *core, until uint64) {
+	until = math.MaxUint64
+	var now uint64
+	blocked := false
+	for _, c := range m.cores {
+		if c.state != threadRunnable {
+			blocked = blocked || c.state == threadBlocked
+			continue
+		}
+		switch t := c.sched.Now(); {
+		case pick == nil:
+			pick, now = c, t
+		case t < now:
+			// Every core before c is bounded by its own clock, and the
+			// previous pick's is the smallest of them.
+			pick, now, until = c, t, now
+		default:
+			until = min(until, t+1) // the pick wins a tie against c
 		}
 	}
-	switch ci.op {
-	case ir.OpMov:
-		res = v0
-	case ir.OpAdd:
-		res = v0 + v1
-	case ir.OpSub:
-		res = v0 - v1
-	case ir.OpMul:
-		res = v0 * v1
-	case ir.OpDiv:
-		if v1 == 0 {
-			return 0, 0, "division by zero"
-		}
-		res = uint64(int64(v0) / int64(v1))
-	case ir.OpRem:
-		if v1 == 0 {
-			return 0, 0, "remainder by zero"
-		}
-		res = uint64(int64(v0) % int64(v1))
-	case ir.OpAnd:
-		res = v0 & v1
-	case ir.OpOr:
-		res = v0 | v1
-	case ir.OpXor:
-		res = v0 ^ v1
-	case ir.OpShl:
-		res = v0 << (v1 & 63)
-	case ir.OpShr:
-		res = v0 >> (v1 & 63)
-	case ir.OpSar:
-		res = uint64(int64(v0) >> (v1 & 63))
-	case ir.OpNot:
-		res = ^v0
-	case ir.OpFAdd:
-		res = f2u(u2f(v0) + u2f(v1))
-	case ir.OpFSub:
-		res = f2u(u2f(v0) - u2f(v1))
-	case ir.OpFMul:
-		res = f2u(u2f(v0) * u2f(v1))
-	case ir.OpFDiv:
-		res = f2u(u2f(v0) / u2f(v1))
-	case ir.OpFSqrt:
-		res = f2u(math.Sqrt(u2f(v0)))
-	case ir.OpFExp:
-		res = f2u(math.Exp(u2f(v0)))
-	case ir.OpFLog:
-		res = f2u(math.Log(u2f(v0)))
-	case ir.OpFAbs:
-		res = f2u(math.Abs(u2f(v0)))
-	case ir.OpSIToFP:
-		res = f2u(float64(int64(v0)))
-	case ir.OpFPToSI:
-		res = uint64(int64(u2f(v0)))
-	case ir.OpCmp:
-		res = cmpEval(ci.pred, v0, v1)
-	case ir.OpSelect:
-		if v0 != 0 {
-			res = v1
-		} else {
-			res = v2
-		}
-	case ir.OpFrameAddr:
-		res = fr.base + uint64(ci.off)
-	default:
-		return 0, 0, fmt.Sprintf("unimplemented op %v", ci.op)
+	if pick == nil && blocked {
+		m.crash("deadlock: all threads blocked")
 	}
-	return res, opsReady, ""
+	return pick, until
 }
 
 // exec1C executes one compiled instruction.
 func (m *Machine) exec1C(c *core, fr *frame, ci *cinstr) {
 	op := ci.op
-	if op == copFellOff {
-		m.crash(fmt.Sprintf("fell off block %s in %s",
-			fr.fn.Blocks[fr.block].Name, fr.fn.Name))
-		return
-	}
 	m.stats.DynInstrs++
-	if m.prof != nil && op != ir.OpPhi {
+	if m.prof != nil && op != ir.OpPhi && op != copFellOff {
 		m.prof.Note(fr.fn, ci.in)
 	}
 
-	var res, lat, opsReady uint64
+	var res, opsReady uint64
 	wrote := false
+	lat := ci.lat
 	switch op {
 	case ir.OpPhi:
 		m.execPhiGroupC(c, fr, ci.phi)
 		return
 	case ir.OpCall:
-		if ci.t1 == 1 {
-			m.execIntrinsicC(c, fr, ci)
-		} else {
+		if ci.t1 != 1 {
 			m.pushFrameC(c, fr, m.prog.funcs[ci.t0], ci.args, ci.res, ci.lat)
+			return
 		}
-		return
+		switch intrID(ci.t0) {
+		case intrTxCounterInc:
+			// The thread-local instruction counter of §3.2.
+			var v uint64
+			v, opsReady = fr.cval(ci.args[0])
+			c.counter += int64(v)
+		case intrTxCheck:
+			// The relaxed ILR check (§3.3) compares master/shadow pairs
+			// without branching; only a mismatch leaves this path.
+			args, diverged := ci.args, -1
+			for i := 0; i < len(args); i += 2 {
+				x, r := fr.cval(args[i])
+				opsReady = max(opsReady, r)
+				if i+1 < len(args) {
+					y, r := fr.cval(args[i+1])
+					opsReady = max(opsReady, r)
+					if x != y && diverged < 0 {
+						diverged = i
+					}
+				}
+			}
+			if diverged >= 0 {
+				m.checkDiverged(c, fr, ci, diverged, opsReady)
+				return
+			}
+		default:
+			m.execIntrinsicC(c, fr, ci)
+			return
+		}
 	case ir.OpCallInd:
 		m.execCallIndC(c, fr, ci)
 		return
 	case ir.OpBr, ir.OpJmp, ir.OpRet, ir.OpTrap:
 		m.execTerminatorC(c, fr, ci)
+		return
+	case copFellOff:
+		m.stats.DynInstrs-- // the end of a block is no instruction
+		m.crash(fmt.Sprintf("fell off block %s in %s",
+			fr.fn.Blocks[fr.block].Name, fr.fn.Name))
 		return
 	case copBadCall:
 		m.crash("call to unknown function " + ci.in.Callee)
@@ -246,7 +170,6 @@ func (m *Machine) exec1C(c *core, fr *frame, ci *cinstr) {
 		if !m.memWrite(c, addr, val) {
 			return
 		}
-		lat = ci.lat
 	case ir.OpARMW:
 		addr, r0 := fr.cval(ci.args[0])
 		v1, r1 := fr.cval(ci.args[1])
@@ -278,7 +201,6 @@ func (m *Machine) exec1C(c *core, fr *frame, ci *cinstr) {
 			}
 		}
 		res, wrote = old, true
-		lat = ci.lat
 	case ir.OpOut:
 		// Externalization is unfriendly to a transaction and dooms it;
 		// the abort is observed right away, so the value is emitted once,
@@ -288,21 +210,95 @@ func (m *Machine) exec1C(c *core, fr *frame, ci *cinstr) {
 			m.checkDoom(c)
 			return
 		}
-		var v0 uint64
-		v0, opsReady = fr.cval(ci.args[0])
+		var v uint64
+		v, opsReady = fr.cval(ci.args[0])
 		if len(m.output) < m.outputLimit {
-			m.output = append(m.output, v0)
+			m.output = append(m.output, v)
 		}
-		lat = ci.lat
 	default:
-		var reason string
-		res, opsReady, reason = aluEval(fr, ci)
-		if reason != "" {
-			m.crash(reason)
+		var v0, v1, v2 uint64
+		if args := ci.args; len(args) > 0 {
+			v0, opsReady = fr.cval(args[0])
+			if len(args) > 1 {
+				var r uint64
+				v1, r = fr.cval(args[1])
+				opsReady = max(opsReady, r)
+				if len(args) > 2 {
+					v2, r = fr.cval(args[2])
+					opsReady = max(opsReady, r)
+				}
+			}
+		}
+		switch op {
+		case ir.OpMov:
+			res = v0
+		case ir.OpAdd:
+			res = v0 + v1
+		case ir.OpSub:
+			res = v0 - v1
+		case ir.OpMul:
+			res = v0 * v1
+		case ir.OpDiv:
+			if v1 == 0 {
+				m.crash("division by zero")
+				return
+			}
+			res = uint64(int64(v0) / int64(v1))
+		case ir.OpRem:
+			if v1 == 0 {
+				m.crash("remainder by zero")
+				return
+			}
+			res = uint64(int64(v0) % int64(v1))
+		case ir.OpAnd:
+			res = v0 & v1
+		case ir.OpOr:
+			res = v0 | v1
+		case ir.OpXor:
+			res = v0 ^ v1
+		case ir.OpShl:
+			res = v0 << (v1 & 63)
+		case ir.OpShr:
+			res = v0 >> (v1 & 63)
+		case ir.OpSar:
+			res = uint64(int64(v0) >> (v1 & 63))
+		case ir.OpNot:
+			res = ^v0
+		case ir.OpFAdd:
+			res = f2u(u2f(v0) + u2f(v1))
+		case ir.OpFSub:
+			res = f2u(u2f(v0) - u2f(v1))
+		case ir.OpFMul:
+			res = f2u(u2f(v0) * u2f(v1))
+		case ir.OpFDiv:
+			res = f2u(u2f(v0) / u2f(v1))
+		case ir.OpFSqrt:
+			res = f2u(math.Sqrt(u2f(v0)))
+		case ir.OpFExp:
+			res = f2u(math.Exp(u2f(v0)))
+		case ir.OpFLog:
+			res = f2u(math.Log(u2f(v0)))
+		case ir.OpFAbs:
+			res = f2u(math.Abs(u2f(v0)))
+		case ir.OpSIToFP:
+			res = f2u(float64(int64(v0)))
+		case ir.OpFPToSI:
+			res = uint64(int64(u2f(v0)))
+		case ir.OpCmp:
+			res = cmpEval(ci.pred, v0, v1)
+		case ir.OpSelect:
+			if v0 != 0 {
+				res = v1
+			} else {
+				res = v2
+			}
+		case ir.OpFrameAddr:
+			res = fr.base + uint64(ci.off)
+		default:
+			m.crash(fmt.Sprintf("unimplemented op %v", op))
 			return
 		}
 		wrote = true
-		lat = ci.lat
 	}
 
 	ready := c.sched.Issue(lat, opsReady)
@@ -323,7 +319,7 @@ func (m *Machine) exec1C(c *core, fr *frame, ci *cinstr) {
 			m.commitReg(c, fr, ci.in, res, ready)
 		}
 	}
-	fr.instr++
+	fr.pc++
 	m.afterInstr(c)
 }
 
@@ -400,7 +396,7 @@ func (m *Machine) execPhiGroupC(c *core, fr *frame, g *cphiGroup) {
 			m.commitReg(c, fr, u.in, u.val, u.ready)
 		}
 	}
-	fr.instr = int(g.end)
+	fr.pc = int(g.end)
 	m.afterInstr(c)
 }
 
@@ -430,12 +426,12 @@ func (m *Machine) execTerminatorC(c *core, fr *frame, ci *cinstr) {
 		}
 		fr.prevBlk = fr.block
 		fr.block = int(target)
-		fr.instr = 0
+		fr.pc = int(fr.cfn.start[target])
 	case ir.OpJmp:
 		c.sched.Issue(ci.lat, 0)
 		fr.prevBlk = fr.block
 		fr.block = int(ci.t0)
-		fr.instr = 0
+		fr.pc = int(fr.cfn.start[ci.t0])
 	case ir.OpRet:
 		var val, ready uint64
 		hasVal := len(ci.args) == 1
@@ -458,7 +454,7 @@ func (m *Machine) execTerminatorC(c *core, fr *frame, ci *cinstr) {
 			}
 			caller.setReg(popped.retReg, val, c.sched.Now())
 		}
-		caller.instr++
+		caller.pc++
 	case ir.OpTrap:
 		m.crash("trap instruction")
 		return
@@ -493,6 +489,7 @@ func (m *Machine) pushFrameC(c *core, fr *frame, cfn *cfunc, args []carg, res in
 	c.frames = append(c.frames, frame{
 		fn:       callee,
 		cfn:      cfn,
+		code:     cfn.code,
 		regs:     regs,
 		ready:    rdy,
 		base:     newBase,
@@ -537,172 +534,4 @@ func (m *Machine) execIntrinsicC(c *core, fr *frame, ci *cinstr) {
 		}
 	}
 	m.execIntrinsicID(c, fr, ci.in, intrID(ci.t0), vals, opsReady, ci.lat)
-}
-
-// execFusedRun executes a marked superinstruction: a straight-line
-// run of fusable constituents without returning to the scheduler.
-// Each constituent keeps the full per-instruction protocol; any
-// status change, HTM abort, or budget exhaustion exits the run.
-func (m *Machine) execFusedRun(c *core, fr *frame, cf *cfunc, pc int32) {
-	end := pc + cf.code[pc].fused
-	for {
-		ci := &cf.code[pc]
-		m.stats.DynInstrs++
-		if m.prof != nil {
-			m.prof.Note(fr.fn, ci.in)
-		}
-		if ci.op == ir.OpCall {
-			if !m.execFusedIntrinsic(c, fr, ci) {
-				return
-			}
-		} else {
-			res, opsReady, reason := aluEval(fr, ci)
-			if reason != "" {
-				m.crash(reason)
-				return
-			}
-			ready := c.sched.Issue(ci.lat, opsReady)
-			if ci.res >= 0 {
-				if m.pending == 0 && m.tracer == nil {
-					m.stats.RegWrites++
-					if ci.shadow {
-						m.stats.ShadowRegWrites++
-					}
-					if ci.shadow2 {
-						m.stats.Shadow2RegWrites++
-					}
-					fr.regs[ci.res] = res
-					fr.ready[ci.res] = ready
-				} else {
-					m.commitReg(c, fr, ci.in, res, ready)
-				}
-			}
-			fr.instr++
-		}
-		// Inline afterInstr; an abort restored the snapshot frames, so
-		// the run must stop immediately.
-		if m.HTM.InTx(c.id) {
-			m.HTM.Tick(c.id, c.sched.Now())
-			if m.HTM.Doomed(c.id) != htm.CauseNone {
-				m.HTM.Abort(c.id, c.sched.Now(), htm.CauseNone)
-				m.recoverAfterAbort(c)
-				return
-			}
-		}
-		pc++
-		if pc >= end {
-			return
-		}
-		if m.stats.DynInstrs > m.limit {
-			m.status = StatusHung
-			return
-		}
-	}
-}
-
-// execFusedIntrinsic handles the fusable intrinsics (tx.counter_inc,
-// tx.check, tmr.vote) inside a run. It reports false when the run must
-// stop (detection outside a transaction, or an uncorrectable vote).
-// The caller performs the trailing HTM tick.
-func (m *Machine) execFusedIntrinsic(c *core, fr *frame, ci *cinstr) bool {
-	if intrID(ci.t0) == intrTxCounterInc {
-		v0, r := fr.cval(ci.args[0])
-		c.sched.Issue(ci.lat, r)
-		c.counter += int64(v0)
-		fr.instr++
-		return true
-	}
-	var buf [8]uint64
-	vals := buf[:0]
-	var opsReady uint64
-	for _, a := range ci.args {
-		v, r := fr.cval(a)
-		vals = append(vals, v)
-		if r > opsReady {
-			opsReady = r
-		}
-	}
-	c.sched.Issue(ci.lat, opsReady)
-	if intrID(ci.t0) == intrTmrVote {
-		if !m.tmrVote(c, fr, ci.in, vals) {
-			return false
-		}
-		fr.instr++
-		return true
-	}
-	// tx.check
-	mismatch := false
-	for i := 0; i+1 < len(vals); i += 2 {
-		if vals[i] != vals[i+1] {
-			mismatch = true
-			if m.obsRing != nil {
-				m.obsRing.Emit(obs.Event{
-					Kind: obs.KindCheckDiverge, Actor: m.obsBase + int32(c.id),
-					Time: c.sched.Now(), A: vals[i], B: vals[i+1],
-					Label: fr.fn.Name + "/" + fr.fn.Blocks[fr.block].Name,
-				})
-			}
-			break
-		}
-	}
-	if mismatch {
-		if m.HTM.InTx(c.id) && !m.Cfg.DisableRecovery {
-			c.diverged = true
-		} else {
-			m.status = StatusILRDetected
-			return false
-		}
-	}
-	fr.instr++
-	return true
-}
-
-// execFusedCheck is the specialized handler for the canonical
-// hardening superinstructions: the ILR pair-check (master op + shadow
-// op + tx.check of their results) and the TMR triad-vote (master op +
-// both shadow twins + tmr.vote of their results). It is dispatched
-// only when no fault plans or tracer are installed, so commits take
-// the branch-free fast path; constituent accounting
-// (DynInstrs, profiler, register-write populations, HTM ticks,
-// budget) is identical to unfused execution.
-func (m *Machine) execFusedCheck(c *core, fr *frame, cf *cfunc, pc int32) {
-	n := int32(cf.code[pc].fused)
-	run := cf.code[pc : pc+n : pc+n]
-	for k := range run {
-		ci := &run[k]
-		m.stats.DynInstrs++
-		if m.prof != nil {
-			m.prof.Note(fr.fn, ci.in)
-		}
-		if ci.op == ir.OpCall {
-			if !m.execFusedIntrinsic(c, fr, ci) {
-				return
-			}
-		} else {
-			res, opsReady, _ := aluEval(fr, ci) // pairable ops cannot trap
-			ready := c.sched.Issue(ci.lat, opsReady)
-			m.stats.RegWrites++
-			if ci.shadow {
-				m.stats.ShadowRegWrites++
-			}
-			if ci.shadow2 {
-				m.stats.Shadow2RegWrites++
-			}
-			fr.regs[ci.res] = res
-			fr.ready[ci.res] = ready
-			fr.instr++
-		}
-		if m.HTM.InTx(c.id) {
-			m.HTM.Tick(c.id, c.sched.Now())
-			if m.HTM.Doomed(c.id) != htm.CauseNone {
-				m.HTM.Abort(c.id, c.sched.Now(), htm.CauseNone)
-				m.recoverAfterAbort(c)
-				return
-			}
-		}
-		if int32(k) < n-1 && m.stats.DynInstrs > m.limit {
-			m.status = StatusHung
-			return
-		}
-	}
 }

@@ -22,24 +22,24 @@
 //   - Every instruction's issue latency (cpu.Latency /
 //     cpu.IntrinsicLatency) and shadow flag are precomputed.
 //   - Block bodies are concatenated into one contiguous code array per
-//     function; cfunc.start maps a block index to its first pc, and a
-//     synthetic end-of-block slot reproduces the "fell off block"
-//     crash without a bounds check per step.
+//     function, and a frame executes it by pc: cfunc.start maps a block
+//     index to its first pc, which a branch jumps to, and a synthetic
+//     end-of-block slot reproduces the "fell off block" crash without a
+//     bounds check per step.
 //   - Direct calls are bound to a function index or an intrinsic id at
 //     compile time; unknown callees lower to sentinel ops that crash
 //     with the callee's name.
 //   - Phi runs are pre-batched per predecessor into permutation-move
 //     lists (cphiGroup), including the exact crash/accounting behavior
 //     for a predecessor with no edge.
-//   - A superinstruction fuser (fuse.go) marks hot straight-line ILR
-//     patterns for fused dispatch.
 //
-// Correctness contract: fused dispatch (NewFromProgram) is
-// bit-identical to stepwise dispatch (New) in Status, Output, RunStats,
+// Correctness contract: run-ahead turns (NewFromProgram) are
+// bit-identical to stepwise turns (New) in Status, Output, RunStats,
 // fault-injection behavior (sites, populations, outcomes), obs
-// emission, and profiler attribution; compile_test.go and the
-// internal/lang engine fuzz pin this. The lowering itself is held to
-// lang.Interp, an AST interpreter independent of this package.
+// emission, and profiler attribution, at any thread count;
+// compile_test.go, runahead_test.go and the internal/lang engine fuzz
+// pin this. The lowering itself is held to lang.Interp, an AST
+// interpreter independent of this package.
 package vm
 
 import (
@@ -147,26 +147,6 @@ func (fr *frame) cval(a carg) (uint64, uint64) {
 	return a.v, 0
 }
 
-// fuseKind selects the fused-dispatch handler for a superinstruction
-// head (see fuse.go).
-type fuseKind uint8
-
-const (
-	fuseNone fuseKind = iota
-	// fuseRun: a maximal straight-line run of register-only
-	// instructions (plus fusable tx helpers), executed without
-	// returning to the scheduler between constituents.
-	fuseRun
-	// fusePairCheck: the hot ILR triad master-op + shadow-op +
-	// tx.check(master, shadow), with a specialized commit path.
-	fusePairCheck
-	// fuseTriadVote: the hot TMR quad master-op + shadow-op +
-	// shadow2-op + tmr.vote(m, s1, s2), sharing the specialized
-	// fused-check path (the vote falls out to the slow voter only on
-	// an actual divergence).
-	fuseTriadVote
-)
-
 // cinstr is one flattened instruction. It carries everything the
 // dispatch loop needs pre-resolved; in points back to the ir.Instr
 // for the slow paths that report locations (faults, tracer, profiler,
@@ -178,15 +158,11 @@ type cinstr struct {
 	off  int64
 	lat  uint64
 	res  int32 // result register, -1 = none
-	// fused is the constituent count of the superinstruction starting
-	// here (0 or 1 = dispatch singly); fkind picks the handler.
-	fused int32
 	// t0/t1 are op-specific: Br taken/not-taken block indices; Jmp
 	// target block; Call function index or intrinsic id (t1 == 1
 	// marks an intrinsic); CallInd unused.
 	t0, t1  int32
 	op      ir.Op
-	fkind   fuseKind
 	shadow  bool
 	shadow2 bool
 	pred    ir.Pred
@@ -217,7 +193,7 @@ type cphiPred struct {
 // phi index i, so every phi in a run heads its own group over its
 // suffix; control normally enters at the block head.
 type cphiGroup struct {
-	end   int32 // instruction index just past the run, within the block
+	end   int32 // the pc just past the run
 	first *ir.Instr
 	preds []cphiPred
 }
@@ -255,12 +231,8 @@ func (p *Program) page(i int32) *[pageWords]uint64 {
 
 // ProgramStats summarizes a compiled program (reporting/benchmarks).
 type ProgramStats struct {
-	Funcs       int `json:"funcs"`
-	Instrs      int `json:"instrs"`
-	FusedRuns   int `json:"fused_runs"`
-	FusedInstrs int `json:"fused_instrs"`
-	PairChecks  int `json:"pair_checks"`
-	TriadVotes  int `json:"triad_votes"`
+	Funcs  int `json:"funcs"`
+	Instrs int `json:"instrs"`
 }
 
 // Stats reports the static shape of the compiled program.
@@ -268,19 +240,8 @@ func (p *Program) Stats() ProgramStats {
 	st := ProgramStats{Funcs: len(p.funcs)}
 	for _, cf := range p.funcs {
 		for i := range cf.code {
-			ci := &cf.code[i]
-			if ci.op != copFellOff {
+			if cf.code[i].op != copFellOff {
 				st.Instrs++
-			}
-			if ci.fused > 1 {
-				st.FusedRuns++
-				st.FusedInstrs += int(ci.fused)
-				if ci.fkind == fusePairCheck {
-					st.PairChecks++
-				}
-				if ci.fkind == fuseTriadVote {
-					st.TriadVotes++
-				}
 			}
 		}
 	}
@@ -376,24 +337,23 @@ func compileFunc(mod *ir.Module, fn *ir.Func) *cfunc {
 			case ir.OpJmp:
 				ci.t0 = int32(in.Blocks[0])
 			case ir.OpPhi:
-				ci.phi = compilePhiGroup(b, ii)
+				ci.phi = compilePhiGroup(b, ii, cf.start[bi])
 			}
 			cf.code = append(cf.code, ci)
 		}
 		cf.code = append(cf.code, cinstr{op: copFellOff, res: -1, t0: int32(bi), t1: -1})
 	}
-	fuseFunc(cf)
 	return cf
 }
 
 // compilePhiGroup pre-batches the phi run starting at index s of
-// block b into per-predecessor move lists.
-func compilePhiGroup(b *ir.Block, s int) *cphiGroup {
+// block b, whose first pc is base, into per-predecessor move lists.
+func compilePhiGroup(b *ir.Block, s int, base int32) *cphiGroup {
 	e := s
 	for e < len(b.Instrs) && b.Instrs[e].Op == ir.OpPhi {
 		e++
 	}
-	g := &cphiGroup{end: int32(e), first: &b.Instrs[s]}
+	g := &cphiGroup{end: base + int32(e), first: &b.Instrs[s]}
 	// Predecessor set: union over the run, in first-appearance order.
 	var preds []int
 	for i := s; i < e; i++ {

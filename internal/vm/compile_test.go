@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,7 +12,7 @@ import (
 )
 
 // engineOut is everything the differential harness compares between
-// stepwise dispatch (New) and fused dispatch (NewFromProgram). The two
+// stepwise turns (New) and run-ahead turns (NewFromProgram). The two
 // must agree on every field, bit for bit.
 type engineOut struct {
 	status Status
@@ -28,9 +29,23 @@ type diffSetup struct {
 	arm     func(mach *Machine)
 }
 
+// at2 returns the setup on two threads, each thread spec run twice.
+func (s diffSetup) at2() diffSetup {
+	specs := s.specs
+	s.threads = 2
+	s.specs = func(m *ir.Module) []ThreadSpec {
+		if specs == nil {
+			return []ThreadSpec{{Func: "main"}, {Func: "main"}}
+		}
+		sp := specs(m)
+		return append(sp, sp...)
+	}
+	return s
+}
+
 // execEngine runs one dispatch over a fresh parse of src and captures
 // its observable outcome.
-func execEngine(t *testing.T, src string, fused bool, s diffSetup) (engineOut, *Machine) {
+func execEngine(t *testing.T, src string, ahead bool, s diffSetup) (engineOut, *Machine) {
 	t.Helper()
 	m, err := ir.Parse(src)
 	if err != nil {
@@ -46,7 +61,7 @@ func execEngine(t *testing.T, src string, fused bool, s diffSetup) (engineOut, *
 		cfg = s.cfg()
 	}
 	var mach *Machine
-	if fused {
+	if ahead {
 		mach = NewFromProgram(Compile(m), threads, cfg)
 	} else {
 		mach = New(m, threads, cfg)
@@ -84,24 +99,24 @@ func diffEngines(t *testing.T, name, src string, s diffSetup) (engineOut, engine
 func compareEngines(t *testing.T, name string, got, want engineOut) {
 	t.Helper()
 	if got.status != want.status {
-		t.Errorf("%s: status %v, stepwise %v (fused reason %q, stepwise reason %q)",
+		t.Errorf("%s: status %v, stepwise %v (run-ahead reason %q, stepwise reason %q)",
 			name, got.status, want.status, got.stats.CrashReason, want.stats.CrashReason)
 	}
 	if !reflect.DeepEqual(got.out, want.out) {
 		t.Errorf("%s: output %v, stepwise %v", name, got.out, want.out)
 	}
 	if got.stats != want.stats {
-		t.Errorf("%s: stats diverge\nfused:    %+v\nstepwise: %+v", name, got.stats, want.stats)
+		t.Errorf("%s: stats diverge\nrun-ahead: %+v\nstepwise:  %+v", name, got.stats, want.stats)
 	}
 	if !reflect.DeepEqual(got.htm, want.htm) {
-		t.Errorf("%s: HTM stats diverge\nfused:    %+v\nstepwise: %+v", name, got.htm, want.htm)
+		t.Errorf("%s: HTM stats diverge\nrun-ahead: %+v\nstepwise:  %+v", name, got.htm, want.htm)
 	}
 }
 
-// ilrProg is a hardened-shape single-thread loop: ILR master/shadow
-// pairs, tx.check superinstructions, tx latch bookkeeping inside a
-// split transaction. Its straight-line body compiles into fused runs
-// that include both fusable tx helpers.
+// ilrProg is a hardened-shape loop: ILR master/shadow pairs, tx.check
+// comparisons and tx latch bookkeeping inside a split transaction,
+// straight-line code of the kind that takes the dispatch's inline tx
+// paths.
 const ilrProg = `
 func main(0) {
 entry:
@@ -131,8 +146,7 @@ done:
 `
 
 // pairProg isolates the canonical master+shadow+tx.check triad
-// between memory barriers, so it compiles to the specialized
-// fusePairCheck superinstruction.
+// between memory accesses.
 const pairProg = `
 global acc bytes=8
 func main(0) {
@@ -588,6 +602,11 @@ entry:
 		t.Run(tc.name, func(t *testing.T) {
 			diffEngines(t, tc.name, tc.src, tc.setup)
 		})
+		if tc.setup.threads <= 1 {
+			t.Run(tc.name+"/2T", func(t *testing.T) {
+				diffEngines(t, tc.name+"/2T", tc.src, tc.setup.at2())
+			})
+		}
 	}
 }
 
@@ -671,8 +690,8 @@ done:
 
 // TestCompiledFaultDifferential sweeps every fault model and flow over
 // target indices spanning each population, on both a plain and an
-// ILR-hardened program. Both dispatches must agree on injection site,
-// detection outcome, and every statistic.
+// ILR-hardened program, on one thread and two. Both dispatches must
+// agree on injection site, detection outcome, and every statistic.
 func TestCompiledFaultDifferential(t *testing.T) {
 	models := []struct {
 		model FaultModel
@@ -688,38 +707,41 @@ func TestCompiledFaultDifferential(t *testing.T) {
 		name string
 		src  string
 	}{{"plain", faultProg}, {"ilr", ilrProg}, {"pair", pairProg}} {
-		ref, _ := execEngine(t, prog.src, false, diffSetup{})
-		if ref.status != StatusOK {
-			t.Fatalf("%s reference run: %v (%s)", prog.name, ref.status, ref.stats.CrashReason)
-		}
-		pop := func(m FaultModel) uint64 {
-			switch m {
-			case FaultMemory, FaultAddress:
-				return ref.stats.MemAccesses
-			case FaultBranch:
-				return ref.stats.CondBranches
+		for _, setup := range []diffSetup{{threads: 1}, diffSetup{}.at2()} {
+			name := fmt.Sprintf("%s/%dT", prog.name, setup.threads)
+			ref, _ := execEngine(t, prog.src, false, setup)
+			if ref.status != StatusOK {
+				t.Fatalf("%s reference run: %v (%s)", name, ref.status, ref.stats.CrashReason)
 			}
-			return ref.stats.RegWrites
-		}
-		for _, mc := range models {
-			for _, flow := range mc.flows {
-				n := pop(mc.model)
-				for _, idx := range []uint64{0, 1, n / 3, n / 2, n - 1, n + 10} {
-					var plans [2]*FaultPlan
-					outs := make([]engineOut, 2)
-					for ei, fused := range []bool{false, true} {
-						p := &FaultPlan{Model: mc.model, TargetIndex: idx, Mask: 1 << 13, Flow: flow}
-						plans[ei] = p
-						outs[ei], _ = execEngine(t, prog.src, fused, diffSetup{
-							arm: func(mach *Machine) { mach.SetFaultPlan(p) },
-						})
-					}
-					name := prog.name + "/" + mc.model.String() + "/" + flow.String()
-					compareEngines(t, name, outs[1], outs[0])
-					if plans[0].Injected != plans[1].Injected || plans[0].Where != plans[1].Where {
-						t.Errorf("%s idx=%d: injected/where (%v,%q) vs stepwise (%v,%q)",
-							name, idx, plans[1].Injected, plans[1].Where,
-							plans[0].Injected, plans[0].Where)
+			pop := func(m FaultModel) uint64 {
+				switch m {
+				case FaultMemory, FaultAddress:
+					return ref.stats.MemAccesses
+				case FaultBranch:
+					return ref.stats.CondBranches
+				}
+				return ref.stats.RegWrites
+			}
+			for _, mc := range models {
+				for _, flow := range mc.flows {
+					n := pop(mc.model)
+					for _, idx := range []uint64{0, 1, n / 3, n / 2, n - 1, n + 10} {
+						var plans [2]*FaultPlan
+						outs := make([]engineOut, 2)
+						for ei, ahead := range []bool{false, true} {
+							p := &FaultPlan{Model: mc.model, TargetIndex: idx, Mask: 1 << 13, Flow: flow}
+							plans[ei] = p
+							armed := setup
+							armed.arm = func(mach *Machine) { mach.SetFaultPlan(p) }
+							outs[ei], _ = execEngine(t, prog.src, ahead, armed)
+						}
+						name := name + "/" + mc.model.String() + "/" + flow.String()
+						compareEngines(t, name, outs[1], outs[0])
+						if plans[0].Injected != plans[1].Injected || plans[0].Where != plans[1].Where {
+							t.Errorf("%s idx=%d: injected/where (%v,%q) vs stepwise (%v,%q)",
+								name, idx, plans[1].Injected, plans[1].Where,
+								plans[0].Injected, plans[0].Where)
+						}
 					}
 				}
 			}
@@ -728,7 +750,7 @@ func TestCompiledFaultDifferential(t *testing.T) {
 }
 
 // TestCompiledDoubleFaultDifferential arms two plans at once (the
-// campaign engine's double-SEU mode).
+// campaign engine's double-SEU mode), on one thread and two.
 func TestCompiledDoubleFaultDifferential(t *testing.T) {
 	mk := func() []*FaultPlan {
 		return []*FaultPlan{
@@ -736,50 +758,52 @@ func TestCompiledDoubleFaultDifferential(t *testing.T) {
 			{Model: FaultMemory, TargetIndex: 11, Mask: 1 << 40},
 		}
 	}
-	pi := mk()
-	want, _ := execEngine(t, faultProg, false, diffSetup{
-		arm: func(mach *Machine) { mach.SetFaultPlans(pi) },
-	})
-	pc := mk()
-	got, _ := execEngine(t, faultProg, true, diffSetup{
-		arm: func(mach *Machine) { mach.SetFaultPlans(pc) },
-	})
-	compareEngines(t, "double-fault", got, want)
-	for i := range pi {
-		if pi[i].Injected != pc[i].Injected || pi[i].Where != pc[i].Where {
-			t.Errorf("plan %d: (%v,%q) vs stepwise (%v,%q)",
-				i, pc[i].Injected, pc[i].Where, pi[i].Injected, pi[i].Where)
+	for _, setup := range []diffSetup{{threads: 1}, diffSetup{}.at2()} {
+		name := fmt.Sprintf("double-fault/%dT", setup.threads)
+		pi, pc := mk(), mk()
+		setup.arm = func(mach *Machine) { mach.SetFaultPlans(pi) }
+		want, _ := execEngine(t, faultProg, false, setup)
+		setup.arm = func(mach *Machine) { mach.SetFaultPlans(pc) }
+		got, _ := execEngine(t, faultProg, true, setup)
+		compareEngines(t, name, got, want)
+		for i := range pi {
+			if pi[i].Injected != pc[i].Injected || pi[i].Where != pc[i].Where {
+				t.Errorf("%s plan %d: (%v,%q) vs stepwise (%v,%q)",
+					name, i, pc[i].Injected, pc[i].Where, pi[i].Injected, pi[i].Where)
+			}
 		}
 	}
 }
 
 // TestCompiledTracerDifferential: the debugtrace event stream must be
-// identical, event for event, including cycles.
+// identical, event for event, including cycles, on one thread and two.
 func TestCompiledTracerDifferential(t *testing.T) {
-	collect := func(fused bool) []TraceEvent {
-		var evs []TraceEvent
-		out, _ := execEngine(t, ilrProg, fused, diffSetup{
-			arm: func(mach *Machine) {
+	for _, setup := range []diffSetup{{threads: 1}, diffSetup{}.at2()} {
+		collect := func(ahead bool) []TraceEvent {
+			var evs []TraceEvent
+			s := setup
+			s.arm = func(mach *Machine) {
 				mach.SetTracer(func(ev TraceEvent) { evs = append(evs, ev) })
-			},
-		})
-		if out.status != StatusOK {
-			t.Fatalf("fused=%v: %v", fused, out.status)
-		}
-		return evs
-	}
-	want := collect(false)
-	got := collect(true)
-	if len(want) == 0 {
-		t.Fatal("tracer observed nothing")
-	}
-	if !reflect.DeepEqual(got, want) {
-		for i := range want {
-			if i < len(got) && got[i] != want[i] {
-				t.Fatalf("trace diverges at event %d: %+v vs %+v", i, got[i], want[i])
 			}
+			out, _ := execEngine(t, ilrProg, ahead, s)
+			if out.status != StatusOK {
+				t.Fatalf("%dT run-ahead=%v: %v", setup.threads, ahead, out.status)
+			}
+			return evs
 		}
-		t.Fatalf("trace lengths: fused %d, stepwise %d", len(got), len(want))
+		want := collect(false)
+		got := collect(true)
+		if len(want) == 0 {
+			t.Fatal("tracer observed nothing")
+		}
+		if !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if i < len(got) && got[i] != want[i] {
+					t.Fatalf("%dT: trace diverges at event %d: %+v vs %+v", setup.threads, i, got[i], want[i])
+				}
+			}
+			t.Fatalf("%dT: trace lengths: run-ahead %d, stepwise %d", setup.threads, len(got), len(want))
+		}
 	}
 }
 
@@ -793,10 +817,10 @@ func TestCompiledObsAndProfilerDifferential(t *testing.T) {
 		folded string
 		total  uint64
 	}
-	run := func(src string, threads int, fused bool) probe {
+	run := func(src string, threads int, ahead bool) probe {
 		ring := obs.NewRing(1 << 14)
 		prof := obs.NewProfiler()
-		out, _ := execEngine(t, src, fused, diffSetup{
+		out, _ := execEngine(t, src, ahead, diffSetup{
 			threads: threads,
 			arm: func(mach *Machine) {
 				mach.SetObsRing(ring)
@@ -809,13 +833,7 @@ func TestCompiledObsAndProfilerDifferential(t *testing.T) {
 		}
 		return probe{out: out, events: ring.Snapshot(), folded: prof.Folded(true), total: total}
 	}
-	for _, tc := range []struct {
-		name    string
-		src     string
-		threads int
-	}{
-		{"ilr", ilrProg, 1},
-		{"diverge", `
+	const diverge = `
 func main(0) {
 entry:
   call @tx.begin
@@ -826,20 +844,29 @@ entry:
   out v0
   ret
 }
-`, 1},
+`
+	for _, tc := range []struct {
+		name    string
+		src     string
+		threads int
+	}{
+		{"ilr", ilrProg, 1},
+		{"ilr/2T", ilrProg, 2},
+		{"diverge", diverge, 1},
+		{"diverge/2T", diverge, 2},
 	} {
 		want := run(tc.src, tc.threads, false)
 		got := run(tc.src, tc.threads, true)
 		compareEngines(t, tc.name, got.out, want.out)
 		if !reflect.DeepEqual(got.events, want.events) {
-			t.Errorf("%s: obs events diverge (fused %d events, stepwise %d)",
+			t.Errorf("%s: obs events diverge (run-ahead %d events, stepwise %d)",
 				tc.name, len(got.events), len(want.events))
 		}
 		if got.folded != want.folded {
-			t.Errorf("%s: profiles diverge\nfused:\n%s\nstepwise:\n%s", tc.name, got.folded, want.folded)
+			t.Errorf("%s: profiles diverge\nrun-ahead:\n%s\nstepwise:\n%s", tc.name, got.folded, want.folded)
 		}
 		if got.total != got.out.stats.DynInstrs {
-			t.Errorf("%s: fused profile total %d != DynInstrs %d",
+			t.Errorf("%s: run-ahead profile total %d != DynInstrs %d",
 				tc.name, got.total, got.out.stats.DynInstrs)
 		}
 		// Instrumentation must not have perturbed the simulation.
@@ -849,34 +876,41 @@ entry:
 }
 
 // TestProgramSharedAcrossMachines: one compiled Program backing many
-// concurrent machines produces a stepwise machine's exact results.
+// concurrent machines produces a stepwise machine's exact results, on
+// one thread and two.
 func TestProgramSharedAcrossMachines(t *testing.T) {
 	m, err := ir.Parse(ilrProg)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	want, _ := execEngine(t, ilrProg, false, diffSetup{})
 	prog := Compile(m)
-	var wg sync.WaitGroup
-	outs := make([]engineOut, 8)
-	for i := range outs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			mach := NewFromProgram(prog, 1, quietCfg())
-			mach.Run(ThreadSpec{Func: "main"})
-			outs[i] = engineOut{
-				status: mach.Status(),
-				out:    append([]uint64(nil), mach.Output()...),
-				stats:  mach.Stats(),
-				htm:    mach.HTM.Stats,
+	for _, setup := range []diffSetup{{threads: 1}, diffSetup{}.at2()} {
+		want, _ := execEngine(t, ilrProg, false, setup)
+		specs := setup.specs
+		if specs == nil {
+			specs = func(*ir.Module) []ThreadSpec { return []ThreadSpec{{Func: "main"}} }
+		}
+		var wg sync.WaitGroup
+		outs := make([]engineOut, 8)
+		for i := range outs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				mach := NewFromProgram(prog, setup.threads, quietCfg())
+				mach.Run(specs(m)...)
+				outs[i] = engineOut{
+					status: mach.Status(),
+					out:    append([]uint64(nil), mach.Output()...),
+					stats:  mach.Stats(),
+					htm:    mach.HTM.Stats,
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, got := range outs {
+			if got.status != want.status || !reflect.DeepEqual(got.out, want.out) || got.stats != want.stats {
+				t.Fatalf("%dT machine %d diverged: %+v vs %+v", setup.threads, i, got, want)
 			}
-		}(i)
-	}
-	wg.Wait()
-	for i, got := range outs {
-		if got.status != want.status || !reflect.DeepEqual(got.out, want.out) || got.stats != want.stats {
-			t.Fatalf("machine %d diverged: %+v vs %+v", i, got, want)
 		}
 	}
 }
@@ -905,26 +939,6 @@ func TestProgramCache(t *testing.T) {
 	}
 }
 
-// TestProgramStatsFusion pins the static shape: the ILR sources must
-// actually produce fused runs and the canonical pair-check triad.
-func TestProgramStatsFusion(t *testing.T) {
-	p := Compile(ir.MustParse(pairProg))
-	st := p.Stats()
-	if st.PairChecks < 1 {
-		t.Errorf("pairProg: PairChecks = %d, want >= 1 (%+v)", st.PairChecks, st)
-	}
-	if st.FusedRuns < 2 || st.FusedInstrs < 5 {
-		t.Errorf("pairProg: fusion too weak: %+v", st)
-	}
-	st2 := Compile(ir.MustParse(ilrProg)).Stats()
-	if st2.FusedInstrs < 8 {
-		t.Errorf("ilrProg: FusedInstrs = %d, want a long run (%+v)", st2.FusedInstrs, st2)
-	}
-	if st2.Funcs != 1 || st2.Instrs == 0 {
-		t.Errorf("ilrProg stats malformed: %+v", st2)
-	}
-}
-
 // --- Benchmarks -------------------------------------------------------
 
 // Intrinsic dispatch: a name-map lookup per call vs the dense id table
@@ -949,10 +963,10 @@ func BenchmarkIntrinsicLookupID(b *testing.B) {
 	}
 }
 
-func benchEngine(b *testing.B, fused bool) {
+func benchEngine(b *testing.B, ahead bool) {
 	m := ir.MustParse(ilrProg)
 	var mach *Machine
-	if fused {
+	if ahead {
 		mach = NewFromProgram(Compile(m), 1, quietCfg())
 	} else {
 		mach = New(m, 1, quietCfg())
@@ -970,4 +984,4 @@ func benchEngine(b *testing.B, fused bool) {
 }
 
 func BenchmarkEngineStepwise(b *testing.B) { benchEngine(b, false) }
-func BenchmarkEngineFused(b *testing.B)    { benchEngine(b, true) }
+func BenchmarkEngineRunAhead(b *testing.B) { benchEngine(b, true) }

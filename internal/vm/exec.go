@@ -134,11 +134,19 @@ func (m *Machine) commitReg(c *core, fr *frame, in *ir.Instr, res, ready uint64)
 }
 
 // afterInstr performs per-instruction housekeeping: HTM duration
-// observation and doomed-transaction handling.
+// observation and doomed-transaction handling. Outside a transaction it
+// is one test, inlined into the dispatch.
 func (m *Machine) afterInstr(c *core) {
 	if m.HTM.InTx(c.id) {
-		m.HTM.Tick(c.id, c.sched.Now())
-		m.checkDoom(c)
+		m.tick(c)
+	}
+}
+
+// tick is afterInstr inside a transaction.
+func (m *Machine) tick(c *core) {
+	m.HTM.Tick(c.id, c.sched.Now())
+	if m.HTM.Doomed(c.id) != htm.CauseNone {
+		m.abortDoomed(c)
 	}
 }
 
@@ -148,9 +156,13 @@ func (m *Machine) afterInstr(c *core) {
 // on the clock, which is exactly the cost aborts have on real
 // hardware.
 func (m *Machine) checkDoom(c *core) {
-	if !m.HTM.InTx(c.id) || m.HTM.Doomed(c.id) == htm.CauseNone {
-		return
+	if m.HTM.InTx(c.id) && m.HTM.Doomed(c.id) != htm.CauseNone {
+		m.abortDoomed(c)
 	}
+}
+
+// abortDoomed aborts the core's doomed transaction.
+func (m *Machine) abortDoomed(c *core) {
 	m.HTM.Abort(c.id, c.sched.Now(), htm.CauseNone) // cause comes from the doom marker
 	m.recoverAfterAbort(c)
 }
@@ -167,7 +179,7 @@ func (c *core) restoreSnapshot() {
 func (c *core) takeSnapshot() {
 	s := &c.txbuf
 	s.frames = c.copyFrames(s.frames, c.frames)
-	s.frames[len(s.frames)-1].instr++
+	s.frames[len(s.frames)-1].pc++
 	c.snapshot = s
 }
 

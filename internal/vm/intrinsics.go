@@ -15,7 +15,7 @@ import (
 // is on the dense intrinsic id bound at compile time.
 func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, vals []uint64, opsReady, lat uint64) {
 	advance := func() {
-		fr.instr++
+		fr.pc++
 		m.afterInstr(c)
 	}
 	setRes := func(v uint64) {
@@ -38,7 +38,7 @@ func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, v
 		c.counter = 0
 		m.HTM.Begin(c.id, c.sched.Now())
 		c.txEntered = c.sched.Now()
-		fr.instr++
+		fr.pc++
 
 	case intrTxEnd:
 		c.sched.Stall(lat)
@@ -48,7 +48,7 @@ func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, v
 			}
 		}
 		c.snapshot = nil
-		fr.instr++
+		fr.pc++
 
 	case intrTxCondSplit:
 		threshold := int64(vals[0])
@@ -80,46 +80,7 @@ func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, v
 		c.counter = 0
 		m.HTM.Begin(c.id, c.sched.Now())
 		c.txEntered = c.sched.Now()
-		fr.instr++
-
-	case intrTxCounterInc:
-		c.sched.Issue(lat, opsReady)
-		c.counter += int64(vals[0])
-		advance()
-		return
-
-	case intrTxCheck:
-		// Relaxed ILR check (§3.3): compare master/shadow pairs without
-		// branching. Inside a transaction a mismatch only marks the
-		// core diverged — the reaction is deferred to the next commit
-		// point, where the transaction aborts before any buffered write
-		// becomes visible. Outside a transaction (fallback runs, plain
-		// ILR misuse) the check degrades to an eager fail-stop.
-		c.sched.Issue(lat, opsReady)
-		mismatch := false
-		for i := 0; i+1 < len(vals); i += 2 {
-			if vals[i] != vals[i+1] {
-				mismatch = true
-				if m.obsRing != nil {
-					m.obsRing.Emit(obs.Event{
-						Kind: obs.KindCheckDiverge, Actor: m.obsBase + int32(c.id),
-						Time: c.sched.Now(), A: vals[i], B: vals[i+1],
-						Label: fr.fn.Name + "/" + fr.fn.Blocks[fr.block].Name,
-					})
-				}
-				break
-			}
-		}
-		if mismatch {
-			if m.HTM.InTx(c.id) && !m.Cfg.DisableRecovery {
-				c.diverged = true
-			} else {
-				m.status = StatusILRDetected
-				return
-			}
-		}
-		advance()
-		return
+		fr.pc++
 
 	case intrTmrVote:
 		// TMR majority vote (the Elzar scheme): each (master, s1, s2)
@@ -176,7 +137,7 @@ func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, v
 		if m.status != StatusOK {
 			return
 		}
-		fr.instr++
+		fr.pc++
 
 	case intrLockAcquireElide:
 		if !m.HTM.InTx(c.id) {
@@ -196,7 +157,7 @@ func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, v
 			return
 		}
 		c.elided = append(c.elided, vals[0])
-		fr.instr++
+		fr.pc++
 
 	case intrLockReleaseElide:
 		if !m.HTM.InTx(c.id) {
@@ -205,14 +166,14 @@ func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, v
 			if m.status != StatusOK {
 				return
 			}
-			fr.instr++
+			fr.pc++
 			m.afterInstr(c)
 			return
 		}
 		c.sched.Issue(lat, opsReady)
 		if i := indexOf(c.elided, vals[0]); i >= 0 {
 			c.elided = append(c.elided[:i], c.elided[i+1:]...)
-			fr.instr++
+			fr.pc++
 		} else {
 			// Lock was acquired for real (fallback path) but a new
 			// transaction has begun since: releasing a real lock is an
@@ -230,21 +191,21 @@ func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, v
 		}
 		c.sched.Stall(lat)
 		setRes(m.Malloc(vals[0]))
-		fr.instr++
+		fr.pc++
 
 	case intrFree:
 		c.sched.Issue(lat, opsReady)
-		fr.instr++
+		fr.pc++
 
 	case intrThreadID:
 		c.sched.Issue(lat, opsReady)
 		setRes(uint64(c.id))
-		fr.instr++
+		fr.pc++
 
 	case intrThreadCount:
 		c.sched.Issue(lat, opsReady)
 		setRes(uint64(m.nthreads))
-		fr.instr++
+		fr.pc++
 
 	case intrBarrierWait:
 		if m.HTM.InTx(c.id) {
@@ -263,12 +224,38 @@ func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, v
 		}
 		c.sched.Stall(lat)
 		setRes(0)
-		fr.instr++
+		fr.pc++
 
 	default:
 		m.crash("unknown intrinsic " + in.Callee)
 		return
 	}
+	m.afterInstr(c)
+}
+
+// checkDiverged is tx.check's reaction to its first master/shadow pair
+// that differs, args[i] and args[i+1]. Inside a transaction the
+// mismatch only marks the core diverged: the reaction is deferred to
+// the next commit point, where the transaction aborts before any
+// buffered write becomes visible. Outside a transaction (fallback runs,
+// plain ILR misuse) the check degrades to an eager fail-stop.
+func (m *Machine) checkDiverged(c *core, fr *frame, ci *cinstr, i int, opsReady uint64) {
+	c.sched.Issue(ci.lat, opsReady)
+	if m.obsRing != nil {
+		a, _ := fr.cval(ci.args[i])
+		b, _ := fr.cval(ci.args[i+1])
+		m.obsRing.Emit(obs.Event{
+			Kind: obs.KindCheckDiverge, Actor: m.obsBase + int32(c.id),
+			Time: c.sched.Now(), A: a, B: b,
+			Label: fr.fn.Name + "/" + fr.fn.Blocks[fr.block].Name,
+		})
+	}
+	if !m.HTM.InTx(c.id) || m.Cfg.DisableRecovery {
+		m.status = StatusILRDetected
+		return
+	}
+	c.diverged = true
+	fr.pc++
 	m.afterInstr(c)
 }
 
@@ -280,8 +267,6 @@ func (m *Machine) execIntrinsicID(c *core, fr *frame, in *ir.Instr, id intrID, v
 // corrected-fault counter is bumped. Reports false when a triple had
 // three distinct values: the majority is undefined, which is outside
 // the single-fault model, and the run stops with StatusILRDetected.
-// tmr.vote calls and the fused triad-vote superinstruction land here
-// on divergence.
 func (m *Machine) tmrVote(c *core, fr *frame, in *ir.Instr, vals []uint64) bool {
 	now := c.sched.Now()
 	for i := 0; i+2 < len(vals); i += 3 {
@@ -462,10 +447,18 @@ func (m *Machine) lockRelease(c *core, addr uint64) {
 	lk.waiters = lk.waiters[1:]
 	lk.owner = next
 	w := m.cores[next]
-	w.state = threadRunnable
 	w.waitLock = 0
 	w.grantLock = addr
-	w.sched.AdvanceTo(c.sched.Now())
+	m.wake(w, c.sched.Now())
+}
+
+// wake makes a blocked core runnable at the waker's clock. It is the
+// only way a core's state or clock changes while another core runs, so
+// loopCN ends a run-ahead turn when the count of wakes moves.
+func (m *Machine) wake(w *core, now uint64) {
+	w.state = threadRunnable
+	w.sched.AdvanceTo(now)
+	m.wakes++
 }
 
 // barrierWait implements an n-thread barrier at the given address.
@@ -473,7 +466,7 @@ func (m *Machine) barrierWait(c *core, addr, n uint64, lat uint64) {
 	if c.grantBarrier == addr {
 		c.grantBarrier = 0
 		c.sched.Stall(lat)
-		c.frames[len(c.frames)-1].instr++
+		c.frames[len(c.frames)-1].pc++
 		m.afterInstr(c)
 		return
 	}
@@ -495,17 +488,16 @@ func (m *Machine) barrierWait(c *core, addr, n uint64, lat uint64) {
 	// Last arriver: release everyone at the current time.
 	now := c.sched.Now()
 	for _, id := range bar.arrived {
-		w := m.cores[id]
 		if id != c.id {
-			w.state = threadRunnable
+			w := m.cores[id]
 			w.waitBarrier = 0
 			w.grantBarrier = addr
-			w.sched.AdvanceTo(now)
+			m.wake(w, now)
 		}
 	}
 	bar.arrived = bar.arrived[:0]
 	c.sched.Stall(lat)
-	c.frames[len(c.frames)-1].instr++
+	c.frames[len(c.frames)-1].pc++
 	m.afterInstr(c)
 }
 

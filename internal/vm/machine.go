@@ -275,11 +275,16 @@ const (
 
 // frame is one activation record.
 type frame struct {
-	fn       *ir.Func
-	cfn      *cfunc // compiled body
+	fn  *ir.Func
+	cfn *cfunc // compiled body
+	// code is cfn.code, held here so that the dispatch reaches the next
+	// instruction, code[pc], in one step.
+	code []cinstr
+	pc   int
+	// block is the block pc is in, and prevBlk the block control came
+	// from, for phi resolution; both name locations in messages.
 	block    int
-	instr    int
-	prevBlk  int // predecessor block for phi resolution
+	prevBlk  int
 	regs     []uint64
 	ready    []uint64 // per-register readiness cycle
 	base     uint64   // frame base address in the stack region
@@ -294,11 +299,14 @@ type txSnapshot struct {
 	frames []frame // deep copies
 }
 
-// core is one simulated logical CPU running one thread.
+// core is one simulated logical CPU running one thread. The fields
+// every instruction touches come first, the cache tags last.
 type core struct {
 	id     int
-	sched  *cpu.Sched
+	sched  cpu.Sched
 	frames []frame
+
+	coreState
 
 	// snapshot is the frame stack to restore when the active
 	// transaction aborts (HAFT helpers): nil or, outside tests, &txbuf.
@@ -319,8 +327,6 @@ type core struct {
 	// snapshot holds it as blocks, most of them shared with the previous
 	// snapshot, so it is not part of coreState.
 	l1tags [l1Sets]uint64
-
-	coreState
 }
 
 // coreState is the part of a core's run-time state that is a few plain
@@ -436,9 +442,12 @@ type Machine struct {
 	// never touches it, so a pooled machine keeps its compiled artifact
 	// across reuses.
 	prog *Program
-	// stepwise makes every run dispatch one instruction per turn, as a
-	// multi-threaded run does, instead of fusing single-threaded runs.
+	// stepwise makes every scheduler turn one instruction long instead
+	// of a run-ahead turn (loopCN).
 	stepwise bool
+	// wakes counts the blocked cores made runnable (Machine.wake); only
+	// its movement within a turn matters, so it is not run state.
+	wakes uint64
 	// phiScratch is reused by the phi-group handler.
 	phiScratch []phiUpd
 
@@ -446,9 +455,9 @@ type Machine struct {
 }
 
 // New builds a machine for the module with n threads that compiles the
-// module and dispatches one instruction per turn: the same lowering as
-// NewFromProgram without superinstructions, which makes it the live
-// reference for fused dispatch.
+// module and gives each scheduler turn one instruction: the same
+// lowering and interleaving as NewFromProgram without run-ahead turns,
+// which makes it the live reference for them.
 func New(m *ir.Module, nthreads int, cfg Config) *Machine {
 	mach := newMachine(m, Compile(m), nthreads, cfg)
 	mach.stepwise = true
@@ -498,7 +507,7 @@ func newMachine(m *ir.Module, p *Program, nthreads int, cfg Config) *Machine {
 	for i := 0; i < nthreads; i++ {
 		c := &core{
 			id:         i,
-			sched:      cpu.NewSched(cfg.IssueWidth),
+			sched:      *cpu.NewSched(cfg.IssueWidth),
 			stackBase:  stackStart + uint64(i)*m.StackBytes,
 			stackLimit: stackStart + uint64(i+1)*m.StackBytes,
 		}
@@ -682,7 +691,8 @@ func (m *Machine) Start(specs ...ThreadSpec) {
 		c := m.cores[i]
 		c.state = threadRunnable
 		c.release(c.frames)
-		fr := frame{fn: f, cfn: m.prog.funcs[m.Mod.FuncIndex(spec.Func)], base: c.stackBase}
+		cf := m.prog.funcs[m.Mod.FuncIndex(spec.Func)]
+		fr := frame{fn: f, cfn: cf, code: cf.code, base: c.stackBase}
 		fr.regs, fr.ready = c.file(f.NValues)
 		copy(fr.regs, spec.Args)
 		c.frames = append(c.frames[:0], fr)
@@ -699,7 +709,7 @@ func (m *Machine) Start(specs ...ThreadSpec) {
 // must not be called again once it has reported true.
 func (m *Machine) RunUntil(pause uint64) (ended bool) {
 	m.limit = min(pause, m.Cfg.MaxDynInstrs)
-	m.loopCompiled()
+	m.loopCN()
 	if m.status == StatusHung && m.limit < m.Cfg.MaxDynInstrs {
 		m.status = StatusOK // stopped by the pause point, not the budget
 		return false
@@ -778,8 +788,8 @@ func (m *Machine) markInjected(c *core, p *FaultPlan) {
 		fr := &c.frames[len(c.frames)-1]
 		b := fr.fn.Blocks[fr.block]
 		op := "?"
-		if fr.instr < len(b.Instrs) {
-			op = b.Instrs[fr.instr].Op.String()
+		if i := fr.pc - int(fr.cfn.start[fr.block]); i < len(b.Instrs) {
+			op = b.Instrs[i].Op.String()
 		}
 		p.Where = fmt.Sprintf("%s/%s %s", fr.fn.Name, b.Name, op)
 	}

@@ -234,7 +234,7 @@ func (m *Machine) Snapshot() *Snapshot {
 		if prev != nil {
 			pc = &prev.cores[i]
 		}
-		*sc = coreSnap{coreState: c.coreState, sched: *c.sched, elided: slices.Clone(c.elided)}
+		*sc = coreSnap{coreState: c.coreState, sched: c.sched, elided: slices.Clone(c.elided)}
 		for j := range sc.tags {
 			sc.tags[j] = keep(pc.tags[j], blockAt(c.l1tags[:], j))
 		}
@@ -303,8 +303,8 @@ func keepFile(words []uint64, b int, x, y *frameSnap) *fileBlock {
 // restored machine continues bit-identically to the one the snapshot
 // was taken from. Like Reset it disarms fault plans and keeps tracers
 // and rings. The snapshot must come from a machine of the same module,
-// core count and memory size; it may have dispatched stepwise or
-// fused.
+// core count and memory size; it may have taken stepwise or run-ahead
+// turns.
 func (m *Machine) Restore(s *Snapshot) {
 	m.mustFit(s, "Restore")
 	// The snapshot's pages get its contents and become the dirty set; the
@@ -329,7 +329,7 @@ func (m *Machine) Restore(s *Snapshot) {
 	for i, c := range m.cores {
 		sc := &s.cores[i]
 		c.coreState = sc.coreState
-		*c.sched = sc.sched
+		c.sched = sc.sched
 		for j, b := range sc.tags {
 			*blockAt(c.l1tags[:], j) = *b
 		}
@@ -383,7 +383,7 @@ func (m *Machine) Equal(s *Snapshot) bool {
 	}
 	for i, c := range m.cores {
 		sc := &s.cores[i]
-		if *c.sched != sc.sched || !framesEqual(c.frames, sc.frames) || c.coreState != sc.coreState ||
+		if c.sched != sc.sched || !framesEqual(c.frames, sc.frames) || c.coreState != sc.coreState ||
 			!slices.Equal(c.elided, sc.elided) {
 			return false
 		}
@@ -464,7 +464,7 @@ func framesEqual(a []frame, b []frameSnap) bool {
 	// Innermost frame first: it is where a diverged run differs.
 	for i := len(a) - 1; i >= 0; i-- {
 		x, y := &a[i], &b[i]
-		if x.fn != y.fn || x.block != y.block || x.instr != y.instr || x.prevBlk != y.prevBlk ||
+		if x.fn != y.fn || x.block != y.block || x.pc != y.pc || x.prevBlk != y.prevBlk ||
 			x.base != y.base || x.retReg != y.retReg || x.retReady != y.retReady || len(x.regs) != y.nregs {
 			return false
 		}

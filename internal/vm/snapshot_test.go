@@ -404,7 +404,7 @@ func TestSnapshotEqualSeesEveryPart(t *testing.T) {
 		"shared tx snapshot": func() { m.cores[0].snapshot.frames[depth].fileWords(fb)[0] ^= 1 },
 		"register":           func() { m.cores[0].frames[0].regs[0] ^= 1 },
 		"readiness":          func() { m.cores[1].frames[0].ready[0]++ },
-		"pc":                 func() { m.cores[0].frames[0].instr++ },
+		"pc":                 func() { m.cores[0].frames[0].pc++ },
 		"core clock":         func() { m.cores[1].sched.Stall(1) },
 		"core scalar":        func() { m.cores[0].counter++ },
 		"l1 tags":            func() { m.cores[1].l1tags[5] ^= 1 },
@@ -439,17 +439,18 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 	s := base.Snapshot()
 	base.Restore(s) // fits
 
-	// Paused mid-transaction on a stepwise machine, resumed on a fused one
-	// of the same module, and the reverse: both end like a straight run.
+	// Paused mid-transaction on a stepwise machine, resumed on a run-ahead
+	// one of the same module, and the reverse: both end like a straight
+	// run.
 	t.Run("stepwise and fused machines of the module", func(t *testing.T) {
 		hmod, err := harden.Harden(mod, harden.Config{Mode: harden.ModeHAFT, Opt: harden.OptFaultProp, TxThreshold: 120})
 		if err != nil {
 			t.Fatal(err)
 		}
 		stepwise := func() *Machine { return New(hmod, 1, snapConfig()) }
-		fused := func() *Machine { return NewFromProgram(Compile(hmod), 1, snapConfig()) }
+		ahead := func() *Machine { return NewFromProgram(Compile(hmod), 1, snapConfig()) }
 		spec := ThreadSpec{Func: "main"}
-		straight := fused()
+		straight := ahead()
 		if st := straight.Run(spec); st != StatusOK {
 			t.Fatalf("straight run: %v (%s)", st, straight.Stats().CrashReason)
 		}
@@ -457,7 +458,7 @@ func TestRestoreRejectsForeignSnapshot(t *testing.T) {
 		for _, dir := range []struct {
 			name     string
 			from, to func() *Machine
-		}{{"stepwise to fused", stepwise, fused}, {"fused to stepwise", fused, stepwise}} {
+		}{{"stepwise to run-ahead", stepwise, ahead}, {"run-ahead to stepwise", ahead, stepwise}} {
 			from, to := dir.from(), dir.to()
 			from.Start(spec)
 			for pause := uint64(50); !from.HTM.InTx(0); pause += 50 {
@@ -961,7 +962,7 @@ func flatEqual(t *testing.T, m *Machine, f flat, s *Snapshot) bool {
 	}
 	for i, c := range m.cores {
 		sc := &s.cores[i]
-		if c.coreState != sc.coreState || *c.sched != sc.sched || !slices.Equal(c.elided, sc.elided) {
+		if c.coreState != sc.coreState || c.sched != sc.sched || !slices.Equal(c.elided, sc.elided) {
 			return false
 		}
 	}

@@ -119,8 +119,8 @@ func freshImage(mod *ir.Module, threads int) []uint64 {
 	return img
 }
 
-// engines returns the case on a machine of a shared Program (fused
-// when single-threaded) and on a stepwise one (New).
+// engines returns the case on a machine of a shared Program (run-ahead
+// turns) and on a stepwise one (New).
 func engines(name string, mod *ir.Module, threads int, cfg vm.Config, c imageCase) []imageCase {
 	prog := vm.Compile(mod)
 	c.pristine = freshImage(mod, threads)
