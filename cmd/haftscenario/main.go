@@ -1,31 +1,19 @@
-// Command haftscenario drives the declarative scenario-matrix harness
-// (internal/scenario): list and filter the declared coverage, run a
-// (possibly sharded) slice of the expanded matrix into a results
-// bundle, merge shard bundles, and diff a bundle against a golden.
+// Command haftscenario drives the scenario matrix (internal/scenario):
+// list the declared coverage, run a selection into a results bundle,
+// and diff a bundle against a golden.
 //
 // Usage:
 //
-//	haftscenario list [-attr smoke] [-name fi/flows] [-axis mode=tmr] [-runs]
-//	haftscenario run  [-attr smoke] [-name ...] [-axis k=v] [-seed 1]
-//	                  [-shard 0/2] [-workers N] [-retries 1]
-//	                  [-injections N] [-timeout 2m]
-//	                  [-checkpoint matrix.ckpt] [-resume]
-//	                  [-out bundle.json] [-canonical] [-v]
-//	haftscenario merge -out merged.json shard0.json shard1.json ...
+//	haftscenario list [-attr smoke] [-name fi/flows] [-runs] [-seed 1]
+//	haftscenario run  [-attr smoke] [-name ...] [-seed 1] [-out bundle.json] [-v]
 //	haftscenario diff golden.json current.json
 //
-// `run` executes the selection across a worker pool with per-run
-// deadlines, panic isolation and retry-based flake classification
-// (pass/fail/flaky/skip/timeout), checkpointing after every batch when
-// -checkpoint is set; -resume restarts from that file and yields a
-// bundle canonically byte-identical to an uninterrupted run.
-// -shard i/n runs every n-th matrix run starting at i; merging the n
-// shard bundles reproduces the unsharded bundle byte-for-byte (under
-// -canonical, which zeroes wall-clock durations). `diff` exits 1 on
+// Every record of `run` is a seeded campaign (or fault-free health
+// run) checked against its stepwise twin. `diff` exits 1 on
 // regressions — missing runs, outcome changes, or any drift in a
-// deterministic run's pinned results — which is the CI golden gate.
+// pinned result — which is the CI golden gate.
 //
-// Exit status: 0 on success, 1 on regressions or failed runs, 2 on
+// Exit status: 0 on success, 1 on regressions or failed records, 2 on
 // usage errors.
 package main
 
@@ -48,8 +36,6 @@ func main() {
 		cmdList(os.Args[2:])
 	case "run":
 		cmdRun(os.Args[2:])
-	case "merge":
-		cmdMerge(os.Args[2:])
 	case "diff":
 		cmdDiff(os.Args[2:])
 	default:
@@ -58,7 +44,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: haftscenario {list|run|merge|diff} [flags]  (haftscenario <cmd> -h for flags)")
+	fmt.Fprintln(os.Stderr, "usage: haftscenario {list|run|diff} [flags]  (haftscenario <cmd> -h for flags)")
 	os.Exit(2)
 }
 
@@ -67,166 +53,64 @@ func fatal(err error) {
 	os.Exit(2)
 }
 
-// filterFlags installs the shared selection flags on a flag set.
-type filterFlags struct {
-	names, attrs, axes multiFlag
-}
-
-func (ff *filterFlags) install(fs *flag.FlagSet) {
-	fs.Var(&ff.names, "name", "select a scenario by name (repeatable)")
-	fs.Var(&ff.attrs, "attr", "require an attribute, e.g. smoke (repeatable)")
-	fs.Var(&ff.axes, "axis", "require an axis value as axis=value, e.g. mode=tmr (repeatable)")
-}
-
-func (ff *filterFlags) filter() (scenario.Filter, error) {
-	f := scenario.Filter{Names: ff.names, Attrs: ff.attrs}
-	if len(ff.axes) > 0 {
-		f.Axes = make(map[string]string)
-		for _, kv := range ff.axes {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok || k == "" || v == "" {
-				return f, fmt.Errorf("bad -axis %q (want axis=value)", kv)
-			}
-			f.Axes[k] = v
-		}
-	}
-	return f, nil
-}
-
 // multiFlag collects repeated string flags.
 type multiFlag []string
 
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }
 
-// parseShard parses "i/n".
-func parseShard(s string) (int, int, error) {
-	if s == "" {
-		return 0, 1, nil
-	}
-	var i, n int
-	if _, err := fmt.Sscanf(s, "%d/%d", &i, &n); err != nil || n <= 0 || i < 0 || i >= n {
-		return 0, 0, fmt.Errorf("bad -shard %q (want i/n with 0 <= i < n)", s)
-	}
-	return i, n, nil
+// selection installs the shared selection flags and returns the filter
+// and harness seed they fill once fs is parsed.
+func selection(fs *flag.FlagSet) (*scenario.Filter, *int64) {
+	f := new(scenario.Filter)
+	fs.Var((*multiFlag)(&f.Names), "name", "select a scenario by name (repeatable)")
+	fs.Var((*multiFlag)(&f.Attrs), "attr", "require an attribute, e.g. smoke (repeatable)")
+	return f, fs.Int64("seed", 1, "harness seed (every run seed derives from it)")
 }
 
 func cmdList(args []string) {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
-	var ff filterFlags
-	ff.install(fs)
-	seed := fs.Int64("seed", 1, "harness seed (shown per run with -runs)")
+	f, seed := selection(fs)
 	showRuns := fs.Bool("runs", false, "list expanded runs instead of scenarios")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
-	f, err := ff.filter()
-	if err != nil {
-		fatal(err)
-	}
 	reg := scenario.DefaultRegistry()
-	runs, err := reg.Select(*seed, f)
-	if err != nil {
-		fatal(err)
-	}
+	runs := reg.Select(*seed, *f)
 	if *showRuns {
-		for _, r := range runs {
-			fmt.Printf("%4d  %-64s seed=%d\n", r.Index, r.Key(), r.Seed)
+		for i, r := range runs {
+			fmt.Printf("%4d  %-64s seed=%d\n", i, r.Key(), r.Seed)
 		}
 		fmt.Printf("%d run(s)\n", len(runs))
 		return
 	}
-	per := map[string]int{}
-	for _, r := range runs {
-		per[r.Scenario.Name]++
-	}
-	total := 0
+	n := 0
 	for _, s := range reg.Scenarios() {
-		n := per[s.Name]
-		if n == 0 {
+		if !f.Match(s) {
 			continue
 		}
-		total += n
-		fmt.Printf("%-28s %4d run(s)  kind=%-7s timeout=%-4s attrs=%s\n",
-			s.Name, n, s.Kind, s.Timeout, strings.Join(s.Attrs, ","))
-		fmt.Printf("%-28s       %s (owner %s)\n", "", s.Desc, s.Owner)
+		n++
+		fmt.Printf("%-28s attrs=%s\n%-28s %s\n", s.Name, strings.Join(s.Attrs, ","), "", s.Desc)
 	}
-	fmt.Printf("%d scenario(s), %d run(s)\n", len(per), total)
+	fmt.Printf("%d scenario(s), %d run(s)\n", n, len(runs))
 }
 
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	var ff filterFlags
-	ff.install(fs)
-	seed := fs.Int64("seed", 1, "harness seed (every run seed derives from it)")
-	shard := fs.String("shard", "", "run shard i of n as i/n")
-	workers := fs.Int("workers", 0, "parallel runs (0 = GOMAXPROCS)")
-	retries := fs.Int("retries", 1, "retries after a failed attempt (same seed)")
-	injections := fs.Int("injections", 0, "override per-run injection budget (0 = as declared)")
-	timeout := fs.Duration("timeout", 0, "override per-run deadline (0 = as declared)")
-	ckpt := fs.String("checkpoint", "", "checkpoint file to write after every batch")
-	resume := fs.Bool("resume", false, "resume from -checkpoint")
+	f, seed := selection(fs)
 	out := fs.String("out", "", "write the results bundle to this file (default stdout)")
-	canonical := fs.Bool("canonical", false, "canonical encoding (durations zeroed; shard/golden form)")
-	verbose := fs.Bool("v", false, "print one line per completed run")
+	verbose := fs.Bool("v", false, "print one line per completed record")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
-	f, err := ff.filter()
-	if err != nil {
-		fatal(err)
-	}
-	si, sn, err := parseShard(*shard)
-	if err != nil {
-		fatal(err)
-	}
-	cfg := scenario.Config{
-		Filter:     f,
-		Shard:      si,
-		NumShards:  sn,
-		Seed:       *seed,
-		Workers:    *workers,
-		Retries:    *retries,
-		Injections: *injections,
-		Timeout:    *timeout,
-	}
+	cfg := scenario.Config{Filter: *f, Seed: *seed}
 	if *verbose {
 		cfg.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}
-	if *resume {
-		if *ckpt == "" {
-			fatal(fmt.Errorf("-resume needs -checkpoint"))
-		}
-		data, err := os.ReadFile(*ckpt)
-		if err != nil {
-			fatal(err)
-		}
-		cp, err := scenario.LoadCheckpoint(data)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Resume = cp
-	}
-	if *ckpt != "" {
-		cfg.OnCheckpoint = func(cp *scenario.Checkpoint) {
-			data, err := cp.Encode()
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*ckpt, data, 0o644); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
 	start := time.Now()
 	bundle, err := scenario.DefaultRegistry().Run(cfg)
 	if err != nil {
 		fatal(err)
 	}
-	enc := bundle.Encode
-	if *canonical {
-		enc = bundle.EncodeCanonical
-	}
-	data, err := enc()
+	data, err := bundle.Encode()
 	if err != nil {
 		fatal(err)
 	}
@@ -238,52 +122,12 @@ func cmdRun(args []string) {
 		os.Stdout.Write(data) //nolint:errcheck // best-effort stdout
 	}
 	s := bundle.Summary
-	fmt.Fprintf(os.Stderr, "matrix: %d run(s) in %s — pass %d fail %d flaky %d skip %d timeout %d\n",
-		s.Runs, time.Since(start).Round(time.Millisecond),
-		s.ByOutcome["pass"], s.ByOutcome["fail"], s.ByOutcome["flaky"],
-		s.ByOutcome["skip"], s.ByOutcome["timeout"])
+	fmt.Fprintf(os.Stderr, "matrix: %d twin-checked record(s) in %s — pass %d fail %d\n",
+		s.Runs, time.Since(start).Round(time.Millisecond), s.ByOutcome["pass"], s.ByOutcome["fail"])
 	if len(s.Failed) > 0 {
 		fmt.Fprintf(os.Stderr, "failed: %s\n", strings.Join(s.Failed, ", "))
 		os.Exit(1)
 	}
-}
-
-func cmdMerge(args []string) {
-	fs := flag.NewFlagSet("merge", flag.ExitOnError)
-	out := fs.String("out", "", "write the merged bundle here (default stdout)")
-	canonical := fs.Bool("canonical", true, "canonical encoding (the shard/golden form)")
-	fs.Parse(args) //nolint:errcheck // ExitOnError
-	if fs.NArg() < 1 {
-		fatal(fmt.Errorf("merge needs at least one bundle file"))
-	}
-	var bundles []*scenario.Bundle
-	for _, path := range fs.Args() {
-		b, err := readBundle(path)
-		if err != nil {
-			fatal(err)
-		}
-		bundles = append(bundles, b)
-	}
-	merged, err := scenario.Merge(bundles...)
-	if err != nil {
-		fatal(err)
-	}
-	enc := merged.Encode
-	if *canonical {
-		enc = merged.EncodeCanonical
-	}
-	data, err := enc()
-	if err != nil {
-		fatal(err)
-	}
-	if *out != "" {
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatal(err)
-		}
-	} else {
-		os.Stdout.Write(data) //nolint:errcheck // best-effort stdout
-	}
-	fmt.Fprintf(os.Stderr, "merged %d bundle(s): %d run(s)\n", len(bundles), merged.Summary.Runs)
 }
 
 func cmdDiff(args []string) {
@@ -292,25 +136,19 @@ func cmdDiff(args []string) {
 	if fs.NArg() != 2 {
 		fatal(fmt.Errorf("diff needs exactly two bundle files: golden current"))
 	}
-	golden, err := readBundle(fs.Arg(0))
-	if err != nil {
-		fatal(err)
+	var bundles [2]*scenario.Bundle
+	for i := range bundles {
+		data, err := os.ReadFile(fs.Arg(i))
+		if err != nil {
+			fatal(err)
+		}
+		if bundles[i], err = scenario.DecodeBundle(data); err != nil {
+			fatal(err)
+		}
 	}
-	got, err := readBundle(fs.Arg(1))
-	if err != nil {
-		fatal(err)
-	}
-	rep := scenario.Diff(golden, got)
+	rep := scenario.Diff(bundles[0], bundles[1])
 	fmt.Print(rep.String())
 	if rep.Regression() {
 		os.Exit(1)
 	}
-}
-
-func readBundle(path string) (*scenario.Bundle, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return scenario.DecodeBundle(data)
 }

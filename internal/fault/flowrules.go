@@ -10,7 +10,8 @@
 //
 // This table is the single source of truth for that compatibility
 // question; cmd/faultinject validates its -flow flag against it and
-// internal/scenario prunes its run matrices with it.
+// internal/scenario prunes its run matrices with it, so a declared
+// flow that no mode of a scenario builds is a registration error.
 
 package fault
 

@@ -1,14 +1,7 @@
-// The results bundle: one machine-readable document per matrix run,
-// in the mold of the BENCH_*.json artifacts — plus a deterministic
-// summarizer and the golden-diff mode CI gates on.
-//
-// Determinism contract: a record of a deterministic scenario is a pure
-// function of the run seed, so two bundles produced from the same
-// registry, seed and filter are byte-identical under EncodeCanonical
-// (which zeroes wall-clock durations) — regardless of sharding, worker
-// count, interruption/resume, or the machine they ran on. That is what
-// makes the golden file a meaningful CI gate and shard-merge a pure
-// set union.
+// The results bundle, in the mold of the BENCH_*.json artifacts, and
+// the golden diff CI gates on. Every record is a pure function of its
+// run seed and no field holds wall-clock time, so two bundles from one
+// registry, seed and filter encode byte-identically anywhere.
 
 package scenario
 
@@ -19,46 +12,32 @@ import (
 	"strings"
 )
 
-// Outcome classifies one matrix run, tast-style.
+// Outcome classifies one record.
 type Outcome string
 
-// Run outcomes.
+// Record outcomes.
 const (
-	// OutcomePass: the run completed and every gate held.
+	// OutcomePass: the campaign ran, the stepwise twin agreed and every
+	// gate held.
 	OutcomePass Outcome = "pass"
-	// OutcomeFail: every attempt failed the same way (deterministic
-	// failure; retries never turn it into a pass).
+	// OutcomeFail: anything else; Err says what.
 	OutcomeFail Outcome = "fail"
-	// OutcomeFlaky: a failed attempt was followed by a passing retry.
-	OutcomeFlaky Outcome = "flaky"
-	// OutcomeSkip: the run's axis combination is statically valid but
-	// empty at runtime (e.g. an empty injection population).
-	OutcomeSkip Outcome = "skip"
-	// OutcomeTimeout: the run exceeded its scenario's deadline.
-	OutcomeTimeout Outcome = "timeout"
 )
 
 // Record is the structured result of one matrix run.
 type Record struct {
-	// Key is the run's stable identity ("scenario:axes").
+	// Key is the run's stable identity (see Run.Key).
 	Key      string `json:"key"`
 	Scenario string `json:"scenario"`
 	Axes     Axes   `json:"axes"`
-	// Seed is the run's private seed (reproduce with `haftscenario run
-	// -name <scenario> -axis ...` at the same harness seed).
+	// Seed is the run's private seed.
 	Seed    uint64  `json:"seed"`
 	Outcome Outcome `json:"outcome"`
-	// Attempts counts executions including retries.
-	Attempts int `json:"attempts"`
-	// Deterministic marks records the golden diff compares field by
-	// field; nondeterministic records are compared by outcome only.
-	Deterministic bool `json:"deterministic"`
-	// Runs is the number of campaign injections (KindFI) or serving
-	// requests (KindServe) the run executed.
+	// Runs is the number of campaign injections (1 for a health run).
 	Runs int `json:"runs,omitempty"`
-	// Counts is the outcome histogram of a campaign (Table 1 outcome
-	// name → runs) or the serving counters of a chaos run.
-	Counts map[string]int `json:"counts,omitempty"`
+	// Counts is the campaign's outcome histogram (Table 1 outcome name
+	// → runs), or "status/<status>" for a health run.
+	Counts map[string]int `json:"counts"`
 	// SDCRuns / CorrectedRuns / CorrectedFaults summarize the fault
 	// tolerance activity of the run.
 	SDCRuns         int    `json:"sdc_runs"`
@@ -67,30 +46,23 @@ type Record struct {
 	// Instrs / Cycles are the (reference) run's RunStats.
 	Instrs uint64 `json:"instrs,omitempty"`
 	Cycles uint64 `json:"cycles,omitempty"`
-	// DurationMS is wall-clock time across all attempts (zeroed by
-	// EncodeCanonical; never golden-diffed).
-	DurationMS float64 `json:"duration_ms"`
-	// Err is the failure (or skip) reason, if any.
+	// Err is the failure reason, if any.
 	Err string `json:"err,omitempty"`
 }
 
-// Summary is the deterministic aggregate of a bundle, recomputed from
-// the records on every encode (so merged bundles summarize
-// identically to uninterrupted ones).
+// Summary is the aggregate of a bundle's records.
 type Summary struct {
 	Runs            int            `json:"runs"`
 	ByOutcome       map[string]int `json:"by_outcome"`
 	SDCRuns         int            `json:"sdc_runs"`
 	CorrectedRuns   int            `json:"corrected_runs"`
 	CorrectedFaults uint64         `json:"corrected_faults"`
-	// Flaky lists the keys of flaky runs (the tast-style flake report).
-	Flaky []string `json:"flaky,omitempty"`
-	// Failed lists the keys of failed and timed-out runs.
+	// Failed lists the keys of failed records.
 	Failed []string `json:"failed,omitempty"`
 }
 
-// Bundle is the machine-readable result of one matrix invocation (or
-// a merge of its shards): records sorted by key plus the summary.
+// Bundle is the machine-readable result of one matrix invocation:
+// records sorted by key plus their summary.
 type Bundle struct {
 	Version int      `json:"version"`
 	Seed    int64    `json:"seed"`
@@ -100,23 +72,13 @@ type Bundle struct {
 }
 
 // bundleVersion is bumped on any incompatible format change.
-const bundleVersion = 1
+const bundleVersion = 2
 
 // NewBundle builds a bundle from records: sorts by key and computes
 // the summary.
 func NewBundle(seed int64, filter string, records []Record) *Bundle {
 	recs := append([]Record(nil), records...)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
-	return &Bundle{
-		Version: bundleVersion,
-		Seed:    seed,
-		Filter:  filter,
-		Records: recs,
-		Summary: summarize(recs),
-	}
-}
-
-func summarize(recs []Record) Summary {
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Key < recs[j].Key })
 	s := Summary{ByOutcome: map[string]int{}}
 	for _, r := range recs {
 		s.Runs++
@@ -124,19 +86,15 @@ func summarize(recs []Record) Summary {
 		s.SDCRuns += r.SDCRuns
 		s.CorrectedRuns += r.CorrectedRuns
 		s.CorrectedFaults += r.CorrectedFaults
-		switch r.Outcome {
-		case OutcomeFlaky:
-			s.Flaky = append(s.Flaky, r.Key)
-		case OutcomeFail, OutcomeTimeout:
+		if r.Outcome != OutcomePass {
 			s.Failed = append(s.Failed, r.Key)
 		}
 	}
-	return s
+	return &Bundle{Version: bundleVersion, Seed: seed, Filter: filter, Records: recs, Summary: s}
 }
 
-// Encode serializes the bundle (indented JSON), durations included.
+// Encode serializes the bundle as indented JSON.
 func (b *Bundle) Encode() ([]byte, error) {
-	b.Summary = summarize(b.Records)
 	out, err := json.MarshalIndent(b, "", " ")
 	if err != nil {
 		return nil, err
@@ -144,19 +102,8 @@ func (b *Bundle) Encode() ([]byte, error) {
 	return append(out, '\n'), nil
 }
 
-// EncodeCanonical serializes the bundle with every wall-clock duration
-// zeroed: the byte-identity form (shard merges, resume tests, golden
-// files).
-func (b *Bundle) EncodeCanonical() ([]byte, error) {
-	c := *b
-	c.Records = append([]Record(nil), b.Records...)
-	for i := range c.Records {
-		c.Records[i].DurationMS = 0
-	}
-	return c.Encode()
-}
-
-// DecodeBundle parses a bundle produced by Encode/EncodeCanonical.
+// DecodeBundle parses a bundle produced by Encode. Record keys must be
+// unique; the summary is recomputed from the records.
 func DecodeBundle(data []byte) (*Bundle, error) {
 	var b Bundle
 	if err := json.Unmarshal(data, &b); err != nil {
@@ -165,54 +112,28 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 	if b.Version != bundleVersion {
 		return nil, fmt.Errorf("scenario: results bundle version %d, want %d", b.Version, bundleVersion)
 	}
-	return &b, nil
-}
-
-// Merge unions shard bundles into one: seeds and filters must match,
-// keys must be disjoint. The result is byte-identical (canonically) to
-// an unsharded run of the same selection.
-func Merge(bundles ...*Bundle) (*Bundle, error) {
-	if len(bundles) == 0 {
-		return nil, fmt.Errorf("scenario: nothing to merge")
+	seen := make(map[string]bool, len(b.Records))
+	for _, r := range b.Records {
+		if seen[r.Key] {
+			return nil, fmt.Errorf("scenario: results bundle holds run %q twice", r.Key)
+		}
+		seen[r.Key] = true
 	}
-	first := bundles[0]
-	seen := make(map[string]bool)
-	var recs []Record
-	for _, b := range bundles {
-		if b.Seed != first.Seed {
-			return nil, fmt.Errorf("scenario: merging bundles with different seeds (%d vs %d)", b.Seed, first.Seed)
-		}
-		if b.Filter != first.Filter {
-			return nil, fmt.Errorf("scenario: merging bundles with different filters (%q vs %q)", b.Filter, first.Filter)
-		}
-		for _, r := range b.Records {
-			if seen[r.Key] {
-				return nil, fmt.Errorf("scenario: duplicate run %s across shards", r.Key)
-			}
-			seen[r.Key] = true
-			recs = append(recs, r)
-		}
-	}
-	return NewBundle(first.Seed, first.Filter, recs), nil
+	return NewBundle(b.Seed, b.Filter, b.Records), nil
 }
 
 // DiffEntry is one golden-vs-current divergence.
 type DiffEntry struct {
-	Key    string `json:"key"`
-	Field  string `json:"field"`
-	Golden string `json:"golden"`
-	Got    string `json:"got"`
+	Key, Field, Golden, Got string
 }
 
 // DiffReport is the result of comparing a bundle against a golden.
 type DiffReport struct {
-	// Regressions fail CI: runs missing from the current bundle,
-	// outcome changes, and (for deterministic runs) any change in the
-	// pinned result fields.
-	Regressions []DiffEntry `json:"regressions,omitempty"`
-	// Additions are runs present now but absent from the golden —
-	// informational (regenerate the golden to pin them).
-	Additions []string `json:"additions,omitempty"`
+	// Regressions fail CI: missing runs, outcome changes, and any
+	// change in a pinned result field.
+	Regressions []DiffEntry
+	// Additions are runs absent from the golden (informational).
+	Additions []string
 }
 
 // Regression reports whether the diff must fail CI.
@@ -236,9 +157,8 @@ func (d *DiffReport) String() string {
 }
 
 // Diff compares a current bundle against the golden: every golden run
-// must be present with the same outcome, and deterministic runs must
-// reproduce their pinned counts, fault-tolerance tallies and RunStats
-// exactly. Durations are never compared.
+// must be present with the same outcome and reproduce its seed, counts,
+// fault-tolerance tallies and RunStats exactly.
 func Diff(golden, got *Bundle) *DiffReport {
 	rep := &DiffReport{}
 	cur := make(map[string]Record, len(got.Records))
@@ -258,41 +178,24 @@ func Diff(golden, got *Bundle) *DiffReport {
 				Key: g.Key, Field: "outcome", Golden: string(g.Outcome), Got: string(c.Outcome)})
 			continue
 		}
-		if !g.Deterministic || !c.Deterministic {
-			continue
-		}
-		cmp := func(field, want, have string) {
-			if want != have {
+		cmp := func(field string, want, have any) {
+			if w, h := fmt.Sprint(want), fmt.Sprint(have); w != h {
 				rep.Regressions = append(rep.Regressions, DiffEntry{
-					Key: g.Key, Field: field, Golden: want, Got: have})
+					Key: g.Key, Field: field, Golden: w, Got: h})
 			}
 		}
-		cmp("seed", fmt.Sprint(g.Seed), fmt.Sprint(c.Seed))
-		cmp("runs", fmt.Sprint(g.Runs), fmt.Sprint(c.Runs))
-		cmp("sdc_runs", fmt.Sprint(g.SDCRuns), fmt.Sprint(c.SDCRuns))
-		cmp("corrected_runs", fmt.Sprint(g.CorrectedRuns), fmt.Sprint(c.CorrectedRuns))
-		cmp("corrected_faults", fmt.Sprint(g.CorrectedFaults), fmt.Sprint(c.CorrectedFaults))
-		cmp("instrs", fmt.Sprint(g.Instrs), fmt.Sprint(c.Instrs))
-		cmp("cycles", fmt.Sprint(g.Cycles), fmt.Sprint(c.Cycles))
-		cmp("counts", countsKey(g.Counts), countsKey(c.Counts))
+		cmp("seed", g.Seed, c.Seed)
+		cmp("runs", g.Runs, c.Runs)
+		cmp("sdc_runs", g.SDCRuns, c.SDCRuns)
+		cmp("corrected_runs", g.CorrectedRuns, c.CorrectedRuns)
+		cmp("corrected_faults", g.CorrectedFaults, c.CorrectedFaults)
+		cmp("instrs", g.Instrs, c.Instrs)
+		cmp("cycles", g.Cycles, c.Cycles)
+		cmp("counts", g.Counts, c.Counts)
 	}
 	for k := range cur {
 		rep.Additions = append(rep.Additions, k)
 	}
 	sort.Strings(rep.Additions)
 	return rep
-}
-
-// countsKey renders a counts map canonically for comparison.
-func countsKey(m map[string]int) string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s=%d ", k, m[k])
-	}
-	return strings.TrimSpace(sb.String())
 }

@@ -1,21 +1,21 @@
 package scenario
 
 import (
-	"bytes"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-func rec(key string, outcome Outcome, det bool) Record {
+func rec(key string, outcome Outcome) Record {
 	return Record{
-		Key: key, Scenario: "t/s", Outcome: outcome, Attempts: 1,
-		Deterministic: det, Runs: 10, SDCRuns: 1, CorrectedRuns: 2,
-		Counts: map[string]int{"Masked": 9, "SDC": 1}, DurationMS: 12.5,
+		Key: key, Scenario: "t/s", Outcome: outcome, Runs: 10, SDCRuns: 1, CorrectedRuns: 2,
+		Counts: map[string]int{"Masked": 9, "SDC": 1},
 	}
 }
 
 func TestBundleRoundTrip(t *testing.T) {
-	b := NewBundle(4, "attr=t", []Record{rec("b", OutcomePass, true), rec("a", OutcomeFail, true)})
+	b := NewBundle(4, "attr=t", []Record{rec("b", OutcomePass), rec("a", OutcomeFail)})
 	if b.Records[0].Key != "a" {
 		t.Error("records not sorted by key")
 	}
@@ -36,62 +36,29 @@ func TestBundleRoundTrip(t *testing.T) {
 	if _, err := DecodeBundle([]byte(`{"version": 99}`)); err == nil {
 		t.Error("wrong bundle version accepted")
 	}
-}
-
-func TestBundleCanonicalZeroesDurations(t *testing.T) {
-	a := NewBundle(1, "", []Record{rec("x", OutcomePass, true)})
-	b := NewBundle(1, "", []Record{rec("x", OutcomePass, true)})
-	b.Records[0].DurationMS = 99999
-	ca, err := a.EncodeCanonical()
+	dup, err := NewBundle(4, "", []Record{rec("a", OutcomePass), rec("a", OutcomePass)}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := b.EncodeCanonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ca, cb) {
-		t.Error("canonical encoding depends on durations")
-	}
-	// EncodeCanonical must not mutate the receiver.
-	if b.Records[0].DurationMS != 99999 {
-		t.Error("EncodeCanonical mutated the bundle")
-	}
-}
-
-func TestMergeValidation(t *testing.T) {
-	a := NewBundle(1, "f", []Record{rec("a", OutcomePass, true)})
-	b := NewBundle(2, "f", []Record{rec("b", OutcomePass, true)})
-	if _, err := Merge(a, b); err == nil || !strings.Contains(err.Error(), "seed") {
-		t.Errorf("seed mismatch: got %v", err)
-	}
-	c := NewBundle(1, "g", []Record{rec("b", OutcomePass, true)})
-	if _, err := Merge(a, c); err == nil || !strings.Contains(err.Error(), "filter") {
-		t.Errorf("filter mismatch: got %v", err)
-	}
-	if _, err := Merge(); err == nil {
-		t.Error("empty merge succeeded")
+	if _, err := DecodeBundle(dup); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("bundle with a duplicate key: got %v, want rejection", err)
 	}
 }
 
 func TestDiffSemantics(t *testing.T) {
 	golden := NewBundle(1, "", []Record{
-		rec("same", OutcomePass, true),
-		rec("missing", OutcomePass, true),
-		rec("flipped", OutcomePass, true),
-		rec("drifted", OutcomePass, true),
-		rec("nondet", OutcomePass, false),
+		rec("same", OutcomePass),
+		rec("missing", OutcomePass),
+		rec("flipped", OutcomePass),
+		rec("drifted", OutcomePass),
 	})
-	drift := rec("drifted", OutcomePass, true)
+	drift := rec("drifted", OutcomePass)
 	drift.SDCRuns = 7
-	nondet := rec("nondet", OutcomePass, false)
-	nondet.Runs = 9999 // nondeterministic fields are not compared
 	cur := NewBundle(1, "", []Record{
-		rec("same", OutcomePass, true),
-		rec("flipped", OutcomeFail, true),
+		rec("same", OutcomePass),
+		rec("flipped", OutcomeFail),
 		drift,
-		nondet,
-		rec("added", OutcomePass, true),
+		rec("added", OutcomePass),
 	})
 	rep := Diff(golden, cur)
 	if !rep.Regression() {
@@ -113,24 +80,14 @@ func TestDiffSemantics(t *testing.T) {
 	if _, bad := fields["same"]; bad {
 		t.Error("identical run reported as regression")
 	}
-	if _, bad := fields["nondet"]; bad {
-		t.Error("nondeterministic field drift reported as regression")
-	}
 	if len(rep.Additions) != 1 || rep.Additions[0] != "added" {
 		t.Errorf("additions %v, want [added]", rep.Additions)
-	}
-
-	// Durations never matter.
-	slow := NewBundle(1, "", []Record{rec("same", OutcomePass, true)})
-	slow.Records[0].DurationMS = 1e9
-	if rep := Diff(NewBundle(1, "", []Record{rec("same", OutcomePass, true)}), slow); rep.Regression() {
-		t.Error("duration drift reported as regression")
 	}
 }
 
 func TestDiffString(t *testing.T) {
-	golden := NewBundle(1, "", []Record{rec("a", OutcomePass, true)})
-	cur := NewBundle(1, "", []Record{rec("a", OutcomeFail, true)})
+	golden := NewBundle(1, "", []Record{rec("a", OutcomePass)})
+	cur := NewBundle(1, "", []Record{rec("a", OutcomeFail)})
 	out := Diff(golden, cur).String()
 	if !strings.Contains(out, "REGRESSION") || !strings.Contains(out, "a") {
 		t.Errorf("diff rendering %q lacks the regression", out)
@@ -139,4 +96,37 @@ func TestDiffString(t *testing.T) {
 	if !strings.Contains(same, "identical") {
 		t.Errorf("identical diff rendering %q", same)
 	}
+}
+
+// FuzzDecodeBundle: DecodeBundle never panics, an accepted bundle
+// re-encodes and decodes to an equal bundle, and a bundle never
+// differs from itself.
+func FuzzDecodeBundle(f *testing.F) {
+	for _, path := range []string{goldenPath, sweepGoldenPath} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := DecodeBundle(data)
+		if err != nil {
+			return
+		}
+		enc, err := b.Encode()
+		if err != nil {
+			t.Fatalf("decoded bundle does not encode: %v", err)
+		}
+		back, err := DecodeBundle(enc)
+		if err != nil {
+			t.Fatalf("re-encoded bundle does not decode: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(b, back) {
+			t.Fatalf("bundle changed across encode/decode:\n%+v\n%+v", b, back)
+		}
+		if rep := Diff(b, b); rep.Regression() || len(rep.Additions) > 0 {
+			t.Fatalf("bundle differs from itself:\n%s", rep)
+		}
+	})
 }

@@ -6,22 +6,19 @@ import (
 )
 
 // TestRegistrySelfCheck is the registry's load-time contract: every
-// declared scenario expands without error, run keys are unique across
-// the whole matrix, and the matrix is big and wide enough to cover the
-// repository's fault-tolerance surface.
+// declared scenario expands, run keys are unique across the whole
+// matrix, the matrix covers every fault model and redundant mode, and
+// every record is set up as a run-ahead target with a stepwise twin.
 func TestRegistrySelfCheck(t *testing.T) {
 	r := DefaultRegistry()
-	runs, err := r.Expand(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) < 200 {
-		t.Fatalf("matrix expands to %d runs, want >= 200", len(runs))
+	runs := r.Select(1, Filter{})
+	if len(r.Scenarios()) != 8 || len(runs) != 137 {
+		t.Fatalf("registry declares %d scenarios expanding to %d runs, want 8 and 137",
+			len(r.Scenarios()), len(runs))
 	}
 	seen := make(map[string]bool, len(runs))
 	models := map[string]bool{}
 	modes := map[string]bool{}
-	engines := map[string]bool{}
 	for _, run := range runs {
 		k := run.Key()
 		if seen[k] {
@@ -33,7 +30,14 @@ func TestRegistrySelfCheck(t *testing.T) {
 		}
 		models[run.Axes.Model] = true
 		modes[run.Axes.Mode] = true
-		engines[run.Axes.Engine] = true
+		ahead, step, err := targets(run)
+		if err != nil {
+			t.Fatalf("run %s: %v", k, err)
+		}
+		if ahead.Interpret || !step.Interpret || ahead.Module == step.Module ||
+			ahead.Name != k || step.Name != k {
+			t.Errorf("run %s does not run both engines on its own modules", k)
+		}
 	}
 	for _, m := range []string{"reg", "mem", "branch", "addr", "skip", "double"} {
 		if !models[m] {
@@ -45,26 +49,18 @@ func TestRegistrySelfCheck(t *testing.T) {
 			t.Errorf("no run covers hardening mode %q", m)
 		}
 	}
-	for _, e := range []string{"compiled", "step"} {
-		if !engines[e] {
-			t.Errorf("no run covers engine %q", e)
-		}
-	}
 }
 
 // TestRegistryAxisRoundTrip pushes every expanded run through the
 // bundle encoder and back: keys, axes and seeds must survive exactly
-// (the bundle is the only artifact a resumed or diffed matrix sees).
+// (the bundle is the only artifact a diffed matrix sees).
 func TestRegistryAxisRoundTrip(t *testing.T) {
-	runs, err := DefaultRegistry().Expand(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := DefaultRegistry().Select(7, Filter{})
 	recs := make([]Record, len(runs))
 	for i, run := range runs {
 		recs[i] = Record{
 			Key: run.Key(), Scenario: run.Scenario.Name, Axes: run.Axes,
-			Seed: run.Seed, Outcome: OutcomePass, Attempts: 1,
+			Seed: run.Seed, Outcome: OutcomePass,
 		}
 	}
 	b := NewBundle(7, "", recs)
@@ -91,22 +87,21 @@ func TestRegistryAxisRoundTrip(t *testing.T) {
 		if r.Seed != run.Seed {
 			t.Errorf("run %s seed changed: %d -> %d", run.Key(), run.Seed, r.Seed)
 		}
-		if r.Key != run.Scenario.Name+":"+r.Axes.String() {
+		if r.Key != run.Scenario.Name+":"+r.Axes.String()+keyTail {
 			t.Errorf("run key %s does not round-trip through its axes", r.Key)
 		}
 	}
 }
 
 // TestRegistryValidation exercises the declaration-time checks: bad
-// metadata, unknown axis values, dead coverage and kind hygiene are
-// all registration errors.
+// metadata, unknown axis values and dead coverage are all registration
+// errors.
 func TestRegistryValidation(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{
-			Name: "t/valid", Desc: "d", Owner: "o", Contacts: []string{"c"},
-			Attrs: []string{"a"}, Timeout: 1e9,
-			Matrix: Matrix{Workloads: []string{"histogram"}, Modes: []string{"haft"}},
-			Kind:   KindFI, MaxSDCRuns: -1,
+			Name: "t/valid", Desc: "d", Attrs: []string{"a"},
+			Matrix:     Matrix{Workloads: []string{"histogram"}, Modes: []string{"haft"}},
+			MaxSDCRuns: -1,
 		}
 	}
 	cases := []struct {
@@ -114,21 +109,11 @@ func TestRegistryValidation(t *testing.T) {
 		mutate func(*Scenario)
 		want   string
 	}{
-		{"missing owner", func(s *Scenario) { s.Owner = "" }, "owner"},
-		{"missing contacts", func(s *Scenario) { s.Contacts = nil }, "contact"},
 		{"missing attrs", func(s *Scenario) { s.Attrs = nil }, "attribute"},
-		{"missing timeout", func(s *Scenario) { s.Timeout = 0 }, "timeout"},
 		{"unknown workload", func(s *Scenario) { s.Matrix.Workloads = []string{"nope"} }, "nope"},
 		{"unknown mode", func(s *Scenario) { s.Matrix.Modes = []string{"nope"} }, "nope"},
 		{"unknown model", func(s *Scenario) { s.Matrix.Models = []string{"nope"} }, "nope"},
 		{"unknown flow", func(s *Scenario) { s.Matrix.Flows = []string{"nope"} }, "nope"},
-		{"unknown engine", func(s *Scenario) { s.Matrix.Engines = []string{"nope"} }, "engine"},
-		{"chaos on fi", func(s *Scenario) { s.Matrix.Chaos = []string{"light"} }, "chaos"},
-		{"model on serve", func(s *Scenario) {
-			s.Kind = KindServe
-			s.Matrix.Workloads = []string{"kvserve"}
-			s.Matrix.Models = []string{"reg"}
-		}, "serving"},
 		// shadow2 is tmr-only: declared under ilr it survives in no run.
 		{"dead flow coverage", func(s *Scenario) {
 			s.Matrix.Modes = []string{"ilr"}
@@ -138,7 +123,7 @@ func TestRegistryValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewRegistry()
+			r := &Registry{}
 			s := base()
 			tc.mutate(s)
 			err := r.Register(s)
@@ -152,7 +137,7 @@ func TestRegistryValidation(t *testing.T) {
 	}
 
 	// Duplicate names are rejected.
-	r := NewRegistry()
+	r := &Registry{}
 	if err := r.Register(base()); err != nil {
 		t.Fatal(err)
 	}
@@ -165,22 +150,18 @@ func TestRegistryValidation(t *testing.T) {
 // expansion: shadow2 survives only under tmr, shadow only under
 // redundant modes.
 func TestFlowPruning(t *testing.T) {
-	r := NewRegistry()
+	r := &Registry{}
 	r.MustRegister(&Scenario{
-		Name: "t/flows", Desc: "d", Owner: "o", Contacts: []string{"c"},
-		Attrs: []string{"a"}, Timeout: 1e9,
+		Name: "t/flows", Desc: "d", Attrs: []string{"a"},
 		Matrix: Matrix{
 			Workloads: []string{"linearreg"},
 			Modes:     []string{"ilr", "haft", "tmr"},
 			Models:    []string{"reg"},
 			Flows:     []string{"master", "shadow", "shadow2"},
 		},
-		Kind: KindFI, MaxSDCRuns: -1,
+		MaxSDCRuns: -1,
 	})
-	runs, err := r.Expand(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs := r.Select(1, Filter{})
 	got := map[string]bool{}
 	for _, run := range runs {
 		got[run.Axes.Mode+"/"+run.Axes.Flow] = true
@@ -204,18 +185,12 @@ func TestFlowPruning(t *testing.T) {
 // only on (harness seed, run key) — not on filtering or position.
 func TestRunSeedStability(t *testing.T) {
 	r := DefaultRegistry()
-	all, err := r.Expand(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	all := r.Select(42, Filter{})
 	bySeed := make(map[string]uint64, len(all))
 	for _, run := range all {
 		bySeed[run.Key()] = run.Seed
 	}
-	smoke, err := r.Select(42, Filter{Attrs: []string{"smoke"}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	smoke := r.Select(42, Filter{Attrs: []string{"smoke"}})
 	if len(smoke) == 0 {
 		t.Fatal("smoke subset is empty")
 	}
@@ -225,10 +200,7 @@ func TestRunSeedStability(t *testing.T) {
 				run.Key(), run.Seed, bySeed[run.Key()])
 		}
 	}
-	other, err := r.Expand(43)
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := r.Select(43, Filter{})
 	if other[0].Seed == all[0].Seed {
 		t.Error("different harness seeds produced the same run seed")
 	}

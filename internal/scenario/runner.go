@@ -1,303 +1,60 @@
-// The sharded matrix runner: executes a selected, sharded slice of the
-// expanded run matrix across a worker pool of goroutines, with per-run
-// deadlines, panic isolation, retry-based flake classification, and
-// resumability through the same JSON-checkpoint protocol as the
-// campaign engine (a spec guard plus a next-index cursor; a resumed
-// matrix produces a canonically byte-identical bundle).
+// The matrix runner: executes the selected records across a pool of
+// goroutines. Every record is a pure function of its seed, so the
+// bundle does not depend on the worker count or the order of
+// completion.
 
 package scenario
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // Config parameterizes one matrix invocation.
 type Config struct {
-	// Filter selects scenarios (by name/attr) and runs (by axis).
+	// Filter selects scenarios by name and attribute.
 	Filter Filter
-	// Shard/NumShards select every NumShards-th run starting at Shard
-	// (0-based). NumShards 0 or 1 disables sharding.
-	Shard, NumShards int
 	// Seed is the harness seed every run seed derives from.
 	Seed int64
 	// Workers is the parallel fan-out (default GOMAXPROCS).
 	Workers int
-	// Retries is the number of re-executions after a failed attempt
-	// (default 1). A failure followed by a passing retry classifies the
-	// run as flaky; retries reuse the run's seed, so a deterministic
-	// failure can never be retried into a pass.
-	Retries int
-	// Injections overrides the per-run campaign budget (0: as
-	// declared by each scenario).
-	Injections int
-	// Timeout overrides every scenario's per-run deadline (0: as
-	// declared).
-	Timeout time.Duration
-	// Batch is the number of runs between checkpoints (default 8).
-	Batch int
-	// Limit, if positive, stops the invocation after the run with
-	// selection index Limit-1 (the interruption hook the resume tests
-	// use, mirroring the campaign engine's Injections truncation).
-	Limit int
-	// Resume continues from a previous invocation's checkpoint; the
-	// selection spec must match.
-	Resume *Checkpoint
-	// OnCheckpoint observes the matrix state after every batch (e.g.
-	// to persist it).
-	OnCheckpoint func(*Checkpoint)
-	// Progress, if set, receives one line per completed run.
+	// Progress, if set, receives one line per completed record.
 	Progress func(string)
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Retries < 0 {
-		c.Retries = 0
-	} else if c.Retries == 0 {
-		c.Retries = 1
-	}
-	if c.Batch <= 0 {
-		c.Batch = 8
-	}
-	if c.NumShards <= 0 {
-		c.NumShards = 1
-	}
-	return c
-}
-
-// Checkpoint is the resumable state of a matrix invocation, following
-// the campaign engine's protocol: a spec hash guards against resuming
-// under a different selection, NextIndex is the first shard-local run
-// not yet executed, and Records holds completed runs in execution
-// order.
-type Checkpoint struct {
-	SpecHash  uint64   `json:"spec_hash"`
-	Seed      int64    `json:"seed"`
-	Filter    string   `json:"filter"`
-	NextIndex int      `json:"next_index"`
-	Records   []Record `json:"records"`
-}
-
-// Encode serializes the checkpoint to JSON.
-func (c *Checkpoint) Encode() ([]byte, error) {
-	return json.MarshalIndent(c, "", " ")
-}
-
-// LoadCheckpoint restores a checkpoint serialized by Encode.
-func LoadCheckpoint(b []byte) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := json.Unmarshal(b, &c); err != nil {
-		return nil, fmt.Errorf("scenario: bad matrix checkpoint: %w", err)
-	}
-	return &c, nil
-}
-
-// specHash fingerprints the invocation's deterministic identity: the
-// ordered run keys and seeds of the shard plus the execution knobs
-// that shape results. Two invocations with equal hashes visit
-// identical runs with identical seeds.
-func specHash(runs []Run, cfg Config) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "seed=%d retries=%d injections=%d shard=%d/%d;",
-		cfg.Seed, cfg.Retries, cfg.Injections, cfg.Shard, cfg.NumShards)
-	for _, r := range runs {
-		fmt.Fprintf(h, "%s#%d;", r.Key(), r.Seed)
-	}
-	return h.Sum64()
-}
-
-// attemptResult is the outcome of one isolated attempt.
-type attemptResult struct {
-	body     *body
-	err      error
-	timedOut bool
-}
-
-// attempt executes one attempt of a run in a child goroutine with
-// panic isolation and the scenario's deadline armed. On timeout the
-// abandoned goroutine is left to finish against its instruction
-// budget; its result is discarded.
-func attempt(run Run, injections, attemptNo int, deadline time.Duration) attemptResult {
-	done := make(chan attemptResult, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				done <- attemptResult{err: fmt.Errorf("scenario: run panicked: %v", p)}
-			}
-		}()
-		b, err := execute(run, injections, attemptNo)
-		done <- attemptResult{body: b, err: err}
-	}()
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case res := <-done:
-		return res
-	case <-timer.C:
-		return attemptResult{timedOut: true}
-	}
-}
-
-// executeRun runs the attempt/retry loop for one matrix run and folds
-// the result into a Record.
-func executeRun(run Run, cfg Config) Record {
-	rec := Record{
-		Key:           run.Key(),
-		Scenario:      run.Scenario.Name,
-		Axes:          run.Axes,
-		Seed:          run.Seed,
-		Deterministic: run.Scenario.deterministic(),
-	}
-	injections := cfg.Injections
-	if injections <= 0 {
-		injections = run.Scenario.Injections
-	}
-	deadline := cfg.Timeout
-	if deadline <= 0 {
-		deadline = run.Scenario.Timeout
-	}
-	start := time.Now()
-	attempts := 1 + cfg.Retries
-	for a := 0; a < attempts; a++ {
-		rec.Attempts = a + 1
-		res := attempt(run, injections, a, deadline)
-		if res.timedOut {
-			rec.Outcome = OutcomeTimeout
-			rec.Err = fmt.Sprintf("run exceeded its %s deadline", deadline)
-			break
-		}
-		if res.body != nil {
-			rec.Runs = res.body.runs
-			rec.Counts = res.body.counts
-			rec.SDCRuns = res.body.sdcRuns
-			rec.CorrectedRuns = res.body.correctedRuns
-			rec.CorrectedFaults = res.body.correctedFaults
-			rec.Instrs = res.body.instrs
-			rec.Cycles = res.body.cycles
-		}
-		if res.err == nil {
-			if a == 0 {
-				rec.Outcome = OutcomePass
-			} else {
-				rec.Outcome = OutcomeFlaky
-			}
-			rec.Err = ""
-			break
-		}
-		if errors.Is(res.err, ErrSkip) {
-			rec.Outcome = OutcomeSkip
-			rec.Err = res.err.Error()
-			break
-		}
-		rec.Outcome = OutcomeFail
-		rec.Err = res.err.Error()
-	}
-	rec.DurationMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return rec
-}
-
-// SelectShard returns the invocation's shard-local run list in
-// execution order.
-func (r *Registry) SelectShard(cfg Config) ([]Run, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Shard < 0 || cfg.Shard >= cfg.NumShards {
-		return nil, fmt.Errorf("scenario: shard %d out of range 0..%d", cfg.Shard, cfg.NumShards-1)
-	}
-	selected, err := r.Select(cfg.Seed, cfg.Filter)
-	if err != nil {
-		return nil, err
-	}
-	var runs []Run
-	for _, run := range selected {
-		if run.Index%cfg.NumShards != cfg.Shard {
-			continue
-		}
-		run.Index = len(runs)
-		runs = append(runs, run)
-	}
-	return runs, nil
-}
-
-// Run executes the selected shard of the matrix and returns its
-// results bundle. See the file comment for the execution protocol.
+// Run executes the selected records and returns their results bundle.
 func (r *Registry) Run(cfg Config) (*Bundle, error) {
-	cfg = cfg.withDefaults()
-	runs, err := r.SelectShard(cfg)
-	if err != nil {
-		return nil, err
-	}
+	runs := r.Select(cfg.Seed, cfg.Filter)
 	if len(runs) == 0 {
 		return nil, fmt.Errorf("scenario: selection %q matches no runs", cfg.Filter.String())
 	}
-	spec := specHash(runs, cfg)
-
-	var records []Record
-	start := 0
-	if cfg.Resume != nil {
-		if cfg.Resume.SpecHash != spec {
-			return nil, fmt.Errorf("scenario: checkpoint spec does not match the invocation (different selection, seed, shard or knobs)")
-		}
-		records = append(records, cfg.Resume.Records...)
-		start = cfg.Resume.NextIndex
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	end := len(runs)
-	if cfg.Limit > 0 && cfg.Limit < end {
-		end = cfg.Limit
-	}
-
-	for next := start; next < end; {
-		batchEnd := next + cfg.Batch
-		if batchEnd > end {
-			batchEnd = end
-		}
-		batch := make([]Record, batchEnd-next)
-		var wg sync.WaitGroup
-		idx := make(chan int)
-		workers := cfg.Workers
-		if workers > len(batch) {
-			workers = len(batch)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					batch[i-next] = executeRun(runs[i], cfg)
+	records := make([]Record, len(runs))
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	for w := 0; w < min(workers, len(runs)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				records[i] = execute(runs[i])
+				if cfg.Progress != nil {
+					mu.Lock()
+					cfg.Progress(fmt.Sprintf("%-4s %s", records[i].Outcome, records[i].Key))
+					mu.Unlock()
 				}
-			}()
-		}
-		for i := next; i < batchEnd; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-
-		// Fold in index order: deterministic regardless of workers.
-		for _, rec := range batch {
-			records = append(records, rec)
-			if cfg.Progress != nil {
-				cfg.Progress(fmt.Sprintf("%-7s %s (%d attempt(s), %.0fms)",
-					rec.Outcome, rec.Key, rec.Attempts, rec.DurationMS))
 			}
-		}
-		next = batchEnd
-		if cfg.OnCheckpoint != nil {
-			cfg.OnCheckpoint(&Checkpoint{
-				SpecHash:  spec,
-				Seed:      cfg.Seed,
-				Filter:    cfg.Filter.String(),
-				NextIndex: next,
-				Records:   records,
-			})
-		}
+		}()
 	}
+	for i := range runs {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
 	return NewBundle(cfg.Seed, cfg.Filter.String(), records), nil
 }

@@ -2,311 +2,53 @@ package scenario
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 // fiTestRegistry declares one small real fault-injection scenario:
-// 6 runs (3 modes x 2 models), a few injections each — big enough to
-// span checkpoint batches, small enough to keep the suite fast.
+// 6 runs (3 modes x 2 models), a few injections each.
 func fiTestRegistry(t *testing.T) *Registry {
 	t.Helper()
-	r := NewRegistry()
+	r := &Registry{}
 	r.MustRegister(&Scenario{
-		Name: "t/fi", Desc: "resume fixture", Owner: "o", Contacts: []string{"c"},
-		Attrs: []string{"t"}, Timeout: time.Minute, Injections: 3,
+		Name: "t/fi", Desc: "worker fixture", Attrs: []string{"t"}, Injections: 3,
 		Matrix: Matrix{
 			Workloads: []string{"histogram"},
 			Modes:     []string{"native", "ilr", "haft"},
 			Models:    []string{"reg", "skip"},
 		},
-		Kind: KindFI, MaxSDCRuns: -1,
+		MaxSDCRuns: -1,
 	})
 	return r
 }
 
-// fixtureRegistry declares a fixture scenario running fn, expanded to
-// one run per listed workload name.
-func fixtureRegistry(t *testing.T, names []string, timeout time.Duration,
-	fn func(run Run, attempt int) error) *Registry {
+func encode(t *testing.T, b *Bundle) []byte {
 	t.Helper()
-	r := NewRegistry()
-	r.MustRegister(&Scenario{
-		Name: "t/fixture", Desc: "harness fixture", Owner: "o", Contacts: []string{"c"},
-		Attrs: []string{"t"}, Timeout: timeout,
-		Matrix:  Matrix{Workloads: names, Modes: []string{"native"}},
-		Kind:    KindFixture,
-		Fixture: fn, MaxSDCRuns: -1,
-	})
-	return r
-}
-
-func canonical(t *testing.T, b *Bundle) []byte {
-	t.Helper()
-	data, err := b.EncodeCanonical()
+	data, err := b.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return data
 }
 
-// TestRunnerResumeByteIdentical is the resumability contract: a matrix
-// interrupted at a checkpoint and resumed produces a bundle
-// byte-identical (canonically) to an uninterrupted run.
-func TestRunnerResumeByteIdentical(t *testing.T) {
-	r := fiTestRegistry(t)
-	cfg := Config{Seed: 5, Workers: 2, Batch: 2}
-
-	full, err := r.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := full.Summary.Runs; got != 6 {
-		t.Fatalf("full matrix ran %d runs, want 6", got)
-	}
-
-	// Interrupt mid-matrix: Limit stops the invocation after 3 of 6
-	// runs (mid-shard), checkpointing as it goes — the same truncation
-	// idiom the campaign engine's resume test uses.
-	var cp *Checkpoint
-	trunc := cfg
-	trunc.Limit = 3
-	trunc.OnCheckpoint = func(c *Checkpoint) { cp = c }
-	if _, err := r.Run(trunc); err != nil {
-		t.Fatal(err)
-	}
-	if cp == nil {
-		t.Fatal("no checkpoint observed")
-	}
-	if cp.NextIndex == 0 || cp.NextIndex >= 6 {
-		t.Fatalf("checkpoint cursor %d not mid-matrix", cp.NextIndex)
-	}
-
-	// Round-trip the checkpoint through its serialized form, as a real
-	// kill/restart would.
-	data, err := cp.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadCheckpoint(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	res := cfg
-	res.Resume = loaded
-	resumed, err := r.Run(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(canonical(t, full), canonical(t, resumed)) {
-		t.Error("resumed bundle differs from uninterrupted run")
-	}
-}
-
-// TestRunnerResumeSpecMismatch: a checkpoint from a different
-// selection/seed must be rejected, not silently merged.
-func TestRunnerResumeSpecMismatch(t *testing.T) {
-	r := fiTestRegistry(t)
-	var cp *Checkpoint
-	cfg := Config{Seed: 5, Batch: 2, Limit: 2, OnCheckpoint: func(c *Checkpoint) { cp = c }}
-	if _, err := r.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	bad := Config{Seed: 6, Batch: 2, Resume: cp}
-	if _, err := r.Run(bad); err == nil || !strings.Contains(err.Error(), "spec") {
-		t.Fatalf("resume under a different seed: got %v, want spec mismatch", err)
-	}
-}
-
 // TestRunnerWorkerIndependence: worker count must not change the
-// canonical bundle (fold-in-index-order determinism).
+// bundle.
 func TestRunnerWorkerIndependence(t *testing.T) {
 	r := fiTestRegistry(t)
 	one, err := r.Run(Config{Seed: 9, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := r.Run(Config{Seed: 9, Workers: 6, Batch: 3})
+	if got := one.Summary.ByOutcome["pass"]; got != 6 {
+		t.Fatalf("%d of 6 records passed: %v", got, one.Summary.Failed)
+	}
+	many, err := r.Run(Config{Seed: 9, Workers: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(canonical(t, one), canonical(t, many)) {
+	if !bytes.Equal(encode(t, one), encode(t, many)) {
 		t.Error("bundle depends on worker count")
-	}
-}
-
-// TestRunnerFlakeClassification is the flake contract: a run that
-// fails once and passes on retry is reported flaky, not failed — and
-// the record shows both attempts.
-func TestRunnerFlakeClassification(t *testing.T) {
-	var mu sync.Mutex
-	failedOnce := map[string]bool{}
-	r := fixtureRegistry(t, []string{"flaky", "solid"}, time.Minute,
-		func(run Run, attempt int) error {
-			if run.Axes.Workload != "flaky" {
-				return nil
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if !failedOnce[run.Key()] {
-				failedOnce[run.Key()] = true
-				return fmt.Errorf("simulated nondeterministic failure")
-			}
-			return nil
-		})
-	b, err := r.Run(Config{Seed: 1, Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byWorkload := map[string]Record{}
-	for _, rec := range b.Records {
-		byWorkload[rec.Axes.Workload] = rec
-	}
-	if rec := byWorkload["flaky"]; rec.Outcome != OutcomeFlaky || rec.Attempts != 2 {
-		t.Errorf("nondeterministic fixture: outcome %s after %d attempts, want flaky after 2",
-			rec.Outcome, rec.Attempts)
-	}
-	if rec := byWorkload["solid"]; rec.Outcome != OutcomePass || rec.Attempts != 1 {
-		t.Errorf("passing fixture: outcome %s after %d attempts, want pass after 1",
-			rec.Outcome, rec.Attempts)
-	}
-	if got := b.Summary.Flaky; len(got) != 1 {
-		t.Errorf("summary flake report %v, want exactly the flaky run", got)
-	}
-	if len(b.Summary.Failed) != 0 {
-		t.Errorf("summary failed report %v, want empty", b.Summary.Failed)
-	}
-}
-
-// TestRunnerDeterministicFailureNeverFlaky: retries reuse the run
-// seed, so a failure that is a function of the run (not of scheduling)
-// fails every attempt and classifies fail — never flaky, never pass.
-func TestRunnerDeterministicFailureNeverFlaky(t *testing.T) {
-	var mu sync.Mutex
-	attempts := map[string][]uint64{}
-	r := fixtureRegistry(t, []string{"broken"}, time.Minute,
-		func(run Run, attempt int) error {
-			mu.Lock()
-			attempts[run.Key()] = append(attempts[run.Key()], run.Seed)
-			mu.Unlock()
-			return fmt.Errorf("deterministic failure for seed %d", run.Seed)
-		})
-	b, err := r.Run(Config{Seed: 1, Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := b.Records[0]
-	if rec.Outcome != OutcomeFail {
-		t.Errorf("outcome %s, want fail", rec.Outcome)
-	}
-	if rec.Attempts != 3 {
-		t.Errorf("attempts %d, want 3 (1 + 2 retries)", rec.Attempts)
-	}
-	seeds := attempts[rec.Key]
-	if len(seeds) != 3 {
-		t.Fatalf("fixture saw %d attempts, want 3", len(seeds))
-	}
-	for _, s := range seeds {
-		if s != seeds[0] {
-			t.Errorf("retry changed the run seed (%v): a deterministic failure could flip to pass", seeds)
-		}
-	}
-	if len(b.Summary.Failed) != 1 {
-		t.Errorf("summary failed %v, want the broken run", b.Summary.Failed)
-	}
-}
-
-// TestRunnerSkipAndPanic: ErrSkip classifies skip (no retries burned);
-// a panicking run is isolated and classified fail, not a crashed
-// harness.
-func TestRunnerSkipAndPanic(t *testing.T) {
-	r := fixtureRegistry(t, []string{"skipped", "panics"}, time.Minute,
-		func(run Run, attempt int) error {
-			switch run.Axes.Workload {
-			case "skipped":
-				return fmt.Errorf("%w: empty population", ErrSkip)
-			default:
-				panic("executor exploded")
-			}
-		})
-	b, err := r.Run(Config{Seed: 1, Retries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byWorkload := map[string]Record{}
-	for _, rec := range b.Records {
-		byWorkload[rec.Axes.Workload] = rec
-	}
-	if rec := byWorkload["skipped"]; rec.Outcome != OutcomeSkip || rec.Attempts != 1 {
-		t.Errorf("skip fixture: outcome %s after %d attempts, want skip after 1",
-			rec.Outcome, rec.Attempts)
-	}
-	if rec := byWorkload["panics"]; rec.Outcome != OutcomeFail ||
-		!strings.Contains(rec.Err, "panicked") {
-		t.Errorf("panicking fixture: outcome %s err %q, want fail mentioning the panic",
-			rec.Outcome, rec.Err)
-	}
-}
-
-// TestRunnerTimeout: a run exceeding its scenario deadline classifies
-// timeout and is not retried.
-func TestRunnerTimeout(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
-	r := fixtureRegistry(t, []string{"slow"}, 30*time.Millisecond,
-		func(run Run, attempt int) error {
-			mu.Lock()
-			calls++
-			mu.Unlock()
-			time.Sleep(2 * time.Second)
-			return nil
-		})
-	b, err := r.Run(Config{Seed: 1, Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := b.Records[0]
-	if rec.Outcome != OutcomeTimeout {
-		t.Errorf("outcome %s, want timeout", rec.Outcome)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if calls != 1 {
-		t.Errorf("timed-out run executed %d times, want 1 (timeouts are not retried)", calls)
-	}
-}
-
-// TestRunnerShardMergeEqualsFull: running the shards of a matrix
-// separately and merging their bundles reproduces the unsharded
-// bundle byte-for-byte.
-func TestRunnerShardMergeEqualsFull(t *testing.T) {
-	r := fiTestRegistry(t)
-	full, err := r.Run(Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var shards []*Bundle
-	for i := 0; i < 3; i++ {
-		b, err := r.Run(Config{Seed: 3, Shard: i, NumShards: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, b)
-	}
-	merged, err := Merge(shards...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(canonical(t, full), canonical(t, merged)) {
-		t.Error("merged shard bundles differ from the unsharded run")
-	}
-	if _, err := Merge(shards[0], shards[0]); err == nil {
-		t.Error("merging overlapping shards succeeded, want duplicate-key error")
 	}
 }
 
@@ -314,23 +56,22 @@ func TestRunnerShardMergeEqualsFull(t *testing.T) {
 // observed counts (the bundle pins what happened, not just that it
 // failed).
 func TestRunnerGateRecordsBody(t *testing.T) {
-	r := NewRegistry()
+	r := &Registry{}
 	// Native histogram under reg faults sees SDC; MaxSDCRuns 0 turns
 	// that into a gate failure with the campaign body attached.
 	r.MustRegister(&Scenario{
-		Name: "t/gate", Desc: "gate fixture", Owner: "o", Contacts: []string{"c"},
-		Attrs: []string{"t"}, Timeout: time.Minute, Injections: 30,
+		Name: "t/gate", Desc: "gate fixture", Attrs: []string{"t"}, Injections: 30,
 		Matrix: Matrix{Workloads: []string{"histogram"}, Modes: []string{"native"},
 			Models: []string{"reg"}},
-		Kind: KindFI, MaxSDCRuns: 0,
+		MaxSDCRuns: 0,
 	})
-	b, err := r.Run(Config{Seed: 2, Retries: 0})
+	b, err := r.Run(Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := b.Records[0]
 	if rec.Outcome != OutcomeFail {
-		t.Skipf("native run under 30 reg faults saw no SDC at this seed (outcome %s)", rec.Outcome)
+		t.Fatalf("native run under 30 reg faults saw no SDC at this seed (outcome %s): the gate is untested", rec.Outcome)
 	}
 	if rec.Runs == 0 || len(rec.Counts) == 0 || rec.SDCRuns == 0 {
 		t.Errorf("gate failure lost its body: runs=%d counts=%v sdc=%d",
@@ -338,14 +79,5 @@ func TestRunnerGateRecordsBody(t *testing.T) {
 	}
 	if !strings.Contains(rec.Err, "gate") {
 		t.Errorf("gate failure err %q does not mention the gate", rec.Err)
-	}
-}
-
-// TestRunnerErrSkipIsError sanity-checks the ErrSkip wrapping idiom
-// used by executors.
-func TestRunnerErrSkipIsError(t *testing.T) {
-	err := fmt.Errorf("%w: empty population", ErrSkip)
-	if !errors.Is(err, ErrSkip) {
-		t.Fatal("wrapped ErrSkip not recognized")
 	}
 }
