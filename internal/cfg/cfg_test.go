@@ -145,7 +145,7 @@ exit:
 		t.Fatalf("loops = %d, want 1", len(loops))
 	}
 	l := loops[0]
-	latch := f.BlockIndex("latch")
+	latch := blockIndex(f, "latch")
 	if len(l.Latches) != 1 || l.Latches[0] != latch {
 		t.Fatalf("latches = %v", l.Latches)
 	}
@@ -170,7 +170,7 @@ dead:
 	}
 	f := m.Func("f")
 	g := New(f)
-	if g.Reachable(f.BlockIndex("dead")) {
+	if g.Reachable(blockIndex(f, "dead")) {
 		t.Error("dead block reported reachable")
 	}
 	// Loops over unreachable code should not panic; dead's back edge is
@@ -269,4 +269,14 @@ join:
 	if err := VerifySSA(m.Funcs[0]); err == nil {
 		t.Fatal("VerifySSA accepted a phi edge without availability")
 	}
+}
+
+// blockIndex returns the index of f's block called name, or -1.
+func blockIndex(f *ir.Func, name string) int {
+	for i, b := range f.Blocks {
+		if b.Name == name {
+			return i
+		}
+	}
+	return -1
 }

@@ -97,13 +97,3 @@ func VerifySSA(f *ir.Func) error {
 	}
 	return nil
 }
-
-// VerifySSAModule applies VerifySSA to every function.
-func VerifySSAModule(m *ir.Module) error {
-	for _, f := range m.Funcs {
-		if err := VerifySSA(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -23,16 +23,11 @@ type ChaosConfig struct {
 	RebuildDelay time.Duration
 	// Rolling keeps kills safe: a node is only killed when every shard
 	// it serves retains a read quorum among the remaining healthy
-	// replicas (default true via DefaultChaos; set by value here).
+	// replicas.
 	Rolling bool
 }
 
 func (cc ChaosConfig) active() bool { return cc.KillInterval > 0 }
-
-// DefaultChaos returns a rolling kill-every-interval profile.
-func DefaultChaos(interval time.Duration) ChaosConfig {
-	return ChaosConfig{KillInterval: interval, RebuildDelay: 200 * time.Millisecond, Rolling: true}
-}
 
 // chaosDriver kills and rebuilds nodes on a jittered interval.
 type chaosDriver struct {

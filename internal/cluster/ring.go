@@ -130,12 +130,6 @@ func (r *Ring) walk(h uint64) []int {
 // NumShards returns the shard count.
 func (r *Ring) NumShards() int { return r.shards }
 
-// NumNodes returns the node count.
-func (r *Ring) NumNodes() int { return len(r.nodeIDs) }
-
-// NodeID returns the id of node n.
-func (r *Ring) NodeID(n int) string { return r.nodeIDs[n] }
-
 // ShardOf maps a key to its shard.
 func (r *Ring) ShardOf(key uint64) int {
 	return int(obs.SplitMix64(key) % uint64(r.shards))

@@ -159,11 +159,12 @@ func TestClusterTraceForensicsEndToEnd(t *testing.T) {
 		t.Fatalf("scrape: %v", err)
 	}
 
-	tid, err := obs.ParseHexWord(mask.Trace)
-	if err != nil {
-		t.Fatalf("bad trace id %q: %v", mask.Trace, err)
+	var spans []obs.ClusterEvent
+	for _, ev := range trace.Events {
+		if ev.Trace == mask.Trace {
+			spans = append(spans, ev)
+		}
 	}
-	spans := trace.TraceEvents(tid)
 	nodes := map[string]bool{}
 	kinds := map[string]bool{}
 	for _, ev := range spans {

@@ -179,10 +179,7 @@ func ReducedConfig() Config {
 // vote, so induction variables cannot diverge silently); only the
 // branch-majority cascade rides the ladder.
 func tmrOptions(o OptLevel) tmr.Options {
-	return tmr.Options{
-		ControlFlow: o >= OptControlFlow,
-		Peephole:    true,
-	}
+	return tmr.Options{ControlFlow: o >= OptControlFlow}
 }
 
 // ilrOptions maps an OptLevel onto the ILR pass switches.
@@ -191,7 +188,6 @@ func ilrOptions(o OptLevel) ilr.Options {
 		SharedMem:   o >= OptSharedMem,
 		ControlFlow: o >= OptControlFlow,
 		FaultProp:   o >= OptFaultProp,
-		Peephole:    true,
 	}
 }
 
@@ -202,7 +198,6 @@ func txOptions(c Config) tx.Options {
 		LocalCalls:  c.Opt >= OptLocalCalls,
 		LockElision: c.LockElision,
 		Blacklist:   c.Blacklist,
-		Peephole:    true,
 	}
 }
 

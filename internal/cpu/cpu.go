@@ -142,10 +142,8 @@ func (s *Sched) AdvanceTo(cycle uint64) {
 	}
 }
 
-// Idle returns the cycles this core spent blocked.
-func (s *Sched) Idle() uint64 { return s.idle }
-
-// Busy returns the cycles this core spent executing (Now - Idle).
+// Busy returns the cycles this core spent executing (Now minus the
+// cycles it spent blocked).
 func (s *Sched) Busy() uint64 { return s.cycle - s.idle }
 
 // Issue schedules one instruction whose operands become available at

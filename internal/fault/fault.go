@@ -156,9 +156,6 @@ type SiteStats struct {
 	Counts [numOutcomes]int
 }
 
-// SDCs returns the number of silent corruptions at the site.
-func (s *SiteStats) SDCs() int { return s.Counts[OutcomeSDC] }
-
 // Campaign runs n single-fault register-flip injections against the
 // target and classifies each outcome, fanning the independent runs
 // out across CPU cores — the role the paper's 25-machine cluster

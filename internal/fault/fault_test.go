@@ -198,7 +198,7 @@ func TestSiteProfileRecorded(t *testing.T) {
 	// sites.
 	vulnerable := 0
 	for _, s := range r.Sites {
-		if s.SDCs() > 0 {
+		if s.Counts[OutcomeSDC] > 0 {
 			vulnerable++
 		}
 	}

@@ -619,12 +619,5 @@ func (s *System) spontaneous(core int) {
 	}
 }
 
-// WriteSetSize returns the number of lines in core's write set
-// (diagnostics and tests).
-func (s *System) WriteSetSize(core int) int { return s.cores[core].writeSet.len() }
-
-// ReadSetSize returns the number of lines in core's read set.
-func (s *System) ReadSetSize(core int) int { return s.cores[core].readSet.len() }
-
 // Draws returns the position of the spontaneous-abort stream.
 func (s *System) Draws() uint64 { return s.draws }

@@ -139,7 +139,7 @@ func TestWriteCapacityAbort(t *testing.T) {
 		s.Write(0, uint64(0x1000+i*8), 1, uint64(10+i)) // two lines total
 	}
 	if s.Doomed(0) != CauseNone {
-		t.Fatalf("line-granularity write set aborted early: %d lines", s.WriteSetSize(0))
+		t.Fatalf("line-granularity write set aborted early: %d lines", s.cores[0].writeSet.len())
 	}
 }
 

@@ -313,8 +313,8 @@ func runModelScript(t *testing.T, name string, ncores int, cfg Config) (grown, o
 					t.Fatalf("%s: burst write %d buffered %v, model %v", what, i, g, w)
 				}
 			}
-			grown = grown || sys.WriteSetSize(core) > tableMinSlots/2
-			over = over || sys.WriteSetSize(core) > 2*cfg.WriteSetLines
+			grown = grown || sys.cores[core].writeSet.len() > tableMinSlots/2
+			over = over || sys.cores[core].writeSet.len() > 2*cfg.WriteSetLines
 		case op < 84 && sys.InTx(core):
 			got := map[uint64]uint64{}
 			gc, gok := sys.Commit(core, cycle, func(a, v uint64) { got[a] = v })
@@ -347,9 +347,9 @@ func runModelScript(t *testing.T, name string, ncores int, cfg Config) (grown, o
 			if sys.InTx(c) != mt.active || sys.Doomed(c) != mt.doomed {
 				t.Fatalf("%s: core %d active %v doomed %v, model %v %v", what, c, sys.InTx(c), sys.Doomed(c), mt.active, mt.doomed)
 			}
-			if mt.active && (sys.ReadSetSize(c) != len(mt.readSet) || sys.WriteSetSize(c) != len(mt.writeSet)) {
+			if mt.active && (sys.cores[c].readSet.len() != len(mt.readSet) || sys.cores[c].writeSet.len() != len(mt.writeSet)) {
 				t.Fatalf("%s: core %d holds %d read and %d written lines, model %d and %d",
-					what, c, sys.ReadSetSize(c), sys.WriteSetSize(c), len(mt.readSet), len(mt.writeSet))
+					what, c, sys.cores[c].readSet.len(), sys.cores[c].writeSet.len(), len(mt.readSet), len(mt.writeSet))
 			}
 		}
 		if !reflect.DeepEqual(sys.Stats, ref.stats) || sys.Draws() != ref.draws {

@@ -39,15 +39,11 @@ type Options struct {
 	// FaultProp enables fault-propagation checks on loop induction
 	// variables.
 	FaultProp bool
-	// Peephole removes checks that immediately follow the creation of
-	// a shadow copy (enabled by default in the paper's implementation;
-	// kept switchable for ablation).
-	Peephole bool
 }
 
 // AllOptions returns the fully optimized configuration.
 func AllOptions() Options {
-	return Options{SharedMem: true, ControlFlow: true, FaultProp: true, Peephole: true}
+	return Options{SharedMem: true, ControlFlow: true, FaultProp: true}
 }
 
 // Apply transforms every protected function of m in place.
@@ -195,9 +191,10 @@ func (t *transformer) emitCheck(o ir.Operand, extra ir.InstrFlags) {
 	if o.IsConst {
 		return
 	}
-	if t.opts.Peephole && t.lastShadowCopyOf == o.Reg && extra&ir.FlagFaultProp == 0 {
-		// The shadow copy was created by the previous instruction; the
-		// two registers cannot have diverged yet.
+	if t.lastShadowCopyOf == o.Reg && extra&ir.FlagFaultProp == 0 {
+		// Peephole (on in the paper's implementation): the shadow copy
+		// was created by the previous instruction, so the two registers
+		// cannot have diverged yet.
 		return
 	}
 	pred := ir.PredNE

@@ -43,11 +43,6 @@ type ReduceOptions struct {
 	Coalesce bool
 }
 
-// AllReduceOptions returns the fully enabled reduction suite.
-func AllReduceOptions() ReduceOptions {
-	return ReduceOptions{CopyProp: true, RedundantChecks: true, Coalesce: true}
-}
-
 // ReduceStats reports what the reduction passes did.
 type ReduceStats struct {
 	// CopiesPropagated counts operand uses rewritten to the copy

@@ -397,7 +397,7 @@ entry:
 }
 `)
 	m.Func("f").Attrs.Unprotected = true
-	if st := Reduce(m, AllReduceOptions()); st.Total() != 0 {
+	if st := Reduce(m, ReduceOptions{CopyProp: true, RedundantChecks: true, Coalesce: true}); st.Total() != 0 {
 		t.Fatalf("reduced an unprotected function: %+v", st)
 	}
 }

@@ -91,9 +91,6 @@ func (fb *FuncBuilder) emit(op Op, args ...Operand) ValueID {
 	return res
 }
 
-// Mov emits res = a.
-func (fb *FuncBuilder) Mov(a Operand) ValueID { return fb.emit(OpMov, a) }
-
 // Add emits integer addition.
 func (fb *FuncBuilder) Add(a, b Operand) ValueID { return fb.emit(OpAdd, a, b) }
 
@@ -124,17 +121,11 @@ func (fb *FuncBuilder) Shl(a, b Operand) ValueID { return fb.emit(OpShl, a, b) }
 // Shr emits a logical right shift.
 func (fb *FuncBuilder) Shr(a, b Operand) ValueID { return fb.emit(OpShr, a, b) }
 
-// Sar emits an arithmetic right shift.
-func (fb *FuncBuilder) Sar(a, b Operand) ValueID { return fb.emit(OpSar, a, b) }
-
 // Not emits bitwise complement.
 func (fb *FuncBuilder) Not(a Operand) ValueID { return fb.emit(OpNot, a) }
 
 // FAdd emits float addition.
 func (fb *FuncBuilder) FAdd(a, b Operand) ValueID { return fb.emit(OpFAdd, a, b) }
-
-// FSub emits float subtraction.
-func (fb *FuncBuilder) FSub(a, b Operand) ValueID { return fb.emit(OpFSub, a, b) }
 
 // FMul emits float multiplication.
 func (fb *FuncBuilder) FMul(a, b Operand) ValueID { return fb.emit(OpFMul, a, b) }
@@ -150,9 +141,6 @@ func (fb *FuncBuilder) FExp(a Operand) ValueID { return fb.emit(OpFExp, a) }
 
 // FLog emits natural log.
 func (fb *FuncBuilder) FLog(a Operand) ValueID { return fb.emit(OpFLog, a) }
-
-// FAbs emits float absolute value.
-func (fb *FuncBuilder) FAbs(a Operand) ValueID { return fb.emit(OpFAbs, a) }
 
 // SIToFP converts a signed integer to float.
 func (fb *FuncBuilder) SIToFP(a Operand) ValueID { return fb.emit(OpSIToFP, a) }
@@ -258,9 +246,4 @@ func (fb *FuncBuilder) Ret(vals ...Operand) {
 		panic("ir: ret takes at most one value")
 	}
 	fb.Append(Instr{Op: OpRet, Res: NoValue, Args: vals})
-}
-
-// Trap emits an abnormal-termination terminator.
-func (fb *FuncBuilder) Trap() {
-	fb.Append(Instr{Op: OpTrap, Res: NoValue})
 }

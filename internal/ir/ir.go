@@ -107,9 +107,6 @@ type Instr struct {
 	Line int32
 }
 
-// NArgs returns the number of operands.
-func (in *Instr) NArgs() int { return len(in.Args) }
-
 // HasFlag reports whether all bits of f are set.
 func (in *Instr) HasFlag(f InstrFlags) bool { return in.Flags&f == f }
 
@@ -204,16 +201,6 @@ func (f *Func) Clone() *Func {
 		nf.Blocks[i] = b.Clone()
 	}
 	return nf
-}
-
-// BlockIndex returns the index of the named block, or -1.
-func (f *Func) BlockIndex(name string) int {
-	for i, b := range f.Blocks {
-		if b.Name == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // NumInstrs returns the static instruction count of the function.

@@ -1,7 +1,6 @@
 package ir
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -196,25 +195,9 @@ func TestLayoutAlignment(t *testing.T) {
 	}
 }
 
-func TestPredInvert(t *testing.T) {
-	all := []Pred{PredEQ, PredNE, PredLT, PredLE, PredGT, PredGE, PredULT, PredUGE,
-		PredFEQ, PredFNE, PredFLT, PredFLE, PredFGT, PredFGE}
-	for _, p := range all {
-		if p.Invert().Invert() != p {
-			t.Errorf("Invert not an involution for %v", p)
-		}
-		if p.Invert() == p {
-			t.Errorf("Invert(%v) == %v", p, p)
-		}
-	}
-}
-
 func TestOpClassification(t *testing.T) {
 	if !OpBr.IsTerminator() || OpAdd.IsTerminator() {
 		t.Error("IsTerminator wrong")
-	}
-	if !OpALoad.IsAtomic() || OpLoad.IsAtomic() {
-		t.Error("IsAtomic wrong")
 	}
 	if OpLoad.Replicable() || !OpAdd.Replicable() || OpCall.Replicable() {
 		t.Error("Replicable wrong")
@@ -230,14 +213,5 @@ func TestOpClassification(t *testing.T) {
 			t.Errorf("op %d has bad/duplicate name %q", op, s)
 		}
 		seen[s] = true
-	}
-}
-
-func TestFormatValue(t *testing.T) {
-	if got := FormatValue(42); !strings.Contains(got, "42") {
-		t.Errorf("FormatValue(42) = %q", got)
-	}
-	if got := FormatValue(ConstFloat(1.5).Const); !strings.Contains(got, "1.5") {
-		t.Errorf("FormatValue(1.5 bits) = %q", got)
 	}
 }

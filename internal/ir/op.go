@@ -118,41 +118,6 @@ const (
 	PredFGE             // float >=
 )
 
-// Invert returns the predicate testing the negated condition.
-func (p Pred) Invert() Pred {
-	switch p {
-	case PredEQ:
-		return PredNE
-	case PredNE:
-		return PredEQ
-	case PredLT:
-		return PredGE
-	case PredLE:
-		return PredGT
-	case PredGT:
-		return PredLE
-	case PredGE:
-		return PredLT
-	case PredULT:
-		return PredUGE
-	case PredUGE:
-		return PredULT
-	case PredFEQ:
-		return PredFNE
-	case PredFNE:
-		return PredFEQ
-	case PredFLT:
-		return PredFGE
-	case PredFLE:
-		return PredFGT
-	case PredFGT:
-		return PredFLE
-	case PredFGE:
-		return PredFLT
-	}
-	return p
-}
-
 var opNames = [...]string{
 	OpInvalid:   "invalid",
 	OpMov:       "mov",
@@ -238,34 +203,10 @@ func (op Op) IsTerminator() bool {
 	return false
 }
 
-// HasResult reports whether the operation defines a register.
-func (op Op) HasResult() bool {
-	switch op {
-	case OpStore, OpAStore, OpOut, OpBr, OpJmp, OpRet, OpTrap, OpInvalid:
-		return false
-	case OpCall, OpCallInd:
-		// Calls may or may not produce a value; the instruction's Res
-		// field decides. Report true so generic code consults Res.
-		return true
-	}
-	return true
-}
-
 // IsMemory reports whether the operation reads or writes memory.
 func (op Op) IsMemory() bool {
 	switch op {
 	case OpLoad, OpStore, OpALoad, OpAStore, OpARMW:
-		return true
-	}
-	return false
-}
-
-// IsAtomic reports whether the operation is an atomic memory access.
-// Under the release-consistency model assumed by HAFT these are the
-// only instructions that may touch racy shared state.
-func (op Op) IsAtomic() bool {
-	switch op {
-	case OpALoad, OpAStore, OpARMW:
 		return true
 	}
 	return false

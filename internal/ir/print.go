@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -118,14 +117,4 @@ func formatInstr(f *Func, in *Instr) string {
 		sb.WriteString(" !" + strings.Join(fl, ",")) //nolint
 	}
 	return sb.String()
-}
-
-// FormatValue renders a 64-bit word both as an integer and, when it
-// looks like a plausible float, as a float64. Used by diagnostics.
-func FormatValue(v uint64) string {
-	fv := math.Float64frombits(v)
-	if !math.IsNaN(fv) && !math.IsInf(fv, 0) && math.Abs(fv) > 1e-300 && math.Abs(fv) < 1e300 {
-		return fmt.Sprintf("%d (%.6g)", int64(v), fv)
-	}
-	return fmt.Sprintf("%d", int64(v))
 }

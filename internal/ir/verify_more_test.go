@@ -147,7 +147,7 @@ func TestBuilderPanics(t *testing.T) {
 		NewFuncBuilder("f", 1).Param(3)
 	})
 	expectPanic("append without block", func() {
-		NewFuncBuilder("f", 0).Mov(ConstInt(1))
+		NewFuncBuilder("f", 0).Add(ConstInt(1), ConstInt(2))
 	})
 	expectPanic("ret with two values", func() {
 		fb := NewFuncBuilder("f", 0)

@@ -4,8 +4,8 @@ package lang
 // are executed by the reference AST interpreter and by the compiled IR
 // on the machine simulator — natively, optimized, and HAFT-hardened —
 // and all outputs must agree exactly. The code generator is under test,
-// not the dispatch, so the runs take run-ahead turns (engine_fuzz_test.go
-// holds stepwise dispatch to it on the same generator).
+// not the dispatch, so the runs take run-ahead turns (the program fuzzer
+// in fuzz_pipeline_test.go holds stepwise dispatch to them).
 
 import (
 	"fmt"
@@ -189,7 +189,7 @@ func TestDifferentialCompilerVsInterpreter(t *testing.T) {
 			// The oracle rejected the program (e.g. a division by zero
 			// the guard missed): the compiled run must not silently
 			// produce output either — it must crash the same way. The
-			// budget is fuzzCheck's: a program the oracle's step limit
+			// budget is fuzzRun's: a program the oracle's step limit
 			// rejected must not burn the default 500M instructions.
 			cfg := vmQuiet()
 			cfg.MaxDynInstrs = 10_000_000

@@ -1,24 +1,32 @@
 package lang
 
-// Pipeline fuzzer for the check-reduction suite: random source
-// programs are executed natively and under every combination of the
-// four overhead-reduction toggles (TX-aware relaxation, copy
-// propagation, redundant-check elimination, check coalescing), in both
-// ILR and full-HAFT modes plus the voting TMR backend, with and
-// without the scalar pre-pass. Every
-// variant must produce byte-identical output — or fail in the same way
-// when the reference interpreter rejects the program (e.g. division by
-// zero).
+// The program fuzzer: random source programs are compiled once, run by
+// the AST interpreter (the oracle) and natively, and then hardened and
+// run under every combination of the four overhead-reduction toggles
+// (TX-aware relaxation, copy propagation, redundant-check elimination,
+// check coalescing), in both ILR and full-HAFT modes plus the voting
+// TMR backend, with and without the scalar pre-pass. Every variant must
+// produce the oracle's output — or fail too when the oracle rejects the
+// program (e.g. division by zero).
 //
-// Failures are shrunk by a line-oriented delta minimizer and stored in
-// testdata/fuzz/, which TestFuzzCorpusReplay replays on every run so a
-// once-found counterexample stays fixed forever.
+// The engine variants (native code, plain ILR, full HAFT with and
+// without every reduction, TMR) also run with stepwise turns (vm.New)
+// next to run-ahead turns (vm.NewFromProgram), and the two runs must be
+// bit-identical in status, output and run statistics. Both engines
+// share one lowering, which the oracle holds to account. The generator
+// produces control flow (nested loops, guarded division, dead branches)
+// no fixture author would think to write.
+//
+// The first failure is shrunk by a line-oriented delta minimizer and
+// stored in testdata/fuzz/, which TestFuzzCorpusReplay replays on
+// every run so a once-found counterexample stays fixed forever.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,9 +68,11 @@ func tmrConfig(optimize bool) core.Config {
 }
 
 // fuzzVariant names one hardening configuration of the matrix.
+// stepwise adds a stepwise-turn twin of its run-ahead run.
 type fuzzVariant struct {
-	name string
-	cfg  core.Config
+	name     string
+	cfg      core.Config
+	stepwise bool
 }
 
 // fuzzVariants is the full toggle matrix: every mask for full HAFT,
@@ -73,25 +83,24 @@ func fuzzVariants() []fuzzVariant {
 	var vs []fuzzVariant
 	for mask := 0; mask < 16; mask++ {
 		vs = append(vs, fuzzVariant{
-			fmt.Sprintf("haft/m%02d", mask),
-			reductionConfig(core.ModeHAFT, mask, false),
+			name: fmt.Sprintf("haft/m%02d", mask),
+			cfg:  reductionConfig(core.ModeHAFT, mask, false),
 		})
 	}
 	// RelaxTX needs transactions; in ILR mode only the other three
 	// toggles are meaningful.
 	for mask := 0; mask < 16; mask += 2 {
 		vs = append(vs, fuzzVariant{
-			fmt.Sprintf("ilr/m%02d", mask),
-			reductionConfig(core.ModeILR, mask, false),
+			name: fmt.Sprintf("ilr/m%02d", mask),
+			cfg:  reductionConfig(core.ModeILR, mask, false),
 		})
 	}
-	vs = append(vs,
-		fuzzVariant{"haft/O+all", reductionConfig(core.ModeHAFT, 15, true)},
-		fuzzVariant{"ilr/O+all", reductionConfig(core.ModeILR, 14, true)},
-		fuzzVariant{"tmr", tmrConfig(false)},
-		fuzzVariant{"tmr/O", tmrConfig(true)},
+	return append(vs,
+		fuzzVariant{name: "haft/O+all", cfg: reductionConfig(core.ModeHAFT, 15, true)},
+		fuzzVariant{name: "ilr/O+all", cfg: reductionConfig(core.ModeILR, 14, true)},
+		fuzzVariant{name: "tmr", cfg: tmrConfig(false)},
+		fuzzVariant{name: "tmr/O", cfg: tmrConfig(true)},
 	)
-	return vs
 }
 
 // variantsForSeed spreads the matrix across the seed stream: each
@@ -104,30 +113,96 @@ func variantsForSeed(seed int) []fuzzVariant {
 	hm := seed % 16
 	im := (seed % 8) * 2
 	vs := []fuzzVariant{
-		{fmt.Sprintf("haft/m%02d", hm), reductionConfig(core.ModeHAFT, hm, false)},
-		{fmt.Sprintf("ilr/m%02d", im), reductionConfig(core.ModeILR, im, false)},
-		{"haft/m15", reductionConfig(core.ModeHAFT, 15, false)},
-		{"tmr", tmrConfig(false)},
+		{name: fmt.Sprintf("haft/m%02d", hm), cfg: reductionConfig(core.ModeHAFT, hm, false)},
+		{name: fmt.Sprintf("ilr/m%02d", im), cfg: reductionConfig(core.ModeILR, im, false)},
+		{name: "haft/m15", cfg: reductionConfig(core.ModeHAFT, 15, false)},
+		{name: "tmr", cfg: tmrConfig(false)},
 	}
 	if seed%8 == 0 {
 		vs = append(vs,
-			fuzzVariant{"haft/O+all", reductionConfig(core.ModeHAFT, 15, true)},
-			fuzzVariant{"ilr/O+all", reductionConfig(core.ModeILR, 14, true)},
-			fuzzVariant{"tmr/O", tmrConfig(true)},
+			fuzzVariant{name: "haft/O+all", cfg: reductionConfig(core.ModeHAFT, 15, true)},
+			fuzzVariant{name: "ilr/O+all", cfg: reductionConfig(core.ModeILR, 14, true)},
+			fuzzVariant{name: "tmr/O", cfg: tmrConfig(true)},
 		)
 	}
 	return vs
 }
 
-// errNotAProgram marks sources the front end rejects — uninteresting
-// to the minimizer, fatal to the generator tests.
+// engineVariants are the lowering shapes the engine differential runs
+// stepwise too: native code (no replicas), plain ILR (master/shadow
+// pairs and the inline tx.check path), full HAFT with every reduction
+// pass (long coalesced runs crossing transaction boundaries), and TMR
+// (triple runs and tmr.vote).
+func engineVariants() []fuzzVariant {
+	return []fuzzVariant{
+		{name: "native", cfg: core.Config{Mode: core.ModeNative}, stepwise: true},
+		{name: "ilr/m00", cfg: reductionConfig(core.ModeILR, 0, false), stepwise: true},
+		{name: "ilr/m14", cfg: reductionConfig(core.ModeILR, 14, false), stepwise: true},
+		{name: "haft/m00", cfg: reductionConfig(core.ModeHAFT, 0, false), stepwise: true},
+		{name: "haft/m15", cfg: reductionConfig(core.ModeHAFT, 15, false), stepwise: true},
+		{name: "tmr", cfg: tmrConfig(false), stepwise: true},
+	}
+}
+
+// withEngine merges the engine variants into vs: each distinct name
+// appears once, and stepwise twins are added to the engine variants.
+func withEngine(vs []fuzzVariant) []fuzzVariant {
+	return dedupVariants(append(engineVariants(), vs...))
+}
+
+// dedupVariants keeps the first variant of each name, marking it
+// stepwise when any variant of that name is.
+func dedupVariants(vs []fuzzVariant) []fuzzVariant {
+	at := map[string]int{}
+	var out []fuzzVariant
+	for _, v := range vs {
+		if i, ok := at[v.name]; ok {
+			out[i].stepwise = out[i].stepwise || v.stepwise
+			continue
+		}
+		at[v.name] = len(out)
+		out = append(out, v)
+	}
+	return out
+}
+
+// errNotAProgram marks sources the parser or the compiler rejects —
+// uninteresting to the minimizer, fatal to the generator tests.
 type errNotAProgram struct{ err error }
 
 func (e errNotAProgram) Error() string { return "not a program: " + e.err.Error() }
 
-// fuzzCheck runs one source through the whole differential matrix and
-// returns a description of the first divergence.
-func fuzzCheck(src string, variants []fuzzVariant) error {
+// fuzzOutcome is what one run of a variant exposes.
+type fuzzOutcome struct {
+	status vm.Status
+	out    []uint64
+	stats  vm.RunStats
+}
+
+// fuzzRun runs mod's main on one thread, stepwise or run-ahead.
+// Generated programs terminate within thousands of instructions; the
+// tight budget makes the deterministic infinite loops the generator
+// can produce (loop counters reassigned in the body) fail fast instead
+// of burning the default 500M-instruction budget per variant. The
+// oracle's own step limit rejects the same programs, so crash
+// behaviour stays aligned.
+func fuzzRun(mod *ir.Module, stepwise bool) fuzzOutcome {
+	cfg := vmQuiet()
+	cfg.MaxDynInstrs = 10_000_000
+	var mach *vm.Machine
+	if stepwise {
+		mach = vm.New(mod, 1, cfg)
+	} else {
+		mach = vm.NewFromProgram(vm.Compile(mod), 1, cfg)
+	}
+	mach.Run(vm.ThreadSpec{Func: "main"})
+	return fuzzOutcome{mach.Status(), mach.Output(), mach.Stats()}
+}
+
+// fuzzCheck runs one source through the oracle, natively and through
+// every variant, and returns a description of the first divergence.
+// The native run is the "native" variant when vs holds one.
+func fuzzCheck(src string, vs []fuzzVariant) error {
 	prog, err := ParseProgram(src)
 	if err != nil {
 		return errNotAProgram{err}
@@ -135,70 +210,46 @@ func fuzzCheck(src string, variants []fuzzVariant) error {
 	oracle, ierr := Interp(prog)
 	m, err := CompileProgram(prog)
 	if err != nil {
-		return fmt.Errorf("compile: %w", err)
+		return errNotAProgram{err}
 	}
-	runOne := func(mod *ir.Module) (out []uint64, ok bool) {
-		cfg := vmQuiet()
-		// Generated programs terminate within thousands of instructions;
-		// the tight budget makes the deterministic infinite loops the
-		// generator can produce (loop counters reassigned in the body)
-		// fail fast instead of burning the default 500M-instruction
-		// budget per variant. The reference interpreter's own step limit
-		// rejects the same programs, so crash behavior stays aligned.
-		cfg.MaxDynInstrs = 10_000_000
-		// Outputs are what this matrix compares, so it runs ahead;
-		// engineCheck is what holds stepwise dispatch to it.
-		mach := vm.NewFromProgram(vm.Compile(mod), 1, cfg)
-		mach.Run(vm.ThreadSpec{Func: "main"})
-		return mach.Output(), mach.Status() == vm.StatusOK
+	if m.Func("main") == nil {
+		return errNotAProgram{fmt.Errorf("no main function")}
 	}
-	native, nativeOK := runOne(m.Clone())
-	if ierr != nil {
-		// The oracle rejected the program: no variant may silently
-		// succeed (same-crash-behavior requirement).
-		if nativeOK {
-			return fmt.Errorf("oracle failed (%v) but native run succeeded", ierr)
-		}
-	} else {
-		if !nativeOK {
-			return fmt.Errorf("native run failed where the oracle succeeded")
-		}
-		if !outputsEqual(native, oracle) {
-			return fmt.Errorf("native output %v, oracle %v", native, oracle)
-		}
+	if vs[0].name != "native" {
+		vs = append([]fuzzVariant{{name: "native", cfg: core.Config{Mode: core.ModeNative}}}, vs...)
 	}
-	for _, v := range variants {
-		hm, _, err := core.HardenWithStats(m, v.cfg)
-		if err != nil {
+	for _, v := range vs {
+		var mod *ir.Module
+		if v.cfg.Mode == core.ModeNative {
+			mod = m.Clone()
+		} else if mod, _, err = core.HardenWithStats(m, v.cfg); err != nil {
 			return fmt.Errorf("%s: harden: %w", v.name, err)
 		}
-		out, ok := runOne(hm)
-		if ierr != nil {
-			if ok {
-				return fmt.Errorf("%s: oracle failed (%v) but hardened run succeeded", v.name, ierr)
+		got := fuzzRun(mod, false)
+		if v.stepwise {
+			step := fuzzRun(mod, true)
+			switch {
+			case got.status != step.status:
+				return fmt.Errorf("%s: run-ahead status %v, stepwise %v", v.name, got.status, step.status)
+			case !slices.Equal(got.out, step.out):
+				return fmt.Errorf("%s: run-ahead output %v, stepwise %v", v.name, got.out, step.out)
+			case got.stats != step.stats:
+				return fmt.Errorf("%s: run-ahead stats %+v, stepwise %+v", v.name, got.stats, step.stats)
 			}
-			continue
 		}
-		if !ok {
-			return fmt.Errorf("%s: hardened run failed on a correct program", v.name)
-		}
-		if !outputsEqual(out, native) {
-			return fmt.Errorf("%s: output %v, native %v", v.name, out, native)
+		ok := got.status == vm.StatusOK
+		switch {
+		case ierr != nil && ok:
+			// The oracle rejected the program: no variant may silently
+			// succeed.
+			return fmt.Errorf("%s: oracle failed (%v) but the run succeeded", v.name, ierr)
+		case ierr == nil && !ok:
+			return fmt.Errorf("%s: %v (%s) on a program the oracle runs", v.name, got.status, got.stats.CrashReason)
+		case ierr == nil && !slices.Equal(got.out, oracle):
+			return fmt.Errorf("%s: output %v, oracle %v", v.name, got.out, oracle)
 		}
 	}
 	return nil
-}
-
-func outputsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // minimizeFailure shrinks a failing source with chunked line removal:
@@ -237,49 +288,55 @@ func minimizeFailure(src string, variants []fuzzVariant) string {
 
 const fuzzCorpusDir = "testdata/fuzz"
 
-// TestFuzzReductionPipeline generates at least 500 random programs
-// (HAFT_FUZZ_SECONDS switches to a time budget for the nightly job)
-// and differentially tests each across the toggle matrix with per-pass
-// verification enabled. The first failure is minimized and saved to
-// the corpus.
-func TestFuzzReductionPipeline(t *testing.T) {
+// verifyEachPass turns on per-pass IR verification for the rest of t.
+func verifyEachPass(t *testing.T) {
 	oldCore, oldOpt := core.VerifyEachPass, opt.VerifyEachPass
 	core.VerifyEachPass, opt.VerifyEachPass = true, true
-	defer func() { core.VerifyEachPass, opt.VerifyEachPass = oldCore, oldOpt }()
+	t.Cleanup(func() { core.VerifyEachPass, opt.VerifyEachPass = oldCore, oldOpt })
+}
 
+// TestFuzzReductionPipeline generates 520 random programs
+// (HAFT_FUZZ_SECONDS switches to a time budget for the nightly job)
+// and checks each across its share of the toggle matrix with per-pass
+// verification on; the first 300 also run the engine variants stepwise
+// (every program does under HAFT_FUZZ_SECONDS). The lowest failing
+// seed is minimized and saved to the corpus.
+func TestFuzzReductionPipeline(t *testing.T) {
+	verifyEachPass(t)
 	var deadline time.Time
-	seeds := 520
+	seeds, engineSeeds := 520, 300
 	if s := os.Getenv("HAFT_FUZZ_SECONDS"); s != "" {
 		sec, err := strconv.Atoi(s)
 		if err != nil {
 			t.Fatalf("bad HAFT_FUZZ_SECONDS: %v", err)
 		}
 		deadline = time.Now().Add(time.Duration(sec) * time.Second)
-		seeds = 1 << 30
+		seeds, engineSeeds = 1<<30, 1<<30
 	} else if testing.Short() {
-		seeds = 80
+		seeds, engineSeeds = 80, 60
 	}
-	// Seed space disjoint from TestDifferentialCompilerVsInterpreter so
-	// the two suites explore different programs.
+	variants := func(seed int) []fuzzVariant {
+		if seed < engineSeeds {
+			return withEngine(variantsForSeed(seed))
+		}
+		return dedupVariants(variantsForSeed(seed))
+	}
 	var (
-		mu       sync.Mutex
-		checked  int
-		failSeed = -1
-		failErr  error
-		next     int64 = -1
+		mu            sync.Mutex
+		checked       int
+		engineChecked int
+		failSeed      = -1
+		failErr       error
+		next          int64 = -1
 	)
-	workers := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				seed := int(atomic.AddInt64(&next, 1))
-				if seed >= seeds {
-					return
-				}
-				if !deadline.IsZero() && time.Now().After(deadline) {
+				if seed >= seeds || (!deadline.IsZero() && time.Now().After(deadline)) {
 					return
 				}
 				mu.Lock()
@@ -288,11 +345,13 @@ func TestFuzzReductionPipeline(t *testing.T) {
 				if stop {
 					return
 				}
-				src := generate(int64(1_000_000 + seed))
-				err := fuzzCheck(src, variantsForSeed(seed))
+				err := fuzzCheck(generate(int64(1_000_000+seed)), variants(seed))
 				mu.Lock()
 				if err == nil {
 					checked++
+					if seed < engineSeeds {
+						engineChecked++
+					}
 				} else if failSeed < 0 || seed < failSeed {
 					// Keep the lowest failing seed for determinism.
 					failSeed, failErr = seed, err
@@ -303,12 +362,11 @@ func TestFuzzReductionPipeline(t *testing.T) {
 	}
 	wg.Wait()
 	if failSeed >= 0 {
-		variants := variantsForSeed(failSeed)
 		src := generate(int64(1_000_000 + failSeed))
 		if _, notProg := failErr.(errNotAProgram); notProg {
-			t.Fatalf("seed %d: generator produced an unparsable program: %v\n%s", failSeed, failErr, src)
+			t.Fatalf("seed %d: generator produced a program the front end rejects: %v\n%s", failSeed, failErr, src)
 		}
-		min := minimizeFailure(src, variants)
+		min := minimizeFailure(src, variants(failSeed))
 		if mkErr := os.MkdirAll(fuzzCorpusDir, 0o755); mkErr != nil {
 			t.Fatalf("corpus dir: %v", mkErr)
 		}
@@ -318,11 +376,14 @@ func TestFuzzReductionPipeline(t *testing.T) {
 		}
 		t.Fatalf("seed %d: %v\nminimized counterexample saved to %s:\n%s", failSeed, failErr, path, min)
 	}
-	t.Logf("fuzzed %d programs across the pipeline toggle matrix, all outputs identical", checked)
+	t.Logf("fuzzed %d programs across the pipeline toggle matrix (%d also stepwise vs run-ahead): all runs agree",
+		checked, engineChecked)
 }
 
 // TestFuzzCorpusReplay re-runs every stored counterexample (and the
-// hand-written regression programs) through the full matrix.
+// hand-written regression programs) through the full matrix, engine
+// variants stepwise too: programs that once broke a reduction pass are
+// the shapes most likely to stress the dispatch.
 func TestFuzzCorpusReplay(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(fuzzCorpusDir, "*.hc"))
 	if err != nil {
@@ -331,10 +392,8 @@ func TestFuzzCorpusReplay(t *testing.T) {
 	if len(files) == 0 {
 		t.Fatalf("fuzz corpus %s is empty — the seed regressions are missing", fuzzCorpusDir)
 	}
-	oldCore, oldOpt := core.VerifyEachPass, opt.VerifyEachPass
-	core.VerifyEachPass, opt.VerifyEachPass = true, true
-	defer func() { core.VerifyEachPass, opt.VerifyEachPass = oldCore, oldOpt }()
-	variants := fuzzVariants()
+	verifyEachPass(t)
+	variants := withEngine(fuzzVariants())
 	for _, fp := range files {
 		src, err := os.ReadFile(fp)
 		if err != nil {

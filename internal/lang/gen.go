@@ -18,15 +18,6 @@ func Compile(src string) (*ir.Module, error) {
 	return CompileProgram(prog)
 }
 
-// MustCompile is Compile that panics on error.
-func MustCompile(src string) *ir.Module {
-	m, err := Compile(src)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // builtinArity maps builtin names to their argument counts.
 var builtinArity = map[string]int{
 	"out": 1, "thread_id": 0, "thread_count": 0, "barrier": 2,

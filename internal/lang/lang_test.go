@@ -20,16 +20,30 @@ func vmQuiet() vm.Config {
 	return cfg
 }
 
-func run(t *testing.T, src string, threads int) *vm.Machine {
+// compileSSA compiles src and checks full SSA dominance on the result.
+func compileSSA(t *testing.T, src string) *ir.Module {
 	t.Helper()
 	m, err := Compile(src)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if err := cfg.VerifySSAModule(m); err != nil {
-		t.Fatalf("ssa: %v", err)
+	checkSSA(t, m)
+	return m
+}
+
+// checkSSA fails t unless every use in m is dominated by its definition.
+func checkSSA(t *testing.T, m *ir.Module) {
+	t.Helper()
+	for _, f := range m.Funcs {
+		if err := cfg.VerifySSA(f); err != nil {
+			t.Fatalf("ssa: %v", err)
+		}
 	}
-	mach := vm.New(m, threads, vmQuiet())
+}
+
+func run(t *testing.T, src string, threads int) *vm.Machine {
+	t.Helper()
+	mach := vm.New(compileSSA(t, src), threads, vmQuiet())
 	specs := make([]vm.ThreadSpec, threads)
 	for i := range specs {
 		specs[i] = vm.ThreadSpec{Func: "main"}
@@ -241,9 +255,7 @@ func main() {
 	}
 	for _, mode := range []core.Mode{core.ModeILR, core.ModeHAFT} {
 		h := core.MustHarden(m, core.Config{Mode: mode, Opt: core.OptFaultProp, TxThreshold: 500})
-		if err := cfg.VerifySSAModule(h); err != nil {
-			t.Fatalf("%v ssa: %v", mode, err)
-		}
+		checkSSA(t, h)
 		mach := vm.New(h, 1, vmQuiet())
 		mach.Run(vm.ThreadSpec{Func: "main"})
 		if mach.Status() != vm.StatusOK || mach.Output()[0] != nat.Output()[0] {
@@ -253,7 +265,7 @@ func main() {
 }
 
 func TestAttrsPropagate(t *testing.T) {
-	m := MustCompile(`
+	m := compileSSA(t, `
 func lib() unprotected { return 1; }
 func helper() local { return 2; }
 func handle(x) handler { return x; }
@@ -299,7 +311,7 @@ func TestCompileErrors(t *testing.T) {
 }
 
 func TestGeneratedIRIsParsable(t *testing.T) {
-	m := MustCompile(`
+	m := compileSSA(t, `
 global g[8];
 func main() {
   var i = 0;
@@ -326,13 +338,7 @@ func TestPortedBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := Compile(string(src))
-			if err != nil {
-				t.Fatalf("compile: %v", err)
-			}
-			if err := cfg.VerifySSAModule(m); err != nil {
-				t.Fatalf("ssa: %v", err)
-			}
+			m := compileSSA(t, string(src))
 			runM := func(mod *ir.Module, threads int) []uint64 {
 				mach := vm.New(mod.Clone(), threads, vmQuiet())
 				specs := make([]vm.ThreadSpec, threads)

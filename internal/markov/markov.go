@@ -25,9 +25,6 @@ const (
 	NumStates
 )
 
-// StateNames labels the model states.
-var StateNames = [NumStates]string{"correct", "corrupted", "crashed", "HAFT-correctable"}
-
 // CTMC is a dense continuous-time Markov chain given by its generator
 // matrix Q (rows sum to zero, off-diagonals non-negative).
 type CTMC struct {
@@ -72,13 +69,6 @@ func (c *CTMC) Validate() error {
 	return nil
 }
 
-// Transient returns the state distribution at time t starting from p0:
-// π(t) = p0 · exp(Qt).
-func (c *CTMC) Transient(p0 []float64, t float64) []float64 {
-	e := expm(scale(c.Q, t))
-	return vecMat(p0, e)
-}
-
 // Occupancy returns the expected fraction of [0,t] spent in each
 // state: (1/t)·∫₀ᵗ π(s) ds. It uses the standard augmentation
 //
@@ -113,45 +103,6 @@ func (c *CTMC) Occupancy(p0 []float64, t float64) []float64 {
 		}
 	}
 	return out
-}
-
-// Stationary returns the long-run distribution by power iteration on
-// the uniformized transition matrix.
-func (c *CTMC) Stationary() []float64 {
-	lambda := 0.0
-	for i := 0; i < c.N; i++ {
-		if r := -c.Q[i][i]; r > lambda {
-			lambda = r
-		}
-	}
-	if lambda == 0 {
-		p := make([]float64, c.N)
-		p[0] = 1
-		return p
-	}
-	lambda *= 1.05
-	// P = I + Q/lambda
-	p := make([]float64, c.N)
-	p[0] = 1
-	next := make([]float64, c.N)
-	for iter := 0; iter < 200000; iter++ {
-		for j := 0; j < c.N; j++ {
-			s := p[j] // I
-			for i := 0; i < c.N; i++ {
-				s += p[i] * c.Q[i][j] / lambda
-			}
-			next[j] = s
-		}
-		delta := 0.0
-		for j := range p {
-			delta += math.Abs(next[j] - p[j])
-		}
-		p, next = next, p
-		if delta < 1e-13 {
-			break
-		}
-	}
-	return p
 }
 
 // --- dense matrix helpers (n is tiny: 4 or 8) ---

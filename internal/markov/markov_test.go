@@ -54,24 +54,6 @@ func TestExpmIdentityAndNilpotent(t *testing.T) {
 	}
 }
 
-func TestTransientConvergesToStationary(t *testing.T) {
-	// Two-state chain: 0 <-> 1 with rates 2 and 3; stationary = (0.6, 0.4).
-	c := NewCTMC(2)
-	c.SetRate(0, 1, 2)
-	c.SetRate(1, 0, 3)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	pi := c.Transient([]float64{1, 0}, 100)
-	if math.Abs(pi[0]-0.6) > 1e-6 || math.Abs(pi[1]-0.4) > 1e-6 {
-		t.Fatalf("transient(100) = %v, want (0.6,0.4)", pi)
-	}
-	st := c.Stationary()
-	if math.Abs(st[0]-0.6) > 1e-6 {
-		t.Fatalf("stationary = %v", st)
-	}
-}
-
 func TestOccupancySumsToOne(t *testing.T) {
 	p := haftParams(0.5)
 	c, err := p.Build()

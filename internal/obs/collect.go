@@ -225,19 +225,6 @@ func DecodeClusterTrace(data []byte) (ClusterTrace, error) {
 	return t, nil
 }
 
-// TraceEvents returns the events carrying the given trace id, in
-// merged-timeline order.
-func (t ClusterTrace) TraceEvents(tid uint64) []ClusterEvent {
-	want := hexWord(tid)
-	var out []ClusterEvent
-	for _, ev := range t.Events {
-		if ev.Trace != "" && ev.Trace == want {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
 // LinkReport summarizes cross-node causal linkage: how many distinct
 // trace ids the trace holds and how many of them were observed on at
 // least two different nodes (i.e. the router span and a node span are

@@ -107,7 +107,12 @@ func TestCollectorAlignsAndLinksAcrossNodes(t *testing.T) {
 			t.Fatalf("events out of aligned order at %d", i)
 		}
 	}
-	spans := trace.TraceEvents(tid)
+	var spans []ClusterEvent
+	for _, ev := range trace.Events {
+		if ev.Trace == hexWord(tid) {
+			spans = append(spans, ev)
+		}
+	}
 	if len(spans) != 3 {
 		t.Fatalf("trace %#x spans: got %d, want 3", tid, len(spans))
 	}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"strconv"
 )
 
@@ -56,41 +55,6 @@ func ToRecord(ev Event) EventRecord {
 	}
 }
 
-// FromRecord is the inverse of ToRecord.
-func FromRecord(r EventRecord) (Event, error) {
-	k, ok := KindFromString(r.Kind)
-	if !ok {
-		return Event{}, fmt.Errorf("obs: unknown event kind %q", r.Kind)
-	}
-	dom := DomainVM
-	if r.Domain == "wall" {
-		dom = DomainWall
-	}
-	a, err := ParseHexWord(r.A)
-	if err != nil {
-		return Event{}, fmt.Errorf("obs: event %d field a: %v", r.Seq, err)
-	}
-	b, err := ParseHexWord(r.B)
-	if err != nil {
-		return Event{}, fmt.Errorf("obs: event %d field b: %v", r.Seq, err)
-	}
-	tid, err := ParseHexWord(r.Trace)
-	if err != nil {
-		return Event{}, fmt.Errorf("obs: event %d field trace: %v", r.Seq, err)
-	}
-	return Event{
-		Seq:     r.Seq,
-		Kind:    k,
-		Domain:  dom,
-		Actor:   r.Actor,
-		Time:    r.Time,
-		A:       a,
-		B:       b,
-		Label:   r.Label,
-		TraceID: tid,
-	}, nil
-}
-
 // ToRecords maps ToRecord over a snapshot.
 func ToRecords(evs []Event) []EventRecord {
 	out := make([]EventRecord, len(evs))
@@ -98,17 +62,4 @@ func ToRecords(evs []Event) []EventRecord {
 		out[i] = ToRecord(ev)
 	}
 	return out
-}
-
-// FromRecords maps FromRecord over a decoded slice.
-func FromRecords(rs []EventRecord) ([]Event, error) {
-	out := make([]Event, len(rs))
-	for i, r := range rs {
-		ev, err := FromRecord(r)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ev
-	}
-	return out, nil
 }

@@ -78,13 +78,32 @@ func (b *FlightBundle) Encode() []byte {
 	return append(data, '\n')
 }
 
-// DecodeFlightBundle parses a bundle produced by Encode.
+// DecodeFlightBundle parses a bundle produced by Encode. An empty
+// list or map decodes as absent, the way Encode writes it, so a
+// decoded bundle survives Encode and decode unchanged.
 func DecodeFlightBundle(data []byte) (*FlightBundle, error) {
 	var b FlightBundle
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, err
 	}
+	b.Traces = nilIfEmpty(b.Traces)
+	b.RequestIDs = nilIfEmpty(b.RequestIDs)
+	b.Requests = nilIfEmpty(b.Requests)
+	b.Replies = nilIfEmpty(b.Replies)
+	b.Expected = nilIfEmpty(b.Expected)
+	b.Faults = nilIfEmpty(b.Faults)
+	b.Window = nilIfEmpty(b.Window)
+	if len(b.HardenFlags) == 0 {
+		b.HardenFlags = nil
+	}
 	return &b, nil
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // LoadFlightBundle reads and parses a bundle file.

@@ -118,17 +118,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString is the inverse of Kind.String; ok is false for
-// unknown names.
-func KindFromString(s string) (Kind, bool) {
-	for k, n := range kindNames {
-		if n == s {
-			return Kind(k), true
-		}
-	}
-	return 0, false
-}
-
 // Domain says which clock an event's Time belongs to.
 type Domain uint8
 

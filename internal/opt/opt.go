@@ -118,24 +118,12 @@ func optimizeFunc(m *ir.Module, f *ir.Func) Stats {
 	return st
 }
 
-// constVal resolves an operand to a constant if possible, consulting
-// the fold map of values already known constant.
-type constMap map[ir.ValueID]uint64
-
-func (cm constMap) resolve(o ir.Operand) (uint64, bool) {
-	if o.IsConst {
-		return o.Const, true
-	}
-	v, ok := cm[o.Reg]
-	return v, ok
-}
-
 // foldConstants evaluates instructions whose operands are all constant
 // and propagates the results into later operands. Division and
 // remainder by a constant zero are NOT folded: they must keep their
 // runtime trap behavior.
 func foldConstants(f *ir.Func) int {
-	known := constMap{}
+	known := map[ir.ValueID]uint64{} // values already folded to constants
 	changed := 0
 	for _, b := range f.Blocks {
 		for i := range b.Instrs {

@@ -83,7 +83,7 @@ no:
 		t.Fatalf("branch not simplified: %+v\n%s", st, m.Func("main"))
 	}
 	f := m.Func("main")
-	if f.BlockIndex("no") >= 0 {
+	if blockIndex(f, "no") >= 0 {
 		t.Errorf("unreachable block survived:\n%s", f)
 	}
 	mach := vm.New(m, 1, vmQuiet())
@@ -283,4 +283,14 @@ good:
 	if mach.Status() != vm.StatusOK {
 		t.Fatalf("status=%v", mach.Status())
 	}
+}
+
+// blockIndex returns the index of f's block called name, or -1.
+func blockIndex(f *ir.Func, name string) int {
+	for i, b := range f.Blocks {
+		if b.Name == name {
+			return i
+		}
+	}
+	return -1
 }

@@ -38,7 +38,6 @@ func Apply(m *ir.Module) int {
 		}
 		nf := ilr.TransformFunc(f, ilr.Options{
 			SharedMem: true, // duplicate loads: the handler's second execution
-			Peephole:  true,
 		})
 		appendCRC(nf)
 		signMessages(nf)

@@ -40,14 +40,11 @@ type Options struct {
 	// branch once on the master copy (cheaper, but a fault in the
 	// branch unit itself then goes uncorrected).
 	ControlFlow bool
-	// Peephole removes votes whose replica triples were created by the
-	// immediately preceding replica copies and so cannot have diverged.
-	Peephole bool
 }
 
 // AllOptions returns the fully protected configuration.
 func AllOptions() Options {
-	return Options{ControlFlow: true, Peephole: true}
+	return Options{ControlFlow: true}
 }
 
 // Apply transforms every protected function of m in place.
@@ -58,12 +55,6 @@ func Apply(m *ir.Module, opts Options) {
 		}
 		m.Funcs[i] = transformFunc(f, opts)
 	}
-}
-
-// TransformFunc rewrites a single function with the triplicated flow
-// and votes; the original is not modified.
-func TransformFunc(f *ir.Func, opts Options) *ir.Func {
-	return transformFunc(f, opts)
 }
 
 func transformFunc(f *ir.Func, opts Options) *ir.Func {
@@ -171,9 +162,9 @@ func (t *transformer) emitVote(o ir.Operand) {
 	if o.IsConst {
 		return
 	}
-	if t.opts.Peephole && t.lastReplicated == o.Reg {
-		// The replica copies were emitted immediately before; the three
-		// registers cannot have diverged yet.
+	if t.lastReplicated == o.Reg {
+		// Peephole: the replica copies were emitted immediately before,
+		// so the three registers cannot have diverged yet.
 		return
 	}
 	t.emit(ir.Instr{

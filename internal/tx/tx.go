@@ -49,14 +49,12 @@ type Options struct {
 	// called even if marked local (the developer-provided list of
 	// §3.3).
 	Blacklist map[string]bool
-	// Peephole removes begin/end pairs with nothing between them.
-	Peephole bool
 }
 
 // DefaultOptions returns the configuration used for the headline
 // results: threshold 1000, all optimizations on.
 func DefaultOptions() Options {
-	return Options{Threshold: 1000, LocalCalls: true, LockElision: false, Peephole: true}
+	return Options{Threshold: 1000, LocalCalls: true, LockElision: false}
 }
 
 // Apply transforms every protected function of m in place.
@@ -243,9 +241,7 @@ func transformFunc(m *ir.Module, f *ir.Func, opts Options) *ir.Func {
 		}
 		nf.Blocks = append(nf.Blocks, nb)
 	}
-	if opts.Peephole {
-		peephole(nf)
-	}
+	peephole(nf) // drop begin/end pairs with nothing between them
 	return nf
 }
 

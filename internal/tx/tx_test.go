@@ -35,7 +35,7 @@ end:
 
 func TestFigure2Transactification(t *testing.T) {
 	m := ir.MustParse(loopSrc)
-	Apply(m, Options{Threshold: 100, Peephole: true})
+	Apply(m, Options{Threshold: 100})
 	if err := ir.Verify(m); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestFigure2Transactification(t *testing.T) {
 	// The counter increment must be at the latch, before the back edge,
 	// and equal the loop body length (phi+split+inc+add+cmp+br as
 	// emitted: the longest path from header to latch).
-	loop := f.Blocks[f.BlockIndex("loop")]
+	loop := f.Blocks[blockIndex(f, "loop")]
 	var incArg int64 = -1
 	for i := range loop.Instrs {
 		in := &loop.Instrs[i]
@@ -84,7 +84,7 @@ func TestSemanticPreservation(t *testing.T) {
 	}
 	for _, thr := range []int64{50, 250, 1000, 5000} {
 		h := m.Clone()
-		Apply(h, Options{Threshold: thr, LocalCalls: true, Peephole: true})
+		Apply(h, Options{Threshold: thr, LocalCalls: true})
 		gotMem, st := run(h)
 		if st != vm.StatusOK {
 			t.Fatalf("thr=%d: status %v", thr, st)
@@ -126,25 +126,19 @@ entry:
 }
 `
 	m := ir.MustParse(src)
-	noPH := DefaultOptions()
-	noPH.Peephole = false
-	Apply(m, noPH)
+	Apply(m, DefaultOptions())
 	text := m.Func("main").String()
-	// Expect: tx.begin (entry), tx.end before malloc, tx.begin after,
-	// tx.end before ret.
-	if got := strings.Count(text, "tx.end"); got != 2 {
-		t.Errorf("tx.end count = %d, want 2:\n%s", got, text)
+	// The malloc call ends the entry transaction, which the peephole
+	// drops because it is empty; a new one begins after the call and
+	// ends before ret.
+	if got := strings.Count(text, "tx.end"); got != 1 {
+		t.Errorf("tx.end count = %d, want 1:\n%s", got, text)
 	}
-	if got := strings.Count(text, "tx.begin"); got != 2 {
-		t.Errorf("tx.begin count = %d, want 2:\n%s", got, text)
+	if got := strings.Count(text, "tx.begin"); got != 1 {
+		t.Errorf("tx.begin count = %d, want 1:\n%s", got, text)
 	}
-	// With the peephole, the empty transaction before the leading
-	// malloc call disappears.
-	m2 := ir.MustParse(src)
-	Apply(m2, DefaultOptions())
-	text2 := m2.Func("main").String()
-	if got := strings.Count(text2, "tx.begin"); got != 1 {
-		t.Errorf("peepholed tx.begin count = %d, want 1:\n%s", got, text2)
+	if !strings.Contains(text, "call @malloc #64\n  call @tx.begin") {
+		t.Errorf("no transaction begins after the external call:\n%s", text)
 	}
 	mach := vm.New(m, 1, vmQuiet())
 	if st := mach.Run(vm.ThreadSpec{Func: "main"}); st != vm.StatusOK {
@@ -161,26 +155,29 @@ entry:
 }
 func main(0) {
 entry:
-  v0 = call @tiny #1
-  v1 = call @tiny v0
-  out v1
+  v2 = add #1, #2
+  v0 = call @tiny v2
+  v3 = add v0, #3
+  v1 = call @tiny v3
+  v4 = add v1, #4
+  out v4
   ret
 }
 `
 	withOpt := ir.MustParse(src)
-	Apply(withOpt, Options{Threshold: 1000, LocalCalls: true, Peephole: true})
+	Apply(withOpt, Options{Threshold: 1000, LocalCalls: true})
 	withoutOpt := ir.MustParse(src)
-	Apply(withoutOpt, Options{Threshold: 1000, LocalCalls: false, Peephole: false})
+	Apply(withoutOpt, Options{Threshold: 1000, LocalCalls: false})
 
-	// With the optimization (and peephole), the transaction spans both
-	// tiny calls and ends only once, before the out; without it, every
-	// call gets boundaries.
+	// With the optimization, the transaction spans both tiny calls and
+	// ends only once, before the out; without it, every call ends the
+	// transaction around it.
 	wText := withOpt.Func("main").String()
 	woText := withoutOpt.Func("main").String()
 	if strings.Count(wText, "tx.end") != 1 {
 		t.Errorf("local-call optimized main has extra boundaries:\n%s", wText)
 	}
-	if strings.Count(woText, "tx.end") != 4 { // both tiny calls + out + ret
+	if strings.Count(woText, "tx.end") != 3 { // both tiny calls + out
 		t.Errorf("conservative main should end tx around each call:\n%s", woText)
 	}
 	if !strings.Contains(wText, "tx.counter_inc") {
@@ -200,8 +197,8 @@ entry:
 		if st := mach.Run(vm.ThreadSpec{Func: "main"}); st != vm.StatusOK {
 			t.Fatalf("run: %v", st)
 		}
-		if mach.Output()[0] != 3 {
-			t.Fatalf("output = %v, want [3]", mach.Output())
+		if mach.Output()[0] != 12 {
+			t.Fatalf("output = %v, want [12]", mach.Output())
 		}
 	}
 }
@@ -272,8 +269,8 @@ entry:
 }
 
 func TestPeepholeRemovesEmptyTransactions(t *testing.T) {
-	// Two adjacent external calls produce begin;end pairs with nothing
-	// between them.
+	// Two adjacent external calls leave only begin;end pairs with
+	// nothing between them.
 	src := `
 func main(0) {
 entry:
@@ -282,12 +279,10 @@ entry:
   ret
 }
 `
-	with := ir.MustParse(src)
-	Apply(with, Options{Threshold: 1000, Peephole: true})
-	without := ir.MustParse(src)
-	Apply(without, Options{Threshold: 1000, Peephole: false})
-	if with.NumInstrs() >= without.NumInstrs() {
-		t.Fatalf("peephole removed nothing: %d vs %d", with.NumInstrs(), without.NumInstrs())
+	m := ir.MustParse(src)
+	Apply(m, Options{Threshold: 1000})
+	if text := m.Func("main").String(); strings.Contains(text, "tx.") {
+		t.Fatalf("peephole kept an empty transaction:\n%s", text)
 	}
 }
 
@@ -323,18 +318,28 @@ entry:
 func main(0) {
 entry:
   v0 = call @lib
+  v1 = add v0, #1
+  out v1
   ret
 }
 `
 	m := ir.MustParse(src)
-	opts := DefaultOptions()
-	opts.Peephole = false // keep the raw boundaries visible
-	Apply(m, opts)
+	Apply(m, DefaultOptions())
 	if strings.Contains(m.Func("lib").String(), "tx.") {
 		t.Fatalf("unprotected function transactified:\n%s", m.Func("lib"))
 	}
 	// The call to it must have boundaries.
-	if !strings.Contains(m.Func("main").String(), "tx.end") {
+	if !strings.Contains(m.Func("main").String(), "call @lib\n  call @tx.begin") {
 		t.Fatalf("call to unprotected function lacks boundaries:\n%s", m.Func("main"))
 	}
+}
+
+// blockIndex returns the index of f's block called name, or -1.
+func blockIndex(f *ir.Func, name string) int {
+	for i, b := range f.Blocks {
+		if b.Name == name {
+			return i
+		}
+	}
+	return -1
 }

@@ -425,13 +425,6 @@ func (pc *ProgramCache) Get(mod *ir.Module) *Program {
 	return p
 }
 
-// Drop forgets the cached program for mod (module retired).
-func (pc *ProgramCache) Drop(mod *ir.Module) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	delete(pc.progs, mod)
-}
-
 // Len reports how many programs the cache holds.
 func (pc *ProgramCache) Len() int {
 	pc.mu.Lock()

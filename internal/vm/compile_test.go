@@ -915,8 +915,7 @@ func TestProgramSharedAcrossMachines(t *testing.T) {
 	}
 }
 
-// TestProgramCache: one compile per module identity, shared and
-// droppable.
+// TestProgramCache: one compile per module identity, shared.
 func TestProgramCache(t *testing.T) {
 	pc := NewProgramCache()
 	m := ir.MustParse(ilrProg)
@@ -929,13 +928,8 @@ func TestProgramCache(t *testing.T) {
 		t.Fatalf("cache len %d, want 1", pc.Len())
 	}
 	m2 := m.Clone()
-	if pc.Get(m2) == p1 {
+	if pc.Get(m2) == p1 || pc.Len() != 2 {
 		t.Fatal("distinct module identities must compile separately")
-	}
-	pc.Drop(m)
-	pc.Drop(m2)
-	if pc.Len() != 0 {
-		t.Fatalf("cache len %d after drops, want 0", pc.Len())
 	}
 }
 

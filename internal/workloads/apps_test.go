@@ -9,8 +9,19 @@ import (
 	"repro/internal/ycsb"
 )
 
+// caseStudies returns the §6 applications in registration order.
+func caseStudies() []Spec {
+	var out []Spec
+	for _, s := range registry {
+		if s.Suite == "apps" {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 func TestCaseStudiesRegistered(t *testing.T) {
-	cs := CaseStudies()
+	cs := caseStudies()
 	if len(cs) != 5 {
 		t.Fatalf("case studies = %d, want 5", len(cs))
 	}
@@ -39,7 +50,7 @@ func runApp(t *testing.T, p *Program, threads int, mode core.Mode, elide bool) *
 }
 
 func TestAppsNativeAndHAFTAgree(t *testing.T) {
-	for _, s := range CaseStudies() {
+	for _, s := range caseStudies() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			p := s.Build(0)

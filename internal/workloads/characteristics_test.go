@@ -74,6 +74,7 @@ func TestBenchmarkCharacteristics(t *testing.T) {
 	for _, c := range characteristics {
 		c := c
 		t.Run(c.bench, func(t *testing.T) {
+			t.Parallel()
 			spec, err := ByName(c.bench)
 			if err != nil {
 				t.Fatal(err)
@@ -85,7 +86,10 @@ func TestBenchmarkCharacteristics(t *testing.T) {
 					Mode: mode, Opt: core.OptFaultProp,
 					TxThreshold: thr, Blacklist: p.Blacklist,
 				})
-				mach := vm.New(mod, threads, vm.DefaultConfig())
+				// Run-ahead turns: bit-identical to stepwise ones
+				// (vm's TestRunAheadMatchesStepwise covers 8 threads),
+				// and these bands pin the workloads, not the engine.
+				mach := vm.NewFromProgram(vm.Compile(mod), threads, vm.DefaultConfig())
 				hp := *p
 				hp.Module = mod
 				mach.Run(hp.SpecsFor(threads)...)

