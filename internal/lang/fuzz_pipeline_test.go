@@ -218,6 +218,18 @@ func fuzzCheck(src string, vs []fuzzVariant) error {
 	if vs[0].name != "native" {
 		vs = append([]fuzzVariant{{name: "native", cfg: core.Config{Mode: core.ModeNative}}}, vs...)
 	}
+	// Variants that harden to the same module share their runs: the
+	// machine is deterministic.
+	runs := map[string]fuzzOutcome{}
+	run := func(mod *ir.Module, stepwise bool) fuzzOutcome {
+		key := fmt.Sprint(stepwise, mod)
+		o, ok := runs[key]
+		if !ok {
+			o = fuzzRun(mod, stepwise)
+			runs[key] = o
+		}
+		return o
+	}
 	for _, v := range vs {
 		var mod *ir.Module
 		if v.cfg.Mode == core.ModeNative {
@@ -225,9 +237,9 @@ func fuzzCheck(src string, vs []fuzzVariant) error {
 		} else if mod, _, err = core.HardenWithStats(m, v.cfg); err != nil {
 			return fmt.Errorf("%s: harden: %w", v.name, err)
 		}
-		got := fuzzRun(mod, false)
+		got := run(mod, false)
 		if v.stepwise {
-			step := fuzzRun(mod, true)
+			step := run(mod, true)
 			switch {
 			case got.status != step.status:
 				return fmt.Errorf("%s: run-ahead status %v, stepwise %v", v.name, got.status, step.status)
