@@ -17,11 +17,15 @@ package lang
 // produces control flow (nested loops, guarded division, dead branches)
 // no fixture author would think to write.
 //
-// The first failure is shrunk by a line-oriented delta minimizer and
-// stored in testdata/fuzz/, which TestFuzzCorpusReplay replays on
-// every run so a once-found counterexample stays fixed forever.
+// Each program is generated, interpreted and run natively once; the
+// oracle half is reported by TestFuzzReductionPipeline, the engine half
+// by TestFuzzEngineDifferential. The first failure is shrunk by a
+// line-oriented delta minimizer and stored in testdata/fuzz/, which
+// TestFuzzCorpusReplay and TestFuzzCorpusEngineReplay replay on every
+// run so a once-found counterexample stays fixed forever.
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -172,6 +176,16 @@ type errNotAProgram struct{ err error }
 
 func (e errNotAProgram) Error() string { return "not a program: " + e.err.Error() }
 
+// errEngine marks a stepwise twin that differs from its run-ahead run.
+type errEngine struct{ msg string }
+
+func (e errEngine) Error() string { return e.msg }
+
+// errOracle marks a variant that differs from the oracle.
+type errOracle struct{ msg string }
+
+func (e errOracle) Error() string { return e.msg }
+
 // fuzzOutcome is what one run of a variant exposes.
 type fuzzOutcome struct {
 	status vm.Status
@@ -200,8 +214,11 @@ func fuzzRun(mod *ir.Module, stepwise bool) fuzzOutcome {
 }
 
 // fuzzCheck runs one source through the oracle, natively and through
-// every variant, and returns a description of the first divergence.
-// The native run is the "native" variant when vs holds one.
+// every variant. It returns the first stepwise twin that differs from
+// its run-ahead run (an errEngine) joined with the first variant that
+// differs from the oracle (an errOracle), so each check is complete
+// whatever the other finds. The native run is the "native" variant
+// when vs holds one.
 func fuzzCheck(src string, vs []fuzzVariant) error {
 	prog, err := ParseProgram(src)
 	if err != nil {
@@ -230,6 +247,7 @@ func fuzzCheck(src string, vs []fuzzVariant) error {
 		}
 		return o
 	}
+	var engErr, oracleErr error
 	for _, v := range vs {
 		var mod *ir.Module
 		if v.cfg.Mode == core.ModeNative {
@@ -238,30 +256,33 @@ func fuzzCheck(src string, vs []fuzzVariant) error {
 			return fmt.Errorf("%s: harden: %w", v.name, err)
 		}
 		got := run(mod, false)
-		if v.stepwise {
+		if v.stepwise && engErr == nil {
 			step := run(mod, true)
 			switch {
 			case got.status != step.status:
-				return fmt.Errorf("%s: run-ahead status %v, stepwise %v", v.name, got.status, step.status)
+				engErr = errEngine{fmt.Sprintf("%s: run-ahead status %v, stepwise %v", v.name, got.status, step.status)}
 			case !slices.Equal(got.out, step.out):
-				return fmt.Errorf("%s: run-ahead output %v, stepwise %v", v.name, got.out, step.out)
+				engErr = errEngine{fmt.Sprintf("%s: run-ahead output %v, stepwise %v", v.name, got.out, step.out)}
 			case got.stats != step.stats:
-				return fmt.Errorf("%s: run-ahead stats %+v, stepwise %+v", v.name, got.stats, step.stats)
+				engErr = errEngine{fmt.Sprintf("%s: run-ahead stats %+v, stepwise %+v", v.name, got.stats, step.stats)}
 			}
+		}
+		if oracleErr != nil {
+			continue
 		}
 		ok := got.status == vm.StatusOK
 		switch {
 		case ierr != nil && ok:
 			// The oracle rejected the program: no variant may silently
 			// succeed.
-			return fmt.Errorf("%s: oracle failed (%v) but the run succeeded", v.name, ierr)
+			oracleErr = errOracle{fmt.Sprintf("%s: oracle failed (%v) but the run succeeded", v.name, ierr)}
 		case ierr == nil && !ok:
-			return fmt.Errorf("%s: %v (%s) on a program the oracle runs", v.name, got.status, got.stats.CrashReason)
+			oracleErr = errOracle{fmt.Sprintf("%s: %v (%s) on a program the oracle runs", v.name, got.status, got.stats.CrashReason)}
 		case ierr == nil && !slices.Equal(got.out, oracle):
-			return fmt.Errorf("%s: output %v, oracle %v", v.name, got.out, oracle)
+			oracleErr = errOracle{fmt.Sprintf("%s: output %v, oracle %v", v.name, got.out, oracle)}
 		}
 	}
-	return nil
+	return errors.Join(engErr, oracleErr)
 }
 
 // minimizeFailure shrinks a failing source with chunked line removal:
@@ -300,48 +321,70 @@ func minimizeFailure(src string, variants []fuzzVariant) string {
 
 const fuzzCorpusDir = "testdata/fuzz"
 
-// verifyEachPass turns on per-pass IR verification for the rest of t.
-func verifyEachPass(t *testing.T) {
+// withVerifyEachPass runs f with per-pass IR verification on.
+func withVerifyEachPass(f func()) {
 	oldCore, oldOpt := core.VerifyEachPass, opt.VerifyEachPass
 	core.VerifyEachPass, opt.VerifyEachPass = true, true
-	t.Cleanup(func() { core.VerifyEachPass, opt.VerifyEachPass = oldCore, oldOpt })
+	defer func() { core.VerifyEachPass, opt.VerifyEachPass = oldCore, oldOpt }()
+	f()
 }
 
-// TestFuzzReductionPipeline generates 520 random programs
-// (HAFT_FUZZ_SECONDS switches to a time budget for the nightly job)
-// and checks each across its share of the toggle matrix with per-pass
-// verification on; the first 300 also run the engine variants stepwise
-// (every program does under HAFT_FUZZ_SECONDS). The lowest failing
-// seed is minimized and saved to the corpus.
-func TestFuzzReductionPipeline(t *testing.T) {
-	verifyEachPass(t)
+// fuzzDriverResult is what one pass of the program fuzzer found.
+type fuzzDriverResult struct {
+	err           error // a bad HAFT_FUZZ_SECONDS
+	timed         bool  // HAFT_FUZZ_SECONDS set: every program runs the engine variants
+	engineSeeds   int   // seeds below this run the engine variants stepwise
+	checked       int   // programs that passed every check
+	engineChecked int   // of those, programs that also ran stepwise
+	failSeed      int   // lowest failing seed, or -1
+	failErr       error
+	saved, min    string // the minimized counterexample and where it went
+}
+
+var (
+	fuzzDriverOnce sync.Once
+	fuzzDriver     fuzzDriverResult
+)
+
+// runFuzzDriver generates each program once and checks it across its
+// share of the toggle matrix with per-pass verification on; the first
+// 300 seeds (every seed under HAFT_FUZZ_SECONDS) also run the engine
+// variants stepwise. The driver stops at the lowest failing seed, whose
+// program is minimized and saved to the corpus. It runs once per test
+// binary: TestFuzzReductionPipeline and TestFuzzEngineDifferential
+// each report their half of the same pass.
+func runFuzzDriver() *fuzzDriverResult {
+	fuzzDriverOnce.Do(func() { withVerifyEachPass(func() { fuzzDriver = fuzzPrograms() }) })
+	return &fuzzDriver
+}
+
+func fuzzPrograms() fuzzDriverResult {
+	r := fuzzDriverResult{failSeed: -1}
 	var deadline time.Time
-	seeds, engineSeeds := 520, 300
+	seeds := 520
+	r.engineSeeds = 300
 	if s := os.Getenv("HAFT_FUZZ_SECONDS"); s != "" {
 		sec, err := strconv.Atoi(s)
 		if err != nil {
-			t.Fatalf("bad HAFT_FUZZ_SECONDS: %v", err)
+			r.err = fmt.Errorf("bad HAFT_FUZZ_SECONDS: %v", err)
+			return r
 		}
 		deadline = time.Now().Add(time.Duration(sec) * time.Second)
-		seeds, engineSeeds = 1<<30, 1<<30
+		seeds, r.engineSeeds, r.timed = 1<<30, 1<<30, true
 	} else if testing.Short() {
-		seeds, engineSeeds = 80, 60
+		seeds, r.engineSeeds = 80, 60
 	}
 	variants := func(seed int) []fuzzVariant {
-		if seed < engineSeeds {
+		if seed < r.engineSeeds {
 			return withEngine(variantsForSeed(seed))
 		}
 		return dedupVariants(variantsForSeed(seed))
 	}
 	var (
-		mu            sync.Mutex
-		checked       int
-		engineChecked int
-		failSeed      = -1
-		failErr       error
-		next          int64 = -1
+		mu   sync.Mutex
+		next int64 = -1
+		wg   sync.WaitGroup
 	)
-	var wg sync.WaitGroup
 	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
@@ -352,7 +395,7 @@ func TestFuzzReductionPipeline(t *testing.T) {
 					return
 				}
 				mu.Lock()
-				stop := failSeed >= 0 && failSeed < seed
+				stop := r.failSeed >= 0 && r.failSeed < seed
 				mu.Unlock()
 				if stop {
 					return
@@ -360,59 +403,155 @@ func TestFuzzReductionPipeline(t *testing.T) {
 				err := fuzzCheck(generate(int64(1_000_000+seed)), variants(seed))
 				mu.Lock()
 				if err == nil {
-					checked++
-					if seed < engineSeeds {
-						engineChecked++
+					r.checked++
+					if seed < r.engineSeeds {
+						r.engineChecked++
 					}
-				} else if failSeed < 0 || seed < failSeed {
+				} else if r.failSeed < 0 || seed < r.failSeed {
 					// Keep the lowest failing seed for determinism.
-					failSeed, failErr = seed, err
+					r.failSeed, r.failErr = seed, err
 				}
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	if failSeed >= 0 {
-		src := generate(int64(1_000_000 + failSeed))
-		if _, notProg := failErr.(errNotAProgram); notProg {
-			t.Fatalf("seed %d: generator produced a program the front end rejects: %v\n%s", failSeed, failErr, src)
-		}
-		min := minimizeFailure(src, variants(failSeed))
-		if mkErr := os.MkdirAll(fuzzCorpusDir, 0o755); mkErr != nil {
-			t.Fatalf("corpus dir: %v", mkErr)
-		}
-		path := filepath.Join(fuzzCorpusDir, fmt.Sprintf("fail-seed%d.hc", failSeed))
-		if wErr := os.WriteFile(path, []byte(min), 0o644); wErr != nil {
-			t.Fatalf("writing counterexample: %v", wErr)
-		}
-		t.Fatalf("seed %d: %v\nminimized counterexample saved to %s:\n%s", failSeed, failErr, path, min)
+	if r.failSeed < 0 {
+		return r
 	}
-	t.Logf("fuzzed %d programs across the pipeline toggle matrix (%d also stepwise vs run-ahead): all runs agree",
-		checked, engineChecked)
+	if _, notProg := r.failErr.(errNotAProgram); notProg {
+		return r
+	}
+	r.min = minimizeFailure(generate(int64(1_000_000+r.failSeed)), variants(r.failSeed))
+	if err := os.MkdirAll(fuzzCorpusDir, 0o755); err != nil {
+		r.err = fmt.Errorf("corpus dir: %v", err)
+		return r
+	}
+	r.saved = filepath.Join(fuzzCorpusDir, fmt.Sprintf("fail-seed%d.hc", r.failSeed))
+	if err := os.WriteFile(r.saved, []byte(r.min), 0o644); err != nil {
+		r.err = fmt.Errorf("writing counterexample: %v", err)
+	}
+	return r
 }
 
-// TestFuzzCorpusReplay re-runs every stored counterexample (and the
-// hand-written regression programs) through the full matrix, engine
-// variants stepwise too: programs that once broke a reduction pass are
-// the shapes most likely to stress the dispatch.
-func TestFuzzCorpusReplay(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join(fuzzCorpusDir, "*.hc"))
-	if err != nil {
-		t.Fatal(err)
+// requireNoFailure fails t when the driver failed anywhere: it stops
+// at the lowest failing seed, so no seed past it was checked.
+func (r *fuzzDriverResult) requireNoFailure(t *testing.T) {
+	t.Helper()
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if len(files) == 0 {
-		t.Fatalf("fuzz corpus %s is empty — the seed regressions are missing", fuzzCorpusDir)
+	if r.failSeed < 0 {
+		return
 	}
-	verifyEachPass(t)
-	variants := withEngine(fuzzVariants())
-	for _, fp := range files {
-		src, err := os.ReadFile(fp)
+	src := generate(int64(1_000_000 + r.failSeed))
+	if _, notProg := r.failErr.(errNotAProgram); notProg {
+		t.Fatalf("seed %d: generator produced a program the front end rejects: %v\n%s", r.failSeed, r.failErr, src)
+	}
+	t.Fatalf("seed %d: %v\nminimized counterexample saved to %s:\n%s", r.failSeed, r.failErr, r.saved, r.min)
+}
+
+// TestFuzzReductionPipeline holds every generated program's hardened
+// variants to the oracle: 520 programs (80 under -short;
+// HAFT_FUZZ_SECONDS switches to a time budget for the nightly job).
+func TestFuzzReductionPipeline(t *testing.T) {
+	r := runFuzzDriver()
+	r.requireNoFailure(t)
+	t.Logf("fuzzed %d programs across the pipeline toggle matrix: all runs agree with the oracle", r.checked)
+}
+
+// TestFuzzEngineDifferential holds the stepwise twin of every engine
+// variant to its run-ahead run on the first 300 generated programs (60
+// under -short, all under HAFT_FUZZ_SECONDS): status, output and run
+// statistics must be bit-identical.
+func TestFuzzEngineDifferential(t *testing.T) {
+	r := runFuzzDriver()
+	r.requireNoFailure(t)
+	want := min(r.engineSeeds, r.checked)
+	if r.engineChecked != want {
+		t.Fatalf("%d programs ran stepwise vs run-ahead, want %d", r.engineChecked, want)
+	}
+	if r.engineChecked == 0 {
+		t.Fatal("no program ran stepwise vs run-ahead")
+	}
+	t.Logf("%d programs ran stepwise vs run-ahead: all twins agree", r.engineChecked)
+}
+
+// corpusReplay holds the outcome of replaying every stored program.
+type corpusReplay struct {
+	err   error
+	files []string
+	errs  []error // per file, nil when every check passed
+}
+
+var (
+	corpusOnce sync.Once
+	corpus     corpusReplay
+)
+
+// replayCorpus runs every stored counterexample (and the hand-written
+// regression programs) once through the full matrix, engine variants
+// stepwise too: programs that once broke a reduction pass are the
+// shapes most likely to stress the dispatch. TestFuzzCorpusReplay and
+// TestFuzzCorpusEngineReplay each report their half of the replay.
+func replayCorpus() *corpusReplay {
+	corpusOnce.Do(func() {
+		files, err := filepath.Glob(filepath.Join(fuzzCorpusDir, "*.hc"))
 		if err != nil {
-			t.Fatal(err)
+			corpus.err = err
+			return
 		}
-		if err := fuzzCheck(string(src), variants); err != nil {
-			t.Errorf("%s: %v", filepath.Base(fp), err)
+		if len(files) == 0 {
+			corpus.err = fmt.Errorf("fuzz corpus %s is empty — the seed regressions are missing", fuzzCorpusDir)
+			return
+		}
+		variants := withEngine(fuzzVariants())
+		withVerifyEachPass(func() {
+			for _, fp := range files {
+				src, err := os.ReadFile(fp)
+				if err == nil {
+					err = fuzzCheck(string(src), variants)
+				}
+				corpus.files = append(corpus.files, filepath.Base(fp))
+				corpus.errs = append(corpus.errs, err)
+			}
+		})
+	})
+	return &corpus
+}
+
+// only reports whether err holds a divergence of kind T and nothing
+// else: a hardening or front-end error belongs to every check.
+func only[T error](err error) bool {
+	var eng errEngine
+	var orc errOracle
+	return errors.As(err, new(T)) && !(errors.As(err, &eng) && errors.As(err, &orc))
+}
+
+// TestFuzzCorpusReplay holds every stored program's variants to the
+// oracle, so a once-found counterexample stays fixed forever.
+func TestFuzzCorpusReplay(t *testing.T) {
+	c := replayCorpus()
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	for i, err := range c.errs {
+		if err != nil && !only[errEngine](err) {
+			t.Errorf("%s: %v", c.files[i], err)
+		}
+	}
+}
+
+// TestFuzzCorpusEngineReplay holds the stepwise twin of every engine
+// variant to its run-ahead run on every stored program.
+func TestFuzzCorpusEngineReplay(t *testing.T) {
+	c := replayCorpus()
+	if c.err != nil {
+		t.Fatal(c.err)
+	}
+	for i, err := range c.errs {
+		if err != nil && !only[errOracle](err) {
+			t.Errorf("%s: %v", c.files[i], err)
 		}
 	}
 }
