@@ -32,6 +32,9 @@ func goldenConfigs() []struct {
 		{"ilr-full", Config{Mode: ModeILR, Opt: OptFaultProp}},
 		{"tx", Config{Mode: ModeTX, Opt: OptFaultProp, TxThreshold: 1000}},
 		{"haft", Config{Mode: ModeHAFT, Opt: OptFaultProp, TxThreshold: 1000}},
+		{"haft-reduced", ReducedConfig()},
+		{"tmr-basic", Config{Mode: ModeTMR, Opt: OptNone}},
+		{"tmr-full", Config{Mode: ModeTMR, Opt: OptFaultProp}},
 	}
 }
 
