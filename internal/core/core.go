@@ -173,11 +173,13 @@ func ReducedConfig() Config {
 	return c
 }
 
-// tmrOptions maps an OptLevel onto the TMR pass switches. The pass
-// has no shared-memory or fault-propagation variants (loads are
-// always triplicated; divergent replicas are corrected at the next
-// vote, so induction variables cannot diverge silently); only the
-// branch-majority cascade rides the ladder.
+// tmrOptions maps an OptLevel onto the TMR pass switches. tmr.Apply
+// runs the ILR replication engine with three copies and
+// ilr.Options{SharedMem: true, ControlFlow: ControlFlow}: loads are
+// always triplicated, and there are no fault-propagation checks
+// (divergent replicas are corrected at the next vote, so induction
+// variables cannot diverge silently). Only the branch-majority
+// cascade rides the ladder.
 func tmrOptions(o OptLevel) tmr.Options {
 	return tmr.Options{ControlFlow: o >= OptControlFlow}
 }

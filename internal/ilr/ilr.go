@@ -21,6 +21,17 @@
 //   - FaultProp: explicit checks on loop induction variables that are
 //     otherwise unchecked inside the loop, placed so the TX pass can
 //     anchor its conditional transaction split after them (§3.3).
+//
+// The same transformer builds the Elzar-style TMR pass (package tmr)
+// with three copies of the data flow instead of two. Everything but
+// three places is shared; with three copies
+//
+//   - an operand guard is a tmr.vote call instead of a compare and a
+//     branch to the detection block;
+//   - a store votes its operands, stores once, reloads the cell and
+//     compares it with tx.check instead of using Figure 3a or 3b;
+//   - a protected branch votes its condition and runs a branch-level
+//     majority cascade instead of Figure 4b's shadow blocks.
 package ilr
 
 import (
@@ -47,12 +58,21 @@ func AllOptions() Options {
 }
 
 // Apply transforms every protected function of m in place.
-func Apply(m *ir.Module, opts Options) {
+func Apply(m *ir.Module, opts Options) { Replicate(m, 2, opts) }
+
+// Replicate transforms every protected function of m in place with
+// copies data flows: 2 is ILR, 3 is the TMR pass. With three copies
+// SharedMem loads through each replica's own address and ControlFlow
+// builds the majority cascade.
+func Replicate(m *ir.Module, copies int, opts Options) {
+	if copies != 2 && copies != 3 {
+		panic("ilr: replica count must be 2 or 3")
+	}
 	for i, f := range m.Funcs {
 		if f.Attrs.Unprotected {
 			continue
 		}
-		m.Funcs[i] = transformFunc(f, opts)
+		m.Funcs[i] = transformFunc(f, copies, opts)
 	}
 }
 
@@ -60,21 +80,23 @@ func Apply(m *ir.Module, opts Options) {
 // checks; the original is not modified. Used by the SEI baseline pass
 // (package sei), which hardens only event-handler functions.
 func TransformFunc(f *ir.Func, opts Options) *ir.Func {
-	return transformFunc(f, opts)
+	return transformFunc(f, 2, opts)
 }
 
-// transformFunc rewrites one function with the shadow flow and checks.
-func transformFunc(f *ir.Func, opts Options) *ir.Func {
+// transformFunc rewrites one function with copies data flows and
+// their guards.
+func transformFunc(f *ir.Func, copies int, opts Options) *ir.Func {
 	t := &transformer{
-		opts:  opts,
-		old:   f,
-		nOld:  f.NValues,
-		preds: make(map[[2]int]int),
+		opts:   opts,
+		copies: copies,
+		old:    f,
+		nOld:   f.NValues,
+		preds:  make(map[[2]int]int),
 	}
 	t.nf = &ir.Func{
 		Name:       f.Name,
 		NParams:    f.NParams,
-		NValues:    2 * f.NValues, // shadows occupy [nOld, 2*nOld)
+		NValues:    copies * f.NValues, // replica k occupies [k*nOld, (k+1)*nOld)
 		FrameBytes: f.FrameBytes,
 		Attrs:      f.Attrs,
 	}
@@ -112,10 +134,11 @@ func loopHasChecks(f *ir.Func, l *cfg.Loop) bool {
 
 // transformer carries the per-function rewrite state.
 type transformer struct {
-	opts Options
-	old  *ir.Func
-	nf   *ir.Func
-	nOld int
+	opts   Options
+	copies int // data flows: the master plus copies-1 replicas
+	old    *ir.Func
+	nf     *ir.Func
+	nOld   int
 
 	cur          int            // current output block index
 	firstDerived []int          // orig block -> first new block
@@ -124,12 +147,13 @@ type transformer struct {
 
 	faultPropHeaders map[int]bool
 
-	// lastShadowCopyOf is the master value whose shadow was created by
-	// the immediately preceding emitted instruction (peephole state).
-	lastShadowCopyOf ir.ValueID
+	// lastCopied is the master value whose replica copies were created
+	// by the immediately preceding emitted instructions (peephole
+	// state): a guard on copies that were just seeded finds nothing.
+	lastCopied ir.ValueID
 
 	// curLine is the source line of the original instruction being
-	// transformed; inserted shadow copies, checks, and detection
+	// transformed; inserted replicas, checks, votes and detection
 	// branches inherit it so profiler attribution stays per-line.
 	curLine int32
 }
@@ -138,14 +162,38 @@ type transformer struct {
 // ^origIdx (negative) during emission and resolved in fixup.
 func pending(orig int) int { return ^orig }
 
-func (t *transformer) shadow(v ir.ValueID) ir.ValueID { return v + ir.ValueID(t.nOld) }
+// replica numbers master value v in data flow k (k >= 1).
+func (t *transformer) replica(v ir.ValueID, k int) ir.ValueID {
+	return v + ir.ValueID(k*t.nOld)
+}
 
-// shadowOf maps an operand into the shadow flow.
-func (t *transformer) shadowOf(o ir.Operand) ir.Operand {
+// replicaOf maps an operand into data flow k.
+func (t *transformer) replicaOf(o ir.Operand, k int) ir.Operand {
 	if o.IsConst {
 		return o
 	}
-	return ir.Reg(t.shadow(o.Reg))
+	return ir.Reg(t.replica(o.Reg, k))
+}
+
+// replicaFlags marks data flow k. Every replica carries FlagShadow (to
+// the machine's accounting all replica work is "shadow"); FlagShadow2
+// tells the third copy apart so fault campaigns can target each flow.
+func replicaFlags(k int) ir.InstrFlags {
+	if k == 2 {
+		return ir.FlagShadow | ir.FlagShadow2
+	}
+	return ir.FlagShadow
+}
+
+// replicaInstr returns in's twin in data flow k.
+func (t *transformer) replicaInstr(in *ir.Instr, k int) ir.Instr {
+	r := in.Clone()
+	r.Res = t.replica(in.Res, k)
+	for a := range r.Args {
+		r.Args[a] = t.replicaOf(r.Args[a], k)
+	}
+	r.Flags |= replicaFlags(k)
+	return r
 }
 
 func (t *transformer) newBlock(name string) int {
@@ -158,17 +206,20 @@ func (t *transformer) emit(in ir.Instr) {
 		in.Line = t.curLine
 	}
 	t.nf.Blocks[t.cur].Instrs = append(t.nf.Blocks[t.cur].Instrs, in)
-	t.lastShadowCopyOf = ir.NoValue
+	t.lastCopied = ir.NoValue
 }
 
-// emitShadowCopy emits "shadow(v) = mov v" and records it for the
-// peephole.
-func (t *transformer) emitShadowCopy(v ir.ValueID) {
-	t.emit(ir.Instr{
-		Op: ir.OpMov, Res: t.shadow(v),
-		Args: []ir.Operand{ir.Reg(v)}, Flags: ir.FlagShadow | ir.FlagReplica,
-	})
-	t.lastShadowCopyOf = v
+// emitReplicaCopies seeds every replica from master value v
+// (parameters, load-once results, call results) with "mov v" and
+// records v for the peephole.
+func (t *transformer) emitReplicaCopies(v ir.ValueID) {
+	for k := 1; k < t.copies; k++ {
+		t.emit(ir.Instr{
+			Op: ir.OpMov, Res: t.replica(v, k),
+			Args: []ir.Operand{ir.Reg(v)}, Flags: replicaFlags(k) | ir.FlagReplica,
+		})
+	}
+	t.lastCopied = v
 }
 
 // ensureDetect returns the index of the function's detection block.
@@ -185,23 +236,37 @@ func (t *transformer) ensureDetect() int {
 	return t.detect
 }
 
-// emitCheck inserts "if master != shadow goto detect" for a register
-// operand, splitting the current block. Constants are never checked.
-func (t *transformer) emitCheck(o ir.Operand, extra ir.InstrFlags) {
+// guard protects a register operand at an externalization point:
+// with two copies "if master != shadow goto detect", splitting the
+// current block; with three a 2-of-3 vote that corrects a diverging
+// replica in place. Constants are never guarded.
+func (t *transformer) guard(o ir.Operand, extra ir.InstrFlags) {
 	if o.IsConst {
 		return
 	}
-	if t.lastShadowCopyOf == o.Reg && extra&ir.FlagFaultProp == 0 {
-		// Peephole (on in the paper's implementation): the shadow copy
-		// was created by the previous instruction, so the two registers
-		// cannot have diverged yet.
+	if t.lastCopied == o.Reg && extra&ir.FlagFaultProp == 0 {
+		// Peephole (on in the paper's implementation): the replica
+		// copies were created by the previous instructions, so the
+		// registers cannot have diverged yet.
 		return
 	}
-	pred := ir.PredNE
+	if t.copies == 3 {
+		t.emit(ir.Instr{
+			Op: ir.OpCall, Callee: "tmr.vote", Res: ir.NoValue,
+			Args:  []ir.Operand{o, t.replicaOf(o, 1), t.replicaOf(o, 2)},
+			Flags: ir.FlagCheck,
+		})
+		return
+	}
+	t.checkNE(o, t.replicaOf(o, 1), extra)
+}
+
+// checkNE inserts "if a != b goto detect", splitting the current block.
+func (t *transformer) checkNE(a, b ir.Operand, extra ir.InstrFlags) {
 	d := t.nf.NewValue()
 	t.emit(ir.Instr{
-		Op: ir.OpCmp, Res: d, Pred: pred,
-		Args:  []ir.Operand{o, t.shadowOf(o)},
+		Op: ir.OpCmp, Res: d, Pred: ir.PredNE,
+		Args:  []ir.Operand{a, b},
 		Flags: ir.FlagCheck | extra,
 	})
 	det := t.ensureDetect()
@@ -218,7 +283,7 @@ func (t *transformer) emitCheck(o ir.Operand, extra ir.InstrFlags) {
 // run drives the rewrite.
 func (t *transformer) run() {
 	t.detect = -1
-	t.lastShadowCopyOf = ir.NoValue
+	t.lastCopied = ir.NoValue
 	t.firstDerived = make([]int, len(t.old.Blocks))
 	for i := range t.firstDerived {
 		t.firstDerived[i] = -1
@@ -227,11 +292,11 @@ func (t *transformer) run() {
 		nb := t.newBlock(b.Name)
 		t.firstDerived[bi] = nb
 		t.cur = nb
-		t.lastShadowCopyOf = ir.NoValue
+		t.lastCopied = ir.NoValue
 		if bi == 0 {
-			// Replicate the incoming parameters into the shadow flow.
+			// Replicate the incoming parameters into every replica.
 			for p := 0; p < t.old.NParams; p++ {
-				t.emitShadowCopy(ir.ValueID(p))
+				t.emitReplicaCopies(ir.ValueID(p))
 			}
 		}
 		t.emitBlock(bi, b)
@@ -242,30 +307,28 @@ func (t *transformer) run() {
 // emitBlock transforms the body of one original block.
 func (t *transformer) emitBlock(bi int, b *ir.Block) {
 	i := 0
-	// Phi group: master phis first, then shadow phis, keeping the
-	// group contiguous at the block head.
-	var shadowPhis []ir.Instr
+	// Phi group: master phis first, then each replica's phis, keeping
+	// the group contiguous at the block head.
+	var replicaPhis [3][]ir.Instr // by flow; the master's stays empty
 	for i < len(b.Instrs) && b.Instrs[i].Op == ir.OpPhi {
-		in := b.Instrs[i]
+		in := &b.Instrs[i]
 		t.curLine = in.Line
 		t.emit(in.Clone())
-		sp := in.Clone()
-		sp.Res = t.shadow(in.Res)
-		for k := range sp.Args {
-			sp.Args[k] = t.shadowOf(sp.Args[k])
+		for k := 1; k < t.copies; k++ {
+			replicaPhis[k] = append(replicaPhis[k], t.replicaInstr(in, k))
 		}
-		sp.Flags |= ir.FlagShadow
-		shadowPhis = append(shadowPhis, sp)
 		i++
 	}
-	for _, sp := range shadowPhis {
-		t.emit(sp)
+	for _, phis := range replicaPhis[1:t.copies] {
+		for _, p := range phis {
+			t.emit(p)
+		}
 	}
 	// Fault-propagation checks on the induction variables (the header
 	// phis) of check-free innermost loops.
 	if t.faultPropHeaders[bi] {
 		for k := 0; k < i; k++ {
-			t.emitCheck(ir.Reg(b.Instrs[k].Res), ir.FlagFaultProp)
+			t.guard(ir.Reg(b.Instrs[k].Res), ir.FlagFaultProp)
 		}
 	}
 	for ; i < len(b.Instrs); i++ {
@@ -279,111 +342,76 @@ func (t *transformer) emitInstr(bi int, in *ir.Instr) {
 	switch {
 	case in.Op.Replicable():
 		t.emit(in.Clone())
-		sh := in.Clone()
-		sh.Res = t.shadow(in.Res)
-		for k := range sh.Args {
-			sh.Args[k] = t.shadowOf(sh.Args[k])
+		for k := 1; k < t.copies; k++ {
+			t.emit(t.replicaInstr(in, k))
 		}
-		sh.Flags |= ir.FlagShadow
-		t.emit(sh)
 		return
 
 	case in.Op == ir.OpLoad:
 		if t.opts.SharedMem {
-			// Figure 3b: duplicate the load through the shadow address.
+			// Figure 3b: repeat the load through each replica's own
+			// address. Replica loads are volatile so they cannot be
+			// merged back into one access.
 			t.emit(in.Clone())
-			sh := in.Clone()
-			sh.Res = t.shadow(in.Res)
-			sh.Args[0] = t.shadowOf(in.Args[0])
-			sh.Volatile = true
-			sh.Flags |= ir.FlagShadow
-			t.emit(sh)
+			for k := 1; k < t.copies; k++ {
+				r := t.replicaInstr(in, k)
+				r.Volatile = true
+				t.emit(r)
+			}
 			return
 		}
 		// Figure 3a: check the address, load, replicate the value. The
 		// address check is a true externalization guard (a corrupted
 		// address faults immediately): it must stay eager.
-		t.emitCheck(in.Args[0], ir.FlagExtern)
+		t.guard(in.Args[0], ir.FlagExtern)
 		t.emit(in.Clone())
-		t.emitShadowCopy(in.Res)
+		t.emitReplicaCopies(in.Res)
 		return
 
 	case in.Op == ir.OpALoad:
 		// Atomic loads always use the expensive scheme (§3.3).
-		t.emitCheck(in.Args[0], ir.FlagExtern)
+		t.guard(in.Args[0], ir.FlagExtern)
 		t.emit(in.Clone())
-		t.emitShadowCopy(in.Res)
+		t.emitReplicaCopies(in.Res)
 		return
 
 	case in.Op == ir.OpStore:
-		if t.opts.SharedMem {
-			// Figure 3b: store, reload through the shadow address,
-			// compare against the shadow value.
-			t.emit(in.Clone())
-			tmp := t.nf.NewValue()
-			t.emit(ir.Instr{
-				Op: ir.OpLoad, Res: tmp,
-				Args:     []ir.Operand{t.shadowOf(in.Args[0])},
-				Volatile: true,
-				Flags:    ir.FlagShadow,
-			})
-			d := t.nf.NewValue()
-			t.emit(ir.Instr{
-				Op: ir.OpCmp, Res: d, Pred: ir.PredNE,
-				Args:  []ir.Operand{ir.Reg(tmp), t.shadowOf(in.Args[1])},
-				Flags: ir.FlagCheck,
-			})
-			det := t.ensureDetect()
-			cont := t.newBlock(t.nf.Blocks[t.cur].Name + ".k")
-			t.emit(ir.Instr{
-				Op: ir.OpBr, Res: ir.NoValue,
-				Args:   []ir.Operand{ir.Reg(d)},
-				Blocks: []int{det, cont},
-				Flags:  ir.FlagDetect,
-			})
-			t.cur = cont
-			return
-		}
-		// Figure 3a: check value and address before the store. The
-		// value check may be relaxed into the transaction (the store is
-		// buffered until commit); the address check stays eager.
-		t.emitCheck(in.Args[1], 0)
-		t.emitCheck(in.Args[0], ir.FlagExtern)
-		t.emit(in.Clone())
+		t.emitStore(in)
 		return
 
 	case in.Op == ir.OpAStore:
-		// Atomic stores are irreversible externalization: always check
+		// Atomic stores are irreversible externalization: always guard
 		// value and address first, eagerly.
-		t.emitCheck(in.Args[1], ir.FlagExtern)
-		t.emitCheck(in.Args[0], ir.FlagExtern)
+		t.guard(in.Args[1], ir.FlagExtern)
+		t.guard(in.Args[0], ir.FlagExtern)
 		t.emit(in.Clone())
 		return
 
 	case in.Op == ir.OpARMW:
 		// Atomics act on shared state other threads observe before our
-		// transaction commits: keep every operand check eager.
+		// transaction commits and must execute exactly once: keep every
+		// operand guard eager, run the master op, reseed the replicas.
 		for k := len(in.Args) - 1; k >= 0; k-- {
-			t.emitCheck(in.Args[k], ir.FlagExtern)
+			t.guard(in.Args[k], ir.FlagExtern)
 		}
 		t.emit(in.Clone())
-		t.emitShadowCopy(in.Res)
+		t.emitReplicaCopies(in.Res)
 		return
 
 	case in.Op == ir.OpCall || in.Op == ir.OpCallInd:
-		// Calls are not replicated: arguments are checked before the
+		// Calls are not replicated: arguments are guarded before the
 		// call and the return value is immediately replicated (§3.2).
 		for k := len(in.Args) - 1; k >= 0; k-- {
-			t.emitCheck(in.Args[k], 0)
+			t.guard(in.Args[k], 0)
 		}
 		t.emit(in.Clone())
 		if in.Res != ir.NoValue {
-			t.emitShadowCopy(in.Res)
+			t.emitReplicaCopies(in.Res)
 		}
 		return
 
 	case in.Op == ir.OpOut:
-		t.emitCheck(in.Args[0], 0)
+		t.guard(in.Args[0], 0)
 		t.emit(in.Clone())
 		return
 
@@ -398,7 +426,7 @@ func (t *transformer) emitInstr(bi int, in *ir.Instr) {
 
 	case in.Op == ir.OpRet:
 		if len(in.Args) == 1 {
-			t.emitCheck(in.Args[0], 0)
+			t.guard(in.Args[0], 0)
 		}
 		t.emit(in.Clone())
 		return
@@ -411,13 +439,77 @@ func (t *transformer) emitInstr(bi int, in *ir.Instr) {
 	panic("ilr: unhandled op " + in.Op.String())
 }
 
-// emitBr protects a conditional branch.
+// emitStore protects a store.
+func (t *transformer) emitStore(in *ir.Instr) {
+	if t.copies == 2 && t.opts.SharedMem {
+		// Figure 3b: store, reload through the shadow address, compare
+		// against the shadow value.
+		t.emit(in.Clone())
+		tmp := t.nf.NewValue()
+		t.emit(ir.Instr{
+			Op: ir.OpLoad, Res: tmp,
+			Args:     []ir.Operand{t.replicaOf(in.Args[0], 1)},
+			Volatile: true,
+			Flags:    ir.FlagShadow,
+		})
+		t.checkNE(ir.Reg(tmp), t.replicaOf(in.Args[1], 1), 0)
+		return
+	}
+	// Figure 3a: guard value and address before the store. The value
+	// check may be relaxed into the transaction (the store is buffered
+	// until commit); the address check stays eager.
+	t.guard(in.Args[1], 0)
+	t.guard(in.Args[0], ir.FlagExtern)
+	t.emit(in.Clone())
+	if t.copies == 2 {
+		return
+	}
+	// Three copies: reload the cell and compare against the written
+	// value. Once only one copy exists in memory a fault on the store
+	// can no longer be corrected, but it is still detected (tx.check
+	// outside a transaction is a hard failure).
+	tmp := t.nf.NewValue()
+	t.emit(ir.Instr{
+		Op: ir.OpLoad, Res: tmp,
+		Args:     []ir.Operand{in.Args[0]},
+		Volatile: true,
+		Flags:    ir.FlagShadow,
+	})
+	t.emit(ir.Instr{
+		Op: ir.OpCall, Callee: "tx.check", Res: ir.NoValue,
+		Args:  []ir.Operand{in.Args[1], ir.Reg(tmp)},
+		Flags: ir.FlagCheck | ir.FlagExtern,
+	})
+}
+
+// emitBr protects a conditional branch. Unprotected (Figure 4a), the
+// condition is guarded and the master copy branches once. Protected,
+// two copies route both outcomes through shadow blocks that verify the
+// shadow condition (Figure 4b), so a status-register fault between
+// check and branch cannot divert control undetected. Three copies vote
+// the condition first and then route control through a branch-level
+// majority cascade, so a fault in the branch unit — the taken
+// direction flipping after the condition was read — is outvoted by
+// the two replica branches:
+//
+//	b:    vote(c, s1, s2); br c -> b.t1, b.f1
+//	b.t1: br s1 -> b.jt, b.t2     // master said taken
+//	b.t2: br s2 -> b.jt, b.jf     // s1 disagreed: s2 breaks the tie
+//	b.f1: br s1 -> b.f2, b.jf     // master said not-taken
+//	b.f2: br s2 -> b.jt, b.jf     // s1 disagreed: s2 breaks the tie
+//	b.jt: jmp then
+//	b.jf: jmp els
+//
+// On a fault-free run the cascade costs two dynamic branches plus one
+// jump; any single mis-taken branch still reaches the majority target.
 func (t *transformer) emitBr(bi int, in *ir.Instr) {
 	cond := in.Args[0]
 	then, els := in.Blocks[0], in.Blocks[1]
-	if cond.IsConst || !t.opts.ControlFlow || then == els {
-		// Figure 4a: naive explicit check of the condition.
-		t.emitCheck(cond, 0)
+	protect := t.opts.ControlFlow && !cond.IsConst && then != els
+	if !protect || t.copies == 3 {
+		t.guard(cond, 0)
+	}
+	if !protect {
 		t.preds[[2]int{bi, then}] = t.cur
 		t.preds[[2]int{bi, els}] = t.cur
 		t.emit(ir.Instr{
@@ -427,36 +519,50 @@ func (t *transformer) emitBr(bi int, in *ir.Instr) {
 		})
 		return
 	}
-	// Figure 4b: route both outcomes through shadow blocks that verify
-	// the shadow condition, so a status-register fault between check
-	// and branch cannot divert control undetected.
-	det := t.ensureDetect()
-	name := t.nf.Blocks[t.cur].Name
-	strue := t.newBlock(name + ".strue")
-	sfalse := t.newBlock(name + ".sfalse")
-	t.emit(ir.Instr{
-		Op: ir.OpBr, Res: ir.NoValue,
-		Args:   []ir.Operand{cond},
-		Blocks: []int{strue, sfalse},
-	})
+	branch := func(blk int, c ir.Operand, thenB, elsB int, fl ir.InstrFlags) {
+		t.cur = blk
+		t.emit(ir.Instr{
+			Op: ir.OpBr, Res: ir.NoValue,
+			Args:   []ir.Operand{c},
+			Blocks: []int{thenB, elsB},
+			Flags:  fl,
+		})
+	}
 	save := t.cur
-	t.cur = strue
-	t.emit(ir.Instr{
-		Op: ir.OpBr, Res: ir.NoValue,
-		Args:   []ir.Operand{t.shadowOf(cond)},
-		Blocks: []int{pending(then), det},
-		Flags:  ir.FlagShadow,
-	})
-	t.cur = sfalse
-	t.emit(ir.Instr{
-		Op: ir.OpBr, Res: ir.NoValue,
-		Args:   []ir.Operand{t.shadowOf(cond)},
-		Blocks: []int{det, pending(els)},
-		Flags:  ir.FlagShadow,
-	})
+	s1, fl1 := t.replicaOf(cond, 1), replicaFlags(1)
+	if t.copies == 2 {
+		det := t.ensureDetect()
+		name := t.nf.Blocks[t.cur].Name
+		strue := t.newBlock(name + ".strue")
+		sfalse := t.newBlock(name + ".sfalse")
+		branch(save, cond, strue, sfalse, 0)
+		branch(strue, s1, pending(then), det, fl1)
+		branch(sfalse, s1, det, pending(els), fl1)
+		t.cur = save
+		t.preds[[2]int{bi, then}] = strue
+		t.preds[[2]int{bi, els}] = sfalse
+		return
+	}
+	s2, fl2 := t.replicaOf(cond, 2), replicaFlags(2)
+	name := t.nf.Blocks[t.cur].Name
+	bt1 := t.newBlock(name + ".t1")
+	bt2 := t.newBlock(name + ".t2")
+	bf1 := t.newBlock(name + ".f1")
+	bf2 := t.newBlock(name + ".f2")
+	jt := t.newBlock(name + ".jt")
+	jf := t.newBlock(name + ".jf")
+	branch(save, cond, bt1, bf1, 0)
+	branch(bt1, s1, jt, bt2, fl1)
+	branch(bt2, s2, jt, jf, fl2)
+	branch(bf1, s1, bf2, jf, fl1)
+	branch(bf2, s2, jt, jf, fl2)
+	t.cur = jt
+	t.emit(ir.Instr{Op: ir.OpJmp, Blocks: []int{pending(then)}, Res: ir.NoValue})
+	t.cur = jf
+	t.emit(ir.Instr{Op: ir.OpJmp, Blocks: []int{pending(els)}, Res: ir.NoValue})
 	t.cur = save
-	t.preds[[2]int{bi, then}] = strue
-	t.preds[[2]int{bi, els}] = sfalse
+	t.preds[[2]int{bi, then}] = jt
+	t.preds[[2]int{bi, els}] = jf
 }
 
 // fixup resolves pending branch targets and rewrites phi predecessor

@@ -444,3 +444,97 @@ func blockIndex(f *ir.Func, name string) int {
 	}
 	return -1
 }
+
+// flowCases holds one small function per op class; op is the
+// instruction counted in the shadow flow and want its count there.
+// Every function has no parameters, so no parameter copies blur the
+// counts.
+var flowCases = []struct {
+	name string
+	src  string
+	op   ir.Op
+	want int
+}{
+	{"replicable", "v0 = add #40, #2\n  ret v0", ir.OpAdd, 1},
+	{"load", "v0 = load #4096\n  ret v0", ir.OpLoad, 1},
+	{"aload", "v0 = aload #4096\n  ret v0", ir.OpMov, 1},
+	{"store", "v0 = add #1, #2\n  store #4096, v0\n  ret", ir.OpLoad, 1}, // the shadow reload
+	{"astore", "v0 = add #1, #2\n  astore #4096, v0\n  ret", ir.OpAStore, 0},
+	{"armw", "v0 = armw add #4096, #1\n  ret v0", ir.OpMov, 1},
+	{"call", "v0 = call @h\n  v1 = add v0, #1\n  ret v1", ir.OpMov, 1},
+	{"out", "v0 = add #1, #2\n  out v0\n  ret", ir.OpOut, 0},
+	{"ret", "v0 = add #1, #2\n  ret v0", ir.OpRet, 0},
+	{"br", "v0 = add #3, #4\n  v1 = cmp gt v0, #5\n  br v1, yes, no\nyes:\n  ret #1\nno:\n  ret #0", ir.OpBr, 2}, // .strue, .sfalse
+	{"phi", "jmp loop\nloop:\n  v0 = phi #0 [entry], v1 [loop]\n  v1 = add v0, #1\n  v2 = cmp lt v0, #4\n  br v2, loop, done\ndone:\n  ret v1", ir.OpPhi, 1},
+}
+
+// TestShadowFlow checks that every shadow instruction carries
+// FlagShadow and never FlagShadow2, that copies from the master carry
+// FlagReplica as well, and that shadow instructions read only shadow
+// registers. Fault campaigns pick -flow shadow by these flags.
+func TestShadowFlow(t *testing.T) {
+	for _, c := range flowCases {
+		t.Run(c.name, func(t *testing.T) {
+			src := "global g bytes=8\nfunc h(0) local {\nentry:\n  ret #9\n}\nfunc f(0) {\nentry:\n  " + c.src + "\n}\n"
+			m := mustParse(t, src)
+			n := m.Func("f").NValues
+			Apply(m, AllOptions())
+			if err := ir.Verify(m); err != nil {
+				t.Fatalf("verify: %v", err)
+			}
+			f := m.Func("f")
+			got := 0
+			for _, b := range f.Blocks {
+				for i := range b.Instrs {
+					in := &b.Instrs[i]
+					if checkShadowFlags(t, in, n) && in.Op == c.op {
+						got++
+					}
+				}
+			}
+			if got != c.want {
+				t.Errorf("shadow %s count = %d, want %d\n%s", c.op, got, c.want, f)
+			}
+		})
+	}
+}
+
+// checkShadowFlags reports whether in is flagged shadow and reports an
+// instruction whose flags disagree with the registers it defines or
+// branches on. n is the function's value count before the pass.
+func checkShadowFlags(t *testing.T, in *ir.Instr, n int) bool {
+	t.Helper()
+	shadow := in.HasFlag(ir.FlagShadow)
+	if in.Flags&ir.FlagShadow2 != 0 {
+		t.Errorf("%s v%d: ILR flagged a second shadow flow", in.Op, in.Res)
+	}
+	isShadow := func(v ir.ValueID) bool { return int(v) >= n && int(v) < 2*n }
+	fresh := func(v ir.ValueID) bool { return int(v) >= 2*n } // check results, reloads
+	var defines bool
+	switch {
+	case in.Res != ir.NoValue && !fresh(in.Res):
+		defines = isShadow(in.Res)
+	case in.Op == ir.OpBr && !in.Args[0].IsConst && !fresh(in.Args[0].Reg):
+		defines = isShadow(in.Args[0].Reg)
+	default:
+		// Only the store reload, a volatile load, is flagged without
+		// defining a shadow value.
+		if shadow && !(in.Op == ir.OpLoad && in.Volatile) {
+			t.Errorf("%s v%d: flagged shadow but defines no shadow value", in.Op, in.Res)
+		}
+		return shadow
+	}
+	if shadow != defines {
+		t.Errorf("%s v%d: FlagShadow = %v, its registers say %v", in.Op, in.Res, shadow, defines)
+	}
+	isCopy := in.Op == ir.OpMov && defines && !in.Args[0].IsConst && !isShadow(in.Args[0].Reg)
+	if in.HasFlag(ir.FlagReplica) != isCopy {
+		t.Errorf("%s v%d: FlagReplica = %v, want %v", in.Op, in.Res, in.HasFlag(ir.FlagReplica), isCopy)
+	}
+	for _, a := range in.Args {
+		if !a.IsConst && !isCopy && isShadow(a.Reg) != defines {
+			t.Errorf("%s v%d: reads %s across flows", in.Op, in.Res, a)
+		}
+	}
+	return shadow
+}

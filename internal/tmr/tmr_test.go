@@ -355,3 +355,111 @@ func blockIndex(f *ir.Func, name string) int {
 	}
 	return -1
 }
+
+// flowCases holds one small function per op class; op is the
+// instruction counted in each replica flow and want its count there
+// (flow 1, flow 2). Every function has no parameters, so no parameter
+// copies blur the counts.
+var flowCases = []struct {
+	name string
+	src  string
+	op   ir.Op
+	want [2]int
+}{
+	{"replicable", "v0 = add #40, #2\n  ret v0", ir.OpAdd, [2]int{1, 1}},
+	{"load", "v0 = load #4096\n  ret v0", ir.OpLoad, [2]int{1, 1}},
+	{"aload", "v0 = aload #4096\n  ret v0", ir.OpMov, [2]int{1, 1}},
+	// The reload after the single store is flagged as flow 1 only.
+	{"store", "v0 = add #1, #2\n  store #4096, v0\n  ret", ir.OpLoad, [2]int{1, 0}},
+	{"astore", "v0 = add #1, #2\n  astore #4096, v0\n  ret", ir.OpAStore, [2]int{0, 0}},
+	{"armw", "v0 = armw add #4096, #1\n  ret v0", ir.OpMov, [2]int{1, 1}},
+	{"call", "v0 = call @h\n  v1 = add v0, #1\n  ret v1", ir.OpMov, [2]int{1, 1}},
+	{"out", "v0 = add #1, #2\n  out v0\n  ret", ir.OpOut, [2]int{0, 0}},
+	{"ret", "v0 = add #1, #2\n  ret v0", ir.OpRet, [2]int{0, 0}},
+	// The cascade: .t1/.f1 branch on flow 1, .t2/.f2 on flow 2.
+	{"br", "v0 = add #3, #4\n  v1 = cmp gt v0, #5\n  br v1, yes, no\nyes:\n  ret #1\nno:\n  ret #0", ir.OpBr, [2]int{2, 2}},
+	{"phi", "jmp loop\nloop:\n  v0 = phi #0 [entry], v1 [loop]\n  v1 = add v0, #1\n  v2 = cmp lt v0, #4\n  br v2, loop, done\ndone:\n  ret v1", ir.OpPhi, [2]int{1, 1}},
+}
+
+// TestReplicaFlows checks that every replica instruction carries its
+// flow's flags — flow 1 FlagShadow, flow 2 FlagShadow|FlagShadow2,
+// copies from the master FlagReplica as well — and reads only its own
+// flow's registers. Fault campaigns pick -flow shadow/shadow2 by these
+// flags.
+func TestReplicaFlows(t *testing.T) {
+	for _, c := range flowCases {
+		t.Run(c.name, func(t *testing.T) {
+			src := "global g bytes=8\nfunc h(0) local {\nentry:\n  ret #9\n}\nfunc f(0) {\nentry:\n  " + c.src + "\n}\n"
+			m := mustParse(t, src)
+			n := m.Func("f").NValues
+			Apply(m, AllOptions())
+			if err := ir.Verify(m); err != nil {
+				t.Fatalf("verify: %v", err)
+			}
+			f := m.Func("f")
+			var got [3]int
+			for _, b := range f.Blocks {
+				for i := range b.Instrs {
+					in := &b.Instrs[i]
+					flow := checkFlow(t, in, n)
+					if in.Op == c.op {
+						got[flow]++
+					}
+				}
+			}
+			if [2]int{got[1], got[2]} != c.want {
+				t.Errorf("%s in flows 1/2 = %d/%d, want %d/%d\n%s", c.op, got[1], got[2], c.want[0], c.want[1], f)
+			}
+		})
+	}
+}
+
+// checkFlow returns the flow in's flags put it in and reports an
+// instruction whose flags disagree with the registers it defines or
+// branches on. n is the function's value count before the pass.
+func checkFlow(t *testing.T, in *ir.Instr, n int) int {
+	t.Helper()
+	var flow int
+	switch in.Flags & (ir.FlagShadow | ir.FlagShadow2) {
+	case 0:
+	case ir.FlagShadow:
+		flow = 1
+	case ir.FlagShadow | ir.FlagShadow2:
+		flow = 2
+	default:
+		t.Fatalf("%s v%d: FlagShadow2 without FlagShadow", in.Op, in.Res)
+	}
+	regFlow := func(v ir.ValueID) int {
+		if int(v) < 3*n {
+			return int(v) / n
+		}
+		return -1 // a fresh value: a check result or a store reload
+	}
+	want := -1
+	if in.Res != ir.NoValue {
+		want = regFlow(in.Res)
+	} else if in.Op == ir.OpBr && !in.Args[0].IsConst {
+		want = regFlow(in.Args[0].Reg)
+	}
+	if want < 0 {
+		// Only the store reload, a volatile load, is flagged without
+		// defining a replica value.
+		if flow != 0 && !(in.Op == ir.OpLoad && in.Volatile && flow == 1) {
+			t.Errorf("%s v%d: flagged flow %d but defines no replica value", in.Op, in.Res, flow)
+		}
+		return flow
+	}
+	if flow != want {
+		t.Errorf("%s v%d: flagged flow %d, its registers are flow %d", in.Op, in.Res, flow, want)
+	}
+	isCopy := in.Op == ir.OpMov && want > 0 && !in.Args[0].IsConst && regFlow(in.Args[0].Reg) == 0
+	if in.HasFlag(ir.FlagReplica) != isCopy {
+		t.Errorf("%s v%d: FlagReplica = %v, want %v", in.Op, in.Res, in.HasFlag(ir.FlagReplica), isCopy)
+	}
+	for _, a := range in.Args {
+		if !a.IsConst && want > 0 && !isCopy && regFlow(a.Reg) != want {
+			t.Errorf("%s v%d: flow %d instruction reads %s", in.Op, in.Res, want, a)
+		}
+	}
+	return flow
+}

@@ -195,7 +195,7 @@ func relaxFunc(f *ir.Func) RelaxStats {
 					}
 					pairs = append(pairs, a, b)
 				}
-				addPair(stIn.Args[0], ld.Args[0]) // address, shadow address
+				addPair(stIn.Args[0], ld.Args[0])  // address, shadow address
 				addPair(stIn.Args[1], cmp.Args[1]) // value, shadow value
 				store := *stIn
 				if len(pairs) > 0 {
