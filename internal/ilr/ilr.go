@@ -441,45 +441,45 @@ func (t *transformer) emitInstr(bi int, in *ir.Instr) {
 
 // emitStore protects a store.
 func (t *transformer) emitStore(in *ir.Instr) {
+	addr, val := in.Args[0], in.Args[1]
 	if t.copies == 2 && t.opts.SharedMem {
 		// Figure 3b: store, reload through the shadow address, compare
 		// against the shadow value.
 		t.emit(in.Clone())
-		tmp := t.nf.NewValue()
-		t.emit(ir.Instr{
-			Op: ir.OpLoad, Res: tmp,
-			Args:     []ir.Operand{t.replicaOf(in.Args[0], 1)},
-			Volatile: true,
-			Flags:    ir.FlagShadow,
-		})
-		t.checkNE(ir.Reg(tmp), t.replicaOf(in.Args[1], 1), 0)
+		t.checkNE(t.reload(t.replicaOf(addr, 1)), t.replicaOf(val, 1), 0)
 		return
 	}
 	// Figure 3a: guard value and address before the store. The value
 	// check may be relaxed into the transaction (the store is buffered
 	// until commit); the address check stays eager.
-	t.guard(in.Args[1], 0)
-	t.guard(in.Args[0], ir.FlagExtern)
+	t.guard(val, 0)
+	t.guard(addr, ir.FlagExtern)
 	t.emit(in.Clone())
-	if t.copies == 2 {
-		return
+	if t.copies == 3 {
+		// Reload the cell and compare against the written value. Once
+		// only one copy exists in memory a fault on the store can no
+		// longer be corrected, but it is still detected (tx.check
+		// outside a transaction is a hard failure).
+		got := t.reload(addr)
+		t.emit(ir.Instr{
+			Op: ir.OpCall, Callee: "tx.check", Res: ir.NoValue,
+			Args:  []ir.Operand{val, got},
+			Flags: ir.FlagCheck | ir.FlagExtern,
+		})
 	}
-	// Three copies: reload the cell and compare against the written
-	// value. Once only one copy exists in memory a fault on the store
-	// can no longer be corrected, but it is still detected (tx.check
-	// outside a transaction is a hard failure).
+}
+
+// reload emits a volatile load of addr, flagged as shadow work, into a
+// fresh value.
+func (t *transformer) reload(addr ir.Operand) ir.Operand {
 	tmp := t.nf.NewValue()
 	t.emit(ir.Instr{
 		Op: ir.OpLoad, Res: tmp,
-		Args:     []ir.Operand{in.Args[0]},
+		Args:     []ir.Operand{addr},
 		Volatile: true,
 		Flags:    ir.FlagShadow,
 	})
-	t.emit(ir.Instr{
-		Op: ir.OpCall, Callee: "tx.check", Res: ir.NoValue,
-		Args:  []ir.Operand{in.Args[1], ir.Reg(tmp)},
-		Flags: ir.FlagCheck | ir.FlagExtern,
-	})
+	return ir.Reg(tmp)
 }
 
 // emitBr protects a conditional branch. Unprotected (Figure 4a), the
@@ -528,41 +528,37 @@ func (t *transformer) emitBr(bi int, in *ir.Instr) {
 			Flags:  fl,
 		})
 	}
-	save := t.cur
+	save, name := t.cur, t.nf.Blocks[t.cur].Name
 	s1, fl1 := t.replicaOf(cond, 1), replicaFlags(1)
+	var thenPred, elsPred int // the new blocks that jump to then and els
 	if t.copies == 2 {
 		det := t.ensureDetect()
-		name := t.nf.Blocks[t.cur].Name
-		strue := t.newBlock(name + ".strue")
-		sfalse := t.newBlock(name + ".sfalse")
-		branch(save, cond, strue, sfalse, 0)
-		branch(strue, s1, pending(then), det, fl1)
-		branch(sfalse, s1, det, pending(els), fl1)
-		t.cur = save
-		t.preds[[2]int{bi, then}] = strue
-		t.preds[[2]int{bi, els}] = sfalse
-		return
+		thenPred = t.newBlock(name + ".strue")
+		elsPred = t.newBlock(name + ".sfalse")
+		branch(save, cond, thenPred, elsPred, 0)
+		branch(thenPred, s1, pending(then), det, fl1)
+		branch(elsPred, s1, det, pending(els), fl1)
+	} else {
+		s2, fl2 := t.replicaOf(cond, 2), replicaFlags(2)
+		bt1 := t.newBlock(name + ".t1")
+		bt2 := t.newBlock(name + ".t2")
+		bf1 := t.newBlock(name + ".f1")
+		bf2 := t.newBlock(name + ".f2")
+		thenPred = t.newBlock(name + ".jt")
+		elsPred = t.newBlock(name + ".jf")
+		branch(save, cond, bt1, bf1, 0)
+		branch(bt1, s1, thenPred, bt2, fl1)
+		branch(bt2, s2, thenPred, elsPred, fl2)
+		branch(bf1, s1, bf2, elsPred, fl1)
+		branch(bf2, s2, thenPred, elsPred, fl2)
+		t.cur = thenPred
+		t.emit(ir.Instr{Op: ir.OpJmp, Blocks: []int{pending(then)}, Res: ir.NoValue})
+		t.cur = elsPred
+		t.emit(ir.Instr{Op: ir.OpJmp, Blocks: []int{pending(els)}, Res: ir.NoValue})
 	}
-	s2, fl2 := t.replicaOf(cond, 2), replicaFlags(2)
-	name := t.nf.Blocks[t.cur].Name
-	bt1 := t.newBlock(name + ".t1")
-	bt2 := t.newBlock(name + ".t2")
-	bf1 := t.newBlock(name + ".f1")
-	bf2 := t.newBlock(name + ".f2")
-	jt := t.newBlock(name + ".jt")
-	jf := t.newBlock(name + ".jf")
-	branch(save, cond, bt1, bf1, 0)
-	branch(bt1, s1, jt, bt2, fl1)
-	branch(bt2, s2, jt, jf, fl2)
-	branch(bf1, s1, bf2, jf, fl1)
-	branch(bf2, s2, jt, jf, fl2)
-	t.cur = jt
-	t.emit(ir.Instr{Op: ir.OpJmp, Blocks: []int{pending(then)}, Res: ir.NoValue})
-	t.cur = jf
-	t.emit(ir.Instr{Op: ir.OpJmp, Blocks: []int{pending(els)}, Res: ir.NoValue})
 	t.cur = save
-	t.preds[[2]int{bi, then}] = jt
-	t.preds[[2]int{bi, els}] = jf
+	t.preds[[2]int{bi, then}] = thenPred
+	t.preds[[2]int{bi, els}] = elsPred
 }
 
 // fixup resolves pending branch targets and rewrites phi predecessor
