@@ -3,7 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
+	"time"
 
 	"repro/internal/serve"
 )
@@ -22,6 +24,24 @@ type Backend interface {
 	Ping() error
 	// Close releases the backend's resources.
 	Close()
+}
+
+// Splitter is a Backend whose call comes in two halves, so that the
+// router can start a request on every replica before it waits for any
+// reply, all from the calling goroutine. Send starts req and returns the
+// call in flight; it never waits. A call that cannot start at once (no
+// idle connection, a full queue) comes back with wait set: its Recv
+// starts it, waiting for a connection or room, and the router runs that
+// Recv on a goroutine of its own. Recv returns the call's reply, waiting
+// no later than d (nil: no bound); a call d cuts short fails with
+// errCallTimeout, and once d has passed Recv still takes a reply that
+// has already arrived. Every call Send returns without an error must be
+// passed to Recv exactly once. Both shipped backends are Splitters; the
+// router calls any other Backend through Do, on a goroutine of its own.
+type Splitter interface {
+	Backend
+	Send(req serve.Request, d *serve.Deadline) (call any, wait bool, err error)
+	Recv(call any, d *serve.Deadline) (uint64, error)
 }
 
 // Killable backends additionally support whole-node chaos: Kill tears
@@ -67,15 +87,37 @@ func (b *LocalBackend) Server() *serve.Server {
 	return b.srv
 }
 
-// Do implements Backend.
+// Do implements Backend: both halves in sequence, without a bound.
 func (b *LocalBackend) Do(req serve.Request) (uint64, error) {
-	b.mu.RLock()
-	srv := b.srv
-	b.mu.RUnlock()
-	if srv == nil {
-		return 0, ErrNodeDown
+	call, _, err := b.Send(req, nil)
+	if err != nil {
+		return 0, err
 	}
-	return srv.Do(req)
+	return b.Recv(call, nil)
+}
+
+// Send implements Splitter: it submits req to the node and returns its
+// *serve.Ticket, which waits when the node's queue had no room for it.
+func (b *LocalBackend) Send(req serve.Request, _ *serve.Deadline) (any, bool, error) {
+	srv := b.Server()
+	if srv == nil {
+		return nil, false, ErrNodeDown
+	}
+	t, err := srv.Submit(req)
+	if err != nil {
+		return nil, false, err
+	}
+	return t, !t.Queued(), nil
+}
+
+// Recv implements Splitter: it waits for room in the node's queue, if
+// the request found none, and for its reply, until d expires.
+func (b *LocalBackend) Recv(call any, d *serve.Deadline) (uint64, error) {
+	v, err := call.(*serve.Ticket).Wait(d)
+	if errors.Is(err, serve.ErrOverloaded) || errors.Is(err, serve.ErrDeadline) {
+		err = errCallTimeout
+	}
+	return v, err
 }
 
 // Ping implements Backend: a killed node fails, a live one answers.
@@ -165,8 +207,26 @@ func (b *RemoteBackend) ID() string { return b.id }
 func (b *RemoteBackend) Addr() string { return b.addr }
 
 // get checks a pooled connection out, dialing if the pool is dry and a
-// slot is free.
-func (b *RemoteBackend) get() (*serve.Conn, error) {
+// slot is free; while every connection is out it waits for one until d
+// expires.
+func (b *RemoteBackend) get(d *serve.Deadline) (*serve.Conn, error) {
+	c, err := b.idle()
+	if c != nil || err != nil {
+		return c, err
+	}
+	select {
+	case c := <-b.conns:
+		return c, nil
+	case <-b.slots:
+		return b.dial(d)
+	case <-d.Done():
+		return nil, errCallTimeout
+	}
+}
+
+// idle checks an idle pooled connection out: (nil, nil) when there is
+// none.
+func (b *RemoteBackend) idle() (*serve.Conn, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -177,18 +237,37 @@ func (b *RemoteBackend) get() (*serve.Conn, error) {
 	case c := <-b.conns:
 		return c, nil
 	default:
+		return nil, nil
 	}
-	select {
-	case c := <-b.conns:
-		return c, nil
-	case <-b.slots:
-		c, err := serve.Dial(b.addr)
-		if err != nil {
-			b.slots <- struct{}{}
-			return nil, err
-		}
-		return c, nil
+}
+
+// dial opens a connection in a slot taken for it, giving the slot back
+// if the dial fails.
+func (b *RemoteBackend) dial(d *serve.Deadline) (*serve.Conn, error) {
+	c, err := serve.DialDeadline(b.addr, deadlineOf(d))
+	if err != nil {
+		b.slots <- struct{}{}
+		return nil, timeout(err)
 	}
+	return c, nil
+}
+
+// deadlineOf is d's time, zero (no bound) for a nil d.
+func deadlineOf(d *serve.Deadline) time.Time {
+	if d == nil {
+		return time.Time{}
+	}
+	return d.At
+}
+
+// timeout reports a socket operation its deadline cut short as
+// errCallTimeout.
+func timeout(err error) error {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		return errCallTimeout
+	}
+	return err
 }
 
 // put returns a connection to the pool after a command that ended with
@@ -217,25 +296,83 @@ func (b *RemoteBackend) put(c *serve.Conn, err error) {
 	}
 }
 
-// Do implements Backend over the text protocol.
+// Do implements Backend: both halves in sequence, without a bound.
 func (b *RemoteBackend) Do(req serve.Request) (uint64, error) {
-	c, err := b.get()
+	call, _, err := b.Send(req, nil)
 	if err != nil {
 		return 0, err
 	}
-	var v uint64
-	if req.Write {
-		v, err = c.PutTraced(req.Key, req.Value, req.TraceID)
-	} else {
-		v, err = c.GetTraced(req.Key, req.TraceID)
+	return b.Recv(call, nil)
+}
+
+// unsent is a RemoteBackend call Send could not start: no connection
+// was idle.
+type unsent struct{ req serve.Request }
+
+// collectGrace is how long a read started after its fan-out's deadline
+// may take: long enough to take a reply that has already arrived (a
+// socket read fails at once once its deadline has passed, data or
+// not), too short to wait for one.
+const collectGrace = time.Millisecond
+
+// Send implements Splitter: it checks an idle connection out and writes
+// the command on it, bounded by d; the call is the *serve.Conn. With no
+// connection idle it neither dials nor waits: the call is left for Recv
+// to start.
+func (b *RemoteBackend) Send(req serve.Request, d *serve.Deadline) (any, bool, error) {
+	c, err := b.idle()
+	if err != nil {
+		return nil, false, err
 	}
+	if c == nil {
+		return &unsent{req}, true, nil
+	}
+	if err := b.start(c, req, d); err != nil {
+		return nil, false, err
+	}
+	return c, false, nil
+}
+
+// start writes req on c, bounded by d; a failed write gives c back.
+func (b *RemoteBackend) start(c *serve.Conn, req serve.Request, d *serve.Deadline) error {
+	if err := c.Start(req, deadlineOf(d)); err != nil {
+		err = timeout(err)
+		b.put(c, err)
+		return err
+	}
+	return nil
+}
+
+// Recv implements Splitter: it starts an unsent call, reads the reply
+// and returns the connection to the pool — or closes it when the read
+// failed or timed out, so no connection is pooled with a reply still
+// in flight.
+func (b *RemoteBackend) Recv(call any, d *serve.Deadline) (uint64, error) {
+	c, ok := call.(*serve.Conn)
+	if !ok {
+		var err error
+		if c, err = b.get(d); err != nil {
+			return 0, err
+		}
+		if err = b.start(c, call.(*unsent).req, d); err != nil {
+			return 0, err
+		}
+	}
+	at := deadlineOf(d)
+	if !at.IsZero() {
+		if now := time.Now(); !now.Before(at) {
+			at = now.Add(collectGrace)
+		}
+	}
+	v, err := c.Finish(at)
+	err = timeout(err)
 	b.put(c, err)
 	return v, err
 }
 
 // Ping implements Backend.
 func (b *RemoteBackend) Ping() error {
-	c, err := b.get()
+	c, err := b.get(nil)
 	if err != nil {
 		return err
 	}

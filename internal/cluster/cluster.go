@@ -97,6 +97,10 @@ var ErrNoQuorum = errors.New("cluster: no reply quorum")
 
 var errCallTimeout = errors.New("cluster: replica call timed out")
 
+// fanoutInline is the replica count whose fan-out state lives on the
+// request's stack; a larger R spills to the heap.
+const fanoutInline = 5
+
 // nodeStateKind is a node's position in the health state machine.
 type nodeStateKind int32
 
@@ -326,33 +330,75 @@ type callResult struct {
 	node *node
 	val  uint64
 	err  error
+	call any // a Splitter's call between its halves
 }
 
-// fanout calls every target concurrently, bounding each call with
-// CallTimeout; a timed-out replica counts as failed (its goroutine
-// finishes in the background against a buffered channel). Results are
-// in target order.
-func (c *Cluster) fanout(targets []*node, req serve.Request) []callResult {
-	ch := make(chan callResult, len(targets))
-	out := make([]callResult, len(targets))
+// fanout sends req to every target before it reads any reply, from the
+// calling goroutine, and returns the results in target order, stored in
+// out's array when it has room. One deadline, CallTimeout from the
+// start, bounds every call; a call it cuts short counts as failed. The
+// calling goroutine reads only calls that have started, each of which
+// waits on its own node alone, so it never holds one node's connection
+// while it waits for another's. A call that could not start at once (no
+// idle connection, a full queue), and a call to a backend that is not
+// a Splitter (through Do), runs on a goroutine of its own, so one node's
+// wait for a connection, a dial or room runs beside the others' calls,
+// not before them; one still unanswered at the deadline finishes in the
+// background against a buffered channel.
+func (c *Cluster) fanout(targets []*node, req serve.Request, out []callResult) []callResult {
+	start := time.Now()
+	d := &serve.Deadline{At: start.Add(c.cfg.CallTimeout)}
+	defer d.Stop()
+	var async chan callResult
+	pending := 0 // calls on goroutines of their own
+	out = out[:0]
 	for i, n := range targets {
-		out[i] = callResult{slot: i, node: n, err: errCallTimeout} // until its answer arrives
-		go func(i int, n *node) {
-			v, err := n.be.Do(req)
-			ch <- callResult{slot: i, node: n, val: v, err: err}
-		}(i, n)
+		r := callResult{slot: i, node: n}
+		wait := true
+		if sp, ok := n.be.(Splitter); ok {
+			r.call, wait, r.err = sp.Send(req, d)
+		}
+		if wait && r.err == nil {
+			if async == nil {
+				async = make(chan callResult, len(targets))
+				d.Done() // from here on safe to share with the goroutines
+			}
+			pending++
+			go callAsync(r, req, d, async)
+			r.call, r.err = nil, errCallTimeout // until its answer arrives
+		}
+		out = append(out, r)
 	}
-	timer := time.NewTimer(c.cfg.CallTimeout)
-	defer timer.Stop()
-	for got := 0; got < len(targets); got++ {
-		select {
-		case r := <-ch:
-			out[r.slot] = r
-		case <-timer.C:
-			return out
+	for i := range out {
+		if r := &out[i]; r.call != nil {
+			r.val, r.err = r.node.be.(Splitter).Recv(r.call, d)
+			r.call = nil
 		}
 	}
+collect:
+	for ; pending > 0; pending-- {
+		select {
+		case r := <-async:
+			out[r.slot] = r
+		case <-d.Done():
+			break collect
+		}
+	}
+	c.metrics.fanoutWait.Observe(time.Since(start))
 	return out
+}
+
+// callAsync answers r — through Recv for a Splitter's call that could
+// not start at once, through the node's Do otherwise — and sends it on
+// ch.
+func callAsync(r callResult, req serve.Request, d *serve.Deadline, ch chan<- callResult) {
+	if r.call != nil {
+		r.val, r.err = r.node.be.(Splitter).Recv(r.call, d)
+		r.call = nil
+	} else {
+		r.val, r.err = r.node.be.Do(req)
+	}
+	ch <- r
 }
 
 // account folds a call result into the node's breaker state.
@@ -370,20 +416,23 @@ func (c *Cluster) account(r callResult) {
 }
 
 // tally groups successful replies by value and returns the winning
-// value and its supporters; losers is every successful reply that
-// disagreed with the winner.
+// value — the most supporters, the smallest value among a tie — and its
+// supporters; losers is every successful reply that disagreed with the
+// winner. With at most R replies it counts each value by a scan.
 func tally(results []callResult) (best uint64, bestN int, losers []callResult, ok int) {
-	counts := map[uint64]int{}
 	for _, r := range results {
-		if r.err == nil {
-			counts[r.val]++
-			ok++
+		if r.err != nil {
+			continue
 		}
-	}
-	first := true
-	for v, n := range counts {
-		if first || n > bestN || (n == bestN && v < best) {
-			best, bestN, first = v, n, false
+		ok++
+		n := 0
+		for _, q := range results {
+			if q.err == nil && q.val == r.val {
+				n++
+			}
+		}
+		if n > bestN || n == bestN && r.val < best {
+			best, bestN = r.val, n
 		}
 	}
 	for _, r := range results {
@@ -447,15 +496,17 @@ func (c *Cluster) doRead(req serve.Request) (uint64, error) {
 		Label: "read", TraceID: req.TraceID})
 	replicas := c.shards[shard].replicas
 	var lastErr error
+	var tbuf [fanoutInline]*node
+	var rbuf [fanoutInline]callResult
 	for attempt := 0; ; attempt++ {
-		targets := make([]*node, 0, len(replicas))
+		targets := tbuf[:0]
 		for _, ni := range replicas {
 			if c.nodes[ni].readable() {
 				targets = append(targets, c.nodes[ni])
 			}
 		}
 		if len(targets) >= c.quorum {
-			results := c.fanout(targets, req)
+			results := c.fanout(targets, req, rbuf[:0])
 			for _, r := range results {
 				c.account(r)
 			}
@@ -499,15 +550,17 @@ func (c *Cluster) doWrite(req serve.Request) (uint64, error) {
 	entry := lg.append(req)
 	defer lg.truncate(c.cfg.LogRetention)
 	var lastErr error
+	var tbuf [fanoutInline]*node
+	var rbuf [fanoutInline]callResult
 	for attempt := 0; ; attempt++ {
-		targets := make([]*node, 0, len(lg.replicas))
+		targets := tbuf[:0]
 		for _, ni := range lg.replicas {
 			if c.nodes[ni].writable() {
 				targets = append(targets, c.nodes[ni])
 			}
 		}
 		if len(targets) >= c.quorum {
-			results := c.fanout(targets, req)
+			results := c.fanout(targets, req, rbuf[:0])
 			applied := 0
 			for _, r := range results {
 				c.account(r)

@@ -114,32 +114,81 @@ func TestClusterCorrectness(t *testing.T) {
 // reply — a node that silently emits corrupted responses. The voter
 // must mask every one of them, never deliver one, and eventually
 // quarantine the node on suspicion. Writes pass through untouched so
-// log replay still converges.
+// log replay still converges. It is a Splitter, as both shipped
+// backends are, so the router calls it in two halves; doOnly hides
+// that to exercise the Do-only adapter.
 type corruptBackend struct {
-	Backend
+	Splitter
 	flipped atomic.Uint64
 }
 
-func (b *corruptBackend) Do(req serve.Request) (uint64, error) {
-	v, err := b.Backend.Do(req)
-	if err == nil && !req.Write {
+// corruptCall is a call in flight through corruptBackend: Recv must
+// know whether it is a read.
+type corruptCall struct {
+	inner any
+	write bool
+}
+
+func (b *corruptBackend) flip(write bool, v uint64, err error) (uint64, error) {
+	if err == nil && !write {
 		b.flipped.Add(1)
 		v ^= 1 << 17
 	}
 	return v, err
 }
 
+func (b *corruptBackend) Do(req serve.Request) (uint64, error) {
+	v, err := b.Splitter.Do(req)
+	return b.flip(req.Write, v, err)
+}
+
+func (b *corruptBackend) Send(req serve.Request, d *serve.Deadline) (any, bool, error) {
+	call, wait, err := b.Splitter.Send(req, d)
+	if err != nil {
+		return nil, false, err
+	}
+	return &corruptCall{inner: call, write: req.Write}, wait, nil
+}
+
+func (b *corruptBackend) Recv(call any, d *serve.Deadline) (uint64, error) {
+	cc := call.(*corruptCall)
+	v, err := b.Splitter.Recv(cc.inner, d)
+	return b.flip(cc.write, v, err)
+}
+
+// doOnly is a Backend that offers only Do: the public contract, which
+// the router serves through its goroutine-per-call adapter.
+type doOnly struct{ Backend }
+
 // TestClusterVoterMasksCorruptReplica is the replica-disagreement
 // accounting test: with one of three replicas returning corrupted read
 // replies, the voter masks the bad reply on every read, counts each
-// mask as a detected corruption attributed to the bad node, delivers
-// only majority-agreed (correct) values, and quarantines the node once
-// suspicion accumulates.
+// mask as a detected corruption attributed to the bad node, records a
+// vote-mask flight bundle, delivers only majority-agreed (correct)
+// values, and quarantines the node once suspicion accumulates — on the
+// two-phase path and on the Do-only adapter alike.
 func TestClusterVoterMasksCorruptReplica(t *testing.T) {
-	backends := localBackends(t, 3, nodeConfig())
-	bad := &corruptBackend{Backend: backends[1]}
-	backends[1] = bad
+	for _, tc := range []struct {
+		name string
+		wrap func(*corruptBackend) Backend
+	}{
+		{"two-phase", func(b *corruptBackend) Backend { return b }},
+		{"do-only", func(b *corruptBackend) Backend { return doOnly{b} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			backends := localBackends(t, 3, nodeConfig())
+			bad := &corruptBackend{Splitter: backends[1].(Splitter)}
+			backends[1] = tc.wrap(bad)
+			_, split := backends[1].(Splitter)
+			if want := tc.name == "two-phase"; split != want {
+				t.Fatalf("corrupt replica is a Splitter: %v, want %v", split, want)
+			}
+			testVoterMasks(t, backends, bad)
+		})
+	}
+}
 
+func testVoterMasks(t *testing.T, backends []Backend, bad *corruptBackend) {
 	cfg := DefaultConfig()
 	cfg.Shards = 16
 	cfg.SuspicionThreshold = 3
@@ -183,6 +232,15 @@ func TestClusterVoterMasksCorruptReplica(t *testing.T) {
 	if snap.Quarantines == 0 {
 		t.Fatalf("suspicion threshold %d never quarantined the corrupt node (%d masks)",
 			cfg.SuspicionThreshold, snap.DetectedCorruptions)
+	}
+	masks := 0
+	for _, b := range c.Flight().Bundles() {
+		if b.Kind == "vote-mask" && b.Masked != b.Majority {
+			masks++
+		}
+	}
+	if masks == 0 {
+		t.Fatalf("no vote-mask flight bundle for %d masked replies", snap.DetectedCorruptions)
 	}
 	t.Logf("flipped=%d masked=%d quarantines=%d rebuilds=%d",
 		bad.flipped.Load(), snap.DetectedCorruptions, snap.Quarantines, snap.Rebuilds)

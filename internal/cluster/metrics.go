@@ -53,6 +53,9 @@ type Metrics struct {
 	nodeServed *obs.CounterVec
 
 	latency *obs.Latency
+	// fanoutWait is the time from a fan-out's first send to its last
+	// reply (or its deadline).
+	fanoutWait *obs.Latency
 }
 
 // newMetrics declares the router's metrics. nodeStates reads the
@@ -88,7 +91,9 @@ func newMetrics(nodeStates func() map[string]string) *Metrics {
 		nodeMasked:     byNode("node_masked_replies_total", "masked replies by node"),
 		nodeServed:     byNode("node_served_total", "replica replies served by node"),
 		latency:        reg.Latency("haft_cluster_latency", "request latency", ""),
+		fanoutWait:     reg.Latency("haft_cluster_fanout_wait", "fan-out wait", " (first send to last reply)"),
 	}
+	reg.Histogram("haft_cluster_fanout_wait_seconds", "fan-out wait distribution", m.fanoutWait)
 	// Node states as a 0/1 gauge per (node, state) pair.
 	reg.GaugeFunc("haft_cluster_node_up", "node currently healthy (1) or not (0)",
 		func(emit func(string, float64)) {
@@ -168,12 +173,16 @@ type Snapshot struct {
 	LatencyP99    float64 `json:"latency_p99_s"`
 	LatencyMean   float64 `json:"latency_mean_s"`
 	LatencyMax    float64 `json:"latency_max_s"`
+	// FanoutWaitP50 and _P99 time a replica fan-out from its first send
+	// to its last reply.
+	FanoutWaitP50 float64 `json:"fanout_wait_p50_s"`
+	FanoutWaitP99 float64 `json:"fanout_wait_p99_s"`
 }
 
 // Snapshot captures the registry (cluster shape fields and node states
 // are filled by Cluster.Metrics).
 func (m *Metrics) Snapshot() Snapshot {
-	lat := m.latency.Snapshot()
+	lat, fan := m.latency.Snapshot(), m.fanoutWait.Snapshot()
 	s := Snapshot{
 		ElapsedSeconds:       time.Since(m.start).Seconds(),
 		Requests:             m.requests.Load(),
@@ -201,6 +210,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		LatencyP99:           lat.Percentile(0.99),
 		LatencyMean:          lat.Mean(),
 		LatencyMax:           lat.Max.Seconds(),
+		FanoutWaitP50:        fan.Percentile(0.50),
+		FanoutWaitP99:        fan.Percentile(0.99),
 	}
 	if s.ElapsedSeconds > 0 {
 		s.ThroughputRPS = float64(s.Responses) / s.ElapsedSeconds

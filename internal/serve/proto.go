@@ -2,12 +2,19 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"math/bits"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
+	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The wire protocol is a line-oriented text protocol over TCP, in the
@@ -76,118 +83,304 @@ func (s *Server) ServeListener(l net.Listener) error {
 	}
 }
 
+// maxLine bounds one command line; a longer one closes the connection.
+const maxLine = 1 << 16
+
 // ServeConn serves the text protocol on one connection against h until
 // the peer quits or the connection fails, then closes it. Every
 // command is answered with exactly one line, flushed before the next
-// command is read.
+// command is read. A line is read into the reader's buffer and parsed
+// in place; only one longer than the buffer is copied.
 func ServeConn(conn net.Conn, h Handler) {
 	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 0, 4096), 1<<16)
+	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	var long []byte
+	for {
+		line, err := r.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull && len(long) <= maxLine {
+				line, err = r.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			if len(long) > maxLine {
+				return
+			}
+			line = long
 		}
-		if !dispatch(w, line, h) {
-			return
+		if err != nil && err != io.EOF {
+			return // a line cut short by a failed read is not a command
 		}
-		if w.Flush() != nil {
+		if !dispatch(w, line, h) || w.Flush() != nil || err != nil {
 			return
 		}
 	}
 }
 
 // dispatch handles one command line; it returns false when the
-// connection should close. Nothing is written for a command until its
-// outcome is known, so a failure is always a whole "ERR" line.
-func dispatch(w *bufio.Writer, line string, h Handler) bool {
-	f := strings.Fields(line)
-	cmd := strings.ToLower(f[0])
-	args := f[1:]
-	fail := func(format string, a ...any) bool {
-		fmt.Fprintf(w, "ERR "+format+"\n", a...)
+// connection should close. A line without a field (blank) is answered
+// with nothing. Nothing is written for a command until its outcome is
+// known, so a failure is always a whole "ERR" line. The parse reads the
+// line in place: the language is strings.Fields over the line, a
+// command word compared as strings.ToLower reads it, and numbers as
+// strconv.ParseUint(tok, 0, 64) reads them.
+func dispatch(w *bufio.Writer, line []byte, h Handler) bool {
+	var f [3][]byte // the command word and the first two arguments
+	last, n := fields(line, f[:])
+	if n == 0 {
 		return true
 	}
+	cmd := f[0]
+	get, put := isWord(cmd, "get"), isWord(cmd, "put")
 	// The optional trailing "tid=<hex>" token on get/put carries the
 	// request's trace id across the wire.
 	var tid uint64
-	if cmd == "get" || cmd == "put" {
-		if n := len(args); n > 0 && strings.HasPrefix(args[n-1], "tid=") {
-			v, err := parseNum(strings.TrimPrefix(args[n-1], "tid="))
-			if err != nil {
-				return fail("bad tid: %v", err)
-			}
-			tid, args = v, args[:n-1]
+	if (get || put) && n > 1 && len(last) >= 4 && string(last[:4]) == "tid=" {
+		v, ok := parseNum(last[4:])
+		if !ok {
+			return fail(w, "bad tid: ", numErr(last[4:]))
 		}
+		tid, n = v, n-1
 	}
-	switch cmd {
-	case "get":
-		if len(args) != 1 {
-			return fail("usage: get <key> [tid=<hex>]")
+	args := n - 1
+	switch {
+	case get:
+		if args != 1 {
+			return fail(w, "usage: get <key> [tid=<hex>]", "")
 		}
-		key, err := parseNum(args[0])
-		if err != nil {
-			return fail("bad key: %v", err)
+		key, ok := parseNum(f[1])
+		if !ok {
+			return fail(w, "bad key: ", numErr(f[1]))
 		}
 		v, err := h.Do(Request{Key: key, TraceID: tid})
 		if err != nil {
-			return fail("%v", err)
+			return fail(w, err.Error(), "")
 		}
-		fmt.Fprintf(w, "VALUE %#x\n", v)
-	case "put":
-		if len(args) != 2 {
-			return fail("usage: put <key> <value> [tid=<hex>]")
+		writeWord(w, "VALUE 0x", v)
+	case put:
+		if args != 2 {
+			return fail(w, "usage: put <key> <value> [tid=<hex>]", "")
 		}
-		key, err := parseNum(args[0])
-		if err != nil {
-			return fail("bad key: %v", err)
+		key, ok := parseNum(f[1])
+		if !ok {
+			return fail(w, "bad key: ", numErr(f[1]))
 		}
-		val, err := parseNum(args[1])
-		if err != nil {
-			return fail("bad value: %v", err)
+		val, ok := parseNum(f[2])
+		if !ok {
+			return fail(w, "bad value: ", numErr(f[2]))
 		}
 		v, err := h.Do(Request{Write: true, Key: key, Value: val, TraceID: tid})
 		if err != nil {
-			return fail("%v", err)
+			return fail(w, err.Error(), "")
 		}
-		fmt.Fprintf(w, "STORED %#x\n", v)
-	case "scan":
-		if len(args) != 2 {
-			return fail("usage: scan <key> <n>")
+		writeWord(w, "STORED 0x", v)
+	case isWord(cmd, "scan"):
+		if args != 2 {
+			return fail(w, "usage: scan <key> <n>", "")
 		}
-		key, err := parseNum(args[0])
-		if err != nil {
-			return fail("bad key: %v", err)
+		key, ok := parseNum(f[1])
+		if !ok {
+			return fail(w, "bad key: ", numErr(f[1]))
 		}
-		n, err := parseNum(args[1])
-		if err != nil || n == 0 || n > maxScan {
-			return fail("bad count (1..%d)", maxScan)
+		n, ok := parseNum(f[2])
+		if !ok || n == 0 || n > maxScan {
+			return fail(w, "bad count (1..", strconv.Itoa(maxScan)+")")
 		}
 		vs, err := h.Scan(key, int(n))
 		if err != nil {
-			return fail("%v", err)
+			return fail(w, err.Error(), "")
 		}
 		w.WriteString("RANGE")
 		for _, v := range vs {
-			fmt.Fprintf(w, " %#x", v)
+			w.Write(strconv.AppendUint(append(w.AvailableBuffer(), " 0x"...), v, 16))
 		}
 		w.WriteByte('\n')
-	case "stats":
-		fmt.Fprintf(w, "STATS %s\n", h.StatsJSON())
-	case "ping":
+	case isWord(cmd, "stats"):
+		w.WriteString("STATS ")
+		w.Write(h.StatsJSON())
+		w.WriteByte('\n')
+	case isWord(cmd, "ping"):
 		w.WriteString("PONG\n")
-	case "quit":
+	case isWord(cmd, "quit"):
 		return false
 	default:
-		return fail("unknown command %q", cmd)
+		return fail(w, "unknown command ", strconv.Quote(strings.ToLower(string(cmd))))
 	}
 	return true
 }
 
-func parseNum(tok string) (uint64, error) {
-	return strconv.ParseUint(tok, 0, 64)
+// fail writes the one "ERR" line of a failed command.
+func fail(w *bufio.Writer, msg, detail string) bool {
+	w.WriteString("ERR ")
+	w.WriteString(msg)
+	w.WriteString(detail)
+	w.WriteByte('\n')
+	return true
+}
+
+// writeWord writes a one-word reply line: tag, then v in hex.
+func writeWord(w *bufio.Writer, tag string, v uint64) {
+	b := strconv.AppendUint(append(w.AvailableBuffer(), tag...), v, 16)
+	w.Write(append(b, '\n'))
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// fields splits line around runs of white space as strings.Fields
+// does, without allocating: it stores the first len(f) fields in f and
+// returns the last field and the number of fields.
+func fields(line []byte, f [][]byte) (last []byte, n int) {
+	for i := 0; ; {
+		for i < len(line) {
+			size, space := spaceAt(line, i)
+			if !space {
+				break
+			}
+			i += size
+		}
+		if i == len(line) {
+			return last, n
+		}
+		start := i
+		for i < len(line) {
+			size, space := spaceAt(line, i)
+			if space {
+				break
+			}
+			i += size
+		}
+		last = line[start:i]
+		if n < len(f) {
+			f[n] = last
+		}
+		n++
+	}
+}
+
+// spaceAt returns the width of the character at line[i] and whether it
+// is white space; a byte that is not valid UTF-8 is a character of its
+// own that is not space, as in strings.Fields.
+func spaceAt(line []byte, i int) (int, bool) {
+	if c := line[i]; c < utf8.RuneSelf {
+		return 1, asciiSpace[c]
+	}
+	r, size := utf8.DecodeRune(line[i:])
+	return size, unicode.IsSpace(r)
+}
+
+// isWord reports whether strings.ToLower(tok) == word for a lower-case
+// ASCII word. Only a token with a non-ASCII byte (which may lower to
+// ASCII, as the Kelvin sign does to 'k') takes the allocating path.
+func isWord(tok []byte, word string) bool {
+	for i := 0; i < len(tok); i++ {
+		if tok[i] >= utf8.RuneSelf {
+			return strings.ToLower(string(tok)) == word
+		}
+	}
+	if len(tok) != len(word) {
+		return false
+	}
+	for i := 0; i < len(tok); i++ {
+		c := tok[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != word[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// parseNum reads a key, value, count or trace id as
+// strconv.ParseUint(tok, 0, 64) does — decimal, a 0x, 0o or 0b prefix,
+// a leading 0 for octal, '_' between digits after a prefix — without
+// allocating, and reports whether ParseUint accepts tok.
+func parseNum(tok []byte) (uint64, bool) {
+	if len(tok) == 0 {
+		return 0, false
+	}
+	base, s := uint64(10), tok
+	if tok[0] == '0' {
+		base, s = 8, tok[1:]
+		if len(tok) >= 3 {
+			switch tok[1] | 0x20 {
+			case 'b':
+				base, s = 2, tok[2:]
+			case 'o':
+				s = tok[2:]
+			case 'x':
+				base, s = 16, tok[2:]
+			}
+		}
+	}
+	var n uint64
+	underscores := false
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		var d uint64
+		switch lc := c | 0x20; {
+		case c == '_':
+			underscores = true
+			continue
+		case '0' <= c && c <= '9':
+			d = uint64(c - '0')
+		case 'a' <= lc && lc <= 'z':
+			d = uint64(lc-'a') + 10
+		default:
+			return 0, false
+		}
+		if d >= base {
+			return 0, false
+		}
+		hi, lo := bits.Mul64(n, base)
+		if n = lo + d; hi != 0 || n < lo {
+			return 0, false
+		}
+	}
+	if underscores && !underscoreOK(tok) {
+		return 0, false
+	}
+	return n, true
+}
+
+// underscoreOK is strconv's rule for '_' in a base-prefixed number: it
+// may only stand between digits, where a base prefix counts as a digit.
+func underscoreOK(s []byte) bool {
+	// saw is the class of the last character: '^' the start, '0' a
+	// digit or base prefix, '_' an underscore, '!' anything else.
+	saw, i, hex := byte('^'), 0, false
+	if len(s) >= 2 && s[0] == '0' {
+		if p := s[1] | 0x20; p == 'b' || p == 'o' || p == 'x' {
+			saw, i, hex = '0', 2, p == 'x'
+		}
+	}
+	for ; i < len(s); i++ {
+		c := s[i]
+		switch lc := c | 0x20; {
+		case '0' <= c && c <= '9' || hex && 'a' <= lc && lc <= 'f':
+			saw = '0'
+		case c == '_':
+			if saw != '0' {
+				return false
+			}
+			saw = '_'
+		case saw == '_':
+			return false
+		default:
+			saw = '!'
+		}
+	}
+	return saw != '_'
+}
+
+// numErr is the message strconv.ParseUint gives for a token parseNum
+// refused.
+func numErr(tok []byte) string {
+	_, err := strconv.ParseUint(string(tok), 0, 64)
+	return err.Error()
 }
 
 // Conn is a client connection to a serving layer's TCP endpoint. It is
@@ -198,11 +391,20 @@ type Conn struct {
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
+	// want is the reply tag of the command Start wrote; deadline is the
+	// socket's read and write deadline (zero: none), changed only when a
+	// command asks for another.
+	want     string
+	deadline time.Time
 }
 
 // Dial connects to a serve endpoint.
-func Dial(addr string) (*Conn, error) {
-	nc, err := net.Dial("tcp", addr)
+func Dial(addr string) (*Conn, error) { return DialDeadline(addr, time.Time{}) }
+
+// DialDeadline connects to a serve endpoint, giving up at the deadline
+// (zero: no deadline).
+func DialDeadline(addr string, at time.Time) (*Conn, error) {
+	nc, err := (&net.Dialer{Deadline: at}).Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
@@ -219,12 +421,25 @@ type ServerError struct{ Msg string }
 
 func (e *ServerError) Error() string { return "serve: server error: " + e.Msg }
 
+// setDeadline makes at the socket's read and write deadline (zero:
+// none), unless it already is.
+func (c *Conn) setDeadline(at time.Time) error {
+	if at.Equal(c.deadline) {
+		return nil
+	}
+	c.deadline = at
+	return c.conn.SetDeadline(at)
+}
+
 // roundTrip sends one command line and returns the reply payload after
 // stripping the expected tag. An error that is not a *ServerError means
 // the connection can no longer be trusted.
 func (c *Conn) roundTrip(cmd, wantTag string) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.setDeadline(time.Time{}); err != nil {
+		return "", err
+	}
 	if _, err := c.w.WriteString(cmd + "\n"); err != nil {
 		return "", err
 	}
@@ -247,6 +462,88 @@ func (c *Conn) roundTrip(cmd, wantTag string) (string, error) {
 	}
 }
 
+// Start writes req as a get or put command (untagged when its TraceID
+// is 0) and flushes it; Finish reads the reply. The write waits no later
+// than at (zero: no bound); the socket's deadline stays at it until a
+// later command asks for another, so a Finish by the same time costs no
+// second deadline. The connection is held from Start until Finish
+// returns, so every Start that succeeds must be followed by exactly one
+// Finish.
+func (c *Conn) Start(req Request, at time.Time) error {
+	c.mu.Lock()
+	if err := c.start(req, at); err != nil {
+		c.mu.Unlock()
+		return err
+	}
+	return nil
+}
+
+func (c *Conn) start(req Request, at time.Time) error {
+	if err := c.setDeadline(at); err != nil {
+		return err
+	}
+	b := c.w.AvailableBuffer()
+	if req.Write {
+		b = strconv.AppendUint(append(b, "put "...), req.Key, 10)
+		b = strconv.AppendUint(append(b, ' '), req.Value, 10)
+		c.want = "STORED"
+	} else {
+		b = strconv.AppendUint(append(b, "get "...), req.Key, 10)
+		c.want = "VALUE"
+	}
+	if req.TraceID != 0 {
+		b = strconv.AppendUint(append(b, " tid=0x"...), req.TraceID, 16)
+	}
+	if _, err := c.w.Write(append(b, '\n')); err != nil {
+		return err
+	}
+	return c.w.Flush()
+}
+
+// Finish reads the reply to the command Start wrote, waiting no later
+// than at (zero: no bound), and releases the connection. An error that
+// is not a *ServerError means the connection can no longer be trusted.
+func (c *Conn) Finish(at time.Time) (uint64, error) {
+	defer c.mu.Unlock()
+	if err := c.setDeadline(at); err != nil {
+		return 0, err
+	}
+	line, err := c.r.ReadSlice('\n')
+	if err != nil {
+		return 0, err
+	}
+	return decodeWord(line, c.want)
+}
+
+// decodeWord reads a one-word reply line tagged want ("VALUE" or
+// "STORED"). An "ERR <message>" line gives a *ServerError; any other
+// line that is not want and one number gives an error of another type.
+func decodeWord(line []byte, want string) (uint64, error) {
+	line = bytes.TrimSpace(line)
+	tag, rest := line, line[len(line):]
+	if i := bytes.IndexByte(line, ' '); i >= 0 {
+		tag, rest = line[:i], line[i+1:]
+	}
+	switch {
+	case string(tag) == want:
+		if v, ok := parseNum(rest); ok {
+			return v, nil
+		}
+		return 0, errors.New(numErr(rest))
+	case string(tag) == "ERR":
+		return 0, &ServerError{Msg: string(rest)}
+	}
+	return 0, fmt.Errorf("serve: unexpected reply %q", line)
+}
+
+// call runs one get or put: Start, then Finish.
+func (c *Conn) call(req Request) (uint64, error) {
+	if err := c.Start(req, time.Time{}); err != nil {
+		return 0, err
+	}
+	return c.Finish(time.Time{})
+}
+
 // Get reads a key.
 func (c *Conn) Get(key uint64) (uint64, error) {
 	return c.GetTraced(key, 0)
@@ -255,11 +552,7 @@ func (c *Conn) Get(key uint64) (uint64, error) {
 // GetTraced reads a key, tagging the request with a trace id (0 sends
 // an untagged, backward-compatible command).
 func (c *Conn) GetTraced(key, tid uint64) (uint64, error) {
-	rest, err := c.roundTrip(fmt.Sprintf("get %d%s", key, tidToken(tid)), "VALUE")
-	if err != nil {
-		return 0, err
-	}
-	return parseNum(rest)
+	return c.call(Request{Key: key, TraceID: tid})
 }
 
 // Put writes a key and returns the server's reply word.
@@ -270,18 +563,7 @@ func (c *Conn) Put(key, value uint64) (uint64, error) {
 // PutTraced writes a key, tagging the request with a trace id (0 sends
 // an untagged, backward-compatible command).
 func (c *Conn) PutTraced(key, value, tid uint64) (uint64, error) {
-	rest, err := c.roundTrip(fmt.Sprintf("put %d %d%s", key, value, tidToken(tid)), "STORED")
-	if err != nil {
-		return 0, err
-	}
-	return parseNum(rest)
-}
-
-func tidToken(tid uint64) string {
-	if tid == 0 {
-		return ""
-	}
-	return fmt.Sprintf(" tid=%#x", tid)
+	return c.call(Request{Write: true, Key: key, Value: value, TraceID: tid})
 }
 
 // Scan reads n consecutive keys starting at key.
@@ -293,7 +575,7 @@ func (c *Conn) Scan(key uint64, n int) ([]uint64, error) {
 	fields := strings.Fields(rest)
 	out := make([]uint64, 0, len(fields))
 	for _, f := range fields {
-		v, err := parseNum(f)
+		v, err := strconv.ParseUint(f, 0, 64)
 		if err != nil {
 			return nil, fmt.Errorf("serve: bad scan reply %q: %v", f, err)
 		}

@@ -48,7 +48,7 @@ var replyRE = regexp.MustCompile(`^(VALUE|STORED|RANGE|STATS|PONG|ERR)( [^\n]*)?
 func dispatchLine(h Handler, line string) (reply string, keepOpen bool) {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
-	keepOpen = dispatch(w, line, h)
+	keepOpen = dispatch(w, []byte(line), h)
 	w.Flush()
 	return buf.String(), keepOpen
 }

@@ -262,10 +262,10 @@ func TestGatherKeepsEntriesWhole(t *testing.T) {
 func TestCloseFailsQueuedChunk(t *testing.T) {
 	s := bareServer(8, 1)
 	chunk, point := entryOf(3), entryOf(1)
-	if err := s.admit(chunk, true); err != nil {
+	if err := s.admit(chunk, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.admit(point, false); err != nil {
+	if err := s.admit(point, &Deadline{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.queue) != 2 || s.outstanding.Load() != 4 || s.metrics.requests.Load() != 4 {
@@ -275,7 +275,7 @@ func TestCloseFailsQueuedChunk(t *testing.T) {
 	for len(s.queue) < cap(s.queue) {
 		s.queue <- nil
 	}
-	if err := s.admit(entryOf(4), false); !errors.Is(err, ErrOverloaded) || s.outstanding.Load() != 4 {
+	if err := s.admit(entryOf(4), &Deadline{}); !errors.Is(err, ErrOverloaded) || s.outstanding.Load() != 4 {
 		t.Fatalf("admit to a full queue: %v, outstanding %d; want ErrOverloaded and 4", err, s.outstanding.Load())
 	}
 	s.Close()
@@ -292,7 +292,7 @@ func TestCloseFailsQueuedChunk(t *testing.T) {
 	if s.outstanding.Load() != 0 {
 		t.Fatalf("outstanding after Close = %d", s.outstanding.Load())
 	}
-	if err := s.admit(entryOf(2), true); !errors.Is(err, ErrClosed) || s.outstanding.Load() != 0 {
+	if err := s.admit(entryOf(2), nil); !errors.Is(err, ErrClosed) || s.outstanding.Load() != 0 {
 		t.Fatalf("admit after Close: %v, outstanding %d", err, s.outstanding.Load())
 	}
 }

@@ -857,29 +857,128 @@ func randMask(rng *rand.Rand) uint64 {
 // Do submits a request and blocks until its response (backpressure:
 // a full queue blocks the submitter).
 func (s *Server) Do(req Request) (uint64, error) {
-	return s.do(req, true)
+	t, err := s.Submit(req)
+	if err != nil {
+		return 0, err
+	}
+	return t.Wait(nil)
 }
 
 // TryDo submits a request but returns ErrOverloaded instead of
 // blocking when the queue is full.
 func (s *Server) TryDo(req Request) (uint64, error) {
-	return s.do(req, false)
+	entry := []*item{newItem(req)}
+	if err := s.admit(entry, &Deadline{}); err != nil { // the zero time has passed: no waiting for room
+		return 0, err
+	}
+	var v [1]uint64
+	if err := s.await(entry, v[:], nil); err != nil {
+		return 0, err
+	}
+	return v[0], nil
 }
 
-func (s *Server) do(req Request, wait bool) (uint64, error) {
-	entry := []*item{newItem(req)}
-	if err := s.admit(entry, wait); err != nil {
+// A Deadline bounds several blocking calls by one point in time — the
+// calls of one cluster fan-out, say. Its channel, and the one timer
+// behind it, are made only when a call has to block on it, so calls
+// that never block cost neither. A nil *Deadline never expires. Until
+// Done has been called once it is not safe for concurrent use; after
+// that, Done may be called from several goroutines.
+type Deadline struct {
+	At    time.Time
+	done  chan struct{}
+	timer *time.Timer
+}
+
+// expired is the Done channel of every deadline found already passed.
+var expired = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// Done returns a channel that is closed once At has passed (nil for a
+// nil Deadline).
+func (d *Deadline) Done() <-chan struct{} {
+	if d == nil {
+		return nil
+	}
+	if d.done == nil {
+		wait := time.Until(d.At)
+		if wait <= 0 {
+			return expired
+		}
+		done := make(chan struct{})
+		d.done, d.timer = done, time.AfterFunc(wait, func() { close(done) })
+	}
+	return d.done
+}
+
+// Stop releases the timer Done started, if any.
+func (d *Deadline) Stop() {
+	if d != nil && d.timer != nil {
+		d.timer.Stop()
+	}
+}
+
+// Ticket is a request Submit took in; Wait returns its reply.
+type Ticket struct {
+	srv   *Server
+	it    item
+	entry [1]*item // the queue entry: the request alone
+	// waiting marks a request the full queue has not taken yet.
+	waiting bool
+}
+
+// Submit takes a request in and returns without waiting for its reply,
+// or for room in the queue: a request the full queue cannot take yet
+// is queued by Wait. Every Ticket must be waited on, or a request left
+// waiting for room keeps Shutdown from draining.
+func (s *Server) Submit(req Request) (*Ticket, error) {
+	t := &Ticket{srv: s, it: itemFor(req)}
+	t.entry[0] = &t.it
+	if err := s.enter(t.entry[:]); err != nil {
+		return nil, err
+	}
+	select {
+	case s.queue <- t.entry[:]:
+	default:
+		t.waiting = true
+	}
+	return t, nil
+}
+
+// Queued reports whether the queue took the request at Submit; if not,
+// Wait queues it.
+func (t *Ticket) Queued() bool { return !t.waiting }
+
+// Wait queues the request if the queue had no room at Submit, waiting
+// for room until d expires (ErrOverloaded) or the server closes
+// (ErrClosed), then blocks until it is answered and returns its reply —
+// or fails: with the request's own error, with ErrDeadline when
+// Config.Deadline or d expires first, or with ErrClosed. A reply or
+// room already there is taken even after d has expired.
+func (t *Ticket) Wait(d *Deadline) (uint64, error) {
+	if t.waiting {
+		t.waiting = false
+		if err := t.srv.enqueue(t.entry[:], d); err != nil {
+			return 0, err
+		}
+	}
+	var v [1]uint64
+	if err := t.srv.await(t.entry[:], v[:], d); err != nil {
 		return 0, err
 	}
-	vals, err := s.await(entry)
-	if err != nil {
-		return 0, err
-	}
-	return vals[0], nil
+	return v[0], nil
 }
 
 func newItem(req Request) *item {
-	return &item{
+	it := itemFor(req)
+	return &it
+}
+
+func itemFor(req Request) item {
+	return item{
 		tid:     req.TraceID,
 		word:    workloads.KVRequestWord(req.Write, req.Key, req.Value),
 		exclude: -1,
@@ -889,7 +988,16 @@ func newItem(req Request) *item {
 
 // admit puts the items on the queue as one entry — they run in one
 // batch — or admits none of them.
-func (s *Server) admit(entry []*item, wait bool) error {
+func (s *Server) admit(entry []*item, d *Deadline) error {
+	if err := s.enter(entry); err != nil {
+		return err
+	}
+	return s.enqueue(entry, d)
+}
+
+// enter counts the items of an entry as submitted and outstanding,
+// unless the server is closed or draining.
+func (s *Server) enter(entry []*item) error {
 	select {
 	case <-s.closed:
 		return ErrClosed
@@ -913,19 +1021,27 @@ func (s *Server) admit(entry []*item, wait bool) error {
 		it.id, it.enqueued = s.reqID.Add(1), now
 		s.event(obs.Event{Kind: obs.KindRequest, A: it.id, TraceID: it.tid})
 	}
-	if wait {
-		select {
-		case s.queue <- entry:
-			return nil
-		case <-s.closed:
-			s.outstanding.Add(-n)
-			return ErrClosed
-		}
-	}
+	return nil
+}
+
+// enqueue puts an entered entry on the queue. While the queue is full
+// it waits until the server closes or d expires, and then takes the
+// entry out of the outstanding count again; room already there is
+// taken without starting d's timer.
+func (s *Server) enqueue(entry []*item, d *Deadline) error {
 	select {
 	case s.queue <- entry:
 		return nil
 	default:
+	}
+	n := int64(len(entry))
+	select {
+	case s.queue <- entry:
+		return nil
+	case <-s.closed:
+		s.outstanding.Add(-n)
+		return ErrClosed
+	case <-d.Done():
 		s.outstanding.Add(-n)
 		s.metrics.rejected.Inc()
 		return ErrOverloaded
@@ -933,12 +1049,14 @@ func (s *Server) admit(entry []*item, wait bool) error {
 }
 
 // await blocks until the admitted items are answered, in order, and
-// returns their replies — or the first failure: an item's own, the
-// submitter's side of Config.Deadline (one watchdog for all of them), or
-// the server closing. The deadline runs from the admission of the first
-// item, and it wins a tie: a reply taken after it has passed is as late
-// as no reply, however the reply and the timer were scheduled.
-func (s *Server) await(items []*item) ([]uint64, error) {
+// stores their replies in out — or returns the first failure: an item's
+// own, the submitter's side of Config.Deadline (one watchdog for all of
+// them), d expiring, or the server closing. The deadline runs from the
+// admission of the first item, and it wins a tie: a reply taken after it
+// has passed is as late as no reply, however the reply and the timer
+// were scheduled. A reply already there is taken without starting d's
+// timer.
+func (s *Server) await(items []*item, out []uint64, d *Deadline) error {
 	var watchdog <-chan time.Time
 	var deadline time.Time
 	if s.cfg.Deadline > 0 {
@@ -947,33 +1065,38 @@ func (s *Server) await(items []*item) ([]uint64, error) {
 		defer timer.Stop()
 		watchdog = timer.C
 	}
-	out := make([]uint64, len(items))
 	for i, it := range items {
 		var r result
 		select {
 		case r = <-it.done:
-		case <-watchdog: // the deadline has passed: the test below fails
-		case <-s.closed:
-			// Drain either the late result or report shutdown.
+		default:
 			select {
 			case r = <-it.done:
-			default:
-				return nil, ErrClosed
+			case <-watchdog: // the deadline has passed: the test below fails
+			case <-d.Done():
+				return ErrDeadline
+			case <-s.closed:
+				// Drain either the late result or report shutdown.
+				select {
+				case r = <-it.done:
+				default:
+					return ErrClosed
+				}
 			}
 		}
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
 		if watchdog != nil && !time.Now().Before(deadline) {
 			// The request may still be queued or retrying; the submitter
 			// gets a definitive deadline failure now (the late result, if
 			// any, lands in the buffered channel and is dropped).
 			s.metrics.deadlines.Inc()
-			return nil, ErrDeadline
+			return ErrDeadline
 		}
 		out[i] = r.val
 	}
-	return out, nil
+	return nil
 }
 
 // Get reads a key.
@@ -1000,11 +1123,15 @@ func (s *Server) Scan(key uint64, n int) ([]uint64, error) {
 		items[i] = newItem(Request{Key: (key + uint64(i)) % uint64(s.cfg.KV.Records)})
 	}
 	for lo := 0; lo < n; lo += s.cfg.Batch {
-		if err := s.admit(items[lo:min(lo+s.cfg.Batch, n)], true); err != nil {
+		if err := s.admit(items[lo:min(lo+s.cfg.Batch, n)], nil); err != nil {
 			return nil, err // entries already admitted run and are dropped
 		}
 	}
-	return s.await(items)
+	out := make([]uint64, n)
+	if err := s.await(items, out, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Records returns the configured key range.
