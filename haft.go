@@ -501,6 +501,8 @@ type Cluster = cluster.Cluster
 
 // ClusterBackend is one serving node as the cluster sees it: local
 // (in-process Server) or remote (TCP connection pool to a haftserve).
+// Its Ping takes the deadline the router gives every probe, CallTimeout
+// away: a node that never answers must fail the probe by then.
 type ClusterBackend = cluster.Backend
 
 // ClusterSnapshot is a point-in-time export of a Cluster's metrics

@@ -20,8 +20,11 @@ type Backend interface {
 	ID() string
 	// Do executes one request and returns the reply word.
 	Do(req serve.Request) (uint64, error)
-	// Ping checks liveness (the health checker's probe).
-	Ping() error
+	// Ping checks liveness — the health checker's, the readmission's
+	// and the audit's probe — waiting no later than d (nil: no bound).
+	// The router always passes a deadline CallTimeout away, so a node
+	// that never answers costs each probe that long, not forever.
+	Ping(d *serve.Deadline) error
 	// Close releases the backend's resources.
 	Close()
 }
@@ -120,8 +123,9 @@ func (b *LocalBackend) Recv(call any, d *serve.Deadline) (uint64, error) {
 	return v, err
 }
 
-// Ping implements Backend: a killed node fails, a live one answers.
-func (b *LocalBackend) Ping() error {
+// Ping implements Backend: a killed node fails, a live one answers. It
+// never waits, so it ignores d.
+func (b *LocalBackend) Ping(_ *serve.Deadline) error {
 	b.mu.RLock()
 	srv := b.srv
 	b.mu.RUnlock()
@@ -370,13 +374,15 @@ func (b *RemoteBackend) Recv(call any, d *serve.Deadline) (uint64, error) {
 	return v, err
 }
 
-// Ping implements Backend.
-func (b *RemoteBackend) Ping() error {
-	c, err := b.get(nil)
+// Ping implements Backend: the connection checkout, a dial and the
+// round trip all end by d; a probe d cuts short fails with
+// errCallTimeout and its connection is closed, not pooled.
+func (b *RemoteBackend) Ping(d *serve.Deadline) error {
+	c, err := b.get(d)
 	if err != nil {
 		return err
 	}
-	err = c.Ping()
+	err = timeout(c.Ping(deadlineOf(d)))
 	b.put(c, err)
 	return err
 }

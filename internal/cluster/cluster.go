@@ -32,8 +32,10 @@ type Config struct {
 	// RetryBackoff is the base delay before a retry; it doubles per
 	// attempt (default 1ms).
 	RetryBackoff time.Duration
-	// CallTimeout bounds one replica call so a hung node cannot stall
-	// the voter (default 2s).
+	// CallTimeout bounds every call the router makes to a node — the
+	// calls of one fan-out, a replayed write, a health or readmission
+	// probe, one audit's probes — so a hung node cannot stall the
+	// router (default 2s).
 	CallTimeout time.Duration
 	// HealthInterval is the health checker's probe period (default
 	// 100ms).
@@ -162,14 +164,12 @@ func (c *Cluster) nodeStates() map[string]string {
 	return states
 }
 
-// readable nodes participate in the voting read path.
-func (n *node) readable() bool { return n.getState() == nodeHealthy }
-
-// writable nodes receive live writes (rebuilding nodes included, so
-// replay converges instead of chasing a moving target).
-func (n *node) writable() bool {
+// serves reports whether the node takes live writes (write) or reads:
+// only healthy nodes vote on reads, and rebuilding nodes take writes
+// too, so replay converges instead of chasing a moving target.
+func (n *node) serves(write bool) bool {
 	s := n.getState()
-	return s == nodeHealthy || s == nodeRebuilding
+	return s == nodeHealthy || write && s == nodeRebuilding
 }
 
 // Cluster is the routing front end: it owns the ring, the per-shard
@@ -274,7 +274,7 @@ func New(backends []Backend, cfg Config) (*Cluster, error) {
 	}
 	c.shards = make([]*shardLog, cfg.Shards)
 	for s := 0; s < cfg.Shards; s++ {
-		c.shards[s] = newShardLog(s, ring.Replicas(s, cfg.Replicas))
+		c.shards[s] = newShardLog(ring.Replicas(s, cfg.Replicas))
 	}
 	c.wg.Add(1)
 	go c.healthLoop()
@@ -346,8 +346,7 @@ type callResult struct {
 // not before them; one still unanswered at the deadline finishes in the
 // background against a buffered channel.
 func (c *Cluster) fanout(targets []*node, req serve.Request, out []callResult) []callResult {
-	start := time.Now()
-	d := &serve.Deadline{At: start.Add(c.cfg.CallTimeout)}
+	d := c.deadline()
 	defer d.Stop()
 	var async chan callResult
 	pending := 0 // calls on goroutines of their own
@@ -384,7 +383,6 @@ collect:
 			break collect
 		}
 	}
-	c.metrics.fanoutWait.Observe(time.Since(start))
 	return out
 }
 
@@ -399,6 +397,19 @@ func callAsync(r callResult, req serve.Request, d *serve.Deadline, ch chan<- cal
 		r.val, r.err = r.node.be.Do(req)
 	}
 	ch <- r
+}
+
+// deadline is the bound of one call to a node, or of one batch of calls
+// made together: CallTimeout from now.
+func (c *Cluster) deadline() *serve.Deadline {
+	return &serve.Deadline{At: time.Now().Add(c.cfg.CallTimeout)}
+}
+
+// ping probes one node, bounded by CallTimeout.
+func (c *Cluster) ping(n *node) error {
+	d := c.deadline()
+	defer d.Stop()
+	return n.be.Ping(d)
 }
 
 // account folds a call result into the node's breaker state.
@@ -488,103 +499,69 @@ func (c *Cluster) recordMask(req serve.Request, shard int, best uint64, nodeID s
 	c.flight.Record(b)
 }
 
-// doRead fans a read out to the shard's readable replicas and
-// delivers only a majority-of-R agreed value.
-func (c *Cluster) doRead(req serve.Request) (uint64, error) {
+// vote routes req to its shard's replicas and delivers only a reply a
+// majority of R agree on, re-routing after a miss up to MaxRetries
+// times. A read goes to the readable replicas. A write is first
+// appended to the shard's sequenced log, goes to the writable replicas
+// (rebuilding ones too), and is acknowledged only once a majority
+// applied it as well; re-executing a write on a replica is idempotent
+// (same value into the same slot), so a retry simply re-fans it to
+// every writable replica.
+func (c *Cluster) vote(req serve.Request) (uint64, error) {
 	shard := c.ring.ShardOf(req.Key)
-	c.event(obs.Event{Kind: obs.KindDispatch, A: uint64(shard),
-		Label: "read", TraceID: req.TraceID})
-	replicas := c.shards[shard].replicas
-	var lastErr error
-	var tbuf [fanoutInline]*node
-	var rbuf [fanoutInline]callResult
-	for attempt := 0; ; attempt++ {
-		targets := tbuf[:0]
-		for _, ni := range replicas {
-			if c.nodes[ni].readable() {
-				targets = append(targets, c.nodes[ni])
-			}
-		}
-		if len(targets) >= c.quorum {
-			results := c.fanout(targets, req, rbuf[:0])
-			for _, r := range results {
-				c.account(r)
-			}
-			best, bestN, losers, ok := tally(results)
-			c.metrics.votes.Add(uint64(ok))
-			if bestN >= c.quorum {
-				c.event(obs.Event{Kind: obs.KindVote, A: uint64(shard),
-					B: best, TraceID: req.TraceID})
-				c.maskLosers(req, shard, best, losers)
-				return best, nil
-			}
-			lastErr = fmt.Errorf("%w: shard %d: best %d/%d (of %d replies)",
-				ErrNoQuorum, shard, bestN, c.quorum, ok)
-		} else {
-			lastErr = fmt.Errorf("%w: shard %d: only %d/%d replicas readable",
-				ErrNoQuorum, shard, len(targets), c.quorum)
-		}
-		c.metrics.noQuorum.Inc()
-		if attempt >= c.cfg.MaxRetries {
-			return 0, lastErr
-		}
-		c.metrics.retries.Inc()
-		select {
-		case <-c.closed:
-			return 0, ErrClusterClosed
-		case <-time.After(c.cfg.RetryBackoff << uint(min(attempt, 10))):
-		}
-	}
-}
-
-// doWrite appends the write to the shard's sequenced log, fans it out
-// to the shard's writable replicas, and acknowledges once a majority
-// applied it AND a majority agree on the reply word. Re-executing a
-// write on a replica is idempotent (same value into the same slot), so
-// retries simply re-fan to every writable replica.
-func (c *Cluster) doWrite(req serve.Request) (uint64, error) {
-	shard := c.ring.ShardOf(req.Key)
-	c.event(obs.Event{Kind: obs.KindDispatch, A: uint64(shard),
-		Label: "write", TraceID: req.TraceID})
 	lg := c.shards[shard]
-	entry := lg.append(req)
-	defer lg.truncate(c.cfg.LogRetention)
+	kind := "read"
+	var entry *logEntry
+	if req.Write {
+		kind = "write"
+		entry = lg.append(req)
+		defer lg.truncate(c.cfg.LogRetention)
+	}
+	c.event(obs.Event{Kind: obs.KindDispatch, A: uint64(shard),
+		Label: kind, TraceID: req.TraceID})
 	var lastErr error
 	var tbuf [fanoutInline]*node
 	var rbuf [fanoutInline]callResult
 	for attempt := 0; ; attempt++ {
 		targets := tbuf[:0]
 		for _, ni := range lg.replicas {
-			if c.nodes[ni].writable() {
+			if c.nodes[ni].serves(req.Write) {
 				targets = append(targets, c.nodes[ni])
 			}
 		}
 		if len(targets) >= c.quorum {
+			start := time.Now()
 			results := c.fanout(targets, req, rbuf[:0])
+			c.metrics.fanoutWait.Observe(time.Since(start))
 			applied := 0
 			for _, r := range results {
 				c.account(r)
-				if r.err == nil {
-					if ord := lg.ordinalOf(r.node.idx); ord >= 0 {
-						applied = lg.markApplied(entry, ord)
-					}
+				if entry != nil && r.err == nil {
+					applied = lg.markApplied(entry, lg.ordinalOf(r.node.idx))
 				}
 			}
 			best, bestN, losers, ok := tally(results)
 			c.metrics.votes.Add(uint64(ok))
-			if bestN >= c.quorum && applied >= c.quorum {
+			if bestN >= c.quorum && (entry == nil || applied >= c.quorum) {
 				c.event(obs.Event{Kind: obs.KindVote, A: uint64(shard),
 					B: best, TraceID: req.TraceID})
 				c.maskLosers(req, shard, best, losers)
-				lg.ack(entry)
-				c.metrics.ackedWrites.Inc()
+				if entry != nil {
+					lg.ack(entry)
+					c.metrics.ackedWrites.Inc()
+				}
 				return best, nil
 			}
-			lastErr = fmt.Errorf("%w: shard %d write seq %d: vote %d/%d, applied %d/%d",
-				ErrNoQuorum, shard, entry.seq, bestN, c.quorum, applied, c.quorum)
+			if entry == nil {
+				lastErr = fmt.Errorf("%w: shard %d: best %d/%d (of %d replies)",
+					ErrNoQuorum, shard, bestN, c.quorum, ok)
+			} else {
+				lastErr = fmt.Errorf("%w: shard %d write seq %d: vote %d/%d, applied %d/%d",
+					ErrNoQuorum, shard, entry.seq, bestN, c.quorum, applied, c.quorum)
+			}
 		} else {
-			lastErr = fmt.Errorf("%w: shard %d: only %d/%d replicas writable",
-				ErrNoQuorum, shard, len(targets), c.quorum)
+			lastErr = fmt.Errorf("%w: shard %d: only %d/%d replicas take %ss",
+				ErrNoQuorum, shard, len(targets), c.quorum, kind)
 		}
 		c.metrics.noQuorum.Inc()
 		if attempt >= c.cfg.MaxRetries {
@@ -614,13 +591,7 @@ func (c *Cluster) Do(req serve.Request) (uint64, error) {
 	}
 	c.metrics.request(req.Write)
 	t0 := time.Now()
-	var v uint64
-	var err error
-	if req.Write {
-		v, err = c.doWrite(req)
-	} else {
-		v, err = c.doRead(req)
-	}
+	v, err := c.vote(req)
 	if err != nil {
 		c.metrics.failed.Inc()
 		return 0, err
@@ -713,7 +684,7 @@ func (c *Cluster) readmit(n *node) {
 			}
 		}
 	}
-	if err := n.be.Ping(); err != nil {
+	if err := c.ping(n); err != nil {
 		requarantine(restart)
 		return
 	}
@@ -738,29 +709,26 @@ func (c *Cluster) readmit(n *node) {
 // replayNode streams every retained write the node has not applied
 // back into it, in sequence order, until none are pending (live writes
 // keep landing on the node concurrently — it is already writable — so
-// the loop converges). Returns how many writes were replayed.
+// the loop converges). Each write is a fan-out to the node alone, under
+// the fan-out's bound, and feeds no breaker. The first write the node
+// fails ends the replay: the node went away again, and no later write
+// may overtake the failed one. Returns how many writes were replayed.
 func (c *Cluster) replayNode(n *node) int {
 	replayed := 0
+	one := [1]*node{n}
+	var rbuf [1]callResult
 	for _, lg := range c.shards {
-		if lg.ordinalOf(n.idx) < 0 {
+		ord := lg.ordinalOf(n.idx)
+		if ord < 0 {
 			continue
 		}
-		for {
-			pending := lg.pendingFor(n.idx)
-			if len(pending) == 0 {
-				break
-			}
-			progress := false
+		for pending := lg.pendingFor(n.idx); len(pending) > 0; pending = lg.pendingFor(n.idx) {
 			for _, e := range pending {
-				if _, err := n.be.Do(e.req); err != nil {
-					continue
+				if c.fanout(one[:], e.req, rbuf[:0])[0].err != nil {
+					return replayed
 				}
-				lg.markApplied(e, lg.ordinalOf(n.idx))
+				lg.markApplied(e, ord)
 				replayed++
-				progress = true
-			}
-			if !progress {
-				break // node went away again; breaker will re-open
 			}
 		}
 	}
@@ -777,7 +745,7 @@ func (c *Cluster) recomputePrimaries() {
 		cur := c.primaries[s]
 		next := cur
 		for ord, ni := range lg.replicas {
-			if c.nodes[ni].writable() {
+			if c.nodes[ni].serves(true) {
 				next = ord
 				break
 			}
@@ -791,8 +759,9 @@ func (c *Cluster) recomputePrimaries() {
 	}
 }
 
-// healthLoop probes every node each HealthInterval: failures feed the
-// breaker, expired cooldowns trigger readmission probes.
+// healthLoop probes every healthy node each HealthInterval, one at a
+// time and each within CallTimeout: failures feed the breaker, expired
+// cooldowns trigger readmission probes.
 func (c *Cluster) healthLoop() {
 	defer c.wg.Done()
 	t := time.NewTicker(c.cfg.HealthInterval)
@@ -806,7 +775,7 @@ func (c *Cluster) healthLoop() {
 		for _, n := range c.nodes {
 			switch n.getState() {
 			case nodeHealthy:
-				if err := n.be.Ping(); err != nil {
+				if err := c.ping(n); err != nil {
 					c.metrics.nodeFails.With(n.be.ID()).Inc()
 					c.recordFailure(n)
 				}
@@ -842,15 +811,12 @@ type InvariantReport struct {
 }
 
 // CheckInvariants audits the write logs against live nodes and
-// refreshes the lost-acked-writes metric.
+// refreshes the lost-acked-writes metric. It asks each node once
+// whether it is live, before it takes any shard log's lock, so no probe
+// runs under one and a node that never answers delays the audit by one
+// CallTimeout, not the writes.
 func (c *Cluster) CheckInvariants() InvariantReport {
-	live := func(ni int) bool {
-		n := c.nodes[ni]
-		if s := n.getState(); s == nodeDead {
-			return false
-		}
-		return n.be.Ping() == nil
-	}
+	live := c.liveNodes()
 	lost, unapplied := 0, 0
 	for _, lg := range c.shards {
 		lost += lg.lost(live)
@@ -864,13 +830,36 @@ func (c *Cluster) CheckInvariants() InvariantReport {
 	}
 }
 
+// liveNodes pings every node that is not dead, all at once and under
+// one deadline of CallTimeout, and reports which answered, by node
+// index.
+func (c *Cluster) liveNodes() []bool {
+	live := make([]bool, len(c.nodes))
+	d := c.deadline()
+	d.Done() // from here on safe to share with the probes
+	defer d.Stop()
+	var wg sync.WaitGroup
+	for i, n := range c.nodes {
+		if n.getState() == nodeDead {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			live[i] = n.be.Ping(d) == nil
+		}()
+	}
+	wg.Wait()
+	return live
+}
+
 // SyncReplicas replays every pending write into every writable node
 // (the quiesced end-of-run convergence pass the chaos tests use before
 // auditing). Returns the number of writes replayed.
 func (c *Cluster) SyncReplicas() int {
 	total := 0
 	for _, n := range c.nodes {
-		if n.writable() {
+		if n.serves(true) {
 			total += c.replayNode(n)
 		}
 	}
@@ -905,7 +894,7 @@ func (c *Cluster) Health() obs.Health {
 	for _, lg := range c.shards {
 		readable := 0
 		for _, ni := range lg.replicas {
-			if c.nodes[ni].readable() {
+			if c.nodes[ni].serves(false) {
 				readable++
 			}
 		}

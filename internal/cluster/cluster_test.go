@@ -364,7 +364,7 @@ func TestClusterTCP(t *testing.T) {
 	defer cl.Close()
 
 	vw := nodeConfig().KV.ValueWork
-	if err := cl.Ping(); err != nil {
+	if err := cl.Ping(time.Time{}); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
 	pv, err := cl.Put(3, 99)
@@ -408,9 +408,9 @@ type deafBackend struct {
 	failFrom uint64
 }
 
-func (b *deafBackend) ID() string  { return b.id }
-func (b *deafBackend) Ping() error { return nil }
-func (b *deafBackend) Close()      {}
+func (b *deafBackend) ID() string                 { return b.id }
+func (b *deafBackend) Ping(*serve.Deadline) error { return nil }
+func (b *deafBackend) Close()                     {}
 func (b *deafBackend) Do(req serve.Request) (uint64, error) {
 	if req.Key >= b.failFrom {
 		return 0, fmt.Errorf("key %d unreachable", req.Key)

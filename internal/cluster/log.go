@@ -19,24 +19,17 @@ type logEntry struct {
 }
 
 // shardLog is one shard's replication state: the replica set (fixed
-// node indices, in ring preference order), the write sequence, the
-// retained log, and the acting primary ordinal (for failover
-// accounting — the first *healthy* replica owns the shard).
+// node indices, in ring preference order), the write sequence and the
+// retained log.
 type shardLog struct {
 	mu       sync.Mutex
-	shard    int
 	replicas []int
 	nextSeq  uint64
 	entries  []*logEntry
-	// primary is the ordinal of the current acting primary within
-	// replicas (advanced by failover when the home primary is down).
-	primary int
-	// maxAcked is the highest acknowledged sequence number.
-	maxAcked uint64
 }
 
-func newShardLog(shard int, replicas []int) *shardLog {
-	return &shardLog{shard: shard, replicas: append([]int(nil), replicas...)}
+func newShardLog(replicas []int) *shardLog {
+	return &shardLog{replicas: append([]int(nil), replicas...)}
 }
 
 // ordinalOf returns the replica ordinal of node n, or -1.
@@ -79,9 +72,6 @@ func (l *shardLog) ack(e *logEntry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e.acked = true
-	if e.seq > l.maxAcked {
-		l.maxAcked = e.seq
-	}
 }
 
 // clearApplied wipes node n's applied bits — called when the node is
@@ -118,9 +108,10 @@ func (l *shardLog) pendingFor(n int) []*logEntry {
 }
 
 // lost counts acknowledged entries with no surviving applied copy
-// among replicas whose node `live` reports up — each is one lost
-// acknowledged write, the number the cluster invariant pins at zero.
-func (l *shardLog) lost(live func(node int) bool) int {
+// among replicas whose node live reports up (live is indexed by node)
+// — each is one lost acknowledged write, the number the cluster
+// invariant pins at zero.
+func (l *shardLog) lost(live []bool) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	lost := 0
@@ -130,7 +121,7 @@ func (l *shardLog) lost(live func(node int) bool) int {
 		}
 		ok := false
 		for ord, a := range e.applied {
-			if a && live(l.replicas[ord]) {
+			if a && live[l.replicas[ord]] {
 				ok = true
 				break
 			}

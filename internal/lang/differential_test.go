@@ -192,7 +192,7 @@ func TestDifferentialCompilerVsInterpreter(t *testing.T) {
 			// budget is fuzzRun's: a program the oracle's step limit
 			// rejected must not burn the default 500M instructions.
 			cfg := vmQuiet()
-			cfg.MaxDynInstrs = 10_000_000
+			cfg.MaxDynInstrs = hangMargin
 			mach := vm.NewFromProgram(vm.Compile(m), 1, cfg)
 			mach.Run(vm.ThreadSpec{Func: "main"})
 			if mach.Status() == vm.StatusOK {

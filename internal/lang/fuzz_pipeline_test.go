@@ -194,15 +194,16 @@ type fuzzOutcome struct {
 }
 
 // fuzzRun runs mod's main on one thread, stepwise or run-ahead.
-// Generated programs terminate within thousands of instructions; the
-// tight budget makes the deterministic infinite loops the generator
-// can produce (loop counters reassigned in the body) fail fast instead
-// of burning the default 500M-instruction budget per variant. The
-// oracle's own step limit rejects the same programs, so crash
-// behaviour stays aligned.
+// Generated programs terminate within tens of thousands of
+// instructions; the budget, hangMargin, makes the deterministic
+// infinite loops the generator can produce (loop counters reassigned in
+// the body) fail fast instead of burning the default 500M-instruction
+// budget per variant. The oracle's step limit is derived from the same
+// margin and rejects the same programs, so crash behaviour stays
+// aligned.
 func fuzzRun(mod *ir.Module, stepwise bool) fuzzOutcome {
 	cfg := vmQuiet()
-	cfg.MaxDynInstrs = 10_000_000
+	cfg.MaxDynInstrs = hangMargin
 	var mach *vm.Machine
 	if stepwise {
 		mach = vm.New(mod, 1, cfg)
@@ -280,6 +281,9 @@ func fuzzCheck(src string, vs []fuzzVariant) error {
 			oracleErr = errOracle{fmt.Sprintf("%s: %v (%s) on a program the oracle runs", v.name, got.status, got.stats.CrashReason)}
 		case ierr == nil && !slices.Equal(got.out, oracle):
 			oracleErr = errOracle{fmt.Sprintf("%s: output %v, oracle %v", v.name, got.out, oracle)}
+		case ierr == nil && got.stats.DynInstrs > hangMargin/4:
+			oracleErr = errOracle{fmt.Sprintf("%s: a terminating run took %d instructions, over a quarter of hangMargin (%d): raise the margin",
+				v.name, got.stats.DynInstrs, hangMargin)}
 		}
 	}
 	return errors.Join(engErr, oracleErr)

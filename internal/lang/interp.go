@@ -11,8 +11,20 @@ import (
 	"fmt"
 )
 
-// InterpLimit bounds interpreted steps so runaway loops fail fast.
-const InterpLimit = 5_000_000
+// hangMargin is the dynamic-instruction budget of a compiled run in
+// the differential tests: a run still going after it counts as hung. It
+// is about 16x the 59,696 instructions the largest terminating TMR run
+// of the fuzz driver's generated programs takes; fuzzCheck fails a
+// terminating program that takes more than a quarter of it, so the
+// margin cannot erode unnoticed as the generator grows.
+const hangMargin = 1_000_000
+
+// InterpLimit bounds interpreted steps so runaway loops fail fast. It
+// is hangMargin: a step costs a compiled run more than one instruction
+// (1.15 or more on every terminating program of the fuzz driver), so a
+// program the interpreter gives up on runs out of a compiled run's
+// budget too.
+const InterpLimit = hangMargin
 
 // Interp runs a program's main function single-threaded and returns
 // everything it passed to out().

@@ -432,12 +432,13 @@ func (c *Conn) setDeadline(at time.Time) error {
 }
 
 // roundTrip sends one command line and returns the reply payload after
-// stripping the expected tag. An error that is not a *ServerError means
-// the connection can no longer be trusted.
-func (c *Conn) roundTrip(cmd, wantTag string) (string, error) {
+// stripping the expected tag, waiting no later than at (zero: no bound).
+// An error that is not a *ServerError means the connection can no longer
+// be trusted.
+func (c *Conn) roundTrip(cmd, wantTag string, at time.Time) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.setDeadline(time.Time{}); err != nil {
+	if err := c.setDeadline(at); err != nil {
 		return "", err
 	}
 	if _, err := c.w.WriteString(cmd + "\n"); err != nil {
@@ -568,7 +569,7 @@ func (c *Conn) PutTraced(key, value, tid uint64) (uint64, error) {
 
 // Scan reads n consecutive keys starting at key.
 func (c *Conn) Scan(key uint64, n int) ([]uint64, error) {
-	rest, err := c.roundTrip(fmt.Sprintf("scan %d %d", key, n), "RANGE")
+	rest, err := c.roundTrip(fmt.Sprintf("scan %d %d", key, n), "RANGE", time.Time{})
 	if err != nil {
 		return nil, err
 	}
@@ -586,7 +587,7 @@ func (c *Conn) Scan(key uint64, n int) ([]uint64, error) {
 
 // Stats fetches the server's metrics snapshot.
 func (c *Conn) Stats() (Snapshot, error) {
-	rest, err := c.roundTrip("stats", "STATS")
+	rest, err := c.roundTrip("stats", "STATS", time.Time{})
 	if err != nil {
 		return Snapshot{}, err
 	}
@@ -601,16 +602,17 @@ func (c *Conn) Stats() (Snapshot, error) {
 // single-node snapshot shape — a cluster router answers "stats" with
 // the cluster snapshot, which carries different fields.
 func (c *Conn) StatsRaw() ([]byte, error) {
-	rest, err := c.roundTrip("stats", "STATS")
+	rest, err := c.roundTrip("stats", "STATS", time.Time{})
 	if err != nil {
 		return nil, err
 	}
 	return []byte(rest), nil
 }
 
-// Ping round-trips a no-op command.
-func (c *Conn) Ping() error {
-	_, err := c.roundTrip("ping", "PONG")
+// Ping round-trips a no-op command, waiting no later than at (zero: no
+// bound).
+func (c *Conn) Ping(at time.Time) error {
+	_, err := c.roundTrip("ping", "PONG", at)
 	return err
 }
 

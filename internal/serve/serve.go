@@ -54,7 +54,8 @@ type Config struct {
 	Pool int
 	// QueueDepth bounds the request queue, in entries (a point request,
 	// or up to Batch keys of one scan); a full queue pushes back on
-	// submitters (Do blocks, TryDo rejects).
+	// submitters (Do waits for room; a Ticket.Wait gives up at its
+	// deadline).
 	QueueDepth int
 	// Batch is the maximum number of requests executed in one machine
 	// run.
@@ -163,7 +164,8 @@ type Request struct {
 	TraceID uint64
 }
 
-// ErrOverloaded is returned by TryDo when the queue is full.
+// ErrOverloaded is returned by Ticket.Wait when the queue had no room
+// for the request before its deadline.
 var ErrOverloaded = errors.New("serve: queue full")
 
 // ErrClosed is returned for requests submitted to a closed server.
@@ -862,20 +864,6 @@ func (s *Server) Do(req Request) (uint64, error) {
 		return 0, err
 	}
 	return t.Wait(nil)
-}
-
-// TryDo submits a request but returns ErrOverloaded instead of
-// blocking when the queue is full.
-func (s *Server) TryDo(req Request) (uint64, error) {
-	entry := []*item{newItem(req)}
-	if err := s.admit(entry, &Deadline{}); err != nil { // the zero time has passed: no waiting for room
-		return 0, err
-	}
-	var v [1]uint64
-	if err := s.await(entry, v[:], nil); err != nil {
-		return 0, err
-	}
-	return v[0], nil
 }
 
 // A Deadline bounds several blocking calls by one point in time — the

@@ -234,7 +234,7 @@ func TestServeTCP(t *testing.T) {
 	}
 	defer c.Close()
 
-	if err := c.Ping(); err != nil {
+	if err := c.Ping(time.Time{}); err != nil {
 		t.Fatalf("ping: %v", err)
 	}
 	pv, err := c.Put(3, 99)
@@ -267,10 +267,10 @@ func TestServeTCP(t *testing.T) {
 	}
 
 	// Protocol errors keep the connection usable.
-	if _, err := c.roundTrip("get", "VALUE"); err == nil || !strings.Contains(err.Error(), "usage") {
+	if _, err := c.roundTrip("get", "VALUE", time.Time{}); err == nil || !strings.Contains(err.Error(), "usage") {
 		t.Fatalf("malformed get: %v", err)
 	}
-	if err := c.Ping(); err != nil {
+	if err := c.Ping(time.Time{}); err != nil {
 		t.Fatalf("ping after error: %v", err)
 	}
 }
