@@ -53,8 +53,9 @@ type Metrics struct {
 	nodeServed *obs.CounterVec
 
 	latency *obs.Latency
-	// fanoutWait is the time from a fan-out's first send to its last
-	// reply (or its deadline).
+	// fanoutWait is the time from a request's fan-out's first send to
+	// its last reply (or its deadline); a replay's fan-outs are not
+	// counted.
 	fanoutWait *obs.Latency
 }
 
