@@ -267,6 +267,9 @@ func deadlineOf(d *serve.Deadline) time.Time {
 // timeout reports a socket operation its deadline cut short as
 // errCallTimeout.
 func timeout(err error) error {
+	if err == nil {
+		return nil
+	}
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
 		return errCallTimeout
@@ -279,11 +282,13 @@ func timeout(err error) error {
 // deadline) leaves the line protocol in sync, so the connection is kept;
 // after any other error it is closed and its slot freed for a fresh dial.
 func (b *RemoteBackend) put(c *serve.Conn, err error) {
-	var refused *serve.ServerError
-	if err != nil && !errors.As(err, &refused) {
-		c.Close()
-		b.slots <- struct{}{}
-		return
+	if err != nil {
+		var refused *serve.ServerError
+		if !errors.As(err, &refused) {
+			c.Close()
+			b.slots <- struct{}{}
+			return
+		}
 	}
 	b.mu.Lock()
 	closed := b.closed

@@ -656,8 +656,9 @@ func (c *Cluster) quarantineNode(n *node, restart bool, cause string) {
 // readmit brings a node back: rebuild the backend if required, clear
 // its applied bits (its state may be gone), make it writable, replay
 // the write log into it, then return it to full (readable) health.
-// On failure the node reverts to quarantined and the next cooldown
-// probe retries.
+// On failure — the rebuild or the probe fails, or the replay stops at a
+// write the node fails, leaving it without acked writes — the node
+// reverts to quarantined and the next cooldown probe retries.
 func (c *Cluster) readmit(n *node) {
 	n.mu.Lock()
 	restart := n.needsRestart
@@ -693,9 +694,13 @@ func (c *Cluster) readmit(n *node) {
 	for _, lg := range c.shards {
 		lg.clearApplied(n.idx)
 	}
-	replayed := c.replayNode(n)
-	c.metrics.rebuilds.Inc()
+	replayed, complete := c.replayNode(n)
 	c.metrics.replayedWrites.Add(uint64(replayed))
+	if !complete {
+		requarantine(restart)
+		return
+	}
+	c.metrics.rebuilds.Inc()
 	n.mu.Lock()
 	n.state = nodeHealthy
 	n.consecFails = 0
@@ -712,9 +717,9 @@ func (c *Cluster) readmit(n *node) {
 // the loop converges). Each write is a fan-out to the node alone, under
 // the fan-out's bound, and feeds no breaker. The first write the node
 // fails ends the replay: the node went away again, and no later write
-// may overtake the failed one. Returns how many writes were replayed.
-func (c *Cluster) replayNode(n *node) int {
-	replayed := 0
+// may overtake the failed one. Returns how many writes were replayed,
+// and whether none is left pending.
+func (c *Cluster) replayNode(n *node) (replayed int, complete bool) {
 	one := [1]*node{n}
 	var rbuf [1]callResult
 	for _, lg := range c.shards {
@@ -725,14 +730,14 @@ func (c *Cluster) replayNode(n *node) int {
 		for pending := lg.pendingFor(n.idx); len(pending) > 0; pending = lg.pendingFor(n.idx) {
 			for _, e := range pending {
 				if c.fanout(one[:], e.req, rbuf[:0])[0].err != nil {
-					return replayed
+					return replayed, false
 				}
 				lg.markApplied(e, ord)
 				replayed++
 			}
 		}
 	}
-	return replayed
+	return replayed, true
 }
 
 // recomputePrimaries re-derives each shard's acting primary (the
@@ -860,7 +865,8 @@ func (c *Cluster) SyncReplicas() int {
 	total := 0
 	for _, n := range c.nodes {
 		if n.serves(true) {
-			total += c.replayNode(n)
+			replayed, _ := c.replayNode(n)
+			total += replayed
 		}
 	}
 	c.metrics.replayedWrites.Add(uint64(total))

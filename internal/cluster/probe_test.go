@@ -338,7 +338,8 @@ func (b *failingWrite) Do(req serve.Request) (uint64, error) {
 
 // TestReplayStopsAtFirstFailure: the replay into a readmitted node
 // stops at the first write the node fails, so no later write of the
-// log overtakes it; all of them stay pending for the next replay.
+// log overtakes it; all of them stay pending for the next replay, and
+// the node, which lacks them, is quarantined again instead of healthy.
 func TestReplayStopsAtFirstFailure(t *testing.T) {
 	backends := localBackends(t, 3, nodeConfig())
 	cfg := DefaultConfig()
@@ -377,5 +378,8 @@ func TestReplayStopsAtFirstFailure(t *testing.T) {
 	}
 	if fmt.Sprint(pending) != fmt.Sprint(keys[1:]) {
 		t.Fatalf("writes of keys %v pending for the node, want %v", pending, keys[1:])
+	}
+	if st := n.getState(); st != nodeQuarantined {
+		t.Fatalf("node %v after a replay that left writes pending, want %v", st, nodeQuarantined)
 	}
 }

@@ -168,7 +168,8 @@ func DefaultConfig() Config {
 type Stats struct {
 	Started   uint64
 	Committed uint64
-	Aborted   map[Cause]uint64
+	// Aborted counts aborts by cause; it is nil until the first one.
+	Aborted map[Cause]uint64
 	// FallbackRuns counts retry budgets that were exhausted, forcing
 	// non-transactional execution.
 	FallbackRuns uint64
@@ -277,13 +278,11 @@ type System struct {
 
 // NewSystem creates an HTM with ncores logical cores.
 func NewSystem(ncores int, cfg Config) *System {
-	s := &System{
+	return &System{
 		cfg:    cfg,
 		cores:  make([]tx, ncores),
 		stream: streamOf(cfg.Seed),
 	}
-	s.Stats.Aborted = make(map[Cause]uint64)
-	return s
 }
 
 // Config returns the system configuration.
@@ -293,15 +292,16 @@ func (s *System) Config() Config { return s.cfg }
 // transaction is closed (its sets are dead state that Begin clears), the
 // statistics are zeroed and the spontaneous-abort stream is rewound, so
 // a reused system behaves identically to a freshly constructed one.
-// Stats.Aborted is a new map, not a cleared one: finished runs hand
-// Stats out by value and keep the old map.
+// Stats.Aborted is nil until the run's first abort makes a new map,
+// never a cleared one: finished runs hand Stats out by value and keep
+// the old map.
 func (s *System) Reset() {
 	for i := range s.cores {
 		t := &s.cores[i]
 		t.active, t.doomed, t.startCycle = false, CauseNone, 0
 	}
 	s.draws = 0
-	s.Stats = Stats{Aborted: make(map[Cause]uint64)}
+	s.Stats = Stats{}
 }
 
 // InTx reports whether core is currently executing a transaction
@@ -390,6 +390,9 @@ func (s *System) Abort(core int, cycle uint64, cause Cause) {
 
 func (s *System) abort(core int, cycle uint64, cause Cause) {
 	t := &s.cores[core]
+	if s.Stats.Aborted == nil {
+		s.Stats.Aborted = make(map[Cause]uint64)
+	}
 	s.Stats.Aborted[cause]++
 	s.Stats.WastedCycles += cycle - t.startCycle
 	t.active = false

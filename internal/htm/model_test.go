@@ -32,7 +32,7 @@ type modelTx struct {
 }
 
 func newModel(ncores int, cfg Config) *model {
-	return &model{cfg: cfg, cores: make([]modelTx, ncores), stats: Stats{Aborted: map[Cause]uint64{}},
+	return &model{cfg: cfg, cores: make([]modelTx, ncores),
 		stream: &refStream{rng: rand.New(rand.NewSource(cfg.Seed))}}
 }
 
@@ -45,7 +45,7 @@ func (m *model) reset() {
 	for i := range m.cores {
 		m.cores[i] = modelTx{}
 	}
-	m.stats, m.draws = Stats{Aborted: map[Cause]uint64{}}, 0
+	m.stats, m.draws = Stats{}, 0
 }
 
 func (m *model) begin(core int, cycle uint64) {
@@ -70,6 +70,9 @@ func (m *model) abort(core int, cycle uint64, c Cause) {
 	t := &m.cores[core]
 	if t.doomed != CauseNone {
 		c = t.doomed
+	}
+	if m.stats.Aborted == nil { // no map before a run's first abort
+		m.stats.Aborted = map[Cause]uint64{}
 	}
 	m.stats.Aborted[c]++
 	m.stats.WastedCycles += cycle - t.startCycle

@@ -229,19 +229,19 @@ func TestGatherKeepsEntriesWhole(t *testing.T) {
 		s.queue <- e
 	}
 
-	batch, held := s.gather(c1, 0)
+	batch, held := s.gather(nil, c1, 0)
 	if len(batch) != 5 || batch[4] != c1[4] || !same(held, c2) || len(s.queue) != 6 {
 		t.Fatalf("first batch: %d items, held %d, %d entries left; want c1 alone, c2 held, 6 left", len(batch), len(held), len(s.queue))
 	}
-	batch, held = s.gather(held, 0)
+	batch, held = s.gather(nil, held, 0)
 	if len(batch) != 8 || batch[0] != c2[0] || batch[4] != c2[4] || batch[5] != points[0][0] || batch[7] != points[2][0] || held != nil {
 		t.Fatalf("second batch: %d items, held %d; want c2 then three point requests", len(batch), len(held))
 	}
-	batch, held = s.gather(<-s.queue, 0)
+	batch, held = s.gather(nil, <-s.queue, 0)
 	if len(batch) != 1 || batch[0] != points[3][0] || !same(held, c3) || len(s.queue) != 1 {
 		t.Fatalf("third batch: %d items, held %d; want one point request, the full chunk held, the last point request not overtaking it", len(batch), len(held))
 	}
-	batch, held = s.gather(held, 0)
+	batch, held = s.gather(nil, held, 0)
 	if len(batch) != 8 || batch[0] != c3[0] || held != nil || len(s.queue) != 1 {
 		t.Fatalf("fourth batch: %d items; want the full chunk alone, the queue untouched", len(batch))
 	}
@@ -251,7 +251,7 @@ func TestGatherKeepsEntriesWhole(t *testing.T) {
 	// this one again, after what was queued before it.
 	retried := entryOf(1)
 	retried[0].exclude = 1
-	batch, held = s.gather(retried, 1)
+	batch, held = s.gather(nil, retried, 1)
 	if len(batch) != 2 || batch[0] != points[4][0] || batch[1] != retried[0] || held != nil || retried[0].exclude != -1 {
 		t.Fatalf("excluded retry: batch of %d, exclude %d; want the queued point request, then the retry", len(batch), retried[0].exclude)
 	}

@@ -6,11 +6,13 @@
 //
 // Execution policy:
 //
-//   - each pool worker owns one vm.Machine built from the hardened KV
-//     server program (internal/workloads.KVServe) and reuses it across
+//   - each pool instance is one vm.Machine built from the hardened KV
+//     server program (internal/workloads.KVServe) and reused across
 //     batches via Machine.Reset — no per-request compile or clone;
 //   - requests are gathered into batches of up to Config.Batch and one
 //     batch is one machine run, with per-request transactions inside;
+//     a point request that finds the queue empty and an instance idle
+//     runs as a batch of one on the caller's goroutine;
 //   - a run that ends in any non-ok status (ILR detected a fault that
 //     recovery did not absorb, the "OS" killed the program, or the run
 //     hung) fails no requests: every request of the batch is retried,
@@ -50,7 +52,8 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Pool is the number of warm VM instances (= worker goroutines).
+	// Pool is the number of warm VM instances (and of the worker
+	// goroutines that run queued batches on them).
 	Pool int
 	// QueueDepth bounds the request queue, in entries (a point request,
 	// or up to Batch keys of one scan); a full queue pushes back on
@@ -190,7 +193,8 @@ type result struct {
 	err error
 }
 
-// instance is one warm VM in the pool.
+// instance is one warm VM in the pool. Whoever took it out of the idle
+// set — a worker, or Do on the caller's goroutine — has it to itself.
 type instance struct {
 	id        int
 	mach      *vm.Machine
@@ -209,6 +213,14 @@ type instance struct {
 	// clean (ok, fully-verified) run — the span the
 	// serve_quarantined_instances gauge counts.
 	inQuarantine bool
+
+	// The buffers of a run, Batch long, reused by every run: request
+	// words, replies, and the verified items and replies it delivers.
+	words, replies, vals []uint64
+	delivered            []*item
+	// spare carries Do's inline request; nil once one went on to be
+	// retried elsewhere with it, until the next inline run makes another.
+	spare *item
 }
 
 // Server is the request-serving layer.
@@ -219,7 +231,13 @@ type Server struct {
 	// queue carries entries: the items of one entry run in one batch. A
 	// point request or a retry is an entry of one, a scan admits up to
 	// Batch keys per entry.
-	queue   chan []*item
+	queue chan []*item
+	// idle holds the instances no run is using, Pool of them when the
+	// server is quiet. A channel send hands an instance to a worker
+	// already waiting for one before Do can take it.
+	idle chan *instance
+	// specs starts the serving program's one thread.
+	specs   []vm.ThreadSpec
 	metrics *Metrics
 	ring    *obs.Ring
 	flight  *obs.FlightRecorder
@@ -329,6 +347,8 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.mod = moduleSource{prog: &hp, cprog: vm.SharedPrograms.Get(hp.Module), cfg: vm.DefaultConfig()}
 	s.queue = make(chan []*item, cfg.QueueDepth)
+	s.idle = make(chan *instance, cfg.Pool)
+	s.specs = hp.SpecsFor(1)
 	s.metrics = newMetrics(cfg.Pool, func() int { return len(s.queue) })
 
 	if err := s.calibrate(); err != nil {
@@ -359,7 +379,7 @@ func (s *Server) calibrate() error {
 		words[i] = workloads.KVRequestWord(i%2 == 0, uint64(i%s.cfg.KV.Records), uint64(i))
 	}
 	s.pokeBatch(inst, words)
-	if st := inst.mach.Run(s.prog.SpecsFor(1)...); st != vm.StatusOK {
+	if st := inst.mach.Run(s.specs...); st != vm.StatusOK {
 		return fmt.Errorf("serve: calibration run failed: %v (%s)",
 			st, inst.mach.Stats().CrashReason)
 	}
@@ -380,6 +400,7 @@ func (s *Server) newInstance(id int) *instance {
 	// per instance so VM-domain events stay distinguishable.
 	mach.SetObsRing(s.ring)
 	mach.SetObsActorBase(int32(id+1) * 16)
+	n := s.cfg.Batch
 	return &instance{
 		id:        id,
 		mach:      mach,
@@ -388,6 +409,10 @@ func (s *Server) newInstance(id int) *instance {
 		replyAddr: mach.Mod.Global(workloads.KVRepliesGlobal).Addr,
 		rng:       rand.New(rand.NewSource(s.cfg.Seed + int64(id)*7919)),
 		chaosRng:  rand.New(rand.NewSource(s.cfg.Seed ^ 0x5eed + int64(id)*104729)),
+		words:     make([]uint64, 0, n),
+		replies:   make([]uint64, 0, n),
+		vals:      make([]uint64, 0, n),
+		delivered: make([]*item, 0, n),
 	}
 }
 
@@ -429,41 +454,59 @@ func (s *Server) pokeBatch(inst *instance, words []uint64) {
 	inst.mach.Poke(inst.nreqAddr, uint64(len(words)))
 }
 
-// worker owns one instance and serves batches until shutdown. held is
-// an entry taken off the queue that did not fit the last batch: it opens
-// the next one.
+// worker builds one instance into the idle set, then serves queued
+// entries until shutdown: it takes an entry off the queue, then an idle
+// instance, and runs batches on it. held is an entry that did not fit
+// the last batch: it opens the next one, and the worker keeps the
+// instance until it has run it, so nothing overtakes it.
 func (s *Server) worker(id int) {
 	defer s.wg.Done()
-	inst := s.newInstance(id)
-	var batch, held []*item
+	s.idle <- s.newInstance(id)
+	batch := make([]*item, 0, s.cfg.Batch)
 	for {
+		var held []*item
+		select {
+		case <-s.closed:
+			return
+		case held = <-s.queue:
+		}
 		select {
 		case <-s.closed:
 			s.fail(held, ErrClosed)
 			return
-		default:
-		}
-		if held == nil {
-			select {
-			case <-s.closed:
-				return
-			case held = <-s.queue:
+		case inst := <-s.idle:
+			for held != nil && !s.isClosed() {
+				if batch, held = s.gather(batch, held, inst.id); len(batch) > 0 {
+					s.runBatch(inst, batch)
+				}
 			}
-		}
-		if batch, held = s.gather(held, inst.id); len(batch) > 0 {
-			s.runBatch(inst, batch)
+			s.idle <- inst
+			if held != nil {
+				s.fail(held, ErrClosed)
+				return
+			}
 		}
 	}
 }
 
-// gather assembles a batch: the first entry plus whatever else is
-// immediately available, up to the batch bound. An entry is never split:
-// one that does not fit the remaining room ends the batch and is
-// returned as held (nothing overtakes it on this worker). A retried item
-// excluded from this instance (it faulted here last time) is pushed back
-// so a different instance picks it up.
-func (s *Server) gather(entry []*item, id int) (batch, held []*item) {
-	batch = make([]*item, 0, s.cfg.Batch)
+// isClosed reports whether Close has begun.
+func (s *Server) isClosed() bool {
+	select {
+	case <-s.closed:
+		return true
+	default:
+		return false
+	}
+}
+
+// gather assembles a batch in buf's array: the first entry plus
+// whatever else is immediately available, up to the batch bound. An
+// entry is never split: one that does not fit the remaining room ends
+// the batch and is returned as held (nothing overtakes it on this
+// worker). A retried item excluded from this instance (it faulted here
+// last time) is pushed back so a different instance picks it up.
+func (s *Server) gather(buf, entry []*item, id int) (batch, held []*item) {
+	batch = buf[:0]
 	for {
 		switch {
 		case len(entry) == 1 && entry[0].exclude == id && s.cfg.Pool > 1:
@@ -532,9 +575,9 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 	}
 	inst.usedSinceReset = true
 
-	words := make([]uint64, len(batch))
-	for i, it := range batch {
-		words[i] = it.word
+	words := inst.words[:0]
+	for _, it := range batch {
+		words = append(words, it.word)
 	}
 	s.pokeBatch(inst, words)
 
@@ -618,7 +661,7 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 	// lineage) so a flight bundle replays the run as it actually was.
 	runBudget := inst.mach.Cfg.MaxDynInstrs
 	htmSeed := inst.mach.Cfg.HTM.Seed
-	status := inst.mach.Run(s.prog.SpecsFor(1)...)
+	status := inst.mach.Run(s.specs...)
 	runStats := inst.mach.Stats()
 	s.metrics.run(status, runStats, inst.mach.HTM.Stats)
 	// Undo a chaos hang's budget cut (rebuild also restores it).
@@ -640,9 +683,9 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 		return
 	}
 
-	replies := make([]uint64, len(batch))
+	replies := inst.replies[:0]
 	for i := range batch {
-		replies[i] = inst.mach.Peek(inst.replyAddr + uint64(i)*8)
+		replies = append(replies, inst.mach.Peek(inst.replyAddr+uint64(i)*8))
 	}
 
 	if runStats.CorrectedFaults > 0 {
@@ -665,7 +708,7 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 		if out := inst.mach.Output(); len(out) != 1 || out[0] != workloads.KVReplyChecksum(replies) {
 			badSum = true
 		}
-		deliverItems, deliverVals = nil, nil
+		deliverItems, deliverVals = inst.delivered[:0], inst.vals[:0]
 		for i, it := range batch {
 			if replies[i] != workloads.KVReference(it.word, s.cfg.KV.ValueWork) {
 				rejected = append(rejected, it)
@@ -856,14 +899,56 @@ func randMask(rng *rand.Rand) uint64 {
 	}
 }
 
-// Do submits a request and blocks until its response (backpressure:
-// a full queue blocks the submitter).
+// Do serves a request and blocks until its response. When the queue is
+// empty and an instance idle, the request runs on the calling goroutine
+// as a batch of one; otherwise it is queued (backpressure: a full queue
+// blocks the submitter).
 func (s *Server) Do(req Request) (uint64, error) {
+	if len(s.queue) == 0 {
+		select {
+		case inst := <-s.idle:
+			return s.runInline(inst, req)
+		default:
+		}
+	}
 	t, err := s.Submit(req)
 	if err != nil {
 		return 0, err
 	}
 	return t.Wait(nil)
+}
+
+// runInline runs req on inst, which Do took out of the idle set, and
+// puts inst back. The request travels in inst's spare item. One the run
+// did not answer is being retried on another instance and keeps the
+// item: inst goes back at once, without it, and the caller waits for
+// the retry as a queued request's would.
+func (s *Server) runInline(inst *instance, req Request) (uint64, error) {
+	it := inst.spare
+	if it == nil {
+		it = newItem(req)
+	} else {
+		*it = itemWith(req, it.done)
+	}
+	entry := [1]*item{it}
+	if err := s.enter(entry[:]); err != nil {
+		inst.spare = it
+		s.idle <- inst
+		return 0, err
+	}
+	s.runBatch(inst, entry[:])
+	answered := len(it.done) > 0
+	if !answered {
+		inst.spare = nil
+		s.idle <- inst
+	}
+	var v [1]uint64
+	err := s.await(entry[:], v[:], nil)
+	if answered {
+		inst.spare = it
+		s.idle <- inst
+	}
+	return v[0], err
 }
 
 // A Deadline bounds several blocking calls by one point in time — the
@@ -965,12 +1050,15 @@ func newItem(req Request) *item {
 	return &it
 }
 
-func itemFor(req Request) item {
+func itemFor(req Request) item { return itemWith(req, make(chan result, 1)) }
+
+// itemWith is req's item, answered on done.
+func itemWith(req Request, done chan result) item {
 	return item{
 		tid:     req.TraceID,
 		word:    workloads.KVRequestWord(req.Write, req.Key, req.Value),
 		exclude: -1,
-		done:    make(chan result, 1),
+		done:    done,
 	}
 }
 
@@ -1043,24 +1131,31 @@ func (s *Server) enqueue(entry []*item, d *Deadline) error {
 // admission of the first item, and it wins a tie: a reply taken after it
 // has passed is as late as no reply, however the reply and the timer
 // were scheduled. A reply already there is taken without starting d's
-// timer.
+// timer, or the watchdog's.
 func (s *Server) await(items []*item, out []uint64, d *Deadline) error {
-	var watchdog <-chan time.Time
+	var watchdog *time.Timer
+	defer func() {
+		if watchdog != nil {
+			watchdog.Stop()
+		}
+	}()
 	var deadline time.Time
+	var fired <-chan time.Time
 	if s.cfg.Deadline > 0 {
 		deadline = items[0].enqueued.Add(s.cfg.Deadline)
-		timer := time.NewTimer(time.Until(deadline))
-		defer timer.Stop()
-		watchdog = timer.C
 	}
 	for i, it := range items {
 		var r result
 		select {
 		case r = <-it.done:
 		default:
+			if s.cfg.Deadline > 0 && watchdog == nil {
+				watchdog = time.NewTimer(time.Until(deadline))
+				fired = watchdog.C
+			}
 			select {
 			case r = <-it.done:
-			case <-watchdog: // the deadline has passed: the test below fails
+			case <-fired: // the deadline has passed: the test below fails
 			case <-d.Done():
 				return ErrDeadline
 			case <-s.closed:
@@ -1075,7 +1170,7 @@ func (s *Server) await(items []*item, out []uint64, d *Deadline) error {
 		if r.err != nil {
 			return r.err
 		}
-		if watchdog != nil && !time.Now().Before(deadline) {
+		if s.cfg.Deadline > 0 && !time.Now().Before(deadline) {
 			// The request may still be queued or retrying; the submitter
 			// gets a definitive deadline failure now (the late result, if
 			// any, lands in the buffered channel and is dropped).
@@ -1153,12 +1248,7 @@ func (s *Server) WriteProm(w io.Writer) { s.metrics.reg.WriteProm(w) }
 // means the server is open and at least one instance is serviceable.
 func (s *Server) Health() obs.Health {
 	snap := s.metrics.Snapshot()
-	ok := true
-	select {
-	case <-s.closed:
-		ok = false
-	default:
-	}
+	ok := !s.isClosed()
 	return obs.Health{
 		OK: ok,
 		Detail: map[string]any{
@@ -1189,11 +1279,16 @@ func (s *Server) DebugHandler(extra ...func(io.Writer)) http.Handler {
 }
 
 // Close shuts the server down: pool workers stop after their current
-// batch, queued requests fail with ErrClosed.
+// batch, queued requests fail with ErrClosed. It returns once every
+// instance is back in the idle set — after the runs under way on
+// callers' goroutines too — and keeps them, so nothing runs after it.
 func (s *Server) Close() {
 	s.once.Do(func() {
 		close(s.closed)
 		s.wg.Wait()
+		for range cap(s.idle) {
+			<-s.idle
+		}
 		for {
 			select {
 			case entry := <-s.queue:
