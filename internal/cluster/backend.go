@@ -21,10 +21,10 @@ type Backend interface {
 	// Do executes one request and returns the reply word.
 	Do(req serve.Request) (uint64, error)
 	// Ping checks liveness — the health checker's, the readmission's
-	// and the audit's probe — waiting no later than d (nil: no bound).
+	// and the audit's probe — waiting no later than at (zero: no bound).
 	// The router always passes a deadline CallTimeout away, so a node
 	// that never answers costs each probe that long, not forever.
-	Ping(d *serve.Deadline) error
+	Ping(at time.Time) error
 	// Close releases the backend's resources.
 	Close()
 }
@@ -36,15 +36,17 @@ type Backend interface {
 // idle connection, a full queue) comes back with wait set: its Recv
 // starts it, waiting for a connection or room, and the router runs that
 // Recv on a goroutine of its own. Recv returns the call's reply, waiting
-// no later than d (nil: no bound); a call d cuts short fails with
-// errCallTimeout, and once d has passed Recv still takes a reply that
-// has already arrived. Every call Send returns without an error must be
-// passed to Recv exactly once. Both shipped backends are Splitters; the
+// no later than at (zero: no bound); a call at cuts short fails with
+// errCallTimeout, and once at has passed Recv still takes a reply that
+// has already arrived. Only a half that has to block makes a
+// serve.Deadline for at, so a call that never waits allocates none.
+// Every call Send returns without an error must be passed to Recv
+// exactly once. Both shipped backends are Splitters; the
 // router calls any other Backend through Do, on a goroutine of its own.
 type Splitter interface {
 	Backend
-	Send(req serve.Request, d *serve.Deadline) (call any, wait bool, err error)
-	Recv(call any, d *serve.Deadline) (uint64, error)
+	Send(req serve.Request, at time.Time) (call any, wait bool, err error)
+	Recv(call any, at time.Time) (uint64, error)
 }
 
 // Killable backends additionally support whole-node chaos: Kill tears
@@ -92,16 +94,16 @@ func (b *LocalBackend) Server() *serve.Server {
 
 // Do implements Backend: both halves in sequence, without a bound.
 func (b *LocalBackend) Do(req serve.Request) (uint64, error) {
-	call, _, err := b.Send(req, nil)
+	call, _, err := b.Send(req, time.Time{})
 	if err != nil {
 		return 0, err
 	}
-	return b.Recv(call, nil)
+	return b.Recv(call, time.Time{})
 }
 
 // Send implements Splitter: it submits req to the node and returns its
 // *serve.Ticket, which waits when the node's queue had no room for it.
-func (b *LocalBackend) Send(req serve.Request, _ *serve.Deadline) (any, bool, error) {
+func (b *LocalBackend) Send(req serve.Request, _ time.Time) (any, bool, error) {
 	srv := b.Server()
 	if srv == nil {
 		return nil, false, ErrNodeDown
@@ -114,9 +116,11 @@ func (b *LocalBackend) Send(req serve.Request, _ *serve.Deadline) (any, bool, er
 }
 
 // Recv implements Splitter: it waits for room in the node's queue, if
-// the request found none, and for its reply, until d expires.
-func (b *LocalBackend) Recv(call any, d *serve.Deadline) (uint64, error) {
+// the request found none, and for its reply, until at.
+func (b *LocalBackend) Recv(call any, at time.Time) (uint64, error) {
+	d := blockUntil(at)
 	v, err := call.(*serve.Ticket).Wait(d)
+	d.Stop()
 	if errors.Is(err, serve.ErrOverloaded) || errors.Is(err, serve.ErrDeadline) {
 		err = errCallTimeout
 	}
@@ -124,8 +128,8 @@ func (b *LocalBackend) Recv(call any, d *serve.Deadline) (uint64, error) {
 }
 
 // Ping implements Backend: a killed node fails, a live one answers. It
-// never waits, so it ignores d.
-func (b *LocalBackend) Ping(_ *serve.Deadline) error {
+// never waits, so it ignores at.
+func (b *LocalBackend) Ping(_ time.Time) error {
 	b.mu.RLock()
 	srv := b.srv
 	b.mu.RUnlock()
@@ -211,18 +215,20 @@ func (b *RemoteBackend) ID() string { return b.id }
 func (b *RemoteBackend) Addr() string { return b.addr }
 
 // get checks a pooled connection out, dialing if the pool is dry and a
-// slot is free; while every connection is out it waits for one until d
-// expires.
-func (b *RemoteBackend) get(d *serve.Deadline) (*serve.Conn, error) {
+// slot is free; while every connection is out it waits for one until
+// at.
+func (b *RemoteBackend) get(at time.Time) (*serve.Conn, error) {
 	c, err := b.idle()
 	if c != nil || err != nil {
 		return c, err
 	}
+	d := blockUntil(at)
+	defer d.Stop()
 	select {
 	case c := <-b.conns:
 		return c, nil
 	case <-b.slots:
-		return b.dial(d)
+		return b.dial(at)
 	case <-d.Done():
 		return nil, errCallTimeout
 	}
@@ -247,8 +253,8 @@ func (b *RemoteBackend) idle() (*serve.Conn, error) {
 
 // dial opens a connection in a slot taken for it, giving the slot back
 // if the dial fails.
-func (b *RemoteBackend) dial(d *serve.Deadline) (*serve.Conn, error) {
-	c, err := serve.DialDeadline(b.addr, deadlineOf(d))
+func (b *RemoteBackend) dial(at time.Time) (*serve.Conn, error) {
+	c, err := serve.DialDeadline(b.addr, at)
 	if err != nil {
 		b.slots <- struct{}{}
 		return nil, timeout(err)
@@ -256,12 +262,13 @@ func (b *RemoteBackend) dial(d *serve.Deadline) (*serve.Conn, error) {
 	return c, nil
 }
 
-// deadlineOf is d's time, zero (no bound) for a nil d.
-func deadlineOf(d *serve.Deadline) time.Time {
-	if d == nil {
-		return time.Time{}
+// blockUntil is the serve.Deadline of a half that has to block until at:
+// nil (no bound) for a zero at.
+func blockUntil(at time.Time) *serve.Deadline {
+	if at.IsZero() {
+		return nil
 	}
-	return d.At
+	return &serve.Deadline{At: at}
 }
 
 // timeout reports a socket operation its deadline cut short as
@@ -307,11 +314,11 @@ func (b *RemoteBackend) put(c *serve.Conn, err error) {
 
 // Do implements Backend: both halves in sequence, without a bound.
 func (b *RemoteBackend) Do(req serve.Request) (uint64, error) {
-	call, _, err := b.Send(req, nil)
+	call, _, err := b.Send(req, time.Time{})
 	if err != nil {
 		return 0, err
 	}
-	return b.Recv(call, nil)
+	return b.Recv(call, time.Time{})
 }
 
 // unsent is a RemoteBackend call Send could not start: no connection
@@ -325,10 +332,10 @@ type unsent struct{ req serve.Request }
 const collectGrace = time.Millisecond
 
 // Send implements Splitter: it checks an idle connection out and writes
-// the command on it, bounded by d; the call is the *serve.Conn. With no
+// the command on it, bounded by at; the call is the *serve.Conn. With no
 // connection idle it neither dials nor waits: the call is left for Recv
 // to start.
-func (b *RemoteBackend) Send(req serve.Request, d *serve.Deadline) (any, bool, error) {
+func (b *RemoteBackend) Send(req serve.Request, at time.Time) (any, bool, error) {
 	c, err := b.idle()
 	if err != nil {
 		return nil, false, err
@@ -336,15 +343,15 @@ func (b *RemoteBackend) Send(req serve.Request, d *serve.Deadline) (any, bool, e
 	if c == nil {
 		return &unsent{req}, true, nil
 	}
-	if err := b.start(c, req, d); err != nil {
+	if err := b.start(c, req, at); err != nil {
 		return nil, false, err
 	}
 	return c, false, nil
 }
 
-// start writes req on c, bounded by d; a failed write gives c back.
-func (b *RemoteBackend) start(c *serve.Conn, req serve.Request, d *serve.Deadline) error {
-	if err := c.Start(req, deadlineOf(d)); err != nil {
+// start writes req on c, bounded by at; a failed write gives c back.
+func (b *RemoteBackend) start(c *serve.Conn, req serve.Request, at time.Time) error {
+	if err := c.Start(req, at); err != nil {
 		err = timeout(err)
 		b.put(c, err)
 		return err
@@ -356,18 +363,17 @@ func (b *RemoteBackend) start(c *serve.Conn, req serve.Request, d *serve.Deadlin
 // and returns the connection to the pool — or closes it when the read
 // failed or timed out, so no connection is pooled with a reply still
 // in flight.
-func (b *RemoteBackend) Recv(call any, d *serve.Deadline) (uint64, error) {
+func (b *RemoteBackend) Recv(call any, at time.Time) (uint64, error) {
 	c, ok := call.(*serve.Conn)
 	if !ok {
 		var err error
-		if c, err = b.get(d); err != nil {
+		if c, err = b.get(at); err != nil {
 			return 0, err
 		}
-		if err = b.start(c, call.(*unsent).req, d); err != nil {
+		if err = b.start(c, call.(*unsent).req, at); err != nil {
 			return 0, err
 		}
 	}
-	at := deadlineOf(d)
 	if !at.IsZero() {
 		if now := time.Now(); !now.Before(at) {
 			at = now.Add(collectGrace)
@@ -380,14 +386,14 @@ func (b *RemoteBackend) Recv(call any, d *serve.Deadline) (uint64, error) {
 }
 
 // Ping implements Backend: the connection checkout, a dial and the
-// round trip all end by d; a probe d cuts short fails with
+// round trip all end by at; a probe at cuts short fails with
 // errCallTimeout and its connection is closed, not pooled.
-func (b *RemoteBackend) Ping(d *serve.Deadline) error {
-	c, err := b.get(d)
+func (b *RemoteBackend) Ping(at time.Time) error {
+	c, err := b.get(at)
 	if err != nil {
 		return err
 	}
-	err = timeout(c.Ping(deadlineOf(d)))
+	err = timeout(c.Ping(at))
 	b.put(c, err)
 	return err
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/serve"
 )
@@ -60,7 +61,7 @@ func TestRemoteBackendKeepsConnAfterERR(t *testing.T) {
 			t.Fatalf("get %d: %v, want the node's ERR as a *serve.ServerError", i, err)
 		}
 	}
-	if err := b.Ping(nil); err != nil {
+	if err := b.Ping(time.Time{}); err != nil {
 		t.Fatalf("ping after 20 refused requests: %v", err)
 	}
 	if v, err := b.Do(serve.Request{Write: true, Key: 1, Value: 2}); err != nil || v != 0x2a {
@@ -75,7 +76,7 @@ func TestRemoteBackendKeepsConnAfterERR(t *testing.T) {
 	if _, err := b.Do(serve.Request{Key: 99}); err == nil || errors.As(err, &refused) {
 		t.Fatalf("get answered garbage: %v, want a framing error", err)
 	}
-	if err := b.Ping(nil); err != nil {
+	if err := b.Ping(time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if n := dials.Load(); n != 2 {

@@ -346,8 +346,7 @@ type callResult struct {
 // not before them; one still unanswered at the deadline finishes in the
 // background against a buffered channel.
 func (c *Cluster) fanout(targets []*node, req serve.Request, out []callResult) []callResult {
-	d := c.deadline()
-	defer d.Stop()
+	at := c.deadline()
 	var async chan callResult
 	pending := 0 // calls on goroutines of their own
 	out = out[:0]
@@ -355,25 +354,29 @@ func (c *Cluster) fanout(targets []*node, req serve.Request, out []callResult) [
 		r := callResult{slot: i, node: n}
 		wait := true
 		if sp, ok := n.be.(Splitter); ok {
-			r.call, wait, r.err = sp.Send(req, d)
+			r.call, wait, r.err = sp.Send(req, at)
 		}
 		if wait && r.err == nil {
 			if async == nil {
 				async = make(chan callResult, len(targets))
-				d.Done() // from here on safe to share with the goroutines
 			}
 			pending++
-			go callAsync(r, req, d, async)
+			go callAsync(r, req, at, async)
 			r.call, r.err = nil, errCallTimeout // until its answer arrives
 		}
 		out = append(out, r)
 	}
 	for i := range out {
 		if r := &out[i]; r.call != nil {
-			r.val, r.err = r.node.be.(Splitter).Recv(r.call, d)
+			r.val, r.err = r.node.be.(Splitter).Recv(r.call, at)
 			r.call = nil
 		}
 	}
+	if pending == 0 {
+		return out
+	}
+	d := serve.Deadline{At: at}
+	defer d.Stop()
 collect:
 	for ; pending > 0; pending-- {
 		select {
@@ -389,9 +392,9 @@ collect:
 // callAsync answers r — through Recv for a Splitter's call that could
 // not start at once, through the node's Do otherwise — and sends it on
 // ch.
-func callAsync(r callResult, req serve.Request, d *serve.Deadline, ch chan<- callResult) {
+func callAsync(r callResult, req serve.Request, at time.Time, ch chan<- callResult) {
 	if r.call != nil {
-		r.val, r.err = r.node.be.(Splitter).Recv(r.call, d)
+		r.val, r.err = r.node.be.(Splitter).Recv(r.call, at)
 		r.call = nil
 	} else {
 		r.val, r.err = r.node.be.Do(req)
@@ -401,15 +404,13 @@ func callAsync(r callResult, req serve.Request, d *serve.Deadline, ch chan<- cal
 
 // deadline is the bound of one call to a node, or of one batch of calls
 // made together: CallTimeout from now.
-func (c *Cluster) deadline() *serve.Deadline {
-	return &serve.Deadline{At: time.Now().Add(c.cfg.CallTimeout)}
+func (c *Cluster) deadline() time.Time {
+	return time.Now().Add(c.cfg.CallTimeout)
 }
 
 // ping probes one node, bounded by CallTimeout.
 func (c *Cluster) ping(n *node) error {
-	d := c.deadline()
-	defer d.Stop()
-	return n.be.Ping(d)
+	return n.be.Ping(c.deadline())
 }
 
 // account folds a call result into the node's breaker state.
@@ -840,9 +841,7 @@ func (c *Cluster) CheckInvariants() InvariantReport {
 // index.
 func (c *Cluster) liveNodes() []bool {
 	live := make([]bool, len(c.nodes))
-	d := c.deadline()
-	d.Done() // from here on safe to share with the probes
-	defer d.Stop()
+	at := c.deadline()
 	var wg sync.WaitGroup
 	for i, n := range c.nodes {
 		if n.getState() == nodeDead {
@@ -851,7 +850,7 @@ func (c *Cluster) liveNodes() []bool {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			live[i] = n.be.Ping(d) == nil
+			live[i] = n.be.Ping(at) == nil
 		}()
 	}
 	wg.Wait()

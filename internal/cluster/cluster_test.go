@@ -142,17 +142,17 @@ func (b *corruptBackend) Do(req serve.Request) (uint64, error) {
 	return b.flip(req.Write, v, err)
 }
 
-func (b *corruptBackend) Send(req serve.Request, d *serve.Deadline) (any, bool, error) {
-	call, wait, err := b.Splitter.Send(req, d)
+func (b *corruptBackend) Send(req serve.Request, at time.Time) (any, bool, error) {
+	call, wait, err := b.Splitter.Send(req, at)
 	if err != nil {
 		return nil, false, err
 	}
 	return &corruptCall{inner: call, write: req.Write}, wait, nil
 }
 
-func (b *corruptBackend) Recv(call any, d *serve.Deadline) (uint64, error) {
+func (b *corruptBackend) Recv(call any, at time.Time) (uint64, error) {
 	cc := call.(*corruptCall)
-	v, err := b.Splitter.Recv(cc.inner, d)
+	v, err := b.Splitter.Recv(cc.inner, at)
 	return b.flip(cc.write, v, err)
 }
 
@@ -408,9 +408,9 @@ type deafBackend struct {
 	failFrom uint64
 }
 
-func (b *deafBackend) ID() string                 { return b.id }
-func (b *deafBackend) Ping(*serve.Deadline) error { return nil }
-func (b *deafBackend) Close()                     {}
+func (b *deafBackend) ID() string           { return b.id }
+func (b *deafBackend) Ping(time.Time) error { return nil }
+func (b *deafBackend) Close()               {}
 func (b *deafBackend) Do(req serve.Request) (uint64, error) {
 	if req.Key >= b.failFrom {
 		return 0, fmt.Errorf("key %d unreachable", req.Key)

@@ -206,13 +206,13 @@ func TestFanoutPoolExhausted(t *testing.T) {
 	if _, err := held.Do(serve.Request{Key: key}); err != nil {
 		t.Fatal(err)
 	}
-	call, wait, err := held.Send(serve.Request{Key: key}, nil)
+	call, wait, err := held.Send(serve.Request{Key: key}, time.Time{})
 	if err != nil || wait {
 		t.Fatalf("Send on an idle connection: wait %v, %v", wait, err)
 	}
 	readThroughStuck(t, c)
 	vw := nodeConfig().KV.ValueWork
-	if v, err := held.Recv(call, nil); err != nil || v != reference(false, key, 0, vw) {
+	if v, err := held.Recv(call, time.Time{}); err != nil || v != reference(false, key, 0, vw) {
 		t.Fatalf("held call answered %#x, %v; want its own reply", v, err)
 	}
 	before := c.Metrics().Votes
@@ -347,19 +347,18 @@ func TestRemoteBackendTimedOutCallReadsOwnReply(t *testing.T) {
 	b := NewRemoteBackend("late", n.l.Addr().String(), 1)
 	defer b.Close()
 
-	d := &serve.Deadline{At: time.Now().Add(callTimeout)}
+	at := time.Now().Add(callTimeout)
 	t0 := time.Now()
-	call, _, err := b.Send(serve.Request{Key: 5}, d)
+	call, _, err := b.Send(serve.Request{Key: 5}, at)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := b.Recv(call, d); !errors.Is(err, errCallTimeout) {
+	if v, err := b.Recv(call, at); !errors.Is(err, errCallTimeout) {
 		t.Fatalf("late reply: %#x, %v; want errCallTimeout", v, err)
 	}
 	if took := time.Since(t0); took > callTimeout+slack {
 		t.Fatalf("timed-out call took %v", took)
 	}
-	d.Stop()
 
 	n.delay.Store(0)
 	if v, err := b.Do(serve.Request{Key: 7}); err != nil || v != 21 {
@@ -409,5 +408,44 @@ func TestTally(t *testing.T) {
 			t.Errorf("%s: best %d by %d of %d ok, losers %v; want %d by %d of %d, losers %v",
 				tc.name, best, bestN, ok, lost, tc.best, tc.bestN, tc.ok, tc.losers)
 		}
+	}
+}
+
+// TestGetAllocs: a read through a warm router to three warm nodes on
+// loopback allocates nothing, on the router or on a node, when no call
+// has to wait for a connection.
+func TestGetAllocs(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.HealthInterval = time.Hour // no probe runs during the count
+	var backends []Backend
+	for i := 0; i < 3; i++ {
+		backends = append(backends, remoteNode(t, fmt.Sprintf("node-%d", i), 2))
+	}
+	c, err := New(backends, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := uint64(0); i < 64; i++ { // warm the connections, instances and histograms
+		if _, err := c.Put(i, i); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Get(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var getErr error
+	var key uint64
+	n := testing.AllocsPerRun(200, func() {
+		key = (key + 1) % 64
+		if _, err := c.Get(key); err != nil {
+			getErr = err
+		}
+	})
+	if getErr != nil {
+		t.Fatal(getErr)
+	}
+	if n != 0 {
+		t.Errorf("Cluster.Get allocates %v objects per request, want 0", n)
 	}
 }

@@ -106,9 +106,9 @@ type pingCounter struct {
 	pings atomic.Int64
 }
 
-func (b *pingCounter) Ping(d *serve.Deadline) error {
+func (b *pingCounter) Ping(at time.Time) error {
 	b.pings.Add(1)
-	return b.Splitter.Ping(d)
+	return b.Splitter.Ping(at)
 }
 
 // stuckCluster builds a cluster over three remote nodes whose node 0,

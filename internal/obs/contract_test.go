@@ -248,9 +248,9 @@ type fakeNode struct {
 	fail, corrupt atomic.Bool
 }
 
-func (f *fakeNode) ID() string                 { return f.id }
-func (f *fakeNode) Ping(*serve.Deadline) error { return nil }
-func (f *fakeNode) Close()                     {}
+func (f *fakeNode) ID() string           { return f.id }
+func (f *fakeNode) Ping(time.Time) error { return nil }
+func (f *fakeNode) Close()               {}
 func (f *fakeNode) Do(req serve.Request) (uint64, error) {
 	if f.fail.CompareAndSwap(true, false) {
 		return 0, fmt.Errorf("scripted failure")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -82,6 +83,60 @@ func FuzzDecodeWord(f *testing.F) {
 	})
 }
 
+// decodeRangeByStrings is the scan reply decoder as Conn read replies
+// before it decoded them in place: the reference decodeRange must agree
+// with.
+func decodeRangeByStrings(line string) ([]uint64, error) {
+	line = strings.TrimSpace(line)
+	tag, rest, _ := strings.Cut(line, " ")
+	switch tag {
+	case "RANGE":
+	case "ERR":
+		return nil, &ServerError{Msg: rest}
+	default:
+		return nil, fmt.Errorf("serve: unexpected reply %q", line)
+	}
+	fields := strings.Fields(rest)
+	out := make([]uint64, 0, len(fields))
+	for _, f := range fields {
+		v, err := strconv.ParseUint(f, 0, 64)
+		if err != nil {
+			return nil, fmt.Errorf("serve: bad scan reply %q: %v", f, err)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// FuzzDecodeRange: the scan reply decoder never panics and agrees with
+// the string-based reference on every line: the same values, and the
+// same error of the same kind.
+func FuzzDecodeRange(f *testing.F) {
+	for _, seed := range []string{
+		"RANGE 0x2a 0x0 0xffffffffffffffff\n", "RANGE\n", "RANGE \n", "RANGE  0x1\t0x2\r\n", "RANGE\t0x1\n",
+		"RANGE 0x1 zz\n", "RANGE 0x10000000000000000\n", "RANGE 1_0 0b11 0o7 07\n", "range 0x1\n",
+		"ERR serve: server closed\n", "ERR\n", "VALUE 0x1\n", "\n", "", "RANGE 0x1\u00a00x2\n", "RANGE \xff\n",
+		"  RANGE 7 8 ",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		vs, err := decodeRange([]byte(line))
+		rvs, rerr := decodeRangeByStrings(line)
+		var se, rse *ServerError
+		switch {
+		case (err == nil) != (rerr == nil):
+			t.Fatalf("%q: %v, %v; reference %v, %v", line, vs, err, rvs, rerr)
+		case err == nil && !slices.Equal(vs, rvs):
+			t.Fatalf("%q: values %v, reference %v", line, vs, rvs)
+		case err != nil && err.Error() != rerr.Error():
+			t.Fatalf("%q: error %q, reference %q", line, err, rerr)
+		case errors.As(err, &se) != errors.As(rerr, &rse):
+			t.Fatalf("%q: %T, reference %T", line, err, rerr)
+		}
+	})
+}
+
 // echoHandler answers a get with its key and a put with its value, and
 // keeps the last request.
 type echoHandler struct{ last Request }
@@ -94,8 +149,17 @@ func (h *echoHandler) Do(req Request) (uint64, error) {
 	return req.Key, nil
 }
 
-func (h *echoHandler) Scan(uint64, int) ([]uint64, error) { return nil, nil }
-func (h *echoHandler) StatsJSON() []byte                  { return []byte("{}") }
+// Scan answers n words counting down from 2^64-1-key: the widest
+// replies the protocol has.
+func (h *echoHandler) Scan(key uint64, n int) ([]uint64, error) {
+	vs := make([]uint64, n)
+	for i := range vs {
+		vs[i] = 1<<64 - 1 - key - uint64(i)
+	}
+	return vs, nil
+}
+
+func (h *echoHandler) StatsJSON() []byte { return []byte("{}") }
 
 // TestCodecRoundTrip: get and put, traced and not, carry the extreme
 // words 0 and 2^64-1 from a Conn through ServeConn and back unchanged.
@@ -118,6 +182,36 @@ func TestCodecRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLongRangeLine: the reply to a scan of maxScan keys, a RANGE line
+// longer than the client's read buffer, decodes whole, and the
+// connection stays in sync for the command after it.
+func TestLongRangeLine(t *testing.T) {
+	client, server := net.Pipe()
+	go ServeConn(server, &echoHandler{})
+	c := &Conn{conn: client, r: bufio.NewReader(client), w: bufio.NewWriter(client)}
+	defer c.Close()
+	for _, n := range []int{1, maxScan, 2} {
+		vs, err := c.Scan(7, n)
+		if err != nil {
+			t.Fatalf("scan of %d keys: %v", n, err)
+		}
+		if line := 5 + 19*n; n == maxScan && line <= c.r.Size() {
+			t.Fatalf("a reply line of %d bytes fits the %d-byte read buffer", line, c.r.Size())
+		}
+		if len(vs) != n {
+			t.Fatalf("scan of %d keys returned %d values", n, len(vs))
+		}
+		for i, v := range vs {
+			if want := 1<<64 - 1 - 7 - uint64(i); v != want {
+				t.Fatalf("scan of %d keys: value %d is %#x, want %#x", n, i, v, want)
+			}
+		}
+	}
+	if _, err := c.Scan(7, maxScan+1); err == nil || !strings.Contains(err.Error(), "bad count") {
+		t.Fatalf("scan of maxScan+1 keys: %v, want a bad count error", err)
 	}
 }
 

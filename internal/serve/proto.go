@@ -232,31 +232,39 @@ var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': t
 // does, without allocating: it stores the first len(f) fields in f and
 // returns the last field and the number of fields.
 func fields(line []byte, f [][]byte) (last []byte, n int) {
-	for i := 0; ; {
-		for i < len(line) {
-			size, space := spaceAt(line, i)
-			if !space {
-				break
-			}
-			i += size
-		}
-		if i == len(line) {
-			return last, n
-		}
-		start := i
-		for i < len(line) {
-			size, space := spaceAt(line, i)
-			if space {
-				break
-			}
-			i += size
-		}
-		last = line[start:i]
+	for tok, rest := cutField(line); tok != nil; tok, rest = cutField(rest) {
+		last = tok
 		if n < len(f) {
-			f[n] = last
+			f[n] = tok
 		}
 		n++
 	}
+	return last, n
+}
+
+// cutField returns the first field of line, as fields splits it, and
+// the rest of the line after it; tok is nil when line has no field.
+func cutField(line []byte) (tok, rest []byte) {
+	i := 0
+	for i < len(line) {
+		size, space := spaceAt(line, i)
+		if !space {
+			break
+		}
+		i += size
+	}
+	if i == len(line) {
+		return nil, nil
+	}
+	start := i
+	for i < len(line) {
+		size, space := spaceAt(line, i)
+		if space {
+			break
+		}
+		i += size
+	}
+	return line[start:i], line[i:]
 }
 
 // spaceAt returns the width of the character at line[i] and whether it
@@ -516,15 +524,21 @@ func (c *Conn) Finish(at time.Time) (uint64, error) {
 	return decodeWord(line, c.want)
 }
 
+// cutTag trims a reply line and returns it, split at its first space
+// into the reply's tag and the rest.
+func cutTag(line []byte) (trimmed, tag, rest []byte) {
+	line = bytes.TrimSpace(line)
+	if i := bytes.IndexByte(line, ' '); i >= 0 {
+		return line, line[:i], line[i+1:]
+	}
+	return line, line, line[len(line):]
+}
+
 // decodeWord reads a one-word reply line tagged want ("VALUE" or
 // "STORED"). An "ERR <message>" line gives a *ServerError; any other
 // line that is not want and one number gives an error of another type.
 func decodeWord(line []byte, want string) (uint64, error) {
-	line = bytes.TrimSpace(line)
-	tag, rest := line, line[len(line):]
-	if i := bytes.IndexByte(line, ' '); i >= 0 {
-		tag, rest = line[:i], line[i+1:]
-	}
+	line, tag, rest := cutTag(line)
 	switch {
 	case string(tag) == want:
 		if v, ok := parseNum(rest); ok {
@@ -535,6 +549,31 @@ func decodeWord(line []byte, want string) (uint64, error) {
 		return 0, &ServerError{Msg: string(rest)}
 	}
 	return 0, fmt.Errorf("serve: unexpected reply %q", line)
+}
+
+// decodeRange reads a "RANGE <v> <v> ..." reply line in place, its
+// values as strings.Fields and strconv.ParseUint(f, 0, 64) read them,
+// and allocates only the slice it returns. An "ERR <message>" line gives
+// a *ServerError.
+func decodeRange(line []byte) ([]uint64, error) {
+	line, tag, rest := cutTag(line)
+	switch string(tag) {
+	case "RANGE":
+	case "ERR":
+		return nil, &ServerError{Msg: string(rest)}
+	default:
+		return nil, fmt.Errorf("serve: unexpected reply %q", line)
+	}
+	_, n := fields(rest, nil)
+	out := make([]uint64, 0, n)
+	for f, rest := cutField(rest); f != nil; f, rest = cutField(rest) {
+		v, ok := parseNum(f)
+		if !ok {
+			return nil, fmt.Errorf("serve: bad scan reply %q: %s", f, numErr(f))
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // call runs one get or put: Start, then Finish.
@@ -567,22 +606,37 @@ func (c *Conn) PutTraced(key, value, tid uint64) (uint64, error) {
 	return c.call(Request{Write: true, Key: key, Value: value, TraceID: tid})
 }
 
-// Scan reads n consecutive keys starting at key.
+// Scan reads n consecutive keys starting at key. The command is written
+// into the connection's buffer and the reply decoded where it was read,
+// so a scan allocates the slice it returns, and a copy of a reply line
+// only when it is longer than the reader's buffer.
 func (c *Conn) Scan(key uint64, n int) ([]uint64, error) {
-	rest, err := c.roundTrip(fmt.Sprintf("scan %d %d", key, n), "RANGE", time.Time{})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.setDeadline(time.Time{}); err != nil {
+		return nil, err
+	}
+	b := strconv.AppendUint(append(c.w.AvailableBuffer(), "scan "...), key, 10)
+	b = strconv.AppendInt(append(b, ' '), int64(n), 10)
+	if _, err := c.w.Write(append(b, '\n')); err != nil {
+		return nil, err
+	}
+	if err := c.w.Flush(); err != nil {
+		return nil, err
+	}
+	line, err := c.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		long := append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull {
+			line, err = c.r.ReadSlice('\n')
+			long = append(long, line...)
+		}
+		line = long
+	}
 	if err != nil {
 		return nil, err
 	}
-	fields := strings.Fields(rest)
-	out := make([]uint64, 0, len(fields))
-	for _, f := range fields {
-		v, err := strconv.ParseUint(f, 0, 64)
-		if err != nil {
-			return nil, fmt.Errorf("serve: bad scan reply %q: %v", f, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return decodeRange(line)
 }
 
 // Stats fetches the server's metrics snapshot.

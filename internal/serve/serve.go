@@ -11,8 +11,9 @@
 //     batches via Machine.Reset — no per-request compile or clone;
 //   - requests are gathered into batches of up to Config.Batch and one
 //     batch is one machine run, with per-request transactions inside;
-//     a point request that finds the queue empty and an instance idle
-//     runs as a batch of one on the caller's goroutine;
+//     a point request, or a scan of at most Config.Batch keys, that
+//     finds the queue empty and an instance idle runs as one batch on
+//     the caller's goroutine;
 //   - a run that ends in any non-ok status (ILR detected a fault that
 //     recovery did not absorb, the "OS" killed the program, or the run
 //     hung) fails no requests: every request of the batch is retried,
@@ -218,9 +219,11 @@ type instance struct {
 	// words, replies, and the verified items and replies it delivers.
 	words, replies, vals []uint64
 	delivered            []*item
-	// spare carries Do's inline request; nil once one went on to be
-	// retried elsewhere with it, until the next inline run makes another.
-	spare *item
+	// spare carries the requests of an inline run, Batch items reused
+	// with their reply channels; a nil slot is made again when a run
+	// needs it. An inline run a retry outlived leaves its items to the
+	// retry and the instance a new, empty set.
+	spare []*item
 }
 
 // Server is the request-serving layer.
@@ -413,6 +416,7 @@ func (s *Server) newInstance(id int) *instance {
 		replies:   make([]uint64, 0, n),
 		vals:      make([]uint64, 0, n),
 		delivered: make([]*item, 0, n),
+		spare:     make([]*item, n),
 	}
 }
 
@@ -904,12 +908,12 @@ func randMask(rng *rand.Rand) uint64 {
 // as a batch of one; otherwise it is queued (backpressure: a full queue
 // blocks the submitter).
 func (s *Server) Do(req Request) (uint64, error) {
-	if len(s.queue) == 0 {
-		select {
-		case inst := <-s.idle:
-			return s.runInline(inst, req)
-		default:
-		}
+	if inst := s.idleFor(1); inst != nil {
+		entry := inst.spare[:1]
+		setItem(entry, 0, req)
+		var v [1]uint64
+		err := s.runInline(inst, entry, v[:])
+		return v[0], err
 	}
 	t, err := s.Submit(req)
 	if err != nil {
@@ -918,37 +922,62 @@ func (s *Server) Do(req Request) (uint64, error) {
 	return t.Wait(nil)
 }
 
-// runInline runs req on inst, which Do took out of the idle set, and
-// puts inst back. The request travels in inst's spare item. One the run
-// did not answer is being retried on another instance and keeps the
-// item: inst goes back at once, without it, and the caller waits for
-// the retry as a queued request's would.
-func (s *Server) runInline(inst *instance, req Request) (uint64, error) {
-	it := inst.spare
-	if it == nil {
-		it = newItem(req)
-	} else {
+// idleFor takes an instance out of the idle set for an entry of n
+// requests that may run inline — at most Batch of them, with the queue
+// empty, so the entry overtakes nothing — or returns nil.
+func (s *Server) idleFor(n int) *instance {
+	if n > s.cfg.Batch || len(s.queue) > 0 {
+		return nil
+	}
+	select {
+	case inst := <-s.idle:
+		return inst
+	default:
+		return nil
+	}
+}
+
+// setItem makes items[i] req's item, reusing the item and reply channel
+// there (nil: it makes them).
+func setItem(items []*item, i int, req Request) {
+	if it := items[i]; it != nil {
 		*it = itemWith(req, it.done)
+	} else {
+		items[i] = newItem(req)
 	}
-	entry := [1]*item{it}
-	if err := s.enter(entry[:]); err != nil {
-		inst.spare = it
+}
+
+// runInline runs entry, a prefix of inst's spare items, on inst as one
+// batch, stores the replies in out and puts inst back; the caller took
+// inst out of the idle set. Items the run did not answer are being
+// retried on other instances: inst goes back at once with a new spare
+// set, and the caller waits for the retries as a queued request's would.
+func (s *Server) runInline(inst *instance, entry []*item, out []uint64) error {
+	if err := s.enter(entry); err != nil {
 		s.idle <- inst
-		return 0, err
+		return err
 	}
-	s.runBatch(inst, entry[:])
-	answered := len(it.done) > 0
-	if !answered {
-		inst.spare = nil
-		s.idle <- inst
+	s.runBatch(inst, entry)
+	for _, it := range entry {
+		if len(it.done) == 0 {
+			inst.spare = make([]*item, len(inst.spare))
+			s.idle <- inst
+			return s.await(entry, out, nil)
+		}
 	}
-	var v [1]uint64
-	err := s.await(entry[:], v[:], nil)
-	if answered {
-		inst.spare = it
-		s.idle <- inst
+	err := s.await(entry, out, nil)
+	if err != nil {
+		// await stopped at a failure: take the replies after it, so the
+		// items go back with empty channels.
+		for _, it := range entry {
+			select {
+			case <-it.done:
+			default:
+			}
+		}
 	}
-	return v[0], err
+	s.idle <- inst
+	return err
 }
 
 // A Deadline bounds several blocking calls by one point in time — the
@@ -1159,7 +1188,11 @@ func (s *Server) await(items []*item, out []uint64, d *Deadline) error {
 			case <-d.Done():
 				return ErrDeadline
 			case <-s.closed:
-				// Drain either the late result or report shutdown.
+				// Close returns once every run under way has answered
+				// (this goroutine holds no instance: the items of an
+				// inline run it holds one for are answered already).
+				// Take the reply such a run gave, or report shutdown.
+				s.Close()
 				select {
 				case r = <-it.done:
 				default:
@@ -1193,24 +1226,39 @@ func (s *Server) Put(key, value uint64) (uint64, error) {
 }
 
 // Scan reads n consecutive keys starting at key (wrapping at the key
-// range) and returns their replies in order. Every run of up to Batch
-// keys is admitted as one queue entry, so it costs one machine run
-// unless a key has to be retried; all entries are admitted before the
-// first is awaited, so a long scan spreads over the pool.
+// range) and returns their replies in order. A scan of at most Batch
+// keys that finds the queue empty and an instance idle runs on the
+// calling goroutine as one batch, in the instance's spare items, as Do
+// runs a point request. Otherwise every run of up to Batch keys is
+// admitted as one queue entry, so it costs one machine run unless a key
+// has to be retried; all entries are admitted before the first is
+// awaited, so a long scan spreads over the pool.
 func (s *Server) Scan(key uint64, n int) ([]uint64, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	items := make([]*item, n)
+	inst := s.idleFor(n)
+	var items []*item
+	if inst != nil {
+		items = inst.spare[:n]
+	} else {
+		items = make([]*item, n)
+	}
 	for i := range items {
-		items[i] = newItem(Request{Key: (key + uint64(i)) % uint64(s.cfg.KV.Records)})
+		setItem(items, i, Request{Key: (key + uint64(i)) % uint64(s.cfg.KV.Records)})
+	}
+	out := make([]uint64, n)
+	if inst != nil {
+		if err := s.runInline(inst, items, out); err != nil {
+			return nil, err
+		}
+		return out, nil
 	}
 	for lo := 0; lo < n; lo += s.cfg.Batch {
 		if err := s.admit(items[lo:min(lo+s.cfg.Batch, n)], nil); err != nil {
 			return nil, err // entries already admitted run and are dropped
 		}
 	}
-	out := make([]uint64, n)
 	if err := s.await(items, out, nil); err != nil {
 		return nil, err
 	}
@@ -1282,6 +1330,7 @@ func (s *Server) DebugHandler(extra ...func(io.Writer)) http.Handler {
 // batch, queued requests fail with ErrClosed. It returns once every
 // instance is back in the idle set — after the runs under way on
 // callers' goroutines too — and keeps them, so nothing runs after it.
+// A request whose batch was under way gets that batch's reply.
 func (s *Server) Close() {
 	s.once.Do(func() {
 		close(s.closed)

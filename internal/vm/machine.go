@@ -560,7 +560,7 @@ func (m *Machine) Reset() {
 	clear(m.locks)
 	clear(m.barriers)
 	m.heapNext = m.Mod.HeapBase
-	m.output = nil
+	m.output = m.output[:0]
 	m.nthreads = 0
 	m.status = StatusOK
 	m.stats = RunStats{}
@@ -647,7 +647,8 @@ func (m *Machine) emitFault(c *core, p *FaultPlan) {
 	}
 }
 
-// Output returns the externalized output stream.
+// Output returns the externalized output stream. Its array is reused by
+// the machine's next Reset or Restore: copy it to keep it past them.
 func (m *Machine) Output() []uint64 { return m.output }
 
 // Stats returns the run statistics.

@@ -344,7 +344,7 @@ func (m *Machine) Restore(s *Snapshot) {
 	copyLocks(m.locks, s.locks)
 	copyBarriers(m.barriers, s.barriers)
 	m.heapNext = s.heapNext
-	m.output = slices.Clone(s.output)
+	m.output = append(m.output[:0], s.output...)
 	m.nthreads = s.nthreads
 	m.status = s.status
 	m.stats = s.stats
