@@ -9,7 +9,7 @@
 //	haftload [-addr 127.0.0.1:7171] [-workload A] [-rate 0]
 //	         [-duration 10s] [-conns 8] [-records 1024]
 //	         [-valuework 4] [-verify] [-seed 1] [-json]
-//	         [-cluster] [-out results.json] [-trace] [-slowest 5]
+//	         [-out results.json] [-trace] [-slowest 5]
 //
 // With -trace (the default) every request carries a client-minted
 // 64-bit trace id over the wire ("tid=<hex>"), deterministically
@@ -20,10 +20,12 @@
 // trace ids with their latencies.
 //
 // The endpoint can be a single haftserve or a haftrouter cluster front
-// end — the wire protocol is identical. With -cluster the final stats
-// snapshot is rendered as the router's cluster snapshot (votes, masked
-// corruptions, failovers) instead of a single node's serve snapshot;
-// -out writes the client-side results plus the raw snapshot as JSON.
+// end — the wire protocol is identical. The final stats are whatever
+// the endpoint's registry holds, one "name{labels} value" line per
+// sample as its /metrics names them (a router's votes, masked
+// corruptions and failovers; a node's runs, aborts and faults); -json
+// prints them as one JSON object, and -out writes the client-side
+// results with those stats attached.
 //
 // Connections retry the initial dial with exponential backoff until
 // the load deadline, so haftload can be launched before haftserve
@@ -33,7 +35,7 @@
 // function — a mismatch is a silently corrupted response that slipped
 // past the server's hardening, the number the paper's SDC columns
 // care about. At the end it prints client-side throughput and latency
-// percentiles plus the server's own metrics snapshot.
+// percentiles plus the endpoint's own metrics.
 package main
 
 import (
@@ -52,22 +54,22 @@ import (
 )
 
 // clientResult is the machine-readable summary -out writes: the
-// client-side view of one load run, with the server's (or, with
-// -cluster, the router's) own snapshot attached raw.
+// client-side view of one load run, with the endpoint's own stats
+// attached.
 type clientResult struct {
-	Workload      string          `json:"workload"`
-	Conns         int             `json:"conns"`
-	Seconds       float64         `json:"seconds"`
-	Sent          uint64          `json:"sent"`
-	OK            uint64          `json:"ok"`
-	Failed        uint64          `json:"failed"`
-	Corrupted     uint64          `json:"corrupted"`
-	ThroughputRPS float64         `json:"throughput_rps"`
-	LatencyP50    float64         `json:"latency_p50_s"`
-	LatencyP95    float64         `json:"latency_p95_s"`
-	LatencyP99    float64         `json:"latency_p99_s"`
-	Slowest       []slowTrace     `json:"slowest,omitempty"`
-	Server        json.RawMessage `json:"server,omitempty"`
+	Workload      string      `json:"workload"`
+	Conns         int         `json:"conns"`
+	Seconds       float64     `json:"seconds"`
+	Sent          uint64      `json:"sent"`
+	OK            uint64      `json:"ok"`
+	Failed        uint64      `json:"failed"`
+	Corrupted     uint64      `json:"corrupted"`
+	ThroughputRPS float64     `json:"throughput_rps"`
+	LatencyP50    float64     `json:"latency_p50_s"`
+	LatencyP95    float64     `json:"latency_p95_s"`
+	LatencyP99    float64     `json:"latency_p99_s"`
+	Slowest       []slowTrace `json:"slowest,omitempty"`
+	Server        obs.View    `json:"server,omitempty"`
 }
 
 // slowTrace names one of the slowest requests by its trace id, the
@@ -111,9 +113,8 @@ func main() {
 	valueWork := flag.Int("valuework", 4, "server value work (for -verify)")
 	verify := flag.Bool("verify", true, "verify every response against the reference function")
 	seed := flag.Int64("seed", 1, "workload generator seed")
-	jsonOut := flag.Bool("json", false, "print the server snapshot as JSON")
-	clusterStats := flag.Bool("cluster", false, "the endpoint is a haftrouter: render stats as a cluster snapshot")
-	out := flag.String("out", "", "write the client-side results (plus the raw server snapshot) as JSON to this file")
+	jsonOut := flag.Bool("json", false, "print the endpoint's stats as one JSON object")
+	out := flag.String("out", "", "write the client-side results (plus the endpoint's stats) as JSON to this file")
 	trace := flag.Bool("trace", true, "tag every request with a deterministic trace id (tid=<hex>)")
 	slowest := flag.Int("slowest", 5, "print the N slowest requests' trace ids in the summary")
 	flag.Parse()
@@ -263,32 +264,15 @@ func main() {
 			i+1, s.Trace, s.Seconds*1e3, op, s.Key, s.Conn)
 	}
 
-	// Pull the endpoint's own accounting over the same wire. A router
-	// endpoint answers "stats" with the cluster snapshot (-cluster
-	// switches the rendering accordingly); either way the raw payload
-	// is attached to the -out result.
-	var rawStats []byte
+	// Pull the endpoint's own accounting over the same wire: a node's
+	// or a router's registry, each under its own names.
+	var stats obs.View
 	if c, err := haft.DialServer(*addr); err == nil {
-		if raw, err := c.StatsRaw(); err == nil {
-			rawStats = raw
-			if *clusterStats {
-				var snap haft.ClusterSnapshot
-				if err := json.Unmarshal(raw, &snap); err == nil {
-					if *jsonOut {
-						fmt.Println(string(snap.JSON()))
-					} else {
-						fmt.Println(snap.Summary())
-					}
-				}
+		if stats, err = c.Stats(); err == nil {
+			if *jsonOut {
+				json.NewEncoder(os.Stdout).Encode(stats)
 			} else {
-				var snap haft.ServeSnapshot
-				if err := json.Unmarshal(raw, &snap); err == nil {
-					if *jsonOut {
-						fmt.Println(string(snap.JSON()))
-					} else {
-						fmt.Println(snap.Summary())
-					}
-				}
+				stats.WriteText(os.Stdout)
 			}
 		}
 		c.Close()
@@ -308,7 +292,7 @@ func main() {
 			LatencyP95:    pct(0.95).Seconds(),
 			LatencyP99:    pct(0.99).Seconds(),
 			Slowest:       slow,
-			Server:        rawStats,
+			Server:        stats,
 		}
 		b, _ := json.MarshalIndent(res, "", "  ")
 		if err := os.WriteFile(*out, append(b, '\n'), 0o644); err != nil {

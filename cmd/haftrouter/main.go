@@ -25,7 +25,8 @@
 // quarantines the node. Writes go through a sequence-numbered per-shard
 // log and are acknowledged at quorum; the log is replayed into nodes
 // returning from failure. On SIGINT/SIGTERM the router prints its final
-// cluster metrics and exits.
+// cluster metrics and exits, one "name{labels} value" line per sample
+// as /metrics names them (-json: one JSON object, the "stats" reply).
 //
 // -debug-addr starts an HTTP debug listener: /metrics (Prometheus text
 // exposition of the cluster metrics), /trace (the router's event ring
@@ -34,6 +35,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -54,8 +56,8 @@ func main() {
 	shards := flag.Int("shards", 64, "fixed shard count")
 	connsPerNode := flag.Int("conns-per-node", 8, "connection pool bound per node")
 	healthInterval := flag.Duration("health-interval", 100*time.Millisecond, "health probe period")
-	metricsEvery := flag.Int("metrics", 0, "print a metrics snapshot every N seconds (0 = off)")
-	jsonOut := flag.Bool("json", false, "print metrics as JSON instead of a table")
+	metricsEvery := flag.Int("metrics", 0, "print the metrics every N seconds (0 = off)")
+	jsonOut := flag.Bool("json", false, "print metrics as one JSON object instead of one line per sample")
 	debugAddr := flag.String("debug-addr", "", "HTTP debug listener: /metrics, /trace, /healthz, /debug/pprof/ (empty = off)")
 	node := flag.String("node", "", "router name in traces and flight bundles (default \"router\")")
 	flightDir := flag.String("flight-dir", "", "write a forensic flight bundle per masked reply into this directory (empty = memory only)")
@@ -110,12 +112,13 @@ func main() {
 	fmt.Printf("haftrouter: %d nodes, R=%d (quorum %d), %d shards x %d vnodes, listening on %s\n",
 		len(addrs), c.Replicas(), c.Quorum(), *shards, *vnodes, l.Addr())
 
-	dump := func(s haft.ClusterSnapshot) {
+	dump := func() {
+		v := c.Stats()
 		if *jsonOut {
-			fmt.Println(string(s.JSON()))
-		} else {
-			fmt.Println(s.Summary())
+			json.NewEncoder(os.Stdout).Encode(v)
+			return
 		}
+		v.WriteText(os.Stdout)
 	}
 
 	if *metricsEvery > 0 {
@@ -123,7 +126,7 @@ func main() {
 			t := time.NewTicker(time.Duration(*metricsEvery) * time.Second)
 			defer t.Stop()
 			for range t.C {
-				dump(c.Metrics())
+				dump()
 			}
 		}()
 	}
@@ -146,5 +149,5 @@ func main() {
 	c.SyncReplicas()
 	c.CheckInvariants()
 	c.Close()
-	dump(c.Metrics())
+	dump()
 }

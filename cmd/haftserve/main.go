@@ -18,8 +18,9 @@
 // Drive it with cmd/haftload (or any client of the text protocol:
 // "get <k>", "put <k> <v>", "scan <k> <n>", "stats", "ping"). On
 // SIGINT/SIGTERM it prints the final metrics and exits; -metrics N
-// additionally prints a snapshot every N seconds; -json switches both
-// to machine-readable JSON.
+// additionally prints them every N seconds. Both print the registry's
+// samples, one "name{labels} value" line each as /metrics names them;
+// -json prints the same samples as one JSON object, the "stats" reply.
 //
 // -debug-addr starts an HTTP debug listener with three endpoints:
 // /metrics (Prometheus text exposition of the live serving metrics),
@@ -29,6 +30,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -52,8 +54,8 @@ func main() {
 	retries := flag.Int("retries", 3, "max retries per request after faulted runs")
 	quarantine := flag.Int("quarantine", 3, "consecutive faulted runs before instance rebuild")
 	seed := flag.Int64("seed", 1, "injection campaign seed")
-	metricsEvery := flag.Int("metrics", 0, "print a metrics snapshot every N seconds (0 = off)")
-	jsonOut := flag.Bool("json", false, "print metrics as JSON instead of a table")
+	metricsEvery := flag.Int("metrics", 0, "print the metrics every N seconds (0 = off)")
+	jsonOut := flag.Bool("json", false, "print metrics as one JSON object instead of one line per sample")
 	debugAddr := flag.String("debug-addr", "", "HTTP debug listener: /metrics, /trace, /healthz, /debug/pprof/ (empty = off)")
 	node := flag.String("node", "", "node name in traces and flight bundles (default \"serve\")")
 	flightDir := flag.String("flight-dir", "", "write a forensic flight bundle per detected corruption into this directory (empty = memory only)")
@@ -109,12 +111,13 @@ func main() {
 	fmt.Printf("haftserve: %s mode, pool=%d batch=%d queue=%d seu=%g, listening on %s\n",
 		*mode, *pool, *batch, *queue, *seu, l.Addr())
 
-	dump := func(s haft.ServeSnapshot) {
+	dump := func() {
+		v := srv.Stats()
 		if *jsonOut {
-			fmt.Println(string(s.JSON()))
-		} else {
-			fmt.Println(s.Summary())
+			json.NewEncoder(os.Stdout).Encode(v)
+			return
 		}
+		v.WriteText(os.Stdout)
 	}
 
 	if *metricsEvery > 0 {
@@ -122,7 +125,7 @@ func main() {
 			t := time.NewTicker(time.Duration(*metricsEvery) * time.Second)
 			defer t.Stop()
 			for range t.C {
-				dump(srv.Metrics())
+				dump()
 			}
 		}()
 	}
@@ -152,5 +155,5 @@ func main() {
 		}
 	}
 	srv.Close()
-	dump(srv.Metrics())
+	dump()
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"sync"
 
 	haft "repro"
@@ -84,7 +85,7 @@ func main() {
 	corrupted.Range(func(_, _ any) bool { nbad++; return true })
 	failed.Range(func(_, _ any) bool { nfail++; return true })
 	fmt.Printf("clients saw %d corrupted replies, %d failed requests\n\n", nbad, nfail)
-	fmt.Println(srv.Metrics().Summary())
+	srv.Stats().WriteText(os.Stdout)
 	fmt.Println("\nEvery reply was verified against the reference function while")
 	fmt.Println("SEUs were injected: detected faults rolled back inside recovery")
 	fmt.Println("transactions or were retried on another instance (§4, §6.1).")

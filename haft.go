@@ -460,10 +460,6 @@ type ServeChaosConfig = serve.ChaosConfig
 // TCP with ServeListener (see cmd/haftserve and cmd/haftload).
 type Server = serve.Server
 
-// ServeSnapshot is a point-in-time export of a Server's metrics
-// (throughput, latency percentiles, abort causes, fault counters).
-type ServeSnapshot = serve.Snapshot
-
 // ServeConn is a client connection to a Server's TCP endpoint.
 type ServeConn = serve.Conn
 
@@ -504,11 +500,6 @@ type Cluster = cluster.Cluster
 // Its Ping takes the deadline the router gives every probe, CallTimeout
 // away: a node that never answers must fail the probe by then.
 type ClusterBackend = cluster.Backend
-
-// ClusterSnapshot is a point-in-time export of a Cluster's metrics
-// (votes, masked corruptions, failovers, replayed writes, per-node
-// states).
-type ClusterSnapshot = cluster.Snapshot
 
 // DefaultClusterConfig returns the standard cluster configuration:
 // R=3 with majority voting, 64 shards x 64 vnodes.

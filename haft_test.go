@@ -361,7 +361,8 @@ func TestServeFacade(t *testing.T) {
 	if snap.Responses != 32 || snap.CorruptedReplies != 0 {
 		t.Fatalf("snapshot %+v", snap)
 	}
-	if !strings.Contains(string(snap.JSON()), `"corrupted_replies":0`) {
-		t.Fatalf("JSON export missing fields: %s", snap.JSON())
+	v := srv.Stats()
+	if got, ok := v["haft_serve_corrupted_replies_total"]; !ok || got != 0 || v["haft_serve_responses_total"] != 32 {
+		t.Fatalf("stats view: %v", v)
 	}
 }

@@ -212,6 +212,9 @@ func New(backends []Backend, cfg Config) (*Cluster, error) {
 	if cfg.Replicas > len(backends) {
 		cfg.Replicas = len(backends)
 	}
+	if cfg.Replicas > maxReplicas {
+		return nil, fmt.Errorf("cluster: %d replicas, at most %d", cfg.Replicas, maxReplicas)
+	}
 	if cfg.VNodes <= 0 {
 		cfg.VNodes = d.VNodes
 	}
@@ -872,14 +875,11 @@ func (c *Cluster) SyncReplicas() int {
 	return total
 }
 
-// Metrics returns a snapshot of the router registry, stamped with the
-// cluster shape.
+// Metrics returns a typed snapshot of the router registry, with the
+// node state table.
 func (c *Cluster) Metrics() Snapshot {
 	s := c.metrics.Snapshot()
 	s.NodeStates = c.nodeStates()
-	s.Nodes = len(c.nodes)
-	s.Replicas = c.cfg.Replicas
-	s.Shards = c.cfg.Shards
 	return s
 }
 
@@ -907,7 +907,6 @@ func (c *Cluster) Health() obs.Health {
 			degraded++
 		}
 	}
-	snap := c.Metrics()
 	return obs.Health{
 		OK: ok && degraded == 0,
 		Detail: map[string]any{
@@ -915,9 +914,9 @@ func (c *Cluster) Health() obs.Health {
 			"replicas":             c.cfg.Replicas,
 			"shards":               c.cfg.Shards,
 			"shards_below_quorum":  degraded,
-			"node_states":          snap.NodeStates,
-			"detected_corruptions": snap.DetectedCorruptions,
-			"lost_acked_writes":    snap.LostAckedWrites,
+			"node_states":          c.nodeStates(),
+			"detected_corruptions": c.metrics.masked.Load(),
+			"lost_acked_writes":    c.metrics.lostAcked.Load(),
 			"closed":               !ok,
 		},
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -388,16 +387,18 @@ func TestClusterTCP(t *testing.T) {
 	if len(vs) != 4 {
 		t.Fatalf("scan returned %d values, want 4", len(vs))
 	}
-	raw, err := cl.StatsRaw()
+	st, err := cl.Stats()
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("stats payload is not a cluster snapshot: %v", err)
+	up := 0
+	for k := range st {
+		if strings.HasPrefix(k, "haft_cluster_node_up{") {
+			up++
+		}
 	}
-	if snap.Nodes != 3 || snap.Replicas != 3 || snap.Responses < 6 {
-		t.Fatalf("cluster snapshot looks wrong: %+v", snap)
+	if up != 3 || st["haft_cluster_responses_total"] < 6 {
+		t.Fatalf("router stats look wrong: %v", st)
 	}
 }
 

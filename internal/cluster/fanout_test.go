@@ -413,7 +413,7 @@ func TestTally(t *testing.T) {
 
 // TestGetAllocs: a read through a warm router to three warm nodes on
 // loopback allocates nothing, on the router or on a node, when no call
-// has to wait for a connection.
+// has to wait for a connection; a write allocates one object.
 func TestGetAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HealthInterval = time.Hour // no probe runs during the count
@@ -447,5 +447,19 @@ func TestGetAllocs(t *testing.T) {
 	}
 	if n != 0 {
 		t.Errorf("Cluster.Get allocates %v objects per request, want 0", n)
+	}
+	// A write allocates its log entry and nothing else: the applied set
+	// is a bit set inside it.
+	n = testing.AllocsPerRun(200, func() {
+		key = (key + 1) % 64
+		if _, err := c.Put(key, key); err != nil {
+			getErr = err
+		}
+	})
+	if getErr != nil {
+		t.Fatal(getErr)
+	}
+	if n > 1 {
+		t.Errorf("Cluster.Put allocates %v objects per request, want at most 1", n)
 	}
 }

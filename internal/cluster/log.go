@@ -1,21 +1,26 @@
 package cluster
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/serve"
 )
 
-// logEntry is one sequenced write in a shard's log. applied is indexed
-// by replica ordinal (position in the shard's replica set), tracked
-// router-side: a bit is set once that replica acknowledged executing
+// maxReplicas bounds the replication factor: an entry's applied set is
+// one bit per replica ordinal in a uint64.
+const maxReplicas = 64
+
+// logEntry is one sequenced write in a shard's log. applied has a bit
+// per replica ordinal (position in the shard's replica set), tracked
+// router-side: bit ord is set once that replica acknowledged executing
 // the write, and cleared wholesale when the node is rebuilt with fresh
 // state.
 type logEntry struct {
 	seq     uint64
 	req     serve.Request
 	acked   bool
-	applied []bool
+	applied uint64
 }
 
 // shardLog is one shard's replication state: the replica set (fixed
@@ -32,6 +37,9 @@ func newShardLog(replicas []int) *shardLog {
 	return &shardLog{replicas: append([]int(nil), replicas...)}
 }
 
+// all is the applied set of an entry every replica has applied.
+func (l *shardLog) all() uint64 { return 1<<len(l.replicas) - 1 }
+
 // ordinalOf returns the replica ordinal of node n, or -1.
 func (l *shardLog) ordinalOf(n int) int {
 	for i, r := range l.replicas {
@@ -47,7 +55,7 @@ func (l *shardLog) append(req serve.Request) *logEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.nextSeq++
-	e := &logEntry{seq: l.nextSeq, req: req, applied: make([]bool, len(l.replicas))}
+	e := &logEntry{seq: l.nextSeq, req: req}
 	l.entries = append(l.entries, e)
 	return e
 }
@@ -57,14 +65,8 @@ func (l *shardLog) append(req serve.Request) *logEntry {
 func (l *shardLog) markApplied(e *logEntry, ord int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e.applied[ord] = true
-	n := 0
-	for _, a := range e.applied {
-		if a {
-			n++
-		}
-	}
-	return n
+	e.applied |= 1 << ord
+	return bits.OnesCount64(e.applied)
 }
 
 // ack marks an entry acknowledged to the client (quorum reached).
@@ -85,7 +87,7 @@ func (l *shardLog) clearApplied(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, e := range l.entries {
-		e.applied[ord] = false
+		e.applied &^= 1 << ord
 	}
 }
 
@@ -100,7 +102,7 @@ func (l *shardLog) pendingFor(n int) []*logEntry {
 	defer l.mu.Unlock()
 	var out []*logEntry
 	for _, e := range l.entries {
-		if !e.applied[ord] {
+		if e.applied&(1<<ord) == 0 {
 			out = append(out, e)
 		}
 	}
@@ -120,8 +122,8 @@ func (l *shardLog) lost(live []bool) int {
 			continue
 		}
 		ok := false
-		for ord, a := range e.applied {
-			if a && live[l.replicas[ord]] {
+		for ord, n := range l.replicas {
+			if e.applied&(1<<ord) != 0 && live[n] {
 				ok = true
 				break
 			}
@@ -141,11 +143,7 @@ func (l *shardLog) unapplied() int {
 	defer l.mu.Unlock()
 	n := 0
 	for _, e := range l.entries {
-		for _, a := range e.applied {
-			if !a {
-				n++
-			}
-		}
+		n += len(l.replicas) - bits.OnesCount64(e.applied)
 	}
 	return n
 }
@@ -161,11 +159,7 @@ func (l *shardLog) truncate(retain int) {
 	}
 	cut := 0
 	for _, e := range l.entries[:len(l.entries)-retain] {
-		all := e.acked
-		for _, a := range e.applied {
-			all = all && a
-		}
-		if !all {
+		if !e.acked || e.applied != l.all() {
 			break
 		}
 		cut++

@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/report"
 )
 
 // Metrics is the router's live accounting. Node-level counters (VM
@@ -17,8 +14,7 @@ import (
 // corruption/loss invariants. Like serve.Metrics it is a plain struct
 // of metrics declared once in an obs.Registry.
 type Metrics struct {
-	reg   *obs.Registry
-	start time.Time
+	reg *obs.Registry
 
 	requests  *obs.Counter
 	responses *obs.Counter
@@ -70,7 +66,6 @@ func newMetrics(nodeStates func() map[string]string) *Metrics {
 	}
 	m := &Metrics{
 		reg:            reg,
-		start:          time.Now(),
 		requests:       c("requests_total", "requests routed"),
 		responses:      c("responses_total", "responses delivered"),
 		failed:         c("failed_total", "requests failed after retries"),
@@ -128,64 +123,48 @@ func (m *Metrics) mask(nodeID string) {
 	m.nodeMasked.With(nodeID).Inc()
 }
 
-// Snapshot is a point-in-time export of the router registry.
+// Snapshot is a typed, in-process read of some of the router
+// registry's handles, for Go code that compares counts (the tests, and
+// bench/, which reads seven of its fields). It is not a vocabulary:
+// what leaves the process — the "stats" reply, the command-line
+// dumps, /metrics — is the registry itself (Cluster.Stats,
+// Cluster.WriteProm).
 type Snapshot struct {
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
+	Requests  uint64
+	Responses uint64
+	Failed    uint64
+	Retries   uint64
+	Reads     uint64
+	Writes    uint64
 
-	Nodes    int `json:"nodes"`
-	Replicas int `json:"replicas"`
-	Shards   int `json:"shards"`
-
-	Requests  uint64 `json:"requests"`
-	Responses uint64 `json:"responses"`
-	Failed    uint64 `json:"failed"`
-	Retries   uint64 `json:"retries"`
-	Reads     uint64 `json:"reads"`
-	Writes    uint64 `json:"writes"`
-
-	Votes uint64 `json:"vote_replies"`
+	Votes uint64
 	// DetectedCorruptions counts replica replies the voter masked for
 	// disagreeing with the majority; DeliveredCorruptions is the
 	// cluster invariant counter and must stay zero.
-	DetectedCorruptions  uint64 `json:"detected_corruptions"`
-	NoQuorum             uint64 `json:"no_quorum"`
-	DeliveredCorruptions uint64 `json:"delivered_corruptions"`
+	DetectedCorruptions  uint64
+	NoQuorum             uint64
+	DeliveredCorruptions uint64
 
-	AckedWrites    uint64 `json:"acked_writes"`
-	ReplayedWrites uint64 `json:"replayed_writes"`
+	AckedWrites    uint64
+	ReplayedWrites uint64
 	// LostAckedWrites is the second invariant counter (updated by
 	// CheckInvariants): acknowledged writes with no surviving applied
 	// copy. Must stay zero.
-	LostAckedWrites uint64 `json:"lost_acked_writes"`
+	LostAckedWrites uint64
 
-	Failovers   uint64 `json:"failovers"`
-	NodeKills   uint64 `json:"node_kills"`
-	Quarantines uint64 `json:"quarantines"`
-	Rebuilds    uint64 `json:"rebuilds"`
+	Failovers   uint64
+	NodeKills   uint64
+	Quarantines uint64
+	Rebuilds    uint64
 
-	NodeStates map[string]string `json:"node_states"`
-	NodeFails  map[string]uint64 `json:"node_failures"`
-	NodeMasked map[string]uint64 `json:"node_masked_replies"`
-	NodeServed map[string]uint64 `json:"node_served"`
-
-	ThroughputRPS float64 `json:"throughput_rps"`
-	LatencyP50    float64 `json:"latency_p50_s"`
-	LatencyP95    float64 `json:"latency_p95_s"`
-	LatencyP99    float64 `json:"latency_p99_s"`
-	LatencyMean   float64 `json:"latency_mean_s"`
-	LatencyMax    float64 `json:"latency_max_s"`
-	// FanoutWaitP50 and _P99 time a replica fan-out from its first send
-	// to its last reply.
-	FanoutWaitP50 float64 `json:"fanout_wait_p50_s"`
-	FanoutWaitP99 float64 `json:"fanout_wait_p99_s"`
+	NodeStates map[string]string // filled by Cluster.Metrics
+	NodeFails  map[string]uint64
+	NodeMasked map[string]uint64
 }
 
-// Snapshot captures the registry (cluster shape fields and node states
-// are filled by Cluster.Metrics).
+// Snapshot captures the registry's counters.
 func (m *Metrics) Snapshot() Snapshot {
-	lat, fan := m.latency.Snapshot(), m.fanoutWait.Snapshot()
-	s := Snapshot{
-		ElapsedSeconds:       time.Since(m.start).Seconds(),
+	return Snapshot{
 		Requests:             m.requests.Load(),
 		Responses:            m.responses.Load(),
 		Failed:               m.failed.Load(),
@@ -205,73 +184,5 @@ func (m *Metrics) Snapshot() Snapshot {
 		Rebuilds:             m.rebuilds.Load(),
 		NodeFails:            m.nodeFails.Values(),
 		NodeMasked:           m.nodeMasked.Values(),
-		NodeServed:           m.nodeServed.Values(),
-		LatencyP50:           lat.Percentile(0.50),
-		LatencyP95:           lat.Percentile(0.95),
-		LatencyP99:           lat.Percentile(0.99),
-		LatencyMean:          lat.Mean(),
-		LatencyMax:           lat.Max.Seconds(),
-		FanoutWaitP50:        fan.Percentile(0.50),
-		FanoutWaitP99:        fan.Percentile(0.99),
 	}
-	if s.ElapsedSeconds > 0 {
-		s.ThroughputRPS = float64(s.Responses) / s.ElapsedSeconds
-	}
-	return s
-}
-
-// JSON renders the snapshot as one JSON object.
-func (s Snapshot) JSON() []byte {
-	b, _ := json.Marshal(s)
-	return b
-}
-
-// Summary renders the snapshot as a human-readable report table.
-func (s Snapshot) Summary() string {
-	t := &report.Table{
-		Title:  "cluster: router metrics",
-		Header: []string{"metric", "value"},
-	}
-	t.AddF(1, "elapsed (s)", s.ElapsedSeconds)
-	t.Add("nodes / replicas / shards", fmt.Sprintf("%d / %d / %d", s.Nodes, s.Replicas, s.Shards))
-	t.AddF(0, "requests", s.Requests)
-	t.AddF(0, "responses", s.Responses)
-	t.AddF(0, "failed", s.Failed)
-	t.AddF(0, "retries", s.Retries)
-	t.Add("reads / writes", fmt.Sprintf("%d / %d", s.Reads, s.Writes))
-	t.AddF(1, "throughput (req/s)", s.ThroughputRPS)
-	t.Add("latency p50/p95/p99 (ms)", fmt.Sprintf("%.3f / %.3f / %.3f",
-		s.LatencyP50*1e3, s.LatencyP95*1e3, s.LatencyP99*1e3))
-	t.AddF(0, "vote replies collected", s.Votes)
-	t.AddF(0, "detected corruptions (masked)", s.DetectedCorruptions)
-	t.AddF(0, "delivered corruptions", s.DeliveredCorruptions)
-	t.AddF(0, "vote quorum misses", s.NoQuorum)
-	t.AddF(0, "acked writes", s.AckedWrites)
-	t.AddF(0, "replayed writes", s.ReplayedWrites)
-	t.AddF(0, "lost acked writes", s.LostAckedWrites)
-	t.AddF(0, "failovers", s.Failovers)
-	t.AddF(0, "node kills (chaos)", s.NodeKills)
-	t.AddF(0, "node quarantines", s.Quarantines)
-	t.AddF(0, "node rebuilds", s.Rebuilds)
-	t.Add("node states", stateLine(s.NodeStates))
-	return t.String()
-}
-
-func stateLine(m map[string]string) string {
-	if len(m) == 0 {
-		return "-"
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for i, k := range keys {
-		if i > 0 {
-			out += "  "
-		}
-		out += fmt.Sprintf("%s=%s", k, m[k])
-	}
-	return out
 }

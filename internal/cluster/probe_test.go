@@ -143,7 +143,7 @@ func stuckCluster(t *testing.T, cfg Config) (c *Cluster, p *stuckProxy, key uint
 	lg.mu.Lock()
 	e := *lg.entries[len(lg.entries)-1]
 	lg.mu.Unlock()
-	if !e.acked || !e.applied[0] {
+	if !e.acked || e.applied&1 == 0 {
 		t.Fatalf("the write was not acked and applied on the stuck node: %+v", e)
 	}
 	p.stuck.Store(true)

@@ -4,6 +4,7 @@ import (
 	"net"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -13,7 +14,7 @@ import (
 // client of one hardened server — cmd/haftload included — can point at
 // the router unchanged and transparently get sharding, replication and
 // reply voting. The one divergence is "stats", which answers with the
-// *cluster* snapshot (votes, masked corruptions, failovers, replays).
+// router's registry (votes, masked corruptions, failovers, replays).
 // A "tid=<hex>" token on get/put is threaded through the router's
 // dispatch/vote spans and forwarded to every replica, so the whole
 // fan-out shares one trace id; untagged requests get a router-minted
@@ -61,5 +62,7 @@ func (c *Cluster) Scan(key uint64, n int) ([]uint64, error) {
 	return out, nil
 }
 
-// StatsJSON implements serve.Handler: the cluster snapshot.
-func (c *Cluster) StatsJSON() []byte { return c.Metrics().JSON() }
+// Stats implements serve.Handler: the router registry's view. Node
+// counters (VM runs, aborts, instance quarantines) are in each node's
+// own stats.
+func (c *Cluster) Stats() obs.View { return c.metrics.reg.View() }

@@ -528,7 +528,7 @@ func plansFor(m Model, flow vm.FaultFlow, rng *rand.Rand, pop uint64, seg, nseg 
 	first := &vm.FaultPlan{
 		Model:       vmModel(m),
 		TargetIndex: segmentDraw(rng, pop, seg, nseg),
-		Mask:        randMask(rng),
+		Mask:        vm.RandMask(rng),
 		Flow:        flow,
 	}
 	if m != ModelDouble {
@@ -539,7 +539,7 @@ func plansFor(m Model, flow vm.FaultFlow, rng *rand.Rand, pop uint64, seg, nseg 
 	second := &vm.FaultPlan{
 		Model:       vm.FaultRegister,
 		TargetIndex: uint64(rng.Int63n(int64(pop))),
-		Mask:        randMask(rng),
+		Mask:        vm.RandMask(rng),
 		Flow:        flow,
 	}
 	return []*vm.FaultPlan{first, second}

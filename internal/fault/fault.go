@@ -12,7 +12,6 @@
 package fault
 
 import (
-	"math/rand"
 	"sync"
 
 	"repro/internal/ir"
@@ -172,21 +171,6 @@ func Campaign(t *Target, n int, seed int64) (*ModelResult, error) {
 		return nil, err
 	}
 	return cr.PerModel[0], nil
-}
-
-// randMask returns a random non-zero 64-bit corruption pattern. Half
-// the time it is a single bit flip (the dominant physical SEU); the
-// rest is a random integer as in the paper's injector.
-func randMask(rng *rand.Rand) uint64 {
-	if rng.Intn(2) == 0 {
-		return 1 << uint(rng.Intn(64))
-	}
-	for {
-		m := rng.Uint64()
-		if m != 0 {
-			return m
-		}
-	}
 }
 
 // Classify maps a finished machine run onto a Table 1 outcome given

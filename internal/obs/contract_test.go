@@ -1,17 +1,19 @@
-// Contract goldens for the two things outside programs read from the
-// serving substrate: the /metrics exposition of a node (serve) and of
-// the router (cluster), and the JSON snapshot the "stats" command
-// carries. They pin the vocabulary — family names, types, help, label
-// keys, JSON keys — not the values, and compare families as a sorted
-// set so exposition order is free. Lives in the external test package
-// because serve and cluster import obs. Regenerate consciously with
+// Contract goldens for what outside programs read from the serving
+// substrate: the metrics registry of a node (serve) and of the router
+// (cluster). The /metrics exposition renders it as text and the
+// "stats" reply carries it as a View, one JSON number per sample under
+// the same names, so one schema golden per layer pins both. The
+// goldens pin the vocabulary — family names, types, help, label keys —
+// not the values, and compare families as a sorted set so exposition
+// order is free. Lives in the external test package because serve and
+// cluster import obs. Regenerate consciously with
 //
 //	HAFT_UPDATE_GOLDEN=1 go test ./internal/obs -run TestContract
 package obs_test
 
 import (
-	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"net"
 	"os"
@@ -24,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -164,23 +167,19 @@ func checkLatencyHistogram(t *testing.T, text, family string) {
 	}
 }
 
-func jsonKeys(t *testing.T, raw []byte) []string {
-	t.Helper()
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatalf("stats payload is not a JSON object: %v", err)
+// hasSample reports whether v holds a sample of the named labelled
+// family.
+func hasSample(v obs.View, family string) bool {
+	for k := range v {
+		if strings.HasPrefix(k, family+"{") {
+			return true
+		}
 	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return false
 }
 
 // TestContractServe drives a node until every labelled family has a
-// sample (chaos and SEUs on), then pins its exposition schema, its
-// snapshot JSON keys, and the Conn.Stats round trip.
+// sample (chaos and SEUs on), then pins its exposition schema.
 func TestContractServe(t *testing.T) {
 	cfg := serve.DefaultConfig()
 	cfg.Pool = 2
@@ -189,11 +188,36 @@ func TestContractServe(t *testing.T) {
 	cfg.MaxRetries = 16
 	cfg.SEURate = 0.05
 	cfg.Chaos = serve.ChaosConfig{KillRate: 0.05, HangRate: 0.05, StormRate: 0.05}
+	s, c := serveNode(t, cfg)
+
+	for i := 0; ; i++ {
+		c.Put(uint64(i%128), uint64(i)) //nolint:errcheck // failures are metrics too
+		c.Get(uint64(i % 128))          //nolint:errcheck
+		v := s.Stats()
+		if hasSample(v, "haft_serve_run_status_total") && hasSample(v, "haft_serve_chaos_events_total") &&
+			hasSample(v, "haft_serve_tx_aborts_total") && v["haft_serve_responses_total"] > 0 {
+			break
+		}
+		if i > 5000 {
+			t.Fatalf("labelled families never all populated: %v", v)
+		}
+	}
+
+	var sb strings.Builder
+	s.WriteProm(&sb)
+	checkGolden(t, "serve_metrics_schema.golden", promSchema(t, sb.String()))
+	checkLatencyHistogram(t, sb.String(), "haft_serve_latency_seconds")
+}
+
+// serveNode starts a node on a loopback listener and dials it; both
+// close when the test ends.
+func serveNode(t *testing.T, cfg serve.Config) (*serve.Server, *serve.Conn) {
+	t.Helper()
 	s, err := serve.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	t.Cleanup(s.Close)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -203,41 +227,8 @@ func TestContractServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-
-	for i := 0; ; i++ {
-		c.Put(uint64(i%128), uint64(i)) //nolint:errcheck // failures are metrics too
-		c.Get(uint64(i % 128))          //nolint:errcheck
-		m := s.Metrics()
-		if len(m.RunStatus) > 0 && len(m.ChaosEvents) > 0 && len(m.AbortCauses) > 0 && m.Responses > 0 {
-			break
-		}
-		if i > 5000 {
-			t.Fatalf("labelled families never all populated: %+v", m)
-		}
-	}
-
-	var sb strings.Builder
-	s.WriteProm(&sb)
-	checkGolden(t, "serve_metrics_schema.golden", promSchema(t, sb.String()))
-	checkLatencyHistogram(t, sb.String(), "haft_serve_latency_seconds")
-
-	checkGolden(t, "serve_snapshot_keys.golden", jsonKeys(t, serve.Snapshot{}.JSON()))
-	raw, err := c.StatsRaw()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "serve_snapshot_keys.golden", jsonKeys(t, raw))
-	got, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := s.Metrics()
-	if got.Requests != want.Requests || got.Responses != want.Responses ||
-		got.Retries != want.Retries || got.PoolSize != 2 || got.LatencyP50 <= 0 ||
-		len(got.RunStatus) != len(want.RunStatus) {
-		t.Errorf("Conn.Stats round trip lost fields:\n got %+v\nwant %+v", got, want)
-	}
+	t.Cleanup(func() { c.Close() })
+	return s, c
 }
 
 // fakeNode is a cluster.Backend answering from a pure function, with
@@ -262,9 +253,11 @@ func (f *fakeNode) Do(req serve.Request) (uint64, error) {
 	return v, nil
 }
 
-// TestContractCluster pins the router's exposition schema, snapshot
-// JSON keys, and the stats payload served over the text protocol.
-func TestContractCluster(t *testing.T) {
+// scriptedRouter serves a router over three fake nodes, one failing
+// once and one corrupting one read, drives 8 puts and 8 gets through
+// it, and returns it with a connection to it.
+func scriptedRouter(t *testing.T) (*cluster.Cluster, *serve.Conn) {
+	t.Helper()
 	nodes := []*fakeNode{{id: "n0"}, {id: "n1"}, {id: "n2"}}
 	nodes[1].fail.Store(true)
 	nodes[2].corrupt.Store(true)
@@ -274,7 +267,7 @@ func TestContractCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(c.Close)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +277,7 @@ func TestContractCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-
+	t.Cleanup(func() { conn.Close() })
 	for i := uint64(0); i < 8; i++ {
 		if _, err := conn.Put(i, i); err != nil {
 			t.Fatal(err)
@@ -294,28 +286,106 @@ func TestContractCluster(t *testing.T) {
 			t.Fatalf("get %d = %#x, %v", i, v, err)
 		}
 	}
-	m := c.Metrics()
-	if m.NodeFails["n1"] != 1 || m.NodeMasked["n2"] != 1 || m.DetectedCorruptions != 1 {
-		t.Fatalf("scripted failure/corruption not accounted: %+v", m)
+	return c, conn
+}
+
+// TestContractCluster pins the router's exposition schema, with the
+// scripted failure and corruption counted per node.
+func TestContractCluster(t *testing.T) {
+	c, _ := scriptedRouter(t)
+	v := c.Stats()
+	if v[`haft_cluster_node_failures_total{node="n1"}`] != 1 ||
+		v[`haft_cluster_node_masked_replies_total{node="n2"}`] != 1 ||
+		v["haft_cluster_detected_corruptions_total"] != 1 {
+		t.Fatalf("scripted failure/corruption not accounted: %v", v)
 	}
 
 	var sb strings.Builder
 	c.WriteProm(&sb)
 	checkGolden(t, "cluster_metrics_schema.golden", promSchema(t, sb.String()))
+}
 
-	checkGolden(t, "cluster_snapshot_keys.golden", jsonKeys(t, cluster.Snapshot{}.JSON()))
-	raw, err := conn.StatsRaw()
+// TestContractStatsIsView: the "stats" reply of a quiesced node and of
+// a quiesced router, read over loopback with Conn.Stats, is the
+// registry's view, and every key in it is a sample of a family in that
+// layer's schema golden, with that family's label keys; every
+// unlabelled counter and gauge family has its sample.
+func TestContractStatsIsView(t *testing.T) {
+	t.Run("node", func(t *testing.T) {
+		cfg := serve.DefaultConfig()
+		cfg.Pool = 2
+		cfg.Batch = 8
+		cfg.KV.Records = 128
+		s, c := serveNode(t, cfg)
+		for i := uint64(0); i < 16; i++ {
+			if _, err := c.Put(i, i); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Get(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.Scan(0, 20); err != nil {
+			t.Fatal(err)
+		}
+		checkStatsIsView(t, c, s.Stats, "serve_metrics_schema.golden")
+	})
+	t.Run("router", func(t *testing.T) {
+		rc, conn := scriptedRouter(t)
+		checkStatsIsView(t, conn, rc.Stats, "cluster_metrics_schema.golden")
+	})
+}
+
+// checkStatsIsView fetches the stats reply between two reads of the
+// registry's view, until the two reads agree (the endpoint has
+// quiesced: a worker may still return its instance after the last
+// reply), then holds the reply to them and to the schema golden.
+func checkStatsIsView(t *testing.T, c *serve.Conn, view func() obs.View, golden string) {
+	t.Helper()
+	var got, want obs.View
+	for i := 0; ; i++ {
+		before := view()
+		var err error
+		if got, err = c.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		if want = view(); maps.Equal(before, want) {
+			break
+		}
+		if i == 100 {
+			t.Fatalf("endpoint never quiesced:\n%v\n%v", before, want)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("stats reply is not the registry view:\n got %v\nwant %v", got, want)
+	}
+
+	text, err := os.ReadFile("testdata/" + golden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "cluster_snapshot_keys.golden", jsonKeys(t, raw))
-	var got cluster.Snapshot
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
+	labels := map[string]string{} // family -> "{key,key}" as the golden lists them
+	for _, line := range strings.Split(strings.TrimSpace(string(text)), "\n") {
+		f := strings.Fields(line)
+		if f[1] == "counter" || f[1] == "gauge" {
+			labels[f[0]] = f[2]
+		}
 	}
-	if got.Requests != 16 || got.Responses != 16 || got.Reads != 8 || got.Writes != 8 ||
-		got.Nodes != 3 || got.Replicas != 3 || got.NodeStates["n0"] != "healthy" ||
-		got.NodeMasked["n2"] != 1 || got.LatencyP50 <= 0 {
-		t.Errorf("stats round trip lost fields: %+v", got)
+	for key := range got {
+		name, body, _ := strings.Cut(strings.TrimSuffix(key, "}"), "{")
+		var keys []string
+		for _, k := range labelRE.FindAllStringSubmatch(body, -1) {
+			keys = append(keys, k[1])
+		}
+		sort.Strings(keys)
+		if want, ok := labels[name]; !ok || want != "{"+strings.Join(keys, ",")+"}" {
+			t.Errorf("stats key %s is not a sample of a counter or gauge family in %s", key, golden)
+		}
+	}
+	for name, l := range labels {
+		if _, ok := got[name]; l == "{}" && !ok {
+			t.Errorf("stats reply has no sample of %s", name)
+		}
 	}
 }

@@ -24,7 +24,8 @@ import (
 //     campaign's per-model rates) go through Declare + Set/Add, keyed
 //     by a pre-rendered label string (`model="reg",flow="any"`).
 //
-// WriteProm emits everything deterministically sorted by family name.
+// WriteProm emits everything deterministically sorted by family name;
+// View reads the same samples as numbers.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -113,7 +114,7 @@ type Gauge struct{ atomic.Int64 }
 // Gauge declares a gauge family with a single unlabelled sample.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	g := new(Gauge)
-	r.declare(name, "gauge", help, func(s *scrape) { s.float("", float64(g.Load())) })
+	r.declare(name, "gauge", help, func(s *scrape) { s.float("", "", float64(g.Load())) })
 	return g
 }
 
@@ -179,7 +180,7 @@ func (v *CounterVec) Values() map[string]uint64 {
 func (r *Registry) Latency(prefix, what, note string) *Latency {
 	l := new(Latency)
 	gauge := func(suffix, help string, v func(*LatencySnapshot) float64) {
-		r.declare(prefix+suffix, "gauge", help, func(s *scrape) { s.float("", v(s.latency(l))) })
+		r.declare(prefix+suffix, "gauge", help, func(s *scrape) { s.float("", "", v(s.latency(l))) })
 	}
 	gauge("_p50_seconds", "median "+what+note, func(s *LatencySnapshot) float64 { return s.Percentile(0.50) })
 	gauge("_p95_seconds", "95th percentile "+what, func(s *LatencySnapshot) float64 { return s.Percentile(0.95) })
@@ -204,7 +205,7 @@ func (r *Registry) Histogram(name, help string, l *Latency) {
 			s.uint("_bucket", fmt.Sprintf("le=%q", le), cum)
 		}
 		s.uint("_bucket", `le="+Inf"`, snap.Count)
-		s.sample("_sum", "", strconv.FormatFloat(snap.Sum.Seconds(), 'g', -1, 64))
+		s.float("_sum", "", snap.Sum.Seconds())
 		s.uint("_count", "", snap.Count)
 	})
 }
@@ -218,11 +219,13 @@ func sortedKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// scrape is one WriteProm pass: the writer, the family being rendered,
-// and the latency snapshots already taken, so the gauge families and
-// the histogram of one Latency share a single sorted copy.
+// scrape is one pass over the registry: the family being read, the
+// latency snapshots already taken (so the gauge families and the
+// histogram of one Latency share a single sorted copy), and where the
+// samples go — exposition text on w, or the entries of view.
 type scrape struct {
 	w       io.Writer
+	view    View
 	name    string
 	latched map[*Latency]*LatencySnapshot
 }
@@ -236,38 +239,44 @@ func (s *scrape) latency(l *Latency) *LatencySnapshot {
 	return snap
 }
 
-func (s *scrape) sample(suffix, labels, value string) {
-	if labels == "" {
-		fmt.Fprintf(s.w, "%s%s %s\n", s.name, suffix, value)
-	} else {
-		fmt.Fprintf(s.w, "%s%s{%s} %s\n", s.name, suffix, labels, value)
+// sample records one sample: v in the view, text on the wire.
+func (s *scrape) sample(suffix, labels string, v float64, text string) {
+	key := s.name + suffix
+	if labels != "" {
+		key += "{" + labels + "}"
 	}
+	if s.view != nil {
+		s.view[key] = v
+		return
+	}
+	fmt.Fprintf(s.w, "%s %s\n", key, text)
 }
 
 // uint renders a count as a plain integer (a float's shortest form
 // would turn 1000000 into 1e+06).
 func (s *scrape) uint(suffix, labels string, v uint64) {
-	s.sample(suffix, labels, strconv.FormatUint(v, 10))
+	s.sample(suffix, labels, float64(v), strconv.FormatUint(v, 10))
 }
 
-func (s *scrape) float(labels string, v float64) {
-	s.sample("", labels, strconv.FormatFloat(v, 'g', -1, 64))
+func (s *scrape) float(suffix, labels string, v float64) {
+	s.sample(suffix, labels, v, strconv.FormatFloat(v, 'g', -1, 64))
 }
 
 // floats renders samples keyed by label body, sorted.
 func (s *scrape) floats(samples map[string]float64) {
 	for _, k := range sortedKeys(samples) {
-		s.float(k, samples[k])
+		s.float("", k, samples[k])
 	}
 }
 
-// WriteProm renders the registry in Prometheus text exposition
-// format, families and samples sorted for reproducible scrapes.
-func (r *Registry) WriteProm(w io.Writer) {
+// run reads every family in name order. Rendering text, it heads each
+// family with its HELP and TYPE lines; filling a view, it skips the
+// histograms.
+func (r *Registry) run(s *scrape) {
 	if r == nil {
 		return
 	}
-	// Copy what Declare/Set/Add mutate, then render unlocked: the
+	// Copy what Declare/Set/Add mutate, then read unlocked: the
 	// collectors call back into the declaring layer.
 	r.mu.Lock()
 	names := sortedKeys(r.families)
@@ -277,18 +286,49 @@ func (r *Registry) WriteProm(w io.Writer) {
 		fams[i].samples = maps.Clone(fams[i].samples)
 	}
 	r.mu.Unlock()
-	s := &scrape{w: w, latched: make(map[*Latency]*LatencySnapshot)}
+	s.latched = make(map[*Latency]*LatencySnapshot)
 	for i, f := range fams {
 		s.name = names[i]
-		if f.help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", s.name, f.help)
-		}
-		if f.typ != "" {
-			fmt.Fprintf(w, "# TYPE %s %s\n", s.name, f.typ)
+		if s.view == nil {
+			if f.help != "" {
+				fmt.Fprintf(s.w, "# HELP %s %s\n", s.name, f.help)
+			}
+			if f.typ != "" {
+				fmt.Fprintf(s.w, "# TYPE %s %s\n", s.name, f.typ)
+			}
+		} else if f.typ == "histogram" {
+			continue
 		}
 		if f.collect != nil {
 			f.collect(s)
 		}
 		s.floats(f.samples)
+	}
+}
+
+// WriteProm renders the registry in Prometheus text exposition
+// format, families and samples sorted for reproducible scrapes.
+func (r *Registry) WriteProm(w io.Writer) { r.run(&scrape{w: w}) }
+
+// View is a registry read as numbers: one entry per sample of its
+// counter and gauge families, the latency quantiles among them, keyed
+// "name" or "name{labels}" exactly as WriteProm prints the sample. The
+// histogram families are left out; their quantile gauges summarise
+// them. It is the stats vocabulary outside Go code: the "stats" reply
+// of a node and of the router, and the command-line dumps.
+type View map[string]float64
+
+// View reads the registry in the same pass WriteProm renders.
+func (r *Registry) View() View {
+	v := View{}
+	r.run(&scrape{view: v})
+	return v
+}
+
+// WriteText renders the view one "key value" line per sample, sorted
+// by key, each value in plain decimal.
+func (v View) WriteText(w io.Writer) {
+	for _, k := range sortedKeys(v) {
+		fmt.Fprintf(w, "%s %s\n", k, strconv.FormatFloat(v[k], 'f', -1, 64))
 	}
 }

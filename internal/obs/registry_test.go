@@ -29,6 +29,9 @@ haft_up 1
 	if got != want {
 		t.Fatalf("exposition mismatch:\n got:\n%s\nwant:\n%s", got, want)
 	}
+	if v := r.View(); len(v) != 3 || v[`haft_runs{model="reg"}`] != 5 || v[`haft_moe{model="mem"}`] != 0.125 || v["haft_up"] != 1 {
+		t.Fatalf("view = %v", v)
+	}
 }
 
 func TestRegistryDeterministicOrder(t *testing.T) {
@@ -64,8 +67,8 @@ func TestRegistryNilIsNoop(t *testing.T) {
 	r.Add("x", "", 1)
 	var b strings.Builder
 	r.WriteProm(&b)
-	if b.String() != "" {
-		t.Fatalf("nil registry wrote %q", b.String())
+	if b.String() != "" || len(r.View()) != 0 {
+		t.Fatalf("nil registry wrote %q, viewed %v", b.String(), r.View())
 	}
 }
 
@@ -133,6 +136,18 @@ t_up{node="b"} 0
 	}
 	if got := v.Values(); got["ok"] != 5 || got["crashed"] != 1 || len(got) != 2 {
 		t.Fatalf("CounterVec.Values = %v", got)
+	}
+	// The view is the exposition's sample lines, histograms left out.
+	var samples []string
+	for _, line := range strings.Split(want, "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") && !strings.HasPrefix(line, "t_lat_seconds") {
+			samples = append(samples, line)
+		}
+	}
+	var vt strings.Builder
+	r.View().WriteText(&vt)
+	if got, want := vt.String(), strings.Join(samples, "\n")+"\n"; got != want {
+		t.Fatalf("view mismatch:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // FuzzParseNum: the protocol's number scanner accepts exactly what
@@ -159,7 +161,7 @@ func (h *echoHandler) Scan(key uint64, n int) ([]uint64, error) {
 	return vs, nil
 }
 
-func (h *echoHandler) StatsJSON() []byte { return []byte("{}") }
+func (h *echoHandler) Stats() obs.View { return obs.View{} }
 
 // TestCodecRoundTrip: get and put, traced and not, carry the extreme
 // words 0 and 2^64-1 from a Conn through ServeConn and back unchanged.

@@ -1,15 +1,11 @@
 package serve
 
 import (
-	"encoding/json"
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/htm"
 	"repro/internal/obs"
-	"repro/internal/report"
 	"repro/internal/vm"
 )
 
@@ -18,8 +14,7 @@ import (
 // It is a plain struct of metrics declared once, with name and help,
 // in an obs.Registry; call sites update the handles directly.
 type Metrics struct {
-	reg   *obs.Registry
-	start time.Time
+	reg *obs.Registry
 
 	requests  *obs.Counter
 	responses *obs.Counter
@@ -78,7 +73,6 @@ func newMetrics(poolSize int, queueDepth func() int) *Metrics {
 	c := func(name, help string) *obs.Counter { return reg.Counter("haft_serve_"+name, help) }
 	m := &Metrics{
 		reg:             reg,
-		start:           time.Now(),
 		requests:        c("requests_total", "requests submitted"),
 		responses:       c("responses_total", "responses delivered"),
 		failed:          c("failed_total", "requests failed after retries"),
@@ -141,66 +135,59 @@ func (m *Metrics) run(status vm.Status, st vm.RunStats, hs htm.Stats) {
 	}
 }
 
-// Snapshot is a point-in-time export of the registry, JSON-ready.
+// Snapshot is a typed, in-process read of some of the registry's
+// handles, for Go code that compares counts (the tests, and bench/,
+// which reads ten of its fields). It is not a vocabulary: what leaves
+// the process — the "stats" reply, the command-line dumps, /metrics —
+// is the registry itself (Server.Stats, Server.WriteProm).
 type Snapshot struct {
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
+	Requests  uint64
+	Responses uint64
+	Failed    uint64
+	Rejected  uint64
+	Retries   uint64
 
-	Requests  uint64 `json:"requests"`
-	Responses uint64 `json:"responses"`
-	Failed    uint64 `json:"failed"`
-	Rejected  uint64 `json:"rejected"`
-	Retries   uint64 `json:"retries"`
-
-	Runs        uint64            `json:"vm_runs"`
-	FaultedRuns uint64            `json:"faulted_runs"`
-	RunStatus   map[string]uint64 `json:"run_status"`
-	Quarantines uint64            `json:"quarantines"`
-	Rebuilds    uint64            `json:"rebuilds"`
+	Runs        uint64
+	FaultedRuns uint64
+	RunStatus   map[string]uint64
+	Quarantines uint64
+	Rebuilds    uint64
 	// QuarantinedInstances is the number of instances currently
 	// quarantined (rebuilt but not yet re-proven by a clean batch).
-	QuarantinedInstances int `json:"quarantined_instances"`
+	QuarantinedInstances int
 
-	ChaosEvents      map[string]uint64 `json:"chaos_events"`
-	DeadlineFailures uint64            `json:"deadline_failures"`
+	ChaosEvents      map[string]uint64
+	DeadlineFailures uint64
 
-	InjectedFaults uint64 `json:"injected_faults"`
+	InjectedFaults uint64
 	// CorrectedFaults counts faults absorbed without failing the run
 	// (HAFT rollbacks plus TMR vote corrections); VoteCorrections is
 	// the TMR majority-vote share of that total.
-	CorrectedFaults uint64 `json:"corrected_faults"`
-	VoteCorrections uint64 `json:"vote_corrections"`
+	CorrectedFaults uint64
+	VoteCorrections uint64
 	// VerifyRejects counts corrupted replies the verifier caught and
 	// converted into retries; CorruptedReplies counts corruptions
 	// actually delivered (zero while verification is on).
-	VerifyRejects    uint64 `json:"verify_rejects"`
-	CorruptedReplies uint64 `json:"corrupted_replies"`
+	VerifyRejects    uint64
+	CorruptedReplies uint64
 
-	TxStarted    uint64            `json:"tx_started"`
-	TxCommitted  uint64            `json:"tx_committed"`
-	FallbackRuns uint64            `json:"fallback_runs"`
-	AbortCauses  map[string]uint64 `json:"abort_causes"`
+	TxStarted   uint64
+	TxCommitted uint64
+	AbortCauses map[string]uint64
 
-	ThroughputRPS float64 `json:"throughput_rps"`
-	LatencyP50    float64 `json:"latency_p50_s"`
-	LatencyP95    float64 `json:"latency_p95_s"`
-	LatencyP99    float64 `json:"latency_p99_s"`
-	LatencyMean   float64 `json:"latency_mean_s"`
-	LatencyMax    float64 `json:"latency_max_s"`
+	// Seconds. The queue-wait / execution split of the same latencies:
+	// the two components sum to the end-to-end figure per response.
+	LatencyP50    float64
+	LatencyP99    float64
+	LatencyMean   float64
+	QueueWaitP50  float64
+	QueueWaitP99  float64
+	QueueWaitMean float64
+	ExecP50       float64
+	ExecMean      float64
 
-	// The queue-wait / execution split of the same latencies (the two
-	// components sum to the end-to-end figure per response).
-	QueueWaitP50  float64 `json:"queue_wait_p50_s"`
-	QueueWaitP95  float64 `json:"queue_wait_p95_s"`
-	QueueWaitP99  float64 `json:"queue_wait_p99_s"`
-	QueueWaitMean float64 `json:"queue_wait_mean_s"`
-	ExecP50       float64 `json:"exec_p50_s"`
-	ExecP95       float64 `json:"exec_p95_s"`
-	ExecP99       float64 `json:"exec_p99_s"`
-	ExecMean      float64 `json:"exec_mean_s"`
-
-	QueueDepth int `json:"queue_depth"`
-	PoolBusy   int `json:"pool_busy"`
-	PoolSize   int `json:"pool_size"`
+	QueueDepth int
+	PoolSize   int
 }
 
 // Snapshot captures the current state of the registry.
@@ -208,8 +195,7 @@ func (m *Metrics) Snapshot() Snapshot {
 	m.splitMu.Lock()
 	lat, wait, exec := m.latency.Snapshot(), m.queueWait.Snapshot(), m.exec.Snapshot()
 	m.splitMu.Unlock()
-	s := Snapshot{
-		ElapsedSeconds:       time.Since(m.start).Seconds(),
+	return Snapshot{
 		Requests:             m.requests.Load(),
 		Responses:            m.responses.Load(),
 		Failed:               m.failed.Load(),
@@ -230,94 +216,16 @@ func (m *Metrics) Snapshot() Snapshot {
 		CorruptedReplies:     m.corrupted.Load(),
 		TxStarted:            m.txStarted.Load(),
 		TxCommitted:          m.txCommitted.Load(),
-		FallbackRuns:         m.fallbacks.Load(),
 		AbortCauses:          m.aborts.Values(),
 		LatencyP50:           lat.Percentile(0.50),
-		LatencyP95:           lat.Percentile(0.95),
 		LatencyP99:           lat.Percentile(0.99),
 		LatencyMean:          lat.Mean(),
-		LatencyMax:           lat.Max.Seconds(),
 		QueueWaitP50:         wait.Percentile(0.50),
-		QueueWaitP95:         wait.Percentile(0.95),
 		QueueWaitP99:         wait.Percentile(0.99),
 		QueueWaitMean:        wait.Mean(),
 		ExecP50:              exec.Percentile(0.50),
-		ExecP95:              exec.Percentile(0.95),
-		ExecP99:              exec.Percentile(0.99),
 		ExecMean:             exec.Mean(),
 		QueueDepth:           m.queueDepth(),
-		PoolBusy:             int(m.poolBusy.Load()),
 		PoolSize:             int(m.poolSize.Load()),
 	}
-	if s.ElapsedSeconds > 0 {
-		s.ThroughputRPS = float64(s.Responses) / s.ElapsedSeconds
-	}
-	return s
-}
-
-// JSON renders the snapshot as one JSON object.
-func (s Snapshot) JSON() []byte {
-	b, _ := json.Marshal(s)
-	return b
-}
-
-// Summary renders the snapshot as a human-readable report table.
-func (s Snapshot) Summary() string {
-	t := &report.Table{
-		Title:  "serve: request-serving metrics",
-		Header: []string{"metric", "value"},
-	}
-	t.AddF(1, "elapsed (s)", s.ElapsedSeconds)
-	t.AddF(0, "requests", s.Requests)
-	t.AddF(0, "responses", s.Responses)
-	t.AddF(0, "failed", s.Failed)
-	t.AddF(0, "rejected (backpressure)", s.Rejected)
-	t.AddF(1, "throughput (req/s)", s.ThroughputRPS)
-	t.Add("latency p50/p95/p99 (ms)", fmt.Sprintf("%.3f / %.3f / %.3f",
-		s.LatencyP50*1e3, s.LatencyP95*1e3, s.LatencyP99*1e3))
-	t.AddF(3, "latency mean (ms)", s.LatencyMean*1e3)
-	t.Add("queue wait p50/p95/p99 (ms)", fmt.Sprintf("%.3f / %.3f / %.3f",
-		s.QueueWaitP50*1e3, s.QueueWaitP95*1e3, s.QueueWaitP99*1e3))
-	t.Add("exec p50/p95/p99 (ms)", fmt.Sprintf("%.3f / %.3f / %.3f",
-		s.ExecP50*1e3, s.ExecP95*1e3, s.ExecP99*1e3))
-	t.AddF(0, "vm runs", s.Runs)
-	t.AddF(0, "faulted runs", s.FaultedRuns)
-	t.Add("run status", mapLine(s.RunStatus))
-	t.AddF(0, "retries", s.Retries)
-	t.AddF(0, "quarantines", s.Quarantines)
-	t.AddF(0, "instance rebuilds", s.Rebuilds)
-	t.AddF(0, "quarantined now", s.QuarantinedInstances)
-	t.Add("chaos events", mapLine(s.ChaosEvents))
-	t.AddF(0, "deadline failures", s.DeadlineFailures)
-	t.AddF(0, "injected faults (SEU)", s.InjectedFaults)
-	t.AddF(0, "corrected faults (rollback + votes)", s.CorrectedFaults)
-	t.AddF(0, "vote corrections (tmr)", s.VoteCorrections)
-	t.AddF(0, "verification rejects (caught SDCs)", s.VerifyRejects)
-	t.AddF(0, "corrupted replies", s.CorruptedReplies)
-	t.AddF(0, "transactions started", s.TxStarted)
-	t.AddF(0, "transactions committed", s.TxCommitted)
-	t.AddF(0, "fallback runs", s.FallbackRuns)
-	t.Add("abort causes", mapLine(s.AbortCauses))
-	t.AddF(0, "queue depth", s.QueueDepth)
-	t.Add("pool occupancy", fmt.Sprintf("%d/%d", s.PoolBusy, s.PoolSize))
-	return t.String()
-}
-
-func mapLine(m map[string]uint64) string {
-	if len(m) == 0 {
-		return "-"
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for i, k := range keys {
-		if i > 0 {
-			out += "  "
-		}
-		out += fmt.Sprintf("%s=%d", k, m[k])
-	}
-	return out
 }

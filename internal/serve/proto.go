@@ -15,6 +15,8 @@ import (
 	"time"
 	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/obs"
 )
 
 // The wire protocol is a line-oriented text protocol over TCP, in the
@@ -23,7 +25,7 @@ import (
 //	get <key>            -> VALUE <hex-reply>
 //	put <key> <value>    -> STORED <hex-reply>
 //	scan <key> <n>       -> RANGE <hex> <hex> ...
-//	stats                -> STATS <json snapshot>
+//	stats                -> STATS <json metrics view>
 //	ping                 -> PONG
 //	quit                 -> (connection closed)
 //
@@ -40,16 +42,13 @@ const maxScan = 1024
 
 // Handler is what the text protocol is served against: a single node
 // (Server) or anything that routes to nodes while looking like one
-// (cluster.Cluster). StatsJSON is the payload of the "stats" reply —
-// the one place the two differ on the wire.
+// (cluster.Cluster). Stats is its metrics registry's view, which the
+// "stats" reply carries as one JSON object.
 type Handler interface {
 	Do(req Request) (uint64, error)
 	Scan(key uint64, n int) ([]uint64, error)
-	StatsJSON() []byte
+	Stats() obs.View
 }
-
-// StatsJSON implements Handler: the node's metrics snapshot.
-func (s *Server) StatsJSON() []byte { return s.Metrics().JSON() }
 
 // ServeListener accepts connections on l and serves the text protocol
 // until the server is closed (which also closes the listener) or the
@@ -197,8 +196,12 @@ func dispatch(w *bufio.Writer, line []byte, h Handler) bool {
 		}
 		w.WriteByte('\n')
 	case isWord(cmd, "stats"):
+		b, err := json.Marshal(h.Stats())
+		if err != nil { // a NaN or infinite sample has no JSON form
+			return fail(w, err.Error(), "")
+		}
 		w.WriteString("STATS ")
-		w.Write(h.StatsJSON())
+		w.Write(b)
 		w.WriteByte('\n')
 	case isWord(cmd, "ping"):
 		w.WriteString("PONG\n")
@@ -639,28 +642,18 @@ func (c *Conn) Scan(key uint64, n int) ([]uint64, error) {
 	return decodeRange(line)
 }
 
-// Stats fetches the server's metrics snapshot.
-func (c *Conn) Stats() (Snapshot, error) {
-	rest, err := c.roundTrip("stats", "STATS", time.Time{})
-	if err != nil {
-		return Snapshot{}, err
-	}
-	var s Snapshot
-	if err := json.Unmarshal([]byte(rest), &s); err != nil {
-		return Snapshot{}, fmt.Errorf("serve: bad stats payload: %v", err)
-	}
-	return s, nil
-}
-
-// StatsRaw fetches the stats payload as raw JSON without assuming the
-// single-node snapshot shape — a cluster router answers "stats" with
-// the cluster snapshot, which carries different fields.
-func (c *Conn) StatsRaw() ([]byte, error) {
+// Stats fetches the endpoint's metrics view — a node's or a router's,
+// each in its own registry's names.
+func (c *Conn) Stats() (obs.View, error) {
 	rest, err := c.roundTrip("stats", "STATS", time.Time{})
 	if err != nil {
 		return nil, err
 	}
-	return []byte(rest), nil
+	var v obs.View
+	if err := json.Unmarshal([]byte(rest), &v); err != nil {
+		return nil, fmt.Errorf("serve: bad stats payload: %v", err)
+	}
+	return v, nil
 }
 
 // Ping round-trips a no-op command, waiting no later than at (zero: no

@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // fakeHandler answers the protocol from a pure function, failing Do
@@ -38,7 +40,7 @@ func (f *fakeHandler) Scan(key uint64, n int) ([]uint64, error) {
 	return out, nil
 }
 
-func (f *fakeHandler) StatsJSON() []byte { return []byte(`{"requests":7}`) }
+func (f *fakeHandler) Stats() obs.View { return obs.View{"requests": 7} }
 
 // replyRE is the protocol's framing promise: one line, a known tag.
 var replyRE = regexp.MustCompile(`^(VALUE|STORED|RANGE|STATS|PONG|ERR)( [^\n]*)?\n$`)

@@ -629,7 +629,7 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 			for i := range plans {
 				plans[i] = &vm.FaultPlan{
 					TargetIndex: uint64(inst.chaosRng.Int63n(pop)),
-					Mask:        randMask(inst.chaosRng),
+					Mask:        vm.RandMask(inst.chaosRng),
 				}
 			}
 			inst.mach.SetFaultPlans(plans)
@@ -646,7 +646,7 @@ func (s *Server) runBatch(inst *instance, batch []*item) {
 		pop := int64(s.perReqWrites * uint64(len(batch)))
 		plan := &vm.FaultPlan{
 			TargetIndex: uint64(inst.rng.Int63n(pop)),
-			Mask:        randMask(inst.rng),
+			Mask:        vm.RandMask(inst.rng),
 		}
 		inst.mach.SetFaultPlan(plan)
 		armed = []*vm.FaultPlan{plan}
@@ -887,19 +887,6 @@ func (s *Server) failOrRetry(inst *instance, batch []*item, cause error) {
 		s.event(obs.Event{Kind: obs.KindRetry, Actor: int32(inst.id),
 			A: uint64(it.retries), Label: "serve", TraceID: it.tid})
 		s.requeue([]*item{it}, backoff)
-	}
-}
-
-// randMask mirrors the fault package's SEU corruption pattern: half
-// single-bit flips, half random integers.
-func randMask(rng *rand.Rand) uint64 {
-	if rng.Intn(2) == 0 {
-		return 1 << uint(rng.Intn(64))
-	}
-	for {
-		if m := rng.Uint64(); m != 0 {
-			return m
-		}
 	}
 }
 
@@ -1272,8 +1259,12 @@ func (s *Server) Records() int { return s.cfg.KV.Records }
 // (clients use it to verify replies against the reference function).
 func (s *Server) ValueWork() int { return s.cfg.KV.ValueWork }
 
-// Metrics returns a snapshot of the live metrics registry.
+// Metrics returns a typed snapshot of the live metrics registry.
 func (s *Server) Metrics() Snapshot { return s.metrics.Snapshot() }
+
+// Stats reads the live metrics registry as a View: the payload of the
+// "stats" reply.
+func (s *Server) Stats() obs.View { return s.metrics.reg.View() }
 
 // Ring returns the server's observability ring buffer: every tx
 // begin/commit/abort inside the pool machines plus the serving-layer
@@ -1295,17 +1286,17 @@ func (s *Server) WriteProm(w io.Writer) { s.metrics.reg.WriteProm(w) }
 // Health reports the pool/quarantine state for /healthz: healthy
 // means the server is open and at least one instance is serviceable.
 func (s *Server) Health() obs.Health {
-	snap := s.metrics.Snapshot()
+	m := s.metrics
 	ok := !s.isClosed()
 	return obs.Health{
 		OK: ok,
 		Detail: map[string]any{
-			"pool_size":             snap.PoolSize,
-			"pool_busy":             snap.PoolBusy,
-			"queue_depth":           snap.QueueDepth,
-			"quarantines":           snap.Quarantines,
-			"rebuilds":              snap.Rebuilds,
-			"quarantined_instances": snap.QuarantinedInstances,
+			"pool_size":             m.poolSize.Load(),
+			"pool_busy":             m.poolBusy.Load(),
+			"queue_depth":           m.queueDepth(),
+			"quarantines":           m.quarantines.Load(),
+			"rebuilds":              m.rebuilds.Load(),
+			"quarantined_instances": m.quarantinedNow.Load(),
 			"draining":              s.draining.Load(),
 			"closed":                !ok,
 		},

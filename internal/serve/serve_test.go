@@ -1,9 +1,9 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,9 +72,6 @@ func TestServeCorrectness(t *testing.T) {
 	}
 	if m.LatencyP50 <= 0 || m.LatencyP99 < m.LatencyP50 {
 		t.Fatalf("bad latency percentiles: p50=%v p99=%v", m.LatencyP50, m.LatencyP99)
-	}
-	if m.ThroughputRPS <= 0 {
-		t.Fatalf("no throughput reported")
 	}
 }
 
@@ -262,8 +259,8 @@ func TestServeTCP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	if st.Responses < 6 || st.PoolSize != 2 {
-		t.Fatalf("stats snapshot looks wrong: %+v", st)
+	if st["haft_serve_responses_total"] < 6 || st["haft_serve_pool_size"] != 2 {
+		t.Fatalf("stats view looks wrong: %v", st)
 	}
 
 	// Protocol errors keep the connection usable.
@@ -275,8 +272,10 @@ func TestServeTCP(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSONAndSummary: the export formats carry the metrics.
-func TestSnapshotJSONAndSummary(t *testing.T) {
+// TestStatsView: the stats view carries the registry's samples under
+// their /metrics names, with the values the typed snapshot reads from
+// the same handles, and prints one sorted "key value" line each.
+func TestStatsView(t *testing.T) {
 	s, err := NewServer(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -287,18 +286,22 @@ func TestSnapshotJSONAndSummary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := s.Metrics()
-	var back Snapshot
-	if err := json.Unmarshal(snap.JSON(), &back); err != nil {
-		t.Fatalf("json round-trip: %v", err)
+	snap, v := s.Metrics(), s.Stats()
+	if v["haft_serve_responses_total"] != float64(snap.Responses) ||
+		v["haft_serve_tx_committed_total"] != float64(snap.TxCommitted) ||
+		v["haft_serve_latency_p50_seconds"] != snap.LatencyP50 {
+		t.Fatalf("view %v disagrees with snapshot %+v", v, snap)
 	}
-	if back.Responses != snap.Responses || back.TxCommitted != snap.TxCommitted {
-		t.Fatalf("json round-trip lost data: %+v vs %+v", back, snap)
+	var sb strings.Builder
+	v.WriteText(&sb)
+	text := sb.String()
+	if !slices.IsSorted(strings.Split(strings.TrimSpace(text), "\n")) {
+		t.Fatalf("view text not sorted:\n%s", text)
 	}
-	sum := snap.Summary()
-	for _, want := range []string{"throughput", "latency p50/p95/p99", "corrupted replies", "pool occupancy"} {
-		if !strings.Contains(sum, want) {
-			t.Fatalf("summary missing %q:\n%s", want, sum)
+	for _, want := range []string{"\nhaft_serve_responses_total 20\n", "\nhaft_serve_corrupted_replies_total 0\n",
+		`haft_serve_run_status_total{status="ok"} `, "\nhaft_serve_pool_size 2\n"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("view text missing %q:\n%s", want, text)
 		}
 	}
 }

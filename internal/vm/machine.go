@@ -25,6 +25,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/cpu"
 	"repro/internal/htm"
@@ -196,6 +197,22 @@ type FaultPlan struct {
 	// Results, filled in by the machine:
 	Injected bool
 	Where    string // "func/block op"
+}
+
+// RandMask draws a random non-zero 64-bit corruption pattern for a
+// FaultPlan's Mask. Half the time it is a single bit flip (the dominant
+// physical SEU); the rest is a random integer as in the paper's
+// injector. The fault campaigns and the serving layer's live SEU
+// campaign both draw their masks with it.
+func RandMask(rng *rand.Rand) uint64 {
+	if rng.Intn(2) == 0 {
+		return 1 << uint(rng.Intn(64))
+	}
+	for {
+		if m := rng.Uint64(); m != 0 {
+			return m
+		}
+	}
 }
 
 // RunStats aggregates measurements of one run.
